@@ -11,6 +11,8 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "core/client_lease_agent.hpp"
+#include "core/server_lease_authority.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -57,19 +59,31 @@ Timeline run(double tau_s, double eps) {
   });
   sc.run_until_s(3.0 * tau_s + 20.0);
 
-  for (const auto& e : sc.trace().events()) {
+  bench::require_unwrapped(sc.recorder(), "fig2_partition");
+  sc.recorder().visit_merged([&](const obs::Event& e) {
     const double at = e.at.seconds();
-    if (e.category == "lease") {
-      if (e.detail.find("suspect") != std::string::npos && t.suspect < 0) t.suspect = at;
-      if (e.detail.find("phase 3") != std::string::npos && t.phase3 < 0) t.phase3 = at;
-      if (e.detail.find("phase 4") != std::string::npos && t.phase4 < 0) t.phase4 = at;
-      if (e.detail.find("lease expired") != std::string::npos && e.node == c0.id()) {
-        t.expired = at;
-      }
+    switch (e.kind) {
+      case obs::EventKind::kStandingChange:
+        if (e.b == static_cast<std::uint64_t>(core::ClientStanding::kSuspect) && t.suspect < 0) {
+          t.suspect = at;
+        }
+        break;
+      case obs::EventKind::kLeasePhase:
+        if (e.b == static_cast<std::uint64_t>(core::LeasePhase::kSuspect) && t.phase3 < 0) {
+          t.phase3 = at;
+        }
+        if (e.b == static_cast<std::uint64_t>(core::LeasePhase::kFlush) && t.phase4 < 0) {
+          t.phase4 = at;
+        }
+        break;
+      case obs::EventKind::kLeaseExpire:
+        if (e.node == c0.id()) t.expired = at;
+        break;
+      case obs::EventKind::kLockSteal: t.steal = at; break;
+      case obs::EventKind::kFence: t.fence = at; break;
+      default: break;
     }
-    if (e.category == "lock" && e.detail.find("stole") != std::string::npos) t.steal = at;
-    if (e.category == "fence" && e.detail.find("fencing") != std::string::npos) t.fence = at;
-  }
+  });
   for (const auto& w : sc.history().disk_writes()) {
     if (w.initiator == c0.id()) t.flush = w.at.seconds();
   }

@@ -7,6 +7,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "core/server_lease_authority.hpp"
 #include "core/lease_math.hpp"
 #include "rt/parallel.hpp"
 #include "workload/scenario.hpp"
@@ -53,15 +54,14 @@ Availability run(double tau_s, double eps, int skew_mode,
   sc.run_until_s(std::min(3.0 * tau_s + 30.0, 295.0));
 
   double suspect_at = -1, steal_at = -1;
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lease" && e.detail.find("standing=suspect") != std::string::npos &&
-        suspect_at < 0) {
+  bench::require_unwrapped(sc.recorder(), "t3_availability");
+  sc.recorder().visit_node(sc.server_node(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kStandingChange &&
+        e.b == static_cast<std::uint64_t>(core::ClientStanding::kSuspect) && suspect_at < 0) {
       suspect_at = e.at.seconds();
     }
-    if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-      steal_at = e.at.seconds();
-    }
-  }
+    if (e.kind == obs::EventKind::kLockSteal) steal_at = e.at.seconds();
+  });
   if (suspect_at > 0) out.detect_s = suspect_at - req_at;
   if (steal_at > 0 && suspect_at > 0) out.wait_s = steal_at - suspect_at;
   return out;

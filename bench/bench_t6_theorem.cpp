@@ -53,15 +53,13 @@ Margin run(double eps, int skew_mode, int latency_us, std::uint64_t seed) {
   sc.run_until_s(30.0);
 
   Margin m;
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-      m.steal = e.at.seconds();
-    }
-    if (e.category == "lease" && e.node == sc.client_node(0) &&
-        e.detail.find("lease expired") != std::string::npos) {
-      m.expired = e.at.seconds();
-    }
-  }
+  bench::require_unwrapped(sc.recorder(), "t6_theorem");
+  sc.recorder().visit_node(sc.server_node(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockSteal) m.steal = e.at.seconds();
+  });
+  sc.recorder().visit_node(sc.client_node(0), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLeaseExpire) m.expired = e.at.seconds();
+  });
   return m;
 }
 

@@ -16,9 +16,20 @@
 
 #include "metrics/histogram.hpp"
 #include "net/control_net.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 
 namespace stank::bench {
+
+// The figure benches read their protocol timelines from the flight
+// recorder, whose rings overwrite their oldest events. A wrapped ring could
+// silently drop the event a table cell is built from, so refuse to go on.
+inline void require_unwrapped(const obs::Recorder& rec, const char* bench) {
+  if (rec.dropped_events() == 0) return;
+  std::fprintf(stderr, "%s: flight recorder overwrote %llu event(s); timeline incomplete\n",
+               bench, static_cast<unsigned long long>(rec.dropped_events()));
+  std::_Exit(1);
+}
 
 class Reporter {
  public:

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/export.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -98,13 +99,16 @@ int main(int argc, char** argv) {
               c0.registered() ? "yes" : "no", to_string(c0.lease_phase()));
 
   std::printf("\n-- protocol trace --\n");
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lease" || e.category == "lock" || e.category == "fence" ||
-        e.category == "session") {
-      std::printf("%8.3fs  n%-3u [%-7s] %s\n", e.at.seconds(), e.node.value(),
-                  e.category.c_str(), e.detail.c_str());
+  sc.recorder().visit_merged([](const obs::Event& e) {
+    using K = obs::EventKind;
+    for (K k : {K::kLeasePhase, K::kStandingChange, K::kLockGrant, K::kLockDemand, K::kFence,
+                K::kLockSteal, K::kUnfence, K::kRegister}) {
+      if (e.kind != k) continue;
+      std::printf("%8.3fs  n%-3u %-16s %s\n", e.at.seconds(), e.node.value(),
+                  obs::to_string(e.kind), obs::detail_string(e).c_str());
+      return;
     }
-  }
+  });
 
   if (argc > 1) {
     std::ofstream f(argv[1], std::ios::binary);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/export.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -71,11 +72,14 @@ int main() {
               static_cast<unsigned long long>(sc.server().counters().lease_ops));
 
   std::printf("\n-- trace (lock/lease events) --\n");
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lock" || e.category == "lease") {
-      std::printf("%8.3fs  n%-3u [%s] %s\n", e.at.seconds(), e.node.value(), e.category.c_str(),
-                  e.detail.c_str());
+  sc.recorder().visit_merged([](const obs::Event& e) {
+    using K = obs::EventKind;
+    for (K k : {K::kLockGrant, K::kLockQueue, K::kLockDemand, K::kLockRelease, K::kLeasePhase}) {
+      if (e.kind != k) continue;
+      std::printf("%8.3fs  n%-3u %-16s %s\n", e.at.seconds(), e.node.value(),
+                  obs::to_string(e.kind), obs::detail_string(e).c_str());
+      return;
     }
-  }
+  });
   return 0;
 }

@@ -11,6 +11,7 @@
 // Build & run:  ./build/examples/transient_partition_nack
 #include <cstdio>
 
+#include "obs/export.hpp"
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -59,11 +60,14 @@ int main() {
               static_cast<unsigned long long>(sc.server().counters().nacks_sent));
 
   std::printf("\n-- trace --\n");
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lease" || e.category == "session") {
-      std::printf("%8.3fs  n%-3u [%-7s] %s\n", e.at.seconds(), e.node.value(),
-                  e.category.c_str(), e.detail.c_str());
+  sc.recorder().visit_merged([](const obs::Event& e) {
+    using K = obs::EventKind;
+    for (K k : {K::kNackRecv, K::kLeasePhase, K::kStandingChange, K::kLockSteal, K::kRegister}) {
+      if (e.kind != k) continue;
+      std::printf("%8.3fs  n%-3u %-16s %s\n", e.at.seconds(), e.node.value(),
+                  obs::to_string(e.kind), obs::detail_string(e).c_str());
+      return;
     }
-  }
+  });
   return 0;
 }

@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "common/byte_pool.hpp"
-#include "common/log.hpp"
 #include "common/small_vec.hpp"
 #include "protocol/layout.hpp"
 
@@ -66,13 +65,12 @@ using SliceVec = SmallVec<protocol::BlockSlice, 8>;
 }  // namespace
 
 Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
-               sim::LocalClock local_clock, ClientConfig cfg, sim::TraceLog* trace)
+               sim::LocalClock local_clock, ClientConfig cfg, obs::Recorder* rec)
     : engine_(&engine),
       san_(&san),
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
-      trace_(trace),
-      rec_(trace != nullptr ? &trace->recorder() : nullptr),
+      rec_(rec),
       transport_(net, clock_, cfg_.id, cfg_.server, counters_, cfg_.transport),
       cache_(cfg_.block_size, cfg_.cache_capacity_pages) {
   cfg_.lease.validate();
@@ -108,10 +106,8 @@ void Client::wire_transport() {
     if (cfg_.byzantine.defy_quiesce) {
       // An honest client treats a NACK as proof it missed a message and
       // rides down; this one pretends it never happened.
-      this->trace("byz", "NACK ignored (defy_quiesce)");
       return;
     }
-    this->trace("lease", "NACK received");
     if (agent_) {
       // Section 3.3: the client knows it missed a message; phase 3 directly.
       agent_->on_nack();
@@ -156,27 +152,20 @@ void Client::build_lease_machinery() {
       };
       hooks.quiesce = [this]() {
         if (cfg_.byzantine.defy_quiesce) {
-          this->trace("byz", "quiesce defied: still accepting ops");
-          return;
+          return;  // keeps serving local processes through phase 3
         }
         accepting_ = false;
-        this->trace("lease", "phase 3: quiesced");
       };
       hooks.flush = [this]() {
         if (cfg_.byzantine.write_after_expiry) {
           // The paper's "slow computer" weaponized: sit on the dirty data
           // through phase 4 so it is still buffered at expiry, then push it
           // down the SAN under the dead registration (snapshot_rogue_writes).
-          this->trace("byz", "phase 4 flush withheld (write_after_expiry)");
           return;
         }
-        this->trace("lease", "phase 4: flushing dirty data");
         flush_all([](Status) {});
       };
-      hooks.expired = [this]() {
-        this->trace("lease", "lease expired");
-        handle_lease_expired();
-      };
+      hooks.expired = [this]() { handle_lease_expired(); };
       hooks.phase_changed = [this](core::LeasePhase from, core::LeasePhase to) {
         if (static_cast<int>(from) >= static_cast<int>(core::LeasePhase::kSuspect) &&
             (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
@@ -184,7 +173,6 @@ void Client::build_lease_machinery() {
           // valid again and quiesce is over.
           if (registered_ && !crashed_) {
             accepting_ = true;
-            this->trace("lease", "rescued: service resumed");
           }
         }
         if (on_phase_change) on_phase_change(from, to);
@@ -235,10 +223,7 @@ void Client::build_lease_machinery() {
             },
             /*lease_only=*/true);
       };
-      hooks.expired = [this]() {
-        this->trace("lease", "heartbeat lease expired");
-        handle_lease_expired();
-      };
+      hooks.expired = [this]() { handle_lease_expired(); };
       hb_sched_ = std::make_unique<baselines::HeartbeatClientScheduler>(
           clock_, cfg_.lease.tau, cfg_.hb_beat_frac, std::move(hooks));
       break;
@@ -286,7 +271,6 @@ void Client::enforce_cache_limit() {
 
 void Client::crash() {
   if (crashed_) return;
-  this->trace("node", "crash");
   if (rec_ != nullptr) {
     rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kCrash);
   }
@@ -323,7 +307,6 @@ void Client::crash() {
 
 void Client::restart() {
   STANK_ASSERT_MSG(crashed_, "restart() is only valid after crash()");
-  this->trace("node", "restart");
   if (rec_ != nullptr) {
     rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kRestart, gen_);
   }
@@ -386,9 +369,6 @@ void Client::register_with_server() {
           if (hb_sched_->running()) hb_sched_->stop();
           hb_sched_->start();
         }
-        this->trace("session", [&] {
-          return sim::cat("registered epoch ", rep->epoch, " incarnation ", rep->incarnation);
-        });
         if (can_reassert) {
           reassert_locks();
         } else if (re_registration) {
@@ -418,7 +398,6 @@ void Client::handle_stale_session() {
   if (crashed_ || !registered_) {
     return;  // a registration is already on its way
   }
-  this->trace("session", "server restarted: re-registering to reassert locks");
   registered_ = false;
   // Keep the cache, the lock table and the lease: the failure is at the
   // SERVER; our contract (and dirty data) remain valid while the lease
@@ -454,8 +433,10 @@ void Client::reassert_locks() {
               if (rep->granted) {
                 fit->second.lock_gen = rep->gen;
                 fit->second.lock_cookie = rep->cookie;
-                this->trace("lock",
-                            [&] { return sim::cat("reasserted ", file_id.value()); });
+                if (rec_ != nullptr) {
+                  rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockReassert,
+                               file_id.value(), 1);
+                }
                 return;
               }
             }
@@ -464,8 +445,10 @@ void Client::reassert_locks() {
           // are gone. Dirty pages here are unprotected — drop them; the
           // checker charges this to the server-crash scenario, exactly the
           // data-loss window reassertion is meant to close.
-          this->trace("lock",
-                      [&] { return sim::cat("reassert FAILED for ", file_id.value()); });
+          if (rec_ != nullptr) {
+            rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockReassert,
+                         file_id.value(), 0);
+          }
           cache_.invalidate_file(file_id);
           fit->second.mode = LockMode::kNone;
           ++fit->second.mode_seq;
@@ -1047,9 +1030,6 @@ void Client::handle_server_msg(const protocol::ServerBody& body) {
         if constexpr (std::is_same_v<T, protocol::LockDemand>) {
           handle_demand(msg);
         } else if constexpr (std::is_same_v<T, protocol::LockGrant>) {
-          this->trace("lock", [&] {
-            return sim::cat("granted (queued) ", msg.file.value(), " g", msg.gen);
-          });
           apply_grant(msg.file, msg.mode, msg.gen, msg.cookie);
         }
       },
@@ -1061,14 +1041,9 @@ void Client::handle_demand(const protocol::LockDemand& d) {
     // The transport already ACKed the datagram; swallowing the demand here
     // means the server sees a compliant-looking client that never flushes,
     // downgrades, or answers — the revocation must time out instead.
-    this->trace("byz", [&] { return sim::cat("demand ", d.file, " swallowed (no release)"); });
     return;
   }
   FileState& fs = state_for(d.file);
-  this->trace("lock", [&] {
-    return sim::cat("demand ", d.file, " max=", protocol::to_string(d.max_mode), " g", d.gen,
-                    " held=", protocol::to_string(fs.mode), " g", fs.lock_gen);
-  });
   if (d.gen < fs.lock_gen) {
     return;  // demand against a superseded incarnation: a newer grant exists
   }
@@ -1124,8 +1099,6 @@ void Client::process_demand(FileId file) {
         // Cannot flush (SAN fault / fenced). Keep the lock and retry; the
         // server's demand timeout will engage the lease protocol if this
         // never succeeds.
-        this->trace("lock",
-                    [&] { return sim::cat("demand flush failed: ", to_string(st.error())); });
         clock_.schedule_after(sim::local_millis(500),
                               [this, file]() { process_demand(file); });
       }
@@ -1712,9 +1685,6 @@ void Client::snapshot_rogue_writes() {
   // Long enough (~4s of 50ms rounds) to straddle the server's fence+steal and
   // the next holder's first writes — the window the fence must actually close.
   rogue_rounds_left_ = 80;
-  this->trace("byz", [&] {
-    return sim::cat("snapshotted ", rogue_writes_.size(), " dirty pages for rogue flushing");
-  });
   if (rogue_timer_ == 0) {
     rogue_timer_ = clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
   }
@@ -1790,10 +1760,6 @@ void Client::forge_tick() {
     }
   }
   forge_timer_ = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
-}
-
-void Client::record_trace(const char* category, std::string detail) {
-  trace_->record(engine_->now(), cfg_.id, category, std::move(detail));
 }
 
 }  // namespace stank::client

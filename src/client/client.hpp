@@ -24,7 +24,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,8 +36,8 @@
 #include "core/client_lease_agent.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
+#include "obs/recorder.hpp"
 #include "protocol/client_transport.hpp"
-#include "sim/trace.hpp"
 #include "storage/san.hpp"
 
 namespace stank::client {
@@ -88,7 +87,7 @@ using Fd = std::uint32_t;
 class Client {
  public:
   Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
-         sim::LocalClock local_clock, ClientConfig cfg, sim::TraceLog* trace = nullptr);
+         sim::LocalClock local_clock, ClientConfig cfg, obs::Recorder* rec = nullptr);
   ~Client();
 
   Client(const Client&) = delete;
@@ -286,31 +285,12 @@ class Client {
   // through here.
   std::uint32_t byz_rand();
 
-  // Lazy, sink-gated tracing: the format callable runs — and its string
-  // machinery allocates — only when a TraceLog is attached. With tracing off
-  // a trace site costs one branch.
-  template <typename F>
-    requires std::is_invocable_v<F&>
-  void trace(const char* category, F&& detail) {
-    if (trace_ != nullptr) {
-      record_trace(category, std::forward<F>(detail)());
-    }
-  }
-  void trace(const char* category, const char* detail) {
-    if (trace_ != nullptr) {
-      record_trace(category, detail);
-    }
-  }
-  void record_trace(const char* category, std::string detail);
-
   sim::Engine* engine_;
   storage::SanFabric* san_;
   ClientConfig cfg_;
   sim::NodeClock clock_;
-  sim::TraceLog* trace_;
-  // Typed flight recorder behind trace_ (one ctor argument attaches both);
-  // null when tracing is off.
-  obs::Recorder* rec_{nullptr};
+  // Typed flight recorder; null when tracing is off.
+  obs::Recorder* rec_;
 
   metrics::Counters counters_;
   protocol::ClientTransport transport_;

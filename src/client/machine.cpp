@@ -5,14 +5,14 @@
 namespace stank::client {
 
 Machine::Machine(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
-                 sim::LocalClock local_clock, MachineConfig cfg, sim::TraceLog* trace) {
+                 sim::LocalClock local_clock, MachineConfig cfg, obs::Recorder* rec) {
   STANK_ASSERT_MSG(!cfg.servers.empty(), "a machine needs at least one server");
   for (std::size_t k = 0; k < cfg.servers.size(); ++k) {
     ClientConfig c = cfg.client;
     c.id = NodeId{cfg.base_id.value() + static_cast<std::uint32_t>(k)};
     c.server = cfg.servers[k];
     // All sub-clients share the machine's single hardware clock.
-    subs_.push_back(std::make_unique<Client>(engine, net, san, local_clock, c, trace));
+    subs_.push_back(std::make_unique<Client>(engine, net, san, local_clock, c, rec));
   }
 }
 

@@ -38,7 +38,7 @@ struct MachineConfig {
 class Machine {
  public:
   Machine(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
-          sim::LocalClock local_clock, MachineConfig cfg, sim::TraceLog* trace = nullptr);
+          sim::LocalClock local_clock, MachineConfig cfg, obs::Recorder* rec = nullptr);
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;

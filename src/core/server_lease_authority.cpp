@@ -1,7 +1,6 @@
 #include "core/server_lease_authority.hpp"
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace stank::core {
 
@@ -39,10 +38,6 @@ void ServerLeaseAuthority::on_delivery_failure(NodeId client) {
     rec_->record(t, self_, obs::EventKind::kStealTimerArm, client.value(),
                  static_cast<std::uint64_t>(wait.ns));
   }
-  if (hooks_.standing_changed) {
-    hooks_.standing_changed(client, ClientStanding::kSuspect);
-  }
-  STANK_DEBUG("lease authority: client " << client << " suspect, timer armed");
 }
 
 void ServerLeaseAuthority::fire(NodeId client) {
@@ -54,15 +49,9 @@ void ServerLeaseAuthority::fire(NodeId client) {
   e->standing = ClientStanding::kFailed;
   e->failed_at = clock_->now();
   if (rec_ != nullptr) {
-    const sim::SimTime t = clock_->engine().now();
-    rec_->record(t, self_, obs::EventKind::kStandingChange, client.value(),
+    rec_->record(clock_->engine().now(), self_, obs::EventKind::kStandingChange, client.value(),
                  static_cast<std::uint64_t>(ClientStanding::kFailed));
-    rec_->record(t, self_, obs::EventKind::kLockSteal, client.value());
   }
-  if (hooks_.standing_changed) {
-    hooks_.standing_changed(client, ClientStanding::kFailed);
-  }
-  STANK_DEBUG("lease authority: client " << client << " lease expired, stealing locks");
   if (hooks_.steal_locks) {
     hooks_.steal_locks(client);
   }
@@ -94,13 +83,8 @@ bool ServerLeaseAuthority::try_reregister(NodeId client) {
     e->standing = ClientStanding::kFailed;
     e->failed_at = clock_->now();
     if (rec_ != nullptr) {
-      const sim::SimTime t = clock_->engine().now();
-      rec_->record(t, self_, obs::EventKind::kStandingChange, client.value(),
-                   static_cast<std::uint64_t>(ClientStanding::kFailed));
-      rec_->record(t, self_, obs::EventKind::kLockSteal, client.value());
-    }
-    if (hooks_.standing_changed) {
-      hooks_.standing_changed(client, ClientStanding::kFailed);
+      rec_->record(clock_->engine().now(), self_, obs::EventKind::kStandingChange,
+                   client.value(), static_cast<std::uint64_t>(ClientStanding::kFailed));
     }
     if (hooks_.steal_locks) {
       hooks_.steal_locks(client);
@@ -116,9 +100,6 @@ bool ServerLeaseAuthority::try_reregister(NodeId client) {
                  static_cast<std::uint64_t>(ClientStanding::kGood));
   }
   entries_.erase(client);
-  if (hooks_.standing_changed) {
-    hooks_.standing_changed(client, ClientStanding::kGood);
-  }
   return true;
 }
 

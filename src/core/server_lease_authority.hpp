@@ -37,8 +37,6 @@ class ServerLeaseAuthority {
     // Timer expired: the client's lease is provably over — steal its locks,
     // fence it, redistribute.
     std::function<void(NodeId)> steal_locks;
-    // Observer for traces (optional).
-    std::function<void(NodeId, ClientStanding)> standing_changed;
   };
 
   ServerLeaseAuthority(sim::NodeClock& clock, LeaseConfig cfg, metrics::Counters& counters,
@@ -96,7 +94,6 @@ class ServerLeaseAuthority {
   };
 
   void fire(NodeId client);
-  void set_standing(NodeId client, ClientStanding s);
 
   sim::NodeClock* clock_;
   LeaseConfig cfg_;

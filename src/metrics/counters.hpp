@@ -18,6 +18,9 @@ struct Counters {
   std::uint64_t server_msgs_sent{0};
   std::uint64_t client_acks_sent{0};
   std::uint64_t retransmissions{0};
+  // Datagrams dropped on receipt because they did not decode or carried a
+  // frame kind this endpoint never accepts.
+  std::uint64_t frames_rejected{0};
 
   // Messages whose SOLE purpose is lease maintenance (keep-alives, explicit
   // per-object renewals, heartbeats). Opportunistic renewals piggybacked on
@@ -57,6 +60,7 @@ struct Counters {
     server_msgs_sent += o.server_msgs_sent;
     client_acks_sent += o.client_acks_sent;
     retransmissions += o.retransmissions;
+    frames_rejected += o.frames_rejected;
     lease_only_msgs += o.lease_only_msgs;
     lease_ops += o.lease_ops;
     lock_grants += o.lock_grants;

@@ -1,11 +1,11 @@
 // Typed flight-recorder events.
 //
-// The string TraceLog is great for test assertions but costs a heap string
-// per event, which rules it out on the hot path. The recorder's native unit
-// is instead a fixed 32-byte POD: an event kind from a closed taxonomy, the
-// node it happened on, and two u64 payload words whose meaning the kind
-// defines. No strings, no allocation, no formatting — writing one is a
-// bounds check and a struct store into a per-node ring.
+// The one diagnostic channel. A string per event would cost a heap
+// allocation on the hot path, so the recorder's unit is a fixed 32-byte POD:
+// an event kind from a closed taxonomy, the node it happened on, and two u64
+// payload words whose meaning the kind defines. No strings, no allocation, no
+// formatting — writing one is a bounds check and a struct store into a
+// per-node ring.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ enum class EventKind : std::uint16_t {
   // -- server lease authority -- (node = server, a = client node)
   kStandingChange,      // b = new ClientStanding value
   kStealTimerArm,       // b = server-wait local duration ns
-  kLockSteal,           // server fenced + stole the client's locks
+  kLockSteal,           // locks moved off the client (after any fence); b = locks stolen
 
   // -- lock manager -- (node = requesting/holding client)
   kLockGrant,           // a = file id, b = mode granted
@@ -71,14 +71,17 @@ enum class EventKind : std::uint16_t {
   kNetDup,              // b = extra copies injected
   kNetReorder,          // b = spike delay ns
 
-  // A string annotation recorded through the legacy TraceLog adapter lives
-  // in the side channel; this marker only appears in merged export views.
+  // A string note (Recorder::annotate) lives in the side channel; this
+  // marker only appears in merged export views.
   kAnnotation,
 
   // -- invariant watchdog -- (node = 0, the omniscient observer;
   //    a = probe index, b = bit_cast<u64> of the offending double value)
   kWatchdogTrip,   // a probe left its legal band (edge-triggered)
   kWatchdogClear,  // the probe returned to its band
+
+  // -- client lock reassertion after a server restart -- (node = client)
+  kLockReassert,   // a = file id, b = 1 granted / 0 refused or lost
 
   kCount_,
 };
@@ -132,6 +135,7 @@ enum class DropCause : std::uint8_t {
     case EventKind::kAnnotation: return "annotation";
     case EventKind::kWatchdogTrip: return "watchdog-trip";
     case EventKind::kWatchdogClear: return "watchdog-clear";
+    case EventKind::kLockReassert: return "lock-reassert";
     case EventKind::kCount_: break;
   }
   return "?";
@@ -153,8 +157,8 @@ enum class DropCause : std::uint8_t {
 }
 
 // One recorded event. Global sim time: the recorder is an omniscient
-// observer, like the TraceLog before it; per-node local clocks appear only
-// inside payload words where a kind says so.
+// observer; per-node local clocks appear only inside payload words where a
+// kind says so.
 struct Event {
   sim::SimTime at{};
   NodeId node{};

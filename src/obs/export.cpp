@@ -94,7 +94,7 @@ std::string detail_string(const Event& e) {
       os << "client=n" << e.a << " wait=" << static_cast<double>(e.b) / 1e6 << "ms";
       break;
     case EventKind::kLockSteal:
-      os << "client=n" << e.a;
+      os << "client=n" << e.a << " locks=" << e.b;
       break;
     case EventKind::kLockGrant:
     case EventKind::kLockQueue:
@@ -104,6 +104,9 @@ std::string detail_string(const Event& e) {
       break;
     case EventKind::kLockStolen:
       os << "file=f" << e.a;
+      break;
+    case EventKind::kLockReassert:
+      os << "file=f" << e.a << (e.b != 0 ? " granted" : " refused");
       break;
     case EventKind::kRegister:
       os << "epoch=" << e.a;
@@ -229,7 +232,7 @@ void write_chrome_trace(const Recorder& rec, std::ostream& os) {
     }
   }
 
-  // Legacy string annotations.
+  // String notes (watchdog trips, injected failures).
   for (const auto& a : rec.annotations()) {
     sep.next(os);
     os << R"({"name":")";

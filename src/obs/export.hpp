@@ -16,7 +16,7 @@ namespace stank::obs {
 //  * kLeasePhase events per node are folded into complete "X" duration
 //    slices on a "lease phases" track, one slice per phase residency;
 //  * every other typed event is an instant ("i") on an "events" track;
-//  * legacy string annotations are instants on an "annotations" track;
+//  * string notes are instants on an "annotations" track;
 //  * sampled time series become "C" counter events under a synthetic
 //    "metrics" process.
 void write_chrome_trace(const Recorder& rec, std::ostream& os);

@@ -1,6 +1,6 @@
 // The flight recorder: per-node ring buffers of typed events, span latency
-// histograms, sampled time series, and a string-annotation side channel for
-// the legacy TraceLog.
+// histograms, sampled time series, and a string-note side channel for the
+// few facts no event kind carries (watchdog trip text, injected failures).
 //
 // A component holds a `Recorder*` that is null in steady state; every
 // instrumentation site is `if (rec_) rec_->record(...)` — one predictable
@@ -27,10 +27,9 @@ class Engine;
 
 namespace stank::obs {
 
-// A string event recorded through the legacy TraceLog adapter. Kept out of
-// the binary rings — strings are exactly what the typed path exists to
-// avoid — but stamped in the same global time frame so exports can merge
-// the two streams.
+// A free-text note. Kept out of the binary rings — strings are exactly what
+// the typed path exists to avoid — but stamped in the same global time frame
+// so exports can merge the two streams.
 struct Annotation {
   sim::SimTime at;
   NodeId node;
@@ -90,12 +89,9 @@ class Recorder {
   // their series into one recorder before save().
   void absorb_series_from(const Recorder& other);
 
-  // Legacy string channel.
+  // String notes: cold-path only, for what no EventKind carries.
   void annotate(sim::SimTime at, NodeId node, std::string category, std::string detail);
   [[nodiscard]] const std::vector<Annotation>& annotations() const { return annotations_; }
-  // Clears only the string channel (TraceLog::clear semantics); the typed
-  // rings, spans and series survive.
-  void clear_annotations() { annotations_.clear(); }
 
   // -- queries --
   [[nodiscard]] std::size_t total_events() const;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace stank::protocol {
 
@@ -21,7 +20,7 @@ ClientTransport::~ClientTransport() {
 void ClientTransport::start() {
   STANK_ASSERT(!started_);
   started_ = true;
-  net_->attach(self_, [this](NodeId from, const Bytes& dg) { handle_datagram(from, dg); });
+  net_->attach(self_, [this](NodeId, const Bytes& dg) { handle_datagram(dg); });
 }
 
 void ClientTransport::stop() {
@@ -124,10 +123,10 @@ void ClientTransport::arm_retry(MsgId id) {
   });
 }
 
-void ClientTransport::handle_datagram(NodeId from, const Bytes& datagram) {
+void ClientTransport::handle_datagram(const Bytes& datagram) {
   auto frame = decode(datagram);
   if (!frame) {
-    STANK_WARN("client " << self_ << ": undecodable datagram from " << from);
+    ++counters_->frames_rejected;
     return;
   }
   const Frame& f = *frame;
@@ -225,7 +224,7 @@ void ClientTransport::handle_datagram(NodeId from, const Bytes& datagram) {
     }
     case FrameKind::kRequest:
     case FrameKind::kClientAck:
-      STANK_WARN("client " << self_ << ": unexpected frame kind");
+      ++counters_->frames_rejected;
       return;
   }
 }

@@ -68,7 +68,7 @@ class ClientTransport {
   // Feeds a raw datagram through the receive path as if the network had just
   // delivered it from the server. Adversarial-replay hook: everything the
   // transport's gates would do to a real duplicate happens to this one too.
-  void inject_datagram(const Bytes& datagram) { handle_datagram(server_, datagram); }
+  void inject_datagram(const Bytes& datagram) { handle_datagram(datagram); }
 
   void set_session(std::uint32_t e, std::uint32_t incarnation) {
     if (e != epoch_ || incarnation != incarnation_) {
@@ -112,7 +112,7 @@ class ClientTransport {
   void transmit(MsgId id);
   void arm_retry(MsgId id);
   void send_frame(NodeId to, const Frame& f);
-  void handle_datagram(NodeId from, const Bytes& datagram);
+  void handle_datagram(const Bytes& datagram);
   void note_server_msg(const Frame& f);
 
   net::ControlNet* net_;

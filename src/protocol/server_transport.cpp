@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace stank::protocol {
 
@@ -21,7 +20,7 @@ void ServerTransport::start() {
   STANK_ASSERT(!started_);
   STANK_ASSERT_MSG(on_request != nullptr, "wire on_request before start()");
   started_ = true;
-  net_->attach(self_, [this](NodeId from, const Bytes& dg) { handle_datagram(from, dg); });
+  net_->attach(self_, [this](NodeId, const Bytes& dg) { handle_datagram(dg); });
 }
 
 void ServerTransport::stop() {
@@ -39,10 +38,10 @@ ServerTransport::Session& ServerTransport::session(NodeId client, std::uint32_t 
   return sessions_[key];
 }
 
-void ServerTransport::handle_datagram(NodeId from, const Bytes& datagram) {
+void ServerTransport::handle_datagram(const Bytes& datagram) {
   auto frame = decode(datagram);
   if (!frame) {
-    STANK_WARN("server " << self_ << ": undecodable datagram from " << from);
+    ++counters_->frames_rejected;
     return;
   }
   switch (frame->kind) {
@@ -69,7 +68,7 @@ void ServerTransport::handle_datagram(NodeId from, const Bytes& datagram) {
     case FrameKind::kAck:
     case FrameKind::kNack:
     case FrameKind::kServerMsg:
-      STANK_WARN("server " << self_ << ": unexpected frame kind from " << from);
+      ++counters_->frames_rejected;
       return;
   }
 }

@@ -106,7 +106,7 @@ class ServerTransport {
     std::function<void(bool)> done;
   };
 
-  void handle_datagram(NodeId from, const Bytes& datagram);
+  void handle_datagram(const Bytes& datagram);
   void handle_request(const Frame& f);
   void respond(NodeId client, MsgId id, std::uint32_t epoch, bool positive, ReplyBody body);
   void send_reply_frame(NodeId client, const Frame& f);

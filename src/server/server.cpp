@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "core/lease_math.hpp"
 #include "protocol/layout.hpp"
 
@@ -13,28 +12,14 @@ namespace stank::server {
 
 using protocol::ServerTransport;
 
-namespace {
-
-const char* standing_str(core::ClientStanding s) {
-  switch (s) {
-    case core::ClientStanding::kGood: return "good";
-    case core::ClientStanding::kSuspect: return "suspect";
-    case core::ClientStanding::kFailed: return "failed";
-  }
-  return "?";
-}
-
-}  // namespace
-
 Server::Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
-               sim::LocalClock local_clock, ServerConfig cfg, sim::TraceLog* trace)
+               sim::LocalClock local_clock, ServerConfig cfg, obs::Recorder* rec)
     : engine_(&engine),
       net_(&net),
       san_(&san),
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
-      trace_(trace),
-      rec_(trace != nullptr ? &trace->recorder() : nullptr),
+      rec_(rec),
       transport_(net, clock_, cfg_.id, counters_, cfg_.transport) {
   cfg_.lease.validate();
   if (rec_ != nullptr) {
@@ -68,10 +53,6 @@ std::unique_ptr<core::ServerLeaseAuthority> Server::make_authority() {
     } else {
       do_steal(c);
     }
-  };
-  hooks.standing_changed = [this](NodeId c, core::ClientStanding s) {
-    this->trace("lease",
-                [&] { return sim::cat("client ", c, " standing=", standing_str(s)); });
   };
   auto authority = std::make_unique<core::ServerLeaseAuthority>(clock_, cfg_.lease, counters_,
                                                                 std::move(hooks));
@@ -238,8 +219,6 @@ void Server::handle_register(NodeId client, ServerTransport::Responder r) {
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kRegister, s.epoch);
   }
-  trace("session",
-        [&] { return sim::cat("client ", client.value(), " registered epoch ", s.epoch); });
   r.ack(protocol::RegisterReply{s.epoch, incarnation_});
 }
 
@@ -303,10 +282,6 @@ void Server::handle_lock(NodeId client, const protocol::LockReq& req,
   if (v_table_) {
     v_table_->renew(client, req.file, clock_.now());
   }
-  trace("lock", [&] {
-    return sim::cat("grant ", req.file, " ", protocol::to_string(req.mode), " g", gen, " -> ",
-                    client);
-  });
   r.ack(protocol::LockReply{true, req.mode, gen, cookie});
 }
 
@@ -431,10 +406,6 @@ void Server::handle_reassert(NodeId client, const protocol::ReassertLockReq& req
   if (v_table_) {
     v_table_->renew(client, req.file, clock_.now());
   }
-  trace("lock", [&] {
-    return sim::cat("reassert ", req.file, " ", protocol::to_string(req.mode), " g", gen,
-                    " <- ", client);
-  });
   r.ack(protocol::LockReply{true, req.mode, gen, cookie});
 }
 
@@ -444,7 +415,6 @@ bool Server::in_grace() const {
 
 void Server::crash() {
   if (!started_) return;
-  trace("node", "server crash");
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), cfg_.id, obs::EventKind::kCrash);
   }
@@ -480,10 +450,6 @@ void Server::restart() {
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), cfg_.id, obs::EventKind::kRestart, incarnation_);
   }
-  trace("node", [&] {
-    return sim::cat("server restart incarnation ", incarnation_, ", grace until ",
-                    grace_until_.seconds(), "s");
-  });
   start();
 }
 
@@ -660,18 +626,12 @@ void Server::apply_update(const LockManager::Update& upd) {
 void Server::issue_demand(const LockManager::Demand& d) {
   ++counters_.lock_demands;
   const std::uint32_t gen = lock_gen(d.holder, d.file);
-  trace("lock", [&] {
-    return sim::cat("demand ", d.file, " max=", protocol::to_string(d.max_mode), " g", gen,
-                    " -> ", d.holder);
-  });
   const Session* session = sessions_.find(d.holder);
   const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
   transport_.send_server_msg(
       d.holder, epoch, protocol::LockDemand{d.file, d.max_mode, gen},
       [this, d, gen](bool delivered) {
         if (!delivered) {
-          trace("lease",
-                [&] { return sim::cat("demand to client ", d.holder.value(), " undeliverable"); });
           on_delivery_failure(d.holder);
           return;
         }
@@ -691,10 +651,6 @@ void Server::arm_demand_timer(NodeId holder, FileId file) {
   const sim::TimerId timer =
       clock_.schedule_after(cfg_.demand_timeout, [this, holder, file]() {
         cancel_demand_timer(holder, file);  // drop the fired timer's record
-        trace("lease", [&] {
-          return sim::cat("demand compliance timeout for client ", holder.value(), " file ",
-                          file.value(), " gen ", lock_gen(holder, file));
-        });
         on_delivery_failure(holder);
       });
   auto& timers = demand_timers_[holder];
@@ -743,10 +699,6 @@ void Server::deliver_grant(const LockManager::Grant& g) {
   if (v_table_) {
     v_table_->renew(g.client, g.file, clock_.now());
   }
-  trace("lock", [&] {
-    return sim::cat("grant ", g.file, " ", protocol::to_string(g.mode), " g", gen, " -> ",
-                    g.client, " (queued)");
-  });
   const Session* session = sessions_.find(g.client);
   const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
   transport_.send_server_msg(g.client, epoch, protocol::LockGrant{g.file, g.mode, gen, cookie},
@@ -810,10 +762,6 @@ void Server::on_delivery_failure(NodeId client) {
   }
   switch (cfg_.recovery) {
     case RecoveryMode::kNoRecovery:
-      trace("lease", [&] {
-        return sim::cat("delivery failure for client ", client.value(),
-                        " ignored (no-recovery)");
-      });
       return;
     case RecoveryMode::kNaiveSteal:
       do_steal(client);
@@ -885,7 +833,6 @@ void Server::fence_client(NodeId client, std::function<void()> then) {
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kFence);
   }
-  trace("fence", [&] { return sim::cat("fencing client ", client.value()); });
   fence_round(client, std::move(then));
 }
 
@@ -906,10 +853,6 @@ void Server::fence_round(NodeId client, std::function<void()> then) {
     // until a round completes on every disk: availability of this client's
     // locks is sacrificed for safety, never the other way around.
     ++counters_.fence_retries;
-    trace("fence", [&] {
-      return sim::cat("fence of client ", client.value(), " incomplete (",
-                      to_string(st.error()), "), retrying");
-    });
     const std::uint32_t inc = incarnation_;
     clock_.schedule_after(sim::local_millis(100),
                           [this, client, inc, then = std::move(then)]() mutable {
@@ -951,7 +894,6 @@ void Server::unfence_client(NodeId client) {
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kUnfence, key);
   }
-  trace("fence", [&] { return sim::cat("unfencing client ", client.value(), " key ", key); });
   for (DiskId d : cfg_.data_disks) {
     san_->submit_admin(
         storage::AdminRequest{cfg_.id, d, storage::AdminOp::kUnfence, client, key},
@@ -982,9 +924,12 @@ void Server::do_steal(NodeId client) {
   for (FileId f : affected_scratch_) {
     bump_lock_gen(client, f);  // any in-flight compliance from the victim is now stale
   }
-  trace("lock", [&] {
-    return sim::cat("stole ", affected_scratch_.size(), " locks from client ", client);
-  });
+  // The steal is recorded where the locks actually move: after the fence
+  // round (kLeaseAndFence, kFenceOnly) and in every recovery mode.
+  if (rec_ != nullptr) {
+    rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockSteal, client.value(),
+                 affected_scratch_.size());
+  }
   if (v_table_) {
     v_table_->drop_client(client);
   }
@@ -1014,10 +959,6 @@ std::size_t Server::lease_state_bytes() const {
   if (v_table_) return v_table_->state_bytes();
   if (hb_table_) return hb_table_->state_bytes();
   return 0;
-}
-
-void Server::record_trace(const char* category, std::string detail) {
-  trace_->record(engine_->now(), cfg_.id, category, std::move(detail));
 }
 
 std::uint64_t Server::now_ns() const { return static_cast<std::uint64_t>(clock_.now().ns); }

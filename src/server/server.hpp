@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,11 +30,11 @@
 #include "core/server_lease_authority.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
+#include "obs/recorder.hpp"
 #include "protocol/server_transport.hpp"
 #include "server/block_alloc.hpp"
 #include "server/lock_manager.hpp"
 #include "server/metadata.hpp"
-#include "sim/trace.hpp"
 #include "storage/san.hpp"
 
 namespace stank::server {
@@ -87,7 +86,7 @@ struct ServerConfig {
 class Server {
  public:
   Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
-         sim::LocalClock local_clock, ServerConfig cfg, sim::TraceLog* trace = nullptr);
+         sim::LocalClock local_clock, ServerConfig cfg, obs::Recorder* rec = nullptr);
   ~Server();
 
   Server(const Server&) = delete;
@@ -198,23 +197,6 @@ class Server {
 
   [[nodiscard]] bool barred(NodeId client) const;
 
-  // Lazy, sink-gated tracing: the format callable runs — and its string
-  // machinery allocates — only when a TraceLog is attached. With tracing off
-  // a trace site costs one branch.
-  template <typename F>
-    requires std::is_invocable_v<F&>
-  void trace(const char* category, F&& detail) {
-    if (trace_ != nullptr) {
-      record_trace(category, std::forward<F>(detail)());
-    }
-  }
-  void trace(const char* category, const char* detail) {
-    if (trace_ != nullptr) {
-      record_trace(category, detail);
-    }
-  }
-  void record_trace(const char* category, std::string detail);
-
   [[nodiscard]] std::uint64_t now_ns() const;
   [[nodiscard]] BlockAllocator* allocator_with_space(std::uint64_t blocks);
   Status grow_file(Inode& inode, std::uint64_t new_size);
@@ -225,10 +207,8 @@ class Server {
   storage::SanFabric* san_;
   ServerConfig cfg_;
   sim::NodeClock clock_;
-  sim::TraceLog* trace_;
-  // Typed flight recorder behind trace_ (one ctor argument attaches both);
-  // null when tracing is off.
-  obs::Recorder* rec_{nullptr};
+  // Typed flight recorder; null when tracing is off.
+  obs::Recorder* rec_;
 
   metrics::Counters counters_;
   protocol::ServerTransport transport_;

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/assert.hpp"
 #include "common/byte_pool.hpp"
-#include "common/log.hpp"
 
 namespace stank::workload {
 
@@ -79,6 +77,10 @@ std::string ScenarioResult::verdict_line() const {
 }
 
 void Scenario::build() {
+  if (cfg_.enable_trace) {
+    rec_ = &recorder_;
+    rec_->bind_engine(engine_);
+  }
   net_ = std::make_unique<net::ControlNet>(engine_, rng_.fork(1), cfg_.control_net);
   san_ = std::make_unique<storage::SanFabric>(engine_, rng_.fork(2), cfg_.san);
   san_->on_io = [this](const storage::IoRequest& rq, const storage::IoResult& rs,
@@ -118,8 +120,7 @@ void Scenario::build() {
     scfg.demand_timeout = cfg_.demand_timeout;
   }
   server_ = std::make_unique<server::Server>(engine_, *net_, *san_,
-                                             sim::LocalClock(draw_rate(true)), scfg,
-                                             cfg_.enable_trace ? &trace_ : nullptr);
+                                             sim::LocalClock(draw_rate(true)), scfg, rec_);
 
   for (std::uint32_t c = 0; c < cfg_.workload.num_clients; ++c) {
     client::ClientConfig ccfg;
@@ -142,7 +143,7 @@ void Scenario::build() {
     }
     clients_.push_back(std::make_unique<client::Client>(
         engine_, *net_, *san_, sim::LocalClock(draw_rate(false) * cfg_.client_rate_scale),
-        ccfg, cfg_.enable_trace ? &trace_ : nullptr));
+        ccfg, rec_));
   }
 
   drivers_.resize(clients_.size());
@@ -151,9 +152,7 @@ void Scenario::build() {
     drivers_[c].rng = rng_.fork(1000 + c);
   }
 
-  if (cfg_.enable_trace) {
-    rec_ = &trace_.recorder();
-    rec_->bind_engine(engine_);
+  if (rec_ != nullptr) {
     net_->set_recorder(rec_);
     // Time-series probes, snapshotted on the lease-state sampling timer.
     sampler_ = std::make_unique<obs::Sampler>(*rec_);
@@ -440,7 +439,9 @@ void Scenario::apply_failure(const FailureEvent& ev) {
   const std::size_t ci = ev.client_idx;
   if (ci >= clients_.size()) return;
   const NodeId node = client_node(ci);
-  trace_.record(engine_.now(), node, "failure", to_string(ev.kind));
+  if (rec_ != nullptr) {
+    rec_->annotate(engine_.now(), node, "failure", to_string(ev.kind));
+  }
 
   switch (ev.kind) {
     case FailureKind::kCtrlIsolate:

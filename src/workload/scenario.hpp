@@ -17,12 +17,12 @@
 #include "client/client.hpp"
 #include "metrics/histogram.hpp"
 #include "net/control_net.hpp"
+#include "obs/recorder.hpp"
 #include "obs/sampler.hpp"
 #include "obs/watchdog.hpp"
 #include "server/server.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 #include "storage/san.hpp"
 #include "verify/checker.hpp"
 #include "verify/history.hpp"
@@ -154,10 +154,9 @@ class Scenario {
   [[nodiscard]] std::size_t num_clients() const { return clients_.size(); }
   [[nodiscard]] net::ControlNet& control_net() { return *net_; }
   [[nodiscard]] storage::SanFabric& san() { return *san_; }
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
-  // The typed flight recorder behind the trace log (always present; only fed
-  // when cfg.enable_trace attached it to the nodes).
-  [[nodiscard]] obs::Recorder& recorder() { return trace_.recorder(); }
+  // The typed flight recorder (always present; only fed when
+  // cfg.enable_trace attached it to the nodes).
+  [[nodiscard]] obs::Recorder& recorder() { return recorder_; }
   // Null unless cfg.enable_trace armed it alongside the sampler.
   [[nodiscard]] obs::Watchdog* watchdog() { return watchdog_.get(); }
   [[nodiscard]] verify::HistoryRecorder& history() { return history_; }
@@ -208,9 +207,9 @@ class Scenario {
   ScenarioConfig cfg_;
   sim::Engine engine_;
   sim::Rng rng_;
-  sim::TraceLog trace_;
-  // Null unless cfg_.enable_trace; the same gate the nodes use, so latency
-  // spans cost one branch in untraced benches.
+  obs::Recorder recorder_;
+  // &recorder_ when cfg_.enable_trace, else null; the same gate the nodes
+  // use, so latency spans and failure notes cost one branch untraced.
   obs::Recorder* rec_{nullptr};
   std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<obs::Watchdog> watchdog_;

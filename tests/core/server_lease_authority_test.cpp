@@ -158,19 +158,20 @@ TEST(LeaseAuthority, CountsByStanding) {
   EXPECT_EQ(f.authority.failed_count(), 2u);
 }
 
-TEST(LeaseAuthority, StandingChangeHookFires) {
-  sim::Engine engine;
-  sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  metrics::Counters counters;
+TEST(LeaseAuthority, StandingChangesRecordedInOrder) {
+  Fixture f(cfg(1, 0.0));
+  obs::Recorder rec;
+  f.authority.set_recorder(&rec, NodeId{1});
+  f.authority.on_delivery_failure(NodeId{100});
+  f.run_to(2.0);
+  ASSERT_TRUE(f.authority.try_reregister(NodeId{100}));
+  ASSERT_EQ(rec.dropped_events(), 0u);
   std::vector<ClientStanding> seq;
-  ServerLeaseAuthority::Hooks h;
-  h.steal_locks = [](NodeId) {};
-  h.standing_changed = [&](NodeId, ClientStanding s) { seq.push_back(s); };
-  LeaseConfig c = cfg(1, 0.0);
-  ServerLeaseAuthority a(clock, c, counters, std::move(h));
-  a.on_delivery_failure(NodeId{100});
-  engine.run_until(sim::SimTime{} + sim::seconds_d(2.0));
-  ASSERT_TRUE(a.try_reregister(NodeId{100}));
+  rec.visit_node(NodeId{1}, [&](const obs::Event& e) {
+    if (e.kind != obs::EventKind::kStandingChange) return;
+    EXPECT_EQ(e.a, 100u);
+    seq.push_back(static_cast<ClientStanding>(e.b));
+  });
   EXPECT_EQ(seq, (std::vector<ClientStanding>{ClientStanding::kSuspect, ClientStanding::kFailed,
                                               ClientStanding::kGood}));
 }

@@ -2,6 +2,8 @@
 // stack — the scenarios of the paper's sections 2 and 3 as executable facts.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -55,20 +57,18 @@ struct PartitionStory {
     });
     sc.run_until_s(40.0);
 
-    for (const auto& e : sc.trace().events()) {
-      if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-        steal_at = e.at.seconds();
-      }
-      if (e.category == "lease" && e.node == c0.id() &&
-          e.detail.find("lease expired") != std::string::npos) {
-        client_expired_at = e.at.seconds();
-      }
-    }
+    sc.recorder().visit_node(sc.server_node(), [&](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kLockSteal) steal_at = e.at.seconds();
+    });
+    sc.recorder().visit_node(c0.id(), [&](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kLeaseExpire) client_expired_at = e.at.seconds();
+    });
   }
 };
 
 TEST(LeaseProtocol, Theorem31_StealStrictlyAfterClientExpiry) {
   PartitionStory s;
+  ASSERT_EQ(s.sc.recorder().dropped_events(), 0u);
   ASSERT_GT(s.steal_at, 0.0);
   ASSERT_GT(s.client_expired_at, 0.0);
   // The theorem, measured in the omniscient frame.
@@ -77,6 +77,7 @@ TEST(LeaseProtocol, Theorem31_StealStrictlyAfterClientExpiry) {
 
 TEST(LeaseProtocol, DirtyDataFlushedBeforeSteal) {
   PartitionStory s;
+  ASSERT_EQ(s.sc.recorder().dropped_events(), 0u);
   // The victim's dirty block reached the disk (phase 4), and did so before
   // the steal.
   const auto writes = s.sc.history().disk_writes();
@@ -201,7 +202,7 @@ TEST(LeaseProtocol, TransientPartitionNackFlow) {
 // re-registering client's claim that its own lease has expired and steals
 // immediately, instead of waiting out the rest of tau(1+eps).
 TEST(LeaseProtocol, EarlyReregisterShortensRecovery) {
-  auto recovery_time = [](bool early) {
+  auto recovery_time = [](bool early, double& registered_at) {
     auto cfg = base_cfg();
     cfg.lease.tau = sim::local_seconds(8);
     cfg.lease.allow_early_reregister = early;
@@ -224,18 +225,17 @@ TEST(LeaseProtocol, EarlyReregisterShortensRecovery) {
     // (~15s) runs out; the early variant accepts at once.
     sc.run_until_s(30.0);
     EXPECT_EQ(verify::ConsistencyChecker(sc.history()).check_all().size(), 0u);
-    double registered_at = -1;
-    for (const auto& e : sc.trace().events()) {
-      if (e.node == sc.server_node() && e.category == "session" &&
-          e.detail.find("client 100 registered epoch 2") != std::string::npos) {
-        registered_at = e.at.seconds();
-      }
-    }
-    return registered_at;
+    ASSERT_EQ(sc.recorder().dropped_events(), 0u);
+    registered_at = -1;
+    sc.recorder().visit_node(c0.id(), [&](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kRegister && e.a == 2) registered_at = e.at.seconds();
+    });
   };
 
-  const double conservative = recovery_time(false);
-  const double early = recovery_time(true);
+  double conservative = -1;
+  double early = -1;
+  recovery_time(false, conservative);
+  recovery_time(true, early);
   ASSERT_GT(conservative, 0.0);
   ASSERT_GT(early, 0.0);
   // The early variant readmits the client noticeably sooner, safely (the
@@ -258,6 +258,53 @@ TEST(LeaseProtocol, ServerStaysPassiveThroughItAll) {
   sc.run_until_s(10.0);
   EXPECT_EQ(sc.server().counters().lease_ops, 0u);
   EXPECT_EQ(sc.server().lease_state_bytes(), 0u);
+}
+
+// kLockSteal is recorded where the locks actually move (Server::do_steal):
+// after the fence round, and under every recovery mode that steals.
+struct StealEvents {
+  std::vector<sim::SimTime> steals;
+  std::vector<std::uint64_t> locks_stolen;
+  std::vector<sim::SimTime> fences;
+};
+
+StealEvents steal_events(PartitionStory& s) {
+  StealEvents out;
+  s.sc.recorder().visit_node(s.sc.server_node(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockSteal) {
+      out.steals.push_back(e.at);
+      out.locks_stolen.push_back(e.b);
+    }
+  });
+  s.sc.recorder().visit_node(s.sc.client_node(0), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kFence) out.fences.push_back(e.at);
+  });
+  return out;
+}
+
+TEST(LeaseProtocol, StealRecordedAfterTheFenceRound) {
+  PartitionStory s;
+  ASSERT_EQ(s.sc.recorder().dropped_events(), 0u);
+  const StealEvents ev = steal_events(s);
+  ASSERT_EQ(ev.steals.size(), 1u);
+  ASSERT_EQ(ev.fences.size(), 1u);
+  // The fence round is a SAN round trip, so the steal lands strictly later.
+  EXPECT_GT(ev.steals[0], ev.fences[0]);
+  EXPECT_EQ(ev.locks_stolen[0], 1u);
+}
+
+TEST(LeaseProtocol, StrawmanStealsRecordedOncePerSteal) {
+  for (server::RecoveryMode mode :
+       {server::RecoveryMode::kFenceOnly, server::RecoveryMode::kNaiveSteal}) {
+    ScenarioConfig cfg = base_cfg();
+    cfg.recovery = mode;
+    PartitionStory s(cfg);
+    ASSERT_EQ(s.sc.recorder().dropped_events(), 0u);
+    const StealEvents ev = steal_events(s);
+    ASSERT_EQ(ev.steals.size(), 1u) << server::to_string(mode);
+    EXPECT_EQ(ev.locks_stolen[0], 1u) << server::to_string(mode);
+    EXPECT_EQ(s.sc.server().counters().lock_steals, 1u) << server::to_string(mode);
+  }
 }
 
 }  // namespace

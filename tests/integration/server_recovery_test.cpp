@@ -12,6 +12,9 @@
 // with a fresh grant.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
 
@@ -66,6 +69,14 @@ TEST(ServerRecovery, QuickRestartPreservesClientCacheViaReassertion) {
   // THE point of reassertion: the dirty cache survived the server failure.
   EXPECT_GT(c0.cache().dirty_count(), 0u);
   EXPECT_NE(c0.lease_phase(), core::LeasePhase::kExpired);
+  // The reassertion is on the typed timeline: (file, granted) per attempt.
+  ASSERT_EQ(sc.recorder().dropped_events(), 0u);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> reasserts;
+  sc.recorder().visit_node(c0.id(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockReassert) reasserts.emplace_back(e.a, e.b);
+  });
+  EXPECT_EQ(reasserts,
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{{file.value(), 1u}}));
 
   // And nothing was lost end to end.
   auto r = sc.finish();

@@ -24,7 +24,6 @@
 #include "server/server.hpp"
 #include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
-#include "sim/trace.hpp"
 #include "storage/san.hpp"
 
 namespace stank {
@@ -52,6 +51,8 @@ struct RunResult {
   std::uint64_t net_bytes{0};
   // The merged typed trace, flattened: (t, node, kind, a, b, aux) per event.
   std::vector<std::uint64_t> trace;
+  // Events the recorder rings overwrote; nonzero means `trace` is a window.
+  std::uint64_t trace_dropped{0};
 
   bool operator==(const RunResult&) const = default;
 };
@@ -159,13 +160,11 @@ RunResult run_sharded(unsigned k, unsigned threads, bool telemetry = false) {
   // One recorder per shard: rings are single-threaded, exactly like every
   // other piece of shard state.
   std::vector<std::unique_ptr<obs::Recorder>> recs;
-  std::vector<std::unique_ptr<sim::TraceLog>> traces;
   std::vector<std::unique_ptr<storage::SanFabric>> sans;
   std::vector<std::unique_ptr<server::Server>> servers;
   const DiskId disk{1};
   for (unsigned j = 0; j < k; ++j) {
     recs.push_back(std::make_unique<obs::Recorder>());
-    traces.push_back(std::make_unique<sim::TraceLog>(*recs[j]));
     sans.push_back(std::make_unique<storage::SanFabric>(engine.shard(j), root.fork(2 + j)));
     sans.back()->add_disk(disk, /*blocks=*/kFiles * 16, /*block_size=*/4096);
     fabric->place(NodeId{kServerBase + j}, j);
@@ -178,7 +177,7 @@ RunResult run_sharded(unsigned k, unsigned threads, bool telemetry = false) {
     scfg.data_disks = {disk};
     servers.push_back(std::make_unique<server::Server>(engine.shard(j), fabric->shard(j),
                                                        *sans[j], sim::LocalClock(1.0), scfg,
-                                                       traces[j].get()));
+                                                       recs[j].get()));
     for (std::size_t f = 0; f < kFiles; ++f) {
       char path[16];
       std::snprintf(path, sizeof(path), "f%zu", f);
@@ -203,7 +202,7 @@ RunResult run_sharded(unsigned k, unsigned threads, bool telemetry = false) {
     m.rng = root.fork(1000 + i);
     m.cl = std::make_unique<client::Client>(engine.shard(shard), fabric->shard(shard),
                                             *sans[shard], sim::LocalClock(1.0), ccfg,
-                                            traces[shard].get());
+                                            recs[shard].get());
     m.cl->on_registered = [&loop, i]() { loop.open_file(i); };
     const double start_at = 0.001 + 0.2 * m.rng.uniform();
     engine.shard(shard).schedule_after(sim::seconds_d(start_at),
@@ -223,7 +222,10 @@ RunResult run_sharded(unsigned k, unsigned threads, bool telemetry = false) {
   r.net_delivered = st.delivered;
   r.net_bytes = st.bytes;
   std::vector<const obs::Recorder*> rec_ptrs;
-  for (const auto& rp : recs) rec_ptrs.push_back(rp.get());
+  for (const auto& rp : recs) {
+    rec_ptrs.push_back(rp.get());
+    r.trace_dropped += rp->dropped_events();
+  }
   flatten_trace(rec_ptrs, r.trace);
   return r;
 }
@@ -235,7 +237,6 @@ RunResult run_plain_serial() {
   sim::Rng root(0xDEC0DEu);
   auto fabric = std::make_unique<net::ControlNet>(engine, root.fork(1));
   auto rec = std::make_unique<obs::Recorder>();
-  auto trace = std::make_unique<sim::TraceLog>(*rec);
   auto san = std::make_unique<storage::SanFabric>(engine, root.fork(2));
   const DiskId disk{1};
   san->add_disk(disk, /*blocks=*/kFiles * 16, /*block_size=*/4096);
@@ -246,7 +247,7 @@ RunResult run_plain_serial() {
   scfg.block_size = 4096;
   scfg.data_disks = {disk};
   auto server = std::make_unique<server::Server>(engine, *fabric, *san, sim::LocalClock(1.0),
-                                                 scfg, trace.get());
+                                                 scfg, rec.get());
   for (std::size_t f = 0; f < kFiles; ++f) {
     char path[16];
     std::snprintf(path, sizeof(path), "f%zu", f);
@@ -311,7 +312,7 @@ RunResult run_plain_serial() {
     Member& m = members[i];
     m.rng = root.fork(1000 + i);
     m.cl = std::make_unique<client::Client>(engine, *fabric, *san, sim::LocalClock(1.0), ccfg,
-                                            trace.get());
+                                            rec.get());
     m.cl->on_registered = [&loop, i]() { loop.open_file(i); };
     const double start_at = 0.001 + 0.2 * m.rng.uniform();
     engine.schedule_after(sim::seconds_d(start_at), [&members, i]() { members[i].cl->start(); });
@@ -330,6 +331,7 @@ RunResult run_plain_serial() {
   r.net_delivered = st.delivered;
   r.net_bytes = st.bytes;
   flatten_trace({rec.get()}, r.trace);
+  r.trace_dropped = rec->dropped_events();
   return r;
 }
 
@@ -340,6 +342,7 @@ TEST(ShardedSwarm, WorkloadActuallyRuns) {
   EXPECT_GT(total_ok, 50u) << "swarm should complete plenty of lock/release ops";
   EXPECT_GT(r.net_delivered, 0u);
   EXPECT_FALSE(r.trace.empty());
+  ASSERT_EQ(r.trace_dropped, 0u);
 }
 
 TEST(ShardedSwarm, BitIdenticalAcrossWorkerThreadCounts) {

@@ -53,15 +53,13 @@ TEST_P(TheoremSweep, StealNeverPrecedesClientExpiry) {
   sc.run_until_s(30.0);
 
   double steal_at = -1, expired_at = -1, flush_at = -1;
-  for (const auto& e : sc.trace().events()) {
-    if (e.category == "lock" && e.detail.find("stole") != std::string::npos) {
-      steal_at = e.at.seconds();
-    }
-    if (e.category == "lease" && e.node == c0.id() &&
-        e.detail.find("lease expired") != std::string::npos) {
-      expired_at = e.at.seconds();
-    }
-  }
+  ASSERT_EQ(sc.recorder().dropped_events(), 0u);
+  sc.recorder().visit_node(sc.server_node(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLockSteal) steal_at = e.at.seconds();
+  });
+  sc.recorder().visit_node(c0.id(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kLeaseExpire) expired_at = e.at.seconds();
+  });
   for (const auto& w : sc.history().disk_writes()) {
     if (w.initiator == c0.id()) {
       flush_at = w.at.seconds();

@@ -426,5 +426,22 @@ TEST(ClientTransport, ServerMsgFromDeadIncarnationDropped) {
   EXPECT_EQ(deliveries, 1);
 }
 
+TEST(ClientTransport, RejectedFramesDroppedAndCounted) {
+  Fixture f;
+  int deliveries = 0;
+  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.net.send(NodeId{1}, NodeId{100}, Bytes{0xde, 0xad, 0xbe, 0xef});  // undecodable
+  Frame req;  // decodes, but clients never accept requests
+  req.kind = FrameKind::kRequest;
+  req.sender = NodeId{1};
+  req.msg_id = MsgId{1};
+  req.body = RequestBody{KeepAliveReq{}};
+  f.net.send(NodeId{1}, NodeId{100}, encode(req));
+  f.engine.run();
+  EXPECT_EQ(f.counters.frames_rejected, 2u);
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_TRUE(f.server_rx.empty());  // nothing answered
+}
+
 }  // namespace
 }  // namespace stank::protocol

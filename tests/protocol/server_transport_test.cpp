@@ -207,6 +207,21 @@ TEST(ServerTransport, ReplyCacheEvictsOldEntries) {
   EXPECT_EQ(f.handler_calls, 21);
 }
 
+TEST(ServerTransport, RejectedFramesDroppedAndCounted) {
+  Fixture f;
+  f.net.send(NodeId{100}, NodeId{1}, Bytes{0xde, 0xad, 0xbe, 0xef});  // undecodable
+  Frame ack;  // decodes, but servers never accept request ACKs
+  ack.kind = FrameKind::kAck;
+  ack.sender = NodeId{100};
+  ack.msg_id = MsgId{1};
+  ack.body = ReplyBody{OkReply{}};
+  f.net.send(NodeId{100}, NodeId{1}, encode(ack));
+  f.engine.run();
+  EXPECT_EQ(f.counters.frames_rejected, 2u);
+  EXPECT_EQ(f.handler_calls, 0);
+  EXPECT_TRUE(f.client_rx.empty());  // nothing answered
+}
+
 TEST(ServerTransportDeathTest, DoubleReplyAborts) {
   Fixture f;
   f.transport.on_request = [](NodeId, std::uint32_t, const RequestBody&,

@@ -4,6 +4,7 @@ using stank::workload::Pattern;
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -116,6 +117,26 @@ TEST(Scenario, CrashAndRestartRecovers) {
   EXPECT_EQ(r.violations.total(), 0u);
   // The crashed client resumed work after restart.
   EXPECT_TRUE(sc.client(1).registered());
+}
+
+TEST(Scenario, FailureNotesOnlyWhenTraced) {
+  auto cfg = small_cfg();
+  cfg.failures.add(2.0, FailureKind::kCrash, 1).add(4.0, FailureKind::kRestart, 1);
+  {
+    Scenario sc(cfg);
+    sc.run();
+    EXPECT_TRUE(sc.recorder().annotations().empty());
+  }
+  cfg.enable_trace = true;
+  Scenario sc(cfg);
+  sc.run();
+  const auto& notes = sc.recorder().annotations();
+  std::vector<std::string> failures;
+  for (const obs::Annotation& n : notes) {
+    if (n.category == "failure") failures.push_back(n.detail);
+  }
+  EXPECT_EQ(failures, (std::vector<std::string>{to_string(FailureKind::kCrash),
+                                                to_string(FailureKind::kRestart)}));
 }
 
 TEST(Scenario, PiecewiseDriving) {

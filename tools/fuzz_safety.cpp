@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "rt/parallel.hpp"
 #include "sim/rng.hpp"
 #include "workload/scenario.hpp"
@@ -251,7 +252,12 @@ EpisodeResult run_episode(const workload::ScenarioConfig& cfg, std::ostream* tra
     }
   }
   if (trace_to != nullptr) {
-    sc.trace().print(*trace_to);
+    obs::write_timeline(sc.recorder(), *trace_to);
+    // Injected failures and watchdog trips, which no event kind carries.
+    for (const obs::Annotation& n : sc.recorder().annotations()) {
+      *trace_to << n.at.seconds() << "s  n" << n.node.value() << "  [" << n.category << "] "
+                << n.detail << "\n";
+    }
     // Raw history: lets a developer line the trace up against what the disk
     // and caches actually saw.
     for (const auto& w : sc.history().buffered_writes()) {
