@@ -1,7 +1,8 @@
 // bench_swarm — simulator scaling curves for one-server swarms and for the
 // sharded parallel engine.
 //
-// Part 1 (serial): client count N = 100 … 50,000 on a single Engine. Each
+// Part 1 (one shard): client count N = 100 … 50,000 on a one-shard
+// ShardedEngine, which reproduces the serial Engine stack byte for byte. Each
 // swarm member registers with the one server, opens a Zipf-chosen file from a
 // weak-scaled pool (512 files up to N=51k, N/100 beyond), and then loops:
 // acquire a data lock (mostly shared, occasionally exclusive), release it,
@@ -42,13 +43,11 @@
 #include "bench_util.hpp"
 #include "client/client.hpp"
 #include "common/table.hpp"
-#include "net/control_net.hpp"
 #include "net/sharded_net.hpp"
 #include "obs/counters.hpp"
 #include "obs/recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "server/server.hpp"
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/sharded_engine.hpp"
 #include "storage/san.hpp"
@@ -167,17 +166,15 @@ struct Member {
   bool ready{false};
   std::uint64_t ops_ok{0};
   std::uint64_t ops_failed{0};
-  // Engine shard the member lives on (always shard 0 in the serial bench);
-  // its op-loop timers must be scheduled there and nowhere else.
+  // Engine shard the member lives on; its op-loop timers must be scheduled
+  // there and nowhere else.
   unsigned shard{0};
 };
 
-// The open → lock/release → sleep loop, parameterized over the engine the
-// member's timers live on so the serial and sharded benches share it.
-template <typename GetEngine>
+// The open → lock/release → sleep loop.
 struct OpLoop {
   std::vector<Member>& members;
-  GetEngine engine_of;          // unsigned shard -> sim::Engine&
+  sim::ShardedEngine& engine;
   const sim::ZipfTable* zipf;   // shared file-pool CDF (one table, not one per member)
 
   void open_file(std::size_t idx) {
@@ -189,7 +186,7 @@ struct OpLoop {
       if (!res.ok()) {
         ++m2.ops_failed;
         // Pool not visible yet (or a transient NACK): retry shortly.
-        engine_of(m2.shard).schedule_after(sim::millis(200), [this, idx]() { open_file(idx); });
+        engine.shard(m2.shard).schedule_after(sim::millis(200), [this, idx]() { open_file(idx); });
         return;
       }
       m2.fd = res.value();
@@ -205,7 +202,7 @@ struct OpLoop {
   void schedule_next(std::size_t idx) {
     Member& m = members[idx];
     const double gap = m.rng.exponential(kMeanGapS);
-    engine_of(m.shard).schedule_after(sim::seconds_d(gap), [this, idx]() { op(idx); });
+    engine.shard(m.shard).schedule_after(sim::seconds_d(gap), [this, idx]() { op(idx); });
   }
 
   void op(std::size_t idx) {
@@ -233,86 +230,7 @@ struct OpLoop {
 };
 
 // ---------------------------------------------------------------------------
-// Part 1: serial sweep (unchanged workload, one Engine, one server).
-
-struct SwarmPoint {
-  std::uint32_t n;
-  double wall_s;
-  std::uint64_t sim_events;
-  double events_per_sec;
-  double bytes_per_client;
-  std::uint64_t ops_ok;
-  std::uint64_t ops_failed;
-};
-
-SwarmPoint run_swarm(std::uint32_t n) {
-  sim::Engine engine;
-  sim::Rng root(0x5Aa3F00Du ^ n);
-  auto fabric = std::make_unique<net::ControlNet>(engine, root.fork(1));
-  auto san = std::make_unique<storage::SanFabric>(engine, root.fork(2));
-  const DiskId disk{1};
-  const std::size_t pool = pool_for(n);
-  san->add_disk(disk, /*blocks=*/pool * 16, /*block_size=*/4096);
-
-  server::ServerConfig scfg;
-  scfg.id = NodeId{kServerNode};
-  scfg.lease = swarm_lease();
-  scfg.transport = swarm_transport();
-  scfg.block_size = 4096;
-  scfg.data_disks = {disk};
-  auto server =
-      std::make_unique<server::Server>(engine, *fabric, *san, sim::LocalClock(1.0), scfg);
-  preallocate_pool(*server, pool);
-  server->start();
-
-  std::vector<Member> members(n);
-  const sim::ZipfTable zipf(pool, 0.9);
-  auto loop = OpLoop{members, [&engine](unsigned) -> sim::Engine& { return engine; }, &zipf};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    client::ClientConfig ccfg;
-    ccfg.id = NodeId{kClientBase + i};
-    ccfg.server = NodeId{kServerNode};
-    ccfg.lease = swarm_lease();
-    ccfg.transport = swarm_transport();
-    ccfg.block_size = 4096;
-    Member& m = members[i];
-    m.rng = root.fork(1000 + i);
-    m.cl = std::make_unique<client::Client>(engine, *fabric, *san, sim::LocalClock(1.0), ccfg);
-    // Stagger registration across the first second so the server sees a ramp,
-    // not one synchronized thundering herd.
-    const double start_at = 0.001 + 0.999 * m.rng.uniform();
-    // Open the member's file as soon as its registration completes; the op
-    // loop starts from open_file's success callback.
-    m.cl->on_registered = [&loop, i]() { loop.open_file(i); };
-    engine.schedule_after(sim::seconds_d(start_at), [&members, i]() { members[i].cl->start(); });
-  }
-
-  engine.run_until(sim::SimTime{} + sim::seconds_d(kWarmS));
-
-  const std::uint64_t events0 = engine.events_executed();
-  const std::uint64_t bytes0 = fabric->stats().bytes;
-  const auto wall0 = std::chrono::steady_clock::now();
-  engine.run_until(sim::SimTime{} + sim::seconds_d(kWarmS + kMeasureS));
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-
-  SwarmPoint p;
-  p.n = n;
-  p.wall_s = wall;
-  p.sim_events = engine.events_executed() - events0;
-  p.events_per_sec = wall > 0 ? static_cast<double>(p.sim_events) / wall : 0.0;
-  p.bytes_per_client = static_cast<double>(fabric->stats().bytes - bytes0) / n;
-  p.ops_ok = 0;
-  p.ops_failed = 0;
-  for (const Member& m : members) {
-    p.ops_ok += m.ops_ok;
-    p.ops_failed += m.ops_failed;
-  }
-  return p;
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: sharded sweep.
+// The swarm runner: Part 1 is its K=1 column over N, Part 2 its K sweep.
 
 struct ShardedPoint {
   std::uint32_t n;
@@ -417,9 +335,7 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
   // exercise the cross-shard mailbox path in both directions.
   std::vector<Member> members(n);
   const sim::ZipfTable zipf(pool, 0.9);
-  auto loop =
-      OpLoop{members, [&engine](unsigned shard) -> sim::Engine& { return engine.shard(shard); },
-             &zipf};
+  OpLoop loop{members, engine, &zipf};
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t server_of = i % k;
     const unsigned shard = (2 * i + 1) % k;
@@ -505,13 +421,17 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
 
 int main() {
   bench::Reporter reporter("swarm");
+  const char* tel_env = std::getenv("STANK_SWARM_TELEMETRY");
+  const bool telemetry = tel_env == nullptr || std::string(tel_env) != "0";
+  std::uint64_t total_trips = 0;
   std::printf("Swarm scaling: one server, N clients of renewal-storm + Zipf lock traffic\n\n");
 
   Table tbl({"N clients", "sim events", "wall (s)", "events/s", "bytes/client", "ops ok",
              "ops failed"});
   tbl.title("8 s measured window; tau = 2 s; Zipf(0.9) over pool_for(N) files; 5% exclusive");
   for (std::uint32_t n : env_u32_list("STANK_SWARM_NS", {100, 1000, 10000, 50000})) {
-    const SwarmPoint p = run_swarm(n);
+    const ShardedPoint p = run_sharded_swarm(n, 1, 1, telemetry);
+    total_trips += p.watchdog_trips;
     tbl.row()
         .cell(p.n)
         .cell(p.sim_events)
@@ -537,8 +457,6 @@ int main() {
   const std::uint32_t sharded_n = env_u32("STANK_SWARM_N_SHARDED", 1'000'000);
   const std::uint32_t threads_override = env_u32("STANK_SWARM_THREADS", 0xFFFFFFFFu);
   const std::vector<std::uint32_t> ks = env_u32_list("STANK_SWARM_KS", {1, 2, 4, 8});
-  const char* tel_env = std::getenv("STANK_SWARM_TELEMETRY");
-  const bool telemetry = tel_env == nullptr || std::string(tel_env) != "0";
 
   std::printf("Sharded engine: N=%u clients, K servers/shards, conservative 10 us windows\n",
               sharded_n);
@@ -548,7 +466,6 @@ int main() {
               "ops ok", "ops failed", "imb", "mbox hw", "bar p50us", "bar p99us", "digest"});
   stbl.title("client i -> server i%K, shard (2i+1)%K: ~1/K co-located, rest cross-shard");
   double base_eps = 0.0;
-  std::uint64_t total_trips = 0;
   for (std::uint32_t k : ks) {
     const std::uint32_t threads = threads_override != 0xFFFFFFFFu ? threads_override : k;
     const ShardedPoint p = run_sharded_swarm(sharded_n, k, threads, telemetry);

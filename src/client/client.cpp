@@ -21,6 +21,12 @@ bool mode_leq(LockMode a, LockMode b) {
 
 LockMode mode_max(LockMode a, LockMode b) { return mode_leq(a, b) ? b : a; }
 
+// How often a deregistered client retries RegisterReq.
+constexpr sim::LocalDuration kReregisterRetry = sim::local_millis(700);
+// V-lease renewal point and Frangipani heartbeat period, as fractions of tau.
+constexpr double kVRenewFrac = 0.5;
+constexpr double kHbBeatFrac = 0.34;
+
 // Fan-in helper for multi-block operations.
 struct FanIn {
   std::size_t expected{0};
@@ -207,7 +213,7 @@ void Client::build_lease_machinery() {
         fail_lock_waits(file, ErrorCode::kLeaseExpired);
       };
       v_sched_ = std::make_unique<baselines::VLeaseClientScheduler>(clock_, cfg_.lease.tau,
-                                                                    cfg_.v_renew_frac,
+                                                                    kVRenewFrac,
                                                                     std::move(hooks));
       break;
     }
@@ -225,7 +231,7 @@ void Client::build_lease_machinery() {
       };
       hooks.expired = [this]() { handle_lease_expired(); };
       hb_sched_ = std::make_unique<baselines::HeartbeatClientScheduler>(
-          clock_, cfg_.lease.tau, cfg_.hb_beat_frac, std::move(hooks));
+          clock_, cfg_.lease.tau, kHbBeatFrac, std::move(hooks));
       break;
     }
   }
@@ -387,8 +393,8 @@ void Client::register_with_server() {
 }
 
 void Client::schedule_register_retry() {
-  if (crashed_ || registered_ || !cfg_.auto_reregister || register_timer_ != 0) return;
-  register_timer_ = clock_.schedule_after(cfg_.reregister_retry, [this]() {
+  if (crashed_ || registered_ || register_timer_ != 0) return;
+  register_timer_ = clock_.schedule_after(kReregisterRetry, [this]() {
     register_timer_ = 0;
     register_with_server();
   });
@@ -474,10 +480,8 @@ void Client::handle_lease_expired() {
   if (hb_sched_ && hb_sched_->running()) hb_sched_->stop();
   if (v_sched_) v_sched_->clear();
   if (on_lease_expired) on_lease_expired();
-  if (cfg_.auto_reregister) {
-    register_with_server();
-    schedule_register_retry();
-  }
+  register_with_server();
+  schedule_register_retry();
 }
 
 void Client::invalidate_everything() {

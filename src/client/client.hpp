@@ -63,13 +63,6 @@ struct ClientConfig {
   std::uint32_t block_size{4096};
   // NFS mode: how long cached attributes are trusted before re-polling.
   sim::LocalDuration attr_timeout{sim::local_seconds(3)};
-  // How often a deregistered client retries RegisterReq.
-  sim::LocalDuration reregister_retry{sim::local_millis(700)};
-  bool auto_reregister{true};
-  // V-lease renewal point as a fraction of tau; Frangipani heartbeat period
-  // as a fraction of tau.
-  double v_renew_frac{0.5};
-  double hb_beat_frac{0.34};
   // Page-cache capacity (0 = unbounded). When full, clean pages are evicted
   // LRU-first; if everything is dirty, the oldest dirty file is flushed to
   // make clean pages available.
@@ -130,14 +123,6 @@ class Client {
   [[nodiscard]] BlockCache& cache() { return cache_; }
   [[nodiscard]] const BlockCache& cache() const { return cache_; }
   [[nodiscard]] const core::ClientLeaseAgent* lease_agent() const { return agent_.get(); }
-  // Snapshot of the lease-disruption counter. An op whose issue-time token
-  // still matches at completion never overlapped a suspect/expiry window —
-  // its latency belongs to the steady-state population, not the recovery
-  // tail. Always 0 for strategies without a lease agent (their ops are all
-  // "steady" by definition).
-  [[nodiscard]] std::uint64_t disruption_token() const {
-    return agent_ != nullptr ? agent_->disruptions() : 0;
-  }
   [[nodiscard]] protocol::LockMode lock_mode(Fd fd) const;
   [[nodiscard]] const ClientConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }

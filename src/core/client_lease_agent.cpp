@@ -167,7 +167,6 @@ void ClientLeaseAgent::enter(LeasePhase p) {
       keepalive_tick();
       break;
     case LeasePhase::kSuspect:
-      ++disruptions_;
       if (hooks_.quiesce) hooks_.quiesce();
       if (!nack_latched_) keepalive_tick();
       break;
@@ -176,7 +175,6 @@ void ClientLeaseAgent::enter(LeasePhase p) {
       if (!nack_latched_) keepalive_tick();
       break;
     case LeasePhase::kExpired:
-      ++disruptions_;
       ++expiries_;
       if (hooks_.expired) hooks_.expired();
       break;

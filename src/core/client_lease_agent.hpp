@@ -108,11 +108,6 @@ class ClientLeaseAgent {
   [[nodiscard]] std::uint64_t expiries() const { return expiries_; }
   [[nodiscard]] std::uint64_t nacks_seen() const { return nacks_seen_; }
   [[nodiscard]] bool nack_latched() const { return nack_latched_; }
-  // Monotonic count of lease disruptions: bumped on every entry into phase 3
-  // (suspect) or expiry. An op whose issue-time snapshot of this counter still
-  // matches at completion ran entirely in steady state (phases 1/2); workloads
-  // use it to separate steady-state latency from recovery-tail latency.
-  [[nodiscard]] std::uint64_t disruptions() const { return disruptions_; }
 
   [[nodiscard]] const LeaseConfig& config() const { return cfg_; }
 
@@ -156,7 +151,6 @@ class ClientLeaseAgent {
   std::uint64_t keepalives_sent_{0};
   std::uint64_t expiries_{0};
   std::uint64_t nacks_seen_{0};
-  std::uint64_t disruptions_{0};
 };
 
 }  // namespace stank::core

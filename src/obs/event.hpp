@@ -183,8 +183,6 @@ enum class SpanKind : std::uint8_t {
   kPhaseFlush,       // lease phase-4 residency
   kStealRecovery,    // server: locks stolen -> client re-registered (local ms)
   kOpLatency,        // workload: op issued -> completed (global ms)
-  kOpLatencySteady,    // ops that ran entirely in lease phases 1/2
-  kOpLatencyRecovery,  // ops that overlapped a suspect/expiry disruption
   kCount_,
 };
 
@@ -198,8 +196,6 @@ enum class SpanKind : std::uint8_t {
     case SpanKind::kPhaseFlush: return "phase-flush";
     case SpanKind::kStealRecovery: return "steal-recovery";
     case SpanKind::kOpLatency: return "op-latency";
-    case SpanKind::kOpLatencySteady: return "op-latency-steady";
-    case SpanKind::kOpLatencyRecovery: return "op-latency-recovery";
     case SpanKind::kCount_: break;
   }
   return "?";

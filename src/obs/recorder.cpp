@@ -86,38 +86,6 @@ void Recorder::sample(const std::string& name, double t_s, double value) {
   series_.push_back(Series{name, {{t_s, value}}});
 }
 
-void Recorder::absorb_series_from(const Recorder& other) {
-  for (const Series& src : other.series_) {
-    Series* dst = nullptr;
-    for (auto& s : series_) {
-      if (s.name == src.name) {
-        dst = &s;
-        break;
-      }
-    }
-    if (dst == nullptr) {
-      series_.push_back(src);
-      continue;
-    }
-    // Both inputs are time-sorted (engine time is monotone and snapshots
-    // stamp in order), so a stable merge keeps the result sorted.
-    std::vector<SeriesPoint> merged;
-    merged.reserve(dst->points.size() + src.points.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < dst->points.size() && j < src.points.size()) {
-      if (src.points[j].t_s < dst->points[i].t_s) {
-        merged.push_back(src.points[j++]);
-      } else {
-        merged.push_back(dst->points[i++]);
-      }
-    }
-    while (i < dst->points.size()) merged.push_back(dst->points[i++]);
-    while (j < src.points.size()) merged.push_back(src.points[j++]);
-    dst->points = std::move(merged);
-  }
-}
-
 void Recorder::annotate(sim::SimTime at, NodeId node, std::string category, std::string detail) {
   annotations_.push_back(Annotation{at, node, std::move(category), std::move(detail)});
 }

@@ -82,12 +82,6 @@ class Recorder {
   // Time series: append a sample to the named series (created on first use).
   void sample(const std::string& name, double t_s, double value);
   [[nodiscard]] const std::vector<Series>& series() const { return series_; }
-  // Merges another recorder's series into this one's, keeping each merged
-  // series time-sorted (stable for equal timestamps: this recorder's points
-  // first, then the absorbed ones, then by the order of absorb calls). The
-  // sharded engine gives every shard its own recorder/sampler; this folds
-  // their series into one recorder before save().
-  void absorb_series_from(const Recorder& other);
 
   // String notes: cold-path only, for what no EventKind carries.
   void annotate(sim::SimTime at, NodeId node, std::string category, std::string detail);

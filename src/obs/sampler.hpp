@@ -57,28 +57,4 @@ class Sampler {
   std::vector<Probe> probes_;
 };
 
-// Drives `sampler.snapshot()` on a fixed cadence from an engine: the
-// self-rescheduling timer the serial Scenario builds by hand, packaged so a
-// sharded run can attach one sampler per shard engine (each shard's
-// recorder is private to its worker; merge the series afterwards with
-// Recorder::absorb_series_from). The chain stops itself at `until_s` — the
-// scheduled event holds the only strong reference, so nothing leaks.
-//
-// NOTE: this schedules engine events, so it perturbs events_executed() and
-// with it the determinism digest. Sampling is a "bright" diagnostic mode;
-// the dark-mode counters/watchdog path never uses it.
-inline void attach_periodic(sim::Engine& engine, Sampler& sampler, sim::Duration every,
-                            double until_s) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&engine, &sampler, every, until_s, weak = std::weak_ptr(tick)]() {
-    sampler.snapshot(engine.now().seconds());
-    if (engine.now().seconds() < until_s) {
-      if (auto strong = weak.lock()) {
-        engine.schedule_after(every, [strong]() { (*strong)(); });
-      }
-    }
-  };
-  engine.schedule_after(every, [tick]() { (*tick)(); });
-}
-
 }  // namespace stank::obs

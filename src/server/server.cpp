@@ -269,33 +269,33 @@ void Server::handle_lock(NodeId client, const protocol::LockReq& req,
     // Answer idempotently with the held mode under the CURRENT generation.
     // Bumping here would let the reply masquerade as a newer, weaker grant
     // and silently downgrade the client's stronger (possibly dirty) holding.
-    r.ack(protocol::LockReply{true, locks_.mode_of(client, req.file),
-                              lock_gen(client, req.file), lock_cookie(client, req.file)});
+    const GrantState gs = grant_state(client, req.file);
+    r.ack(protocol::LockReply{true, locks_.mode_of(client, req.file), gs.gen, gs.cookie});
     return;
   }
   ++counters_.lock_grants;
   // A fresh grant supersedes any outstanding demand against this client's
   // previous incarnation of the lock.
-  const std::uint32_t gen = bump_lock_gen(client, req.file);
-  const std::uint64_t cookie = new_lock_cookie(client, req.file);
+  const GrantState gs = issue_grant(client, req.file);
   cancel_demand_timer(client, req.file);
   if (v_table_) {
     v_table_->renew(client, req.file, clock_.now());
   }
-  r.ack(protocol::LockReply{true, req.mode, gen, cookie});
+  r.ack(protocol::LockReply{true, req.mode, gs.gen, gs.cookie});
 }
 
 void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
                            ServerTransport::Responder r) {
   ++counters_.transactions;
-  if (req.gen != lock_gen(client, req.file)) {
+  const GrantState gs = grant_state(client, req.file);
+  if (req.gen != gs.gen) {
     // Release of a superseded lock incarnation: a newer grant crossed this
     // request in flight. Ignore; the client will learn the new state from
     // the grant.
     r.ack(protocol::OkReply{});
     return;
   }
-  if (req.cookie != lock_cookie(client, req.file)) {
+  if (req.cookie != gs.cookie) {
     // Right generation but wrong grant cookie: the sender never received the
     // grant it claims to renounce (forged or corrupted release). Acting on it
     // would free a lock whose grant is still in flight to the real holder.
@@ -314,13 +314,14 @@ void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
 void Server::handle_demand_done(NodeId client, const protocol::DemandDoneReq& req,
                                 ServerTransport::Responder r) {
   ++counters_.transactions;
-  if (req.gen != lock_gen(client, req.file)) {
+  const GrantState gs = grant_state(client, req.file);
+  if (req.gen != gs.gen) {
     // Compliance for a superseded lock incarnation; the state it describes
     // no longer exists.
     r.ack(protocol::OkReply{});
     return;
   }
-  if (req.cookie != lock_cookie(client, req.file)) {
+  if (req.cookie != gs.cookie) {
     // Compliance without the grant cookie: forged (see handle_unlock). The
     // real holder's compliance, carrying the cookie, will settle the demand;
     // failing that, the demand timer escalates to suspect -> fence + steal.
@@ -401,12 +402,11 @@ void Server::handle_reassert(NodeId client, const protocol::ReassertLockReq& req
     return;
   }
   ++counters_.lock_grants;
-  const std::uint32_t gen = bump_lock_gen(client, req.file);
-  const std::uint64_t cookie = new_lock_cookie(client, req.file);
+  const GrantState gs = issue_grant(client, req.file);
   if (v_table_) {
     v_table_->renew(client, req.file, clock_.now());
   }
-  r.ack(protocol::LockReply{true, req.mode, gen, cookie});
+  r.ack(protocol::LockReply{true, req.mode, gs.gen, gs.cookie});
 }
 
 bool Server::in_grace() const {
@@ -427,7 +427,7 @@ void Server::crash() {
   barred_.clear();
   fenced_clients_.clear();
   fencing_.clear();
-  lock_gens_.clear();
+  grants_.clear();
   if (authority_) {
     // Rebuild the authority empty (its timers died with stop()).
     authority_ = make_authority();
@@ -625,7 +625,7 @@ void Server::apply_update(const LockManager::Update& upd) {
 
 void Server::issue_demand(const LockManager::Demand& d) {
   ++counters_.lock_demands;
-  const std::uint32_t gen = lock_gen(d.holder, d.file);
+  const std::uint32_t gen = grant_state(d.holder, d.file).gen;
   const Session* session = sessions_.find(d.holder);
   const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
   transport_.send_server_msg(
@@ -635,7 +635,7 @@ void Server::issue_demand(const LockManager::Demand& d) {
           on_delivery_failure(d.holder);
           return;
         }
-        if (gen != lock_gen(d.holder, d.file)) {
+        if (gen != grant_state(d.holder, d.file).gen) {
           return;  // a grant superseded this demand while it was in flight
         }
         if (!locks_.demanded_mode(d.holder, d.file).has_value()) {
@@ -664,21 +664,12 @@ void Server::arm_demand_timer(NodeId holder, FileId file) {
   timers.push_back(DemandTimer{file, timer});
 }
 
-std::uint32_t Server::lock_gen(NodeId client, FileId file) const {
-  const std::uint32_t* gen = lock_gens_.find(DemandKey{client, file});
-  return gen == nullptr ? 0 : *gen;
+Server::GrantState Server::grant_state(NodeId client, FileId file) const {
+  const GrantState* gs = grants_.find(DemandKey{client, file});
+  return gs == nullptr ? GrantState{} : *gs;
 }
 
-std::uint32_t Server::bump_lock_gen(NodeId client, FileId file) {
-  return ++lock_gens_[DemandKey{client, file}];
-}
-
-std::uint64_t Server::lock_cookie(NodeId client, FileId file) const {
-  const std::uint64_t* c = lock_cookies_.find(DemandKey{client, file});
-  return c == nullptr ? 0 : *c;
-}
-
-std::uint64_t Server::new_lock_cookie(NodeId client, FileId file) {
+Server::GrantState Server::issue_grant(NodeId client, FileId file) {
   // splitmix64 of a private sequence; incarnation folded in so cookies never
   // repeat across server reboots. Stands in for a CSPRNG (see server.hpp).
   std::uint64_t z = (++cookie_seq_ + (static_cast<std::uint64_t>(incarnation_) << 48)) +
@@ -687,21 +678,22 @@ std::uint64_t Server::new_lock_cookie(NodeId client, FileId file) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
   if (z == 0) z = 1;  // 0 means "no cookie issued"
-  lock_cookies_[DemandKey{client, file}] = z;
-  return z;
+  GrantState& gs = grants_[DemandKey{client, file}];
+  ++gs.gen;
+  gs.cookie = z;
+  return gs;
 }
 
 void Server::deliver_grant(const LockManager::Grant& g) {
   ++counters_.lock_grants;
-  const std::uint32_t gen = bump_lock_gen(g.client, g.file);
-  const std::uint64_t cookie = new_lock_cookie(g.client, g.file);
+  const GrantState gs = issue_grant(g.client, g.file);
   cancel_demand_timer(g.client, g.file);
   if (v_table_) {
     v_table_->renew(g.client, g.file, clock_.now());
   }
   const Session* session = sessions_.find(g.client);
   const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
-  transport_.send_server_msg(g.client, epoch, protocol::LockGrant{g.file, g.mode, gen, cookie},
+  transport_.send_server_msg(g.client, epoch, protocol::LockGrant{g.file, g.mode, gs.gen, gs.cookie},
                              [this, g](bool delivered) {
                                if (!delivered) {
                                  on_delivery_failure(g.client);
@@ -922,7 +914,7 @@ void Server::do_steal(NodeId client) {
   locks_.steal_all(client, affected_scratch_, update_scratch_);
   counters_.lock_steals += affected_scratch_.size();
   for (FileId f : affected_scratch_) {
-    bump_lock_gen(client, f);  // any in-flight compliance from the victim is now stale
+    ++grants_[DemandKey{client, f}].gen;  // in-flight compliance from the victim is now stale
   }
   // The steal is recorded where the locks actually move: after the fence
   // round (kLeaseAndFence, kFenceOnly) and in every recovery mode.

@@ -180,10 +180,14 @@ class Server {
   void cancel_demand_timer(NodeId holder, FileId file);
   void cancel_demand_timers(NodeId holder);
   void arm_demand_timer(NodeId holder, FileId file);
-  [[nodiscard]] std::uint32_t lock_gen(NodeId client, FileId file) const;
-  std::uint32_t bump_lock_gen(NodeId client, FileId file);
-  [[nodiscard]] std::uint64_t lock_cookie(NodeId client, FileId file) const;
-  std::uint64_t new_lock_cookie(NodeId client, FileId file);
+  // Per-(client, file) grant state; {0, 0} before the first grant.
+  struct GrantState {
+    std::uint32_t gen{0};
+    std::uint64_t cookie{0};
+  };
+  [[nodiscard]] GrantState grant_state(NodeId client, FileId file) const;
+  // Records a fresh grant: bumps the generation and mints a new cookie.
+  GrantState issue_grant(NodeId client, FileId file);
 
   // Recovery.
   void on_delivery_failure(NodeId client);
@@ -240,19 +244,20 @@ class Server {
   // Compliance timers, grouped per holder so a client-wide cancel (steal,
   // re-registration) is O(that client's demands).
   FlatMap<NodeId, SmallVec<DemandTimer, 2>> demand_timers_;
-  // Per-(client, file) lock generation: bumped by every grant and by steals,
-  // so compliance/release messages that crossed a newer grant in flight are
-  // recognizably stale (see protocol/messages.hpp).
-  FlatMap<DemandKey, std::uint32_t, DemandKeyHash> lock_gens_;
-  // Per-(client, file) grant cookie: a fresh unguessable value issued with
-  // every grant and required on UnlockReq/DemandDoneReq. Generations alone
-  // are guessable counters, so a client could forge a release for a grant
-  // still in flight to it and the server would re-grant the lock while the
-  // original holder later installs the late grant and writes — the forged
-  // lock-claim hole tools/fuzz_safety --byzantine found. Here a counter mixed
-  // through splitmix64 stands in for the CSPRNG a real server would use; the
-  // model only needs clients to be unable to predict it.
-  FlatMap<DemandKey, std::uint64_t, DemandKeyHash> lock_cookies_;
+  // Per-(client, file) grant state. Every grant writes both fields and
+  // crash() clears both: they are volatile, like the lock table.
+  //  * gen: lock generation, bumped by every grant and by steals, so
+  //    compliance/release messages that crossed a newer grant in flight are
+  //    recognizably stale (see protocol/messages.hpp).
+  //  * cookie: a fresh unguessable value issued with every grant and
+  //    required on UnlockReq/DemandDoneReq. Generations alone are guessable
+  //    counters, so a client could forge a release for a grant still in
+  //    flight to it and the server would re-grant the lock while the
+  //    original holder later installs the late grant and writes — the forged
+  //    lock-claim hole tools/fuzz_safety --byzantine found. Here a counter
+  //    mixed through splitmix64 stands in for the CSPRNG a real server would
+  //    use; the model only needs clients to be unable to predict it.
+  FlatMap<DemandKey, GrantState, DemandKeyHash> grants_;
   std::uint64_t cookie_seq_{0};
   // Handler-loop scratch: lock-table results are appended here and consumed
   // in place, so steady-state requests reuse capacity instead of returning

@@ -59,18 +59,6 @@ void ShardedEngine::set_telemetry(Telemetry tel) {
 
 void ShardedEngine::run_until(SimTime horizon) {
   if (horizon <= frontier_) return;
-  if (shards_.size() == 1) {
-    // Serial fast path: no windows, no barriers — byte-identical to the
-    // pre-sharding engine (the determinism tests pin this).
-    shards_[0]->run_until(horizon);
-    frontier_ = horizon;
-    if (tel_.counters != nullptr) {
-      const std::uint64_t ex = shards_[0]->events_executed();
-      tel_.counters->add_to(0, tel_ids_.events, ex - tel_prev_events_[0]);
-      tel_prev_events_[0] = ex;
-    }
-    return;
-  }
   unsigned workers = cfg_.threads != 0 ? cfg_.threads : std::thread::hardware_concurrency();
   if (workers == 0) workers = 1;
   workers = std::min<unsigned>(workers, shard_count());

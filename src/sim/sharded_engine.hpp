@@ -22,10 +22,11 @@
 //    (arrival time, source shard, source sequence) order at the barrier.
 //    Worker count only changes which OS thread runs a shard, never what the
 //    shard computes.
-//  * K = 1 bypasses the window loop entirely — one run_until() straight on
-//    the serial engine — so a single-shard run reproduces the pre-sharding
-//    engine byte for byte and the consistency checker, replay corpus and
-//    serial tests stay valid.
+//  * K = 1 runs the same window loop on one worker (parallel_for runs it
+//    inline, a one-party barrier returns at once) and reproduces the serial
+//    engine byte for byte: cutting run_until() at window edges executes the
+//    same events in the same (time, seq) order, so the consistency checker,
+//    replay corpus and serial tests stay valid.
 //
 // Idle windows are skipped deterministically: at each barrier every worker
 // computes the same global earliest-pending-event time (from a plain array
@@ -108,7 +109,7 @@ class ShardedEngine {
   void set_telemetry(Telemetry tel);
 
   // Advances every shard to `horizon` under window synchronization. With one
-  // shard this is exactly Engine::run_until on the lone shard.
+  // shard the result is exactly Engine::run_until on the lone shard.
   void run_until(SimTime horizon);
 
   [[nodiscard]] std::uint64_t events_executed() const;

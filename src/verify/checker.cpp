@@ -24,10 +24,10 @@ std::vector<Violation> ConsistencyChecker::check_all() const {
   return out;
 }
 
-SplitVerdict ConsistencyChecker::check_all_split() const {
+SplitVerdict ConsistencyChecker::split(std::vector<Violation> vs) const {
   SplitVerdict verdict;
   const auto& byz = h_->byzantine();
-  for (auto& v : check_all()) {
+  for (auto& v : vs) {
     (byz.contains(v.victim) ? verdict.byzantine : verdict.honest).push_back(std::move(v));
   }
   return verdict;

@@ -72,7 +72,8 @@ class ConsistencyChecker {
   explicit ConsistencyChecker(const HistoryRecorder& history) : h_(&history) {}
 
   [[nodiscard]] std::vector<Violation> check_all() const;
-  [[nodiscard]] SplitVerdict check_all_split() const;
+  // Buckets violations (typically check_all()'s) by victim; see SplitVerdict.
+  [[nodiscard]] SplitVerdict split(std::vector<Violation> vs) const;
   [[nodiscard]] std::vector<Violation> check_write_order() const;
   [[nodiscard]] std::vector<Violation> check_stale_reads() const;
   [[nodiscard]] std::vector<Violation> check_lost_updates() const;

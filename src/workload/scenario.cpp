@@ -350,17 +350,11 @@ Scenario::OpChoice Scenario::choose_op(ClientDriver& d) {
   return op;
 }
 
-void Scenario::note_op_latency(std::size_t ci, std::uint64_t issue_token, sim::SimTime t0) {
+void Scenario::note_op_latency(sim::SimTime t0) {
   const double ms = (engine_.now() - t0).millis();
   op_latency_ms_.add(ms);
-  // Token unchanged since issue => the op never overlapped a suspect/expiry
-  // window on its client: its latency is pure protocol steady-state cost.
-  const bool steady = clients_[ci]->disruption_token() == issue_token;
-  (steady ? op_latency_steady_ms_ : op_latency_recovery_ms_).add(ms);
   if (rec_ != nullptr) {
     rec_->span(obs::SpanKind::kOpLatency, ms);
-    rec_->span(steady ? obs::SpanKind::kOpLatencySteady : obs::SpanKind::kOpLatencyRecovery,
-               ms);
   }
 }
 
@@ -371,19 +365,18 @@ void Scenario::do_write(std::size_t ci, std::size_t fi, std::uint64_t block) {
   const FileId file = file_ids_.at(fi);
   const NodeId node = client_node(ci);
   const sim::SimTime t0 = engine_.now();
-  const std::uint64_t tok = cl.disruption_token();
 
-  auto perform = [this, ci, fd, file, block, node, t0, tok]() {
+  auto perform = [this, ci, fd, file, block, node, t0]() {
     client::Client& cl2 = *clients_[ci];
     const std::uint64_t version = next_version(file, block);
     verify::Stamp stamp{file, block, version, node};
     Bytes data = verify::make_stamped_block(cfg_.block_size, stamp);
     cl2.write(fd, block * cfg_.block_size, std::move(data),
-              [this, ci, stamp, node, t0, tok](Status st) {
+              [this, stamp, node, t0](Status st) {
                 if (st.is_ok()) {
                   ++writes_ok_;
                   history_.on_buffered_write(engine_.now(), node, stamp);
-                  note_op_latency(ci, tok, t0);
+                  note_op_latency(t0);
                 } else {
                   ++ops_failed_;
                 }
@@ -412,16 +405,15 @@ void Scenario::do_read(std::size_t ci, std::size_t fi, std::uint64_t block) {
   const FileId file = file_ids_.at(fi);
   const NodeId node = client_node(ci);
   const sim::SimTime t0 = engine_.now();
-  const std::uint64_t tok = cl.disruption_token();
 
   cl.read(fd, block * cfg_.block_size, cfg_.block_size,
-          [this, ci, file, block, node, t0, tok](Result<Bytes> res) {
+          [this, file, block, node, t0](Result<Bytes> res) {
             if (!res.ok() || res.value().size() != cfg_.block_size) {
               ++ops_failed_;
               return;
             }
             ++reads_ok_;
-            note_op_latency(ci, tok, t0);
+            note_op_latency(t0);
             auto stamp = verify::decode_stamp(res.value());
             recycle_buf(std::move(res).value());  // stamp decoded, data done
             verify::ReadRec rec;
@@ -529,14 +521,12 @@ ScenarioResult Scenario::run() {
 ScenarioResult Scenario::finish() {
   const double end_run = std::max(now_s(), cfg_.workload.run_seconds);
 
-  if (cfg_.heal_at_settle) {
-    net_->reachability().heal();
-    san_->reachability().heal();
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-      if (clients_[c]->crashed()) {
-        clients_[c]->restart();
-        // A rebooted machine lost its volatile state; history already knows.
-      }
+  net_->reachability().heal();
+  san_->reachability().heal();
+  for (std::size_t c = 0; c < clients_.size(); ++c) {
+    if (clients_[c]->crashed()) {
+      clients_[c]->restart();
+      // A rebooted machine lost its volatile state; history already knows.
     }
   }
 
@@ -577,9 +567,10 @@ ScenarioResult Scenario::finish() {
   }
 
   ScenarioResult r;
-  r.violation_list = verify::ConsistencyChecker(history_).check_all();
+  const verify::ConsistencyChecker checker(history_);
+  r.violation_list = checker.check_all();
   r.violations = verify::ConsistencyChecker::summarize(r.violation_list);
-  auto split = verify::ConsistencyChecker(history_).check_all_split();
+  auto split = checker.split(r.violation_list);
   r.honest_violations = std::move(split.honest);
   r.byzantine_violations = std::move(split.byzantine);
   r.reads_ok = reads_ok_;
@@ -603,8 +594,6 @@ ScenarioResult Scenario::finish() {
   r.max_lease_state_bytes = std::max(max_lease_bytes_, server_->lease_state_bytes());
   r.final_lease_state_bytes = server_->lease_state_bytes();
   r.op_latency_ms = op_latency_ms_;
-  r.op_latency_steady_ms = op_latency_steady_ms_;
-  r.op_latency_recovery_ms = op_latency_recovery_ms_;
   r.sim_seconds = now_s();
   r.engine_events = engine_.events_executed();
   r.trace_dropped = rec_ != nullptr ? rec_->dropped_events() : 0;

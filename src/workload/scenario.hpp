@@ -48,7 +48,6 @@ struct ScenarioConfig {
   // Post-restart grace period forwarded to the server; 0 = its safe default
   // tau(1+eps).
   sim::LocalDuration recovery_grace{sim::LocalDuration{0}};
-  bool heal_at_settle{true};
   bool enable_trace{false};
   // Clock-rate assignment inside [1/(1+eps), 1+eps]: 0 random per node,
   // +1 clients slow / server fast (adversarial for availability),
@@ -109,12 +108,6 @@ struct ScenarioResult {
   std::size_t final_lease_state_bytes{0};
 
   metrics::Histogram op_latency_ms;
-  // The same population split by lease state: ops that ran entirely inside
-  // lease phases 1/2 vs. ops that overlapped a suspect/expiry disruption.
-  // The fig4 p99 of the combined track is dominated by the recovery tail;
-  // these two tracks separate protocol steady-state cost from failure cost.
-  metrics::Histogram op_latency_steady_ms;
-  metrics::Histogram op_latency_recovery_ms;
   double sim_seconds{0.0};
   std::uint64_t engine_events{0};
 
@@ -196,10 +189,8 @@ class Scenario {
   void issue_op(std::size_t ci);
   void do_write(std::size_t ci, std::size_t fi, std::uint64_t block);
   void do_read(std::size_t ci, std::size_t fi, std::uint64_t block);
-  // Records a completed op's latency into the combined histogram and into
-  // the steady/recovery split, based on whether client ci's disruption token
-  // still matches its issue-time snapshot.
-  void note_op_latency(std::size_t ci, std::uint64_t issue_token, sim::SimTime t0);
+  // Records the latency of an op issued at t0 that completes now.
+  void note_op_latency(sim::SimTime t0);
   void sample_lease_state();
   [[nodiscard]] double now_s() const { return engine_.now().seconds(); }
   [[nodiscard]] bool workload_over() const;
@@ -227,8 +218,6 @@ class Scenario {
   std::uint64_t writes_ok_{0};
   std::uint64_t ops_failed_{0};
   metrics::Histogram op_latency_ms_;
-  metrics::Histogram op_latency_steady_ms_;
-  metrics::Histogram op_latency_recovery_ms_;
   std::size_t max_lease_bytes_{0};
   bool setup_done_{false};
   double settle_seconds_{0.0};

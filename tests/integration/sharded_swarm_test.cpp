@@ -79,10 +79,12 @@ struct Member {
 };
 
 // Same swarm loop as bench_swarm, shrunk: open a file, then lock/release on
-// an exponential gap while lease renewals run underneath.
+// an exponential gap while lease renewals run underneath. It drives both
+// stacks: engines[s] is shard s's engine, and the plain serial stack passes
+// its one Engine.
 struct Loop {
   std::vector<Member>& members;
-  sim::ShardedEngine& engine;
+  std::vector<sim::Engine*> engines;
 
   void open_file(std::size_t idx) {
     Member& m = members[idx];
@@ -92,7 +94,7 @@ struct Loop {
       Member& m2 = members[idx];
       if (!res.ok()) {
         ++m2.ops_failed;
-        engine.shard(m2.shard).schedule_after(sim::millis(100), [this, idx]() { open_file(idx); });
+        engines[m2.shard]->schedule_after(sim::millis(100), [this, idx]() { open_file(idx); });
         return;
       }
       m2.fd = res.value();
@@ -104,8 +106,8 @@ struct Loop {
   }
   void next(std::size_t idx) {
     Member& m = members[idx];
-    engine.shard(m.shard).schedule_after(sim::seconds_d(m.rng.exponential(0.3)),
-                                         [this, idx]() { op(idx); });
+    engines[m.shard]->schedule_after(sim::seconds_d(m.rng.exponential(0.3)),
+                                     [this, idx]() { op(idx); });
   }
   void op(std::size_t idx) {
     Member& m = members[idx];
@@ -188,7 +190,8 @@ RunResult run_sharded(unsigned k, unsigned threads, bool telemetry = false) {
   }
 
   std::vector<Member> members(kClients);
-  Loop loop{members, engine};
+  Loop loop{members, {}};
+  for (unsigned j = 0; j < k; ++j) loop.engines.push_back(&engine.shard(j));
   for (std::uint32_t i = 0; i < kClients; ++i) {
     const unsigned shard = (2 * i + 1) % k;
     fabric->place(NodeId{kClientBase + i}, shard);
@@ -258,51 +261,7 @@ RunResult run_plain_serial() {
 
   // A single-shard ShardedEngine runs everything on shard 0; mirror that.
   std::vector<Member> members(kClients);
-  struct SerialLoop {
-    std::vector<Member>& members;
-    sim::Engine& engine;
-    void open_file(std::size_t idx) {
-      Member& m = members[idx];
-      char path[16];
-      std::snprintf(path, sizeof(path), "f%zu", m.rng.zipf(kFiles, 0.9));
-      m.cl->open(path, false, [this, idx](Result<client::Fd> res) {
-        Member& m2 = members[idx];
-        if (!res.ok()) {
-          ++m2.ops_failed;
-          engine.schedule_after(sim::millis(100), [this, idx]() { open_file(idx); });
-          return;
-        }
-        m2.fd = res.value();
-        if (!m2.ready) {
-          m2.ready = true;
-          next(idx);
-        }
-      });
-    }
-    void next(std::size_t idx) {
-      Member& m = members[idx];
-      engine.schedule_after(sim::seconds_d(m.rng.exponential(0.3)), [this, idx]() { op(idx); });
-    }
-    void op(std::size_t idx) {
-      Member& m = members[idx];
-      const auto mode = m.rng.uniform() < 0.2 ? protocol::LockMode::kExclusive
-                                              : protocol::LockMode::kShared;
-      m.cl->lock(m.fd, mode, [this, idx](Status st) {
-        if (!st.is_ok()) {
-          ++members[idx].ops_failed;
-          next(idx);
-          return;
-        }
-        members[idx].cl->release(members[idx].fd, protocol::LockMode::kNone,
-                                 [this, idx](Status st2) {
-                                   (st2.is_ok() ? members[idx].ops_ok
-                                                : members[idx].ops_failed)++;
-                                   next(idx);
-                                 });
-      });
-    }
-  };
-  SerialLoop loop{members, engine};
+  Loop loop{members, {&engine}};
   for (std::uint32_t i = 0; i < kClients; ++i) {
     client::ClientConfig ccfg;
     ccfg.id = NodeId{kClientBase + i};
@@ -379,7 +338,7 @@ TEST(ShardedSwarm, InstrumentedRunBitIdenticalToDark) {
   EXPECT_EQ(dark, armed8);
 }
 
-TEST(ShardedSwarm, InstrumentedK1FastPathMatchesPlainSerial) {
+TEST(ShardedSwarm, InstrumentedSingleShardMatchesPlainSerial) {
   const RunResult armed = run_sharded(1, 1, /*telemetry=*/true);
   const RunResult plain = run_plain_serial();
   EXPECT_EQ(armed, plain);

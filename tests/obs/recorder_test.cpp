@@ -195,41 +195,6 @@ TEST(Recorder, VisitMergedAcrossInterleavesByTimeWithStableTieBreak) {
   EXPECT_EQ(n, 2u);
 }
 
-// Per-shard samplers each write to their shard's recorder; on save the shards
-// merge into one. The merge must be time-sorted per series, stable on ties
-// (destination points first), and must create series the destination lacks.
-TEST(Recorder, AbsorbSeriesFromMergesTimeSorted) {
-  Recorder dst;
-  Recorder src;
-  dst.sample("shared", 1.0, 10.0);
-  dst.sample("shared", 3.0, 30.0);
-  src.sample("shared", 2.0, 20.0);
-  src.sample("shared", 3.0, 31.0);  // tie at t=3: dst's point must precede
-  src.sample("only_src", 0.5, 5.0);
-
-  dst.absorb_series_from(src);
-
-  const Series* shared = nullptr;
-  const Series* only = nullptr;
-  for (const Series& s : dst.series()) {
-    if (s.name == "shared") shared = &s;
-    if (s.name == "only_src") only = &s;
-  }
-  ASSERT_NE(shared, nullptr);
-  ASSERT_NE(only, nullptr);
-  ASSERT_EQ(shared->points.size(), 4u);
-  EXPECT_DOUBLE_EQ(shared->points[0].t_s, 1.0);
-  EXPECT_DOUBLE_EQ(shared->points[1].t_s, 2.0);
-  EXPECT_DOUBLE_EQ(shared->points[2].t_s, 3.0);
-  EXPECT_DOUBLE_EQ(shared->points[2].value, 30.0);  // dst first on the tie
-  EXPECT_DOUBLE_EQ(shared->points[3].value, 31.0);
-  ASSERT_EQ(only->points.size(), 1u);
-  EXPECT_DOUBLE_EQ(only->points[0].value, 5.0);
-
-  // Source is untouched.
-  EXPECT_EQ(src.series().size(), 2u);
-}
-
 TEST(Recorder, ClearEmptiesEverything) {
   Recorder rec;
   rec.record(sim::SimTime{1}, NodeId{1}, EventKind::kReqSend);

@@ -8,14 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "obs/recorder.hpp"
-#include "obs/sampler.hpp"
 #include "sim/engine.hpp"
 
 namespace stank::sim {
@@ -172,106 +168,63 @@ TEST(ShardedEngine, ExchangeRunsOncePerShardPerWindowInOrder) {
   eng.set_exchange(nullptr);
 }
 
-// Armed telemetry books every executed event against the shard that ran it:
-// merged "engine.events" must equal events_executed() exactly, per-shard
-// values must sum to it, and the snapshot hook must fire on worker 0 with
-// all shards barrier-parked (we can only observe that it fires with a
-// consistent counter view).
+// Armed telemetry books every executed event against the shard that ran it,
+// one shard included (its window loop books its own events): merged
+// "engine.events" must equal events_executed() exactly, per-shard values must
+// sum to it, and the snapshot hook must fire on worker 0 with all shards
+// barrier-parked (we can only observe that it fires with a consistent
+// counter view).
 TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
-  for (unsigned threads : {1u, 2u, 4u}) {
-    ShardedEngine::Config cfg;
-    cfg.shards = 4;
-    cfg.threads = threads;
-    ShardedEngine eng(cfg);
+  for (unsigned shards : {1u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u}) {
+      ShardedEngine::Config cfg;
+      cfg.shards = shards;
+      cfg.threads = threads;
+      ShardedEngine eng(cfg);
 
-    obs::Counters ctr;
-    int snapshots = 0;
-    ShardedEngine::Telemetry tel;
-    tel.counters = &ctr;
-    tel.snapshot_every_windows = 8;
-    tel.on_snapshot = [&snapshots](SimTime) { ++snapshots; };
-    eng.set_telemetry(std::move(tel));
-    ctr.freeze(cfg.shards);
+      obs::Counters ctr;
+      int snapshots = 0;
+      ShardedEngine::Telemetry tel;
+      tel.counters = &ctr;
+      tel.snapshot_every_windows = 8;
+      tel.on_snapshot = [&snapshots](SimTime) { ++snapshots; };
+      eng.set_telemetry(std::move(tel));
+      ctr.freeze(cfg.shards);
 
-    // Uneven load: shard 0 runs a self-rescheduling chain, others get one
-    // event each, so per-shard attribution is distinguishable.
-    struct Chain {
-      Engine* e;
-      int left{200};
-      void tick() {
-        if (left-- <= 0) return;
-        e->schedule_after(Duration{5'000}, [this]() { tick(); });
+      // Uneven load: shard 0 runs a self-rescheduling chain, others get one
+      // event each, so per-shard attribution is distinguishable.
+      struct Chain {
+        Engine* e;
+        int left{200};
+        void tick() {
+          if (left-- <= 0) return;
+          e->schedule_after(Duration{5'000}, [this]() { tick(); });
+        }
+      };
+      Chain chain{&eng.shard(0)};
+      eng.shard(0).schedule_at(SimTime{1}, [&chain]() { chain.tick(); });
+      for (unsigned s = 1; s < cfg.shards; ++s) {
+        eng.shard(s).schedule_at(SimTime{10 + s}, []() {});
       }
-    };
-    Chain chain{&eng.shard(0)};
-    eng.shard(0).schedule_at(SimTime{1}, [&chain]() { chain.tick(); });
-    for (unsigned s = 1; s < cfg.shards; ++s) {
-      eng.shard(s).schedule_at(SimTime{10 + s}, []() {});
+      eng.run_until(SimTime{5'000'000});
+
+      const obs::Counters::Id ev = ctr.find("engine.events");
+      ASSERT_TRUE(ev.valid());
+      EXPECT_EQ(ctr.merged(ev), eng.events_executed())
+          << "shards=" << shards << " threads=" << threads;
+      std::uint64_t per_shard_sum = 0;
+      for (unsigned s = 0; s < cfg.shards; ++s) per_shard_sum += ctr.value(s, ev);
+      EXPECT_EQ(per_shard_sum, eng.events_executed());
+      if (shards > 1) {
+        EXPECT_GT(ctr.value(0, ev), ctr.value(1, ev)) << "chain shard must dominate";
+      }
+      EXPECT_GT(snapshots, 0) << "snapshot hook should fire on the 8-window cadence";
+
+      const obs::Counters::Id win = ctr.find("engine.windows");
+      ASSERT_TRUE(win.valid());
+      EXPECT_GT(ctr.merged(win), 0u);
     }
-    eng.run_until(SimTime{5'000'000});
-
-    const obs::Counters::Id ev = ctr.find("engine.events");
-    ASSERT_TRUE(ev.valid());
-    EXPECT_EQ(ctr.merged(ev), eng.events_executed()) << "threads=" << threads;
-    std::uint64_t per_shard_sum = 0;
-    for (unsigned s = 0; s < cfg.shards; ++s) per_shard_sum += ctr.value(s, ev);
-    EXPECT_EQ(per_shard_sum, eng.events_executed());
-    EXPECT_GT(ctr.value(0, ev), ctr.value(1, ev)) << "chain shard must dominate";
-    EXPECT_GT(snapshots, 0) << "snapshot hook should fire on the 8-window cadence";
-
-    const obs::Counters::Id win = ctr.find("engine.windows");
-    ASSERT_TRUE(win.valid());
-    EXPECT_GT(ctr.merged(win), 0u);
   }
-}
-
-// Per-shard time-series sampling on the sharded stack: each shard gets its
-// own Sampler + Recorder (shard-private, like all shard state), driven by
-// attach_periodic on that shard's engine; at save time the per-shard series
-// merge into one recorder via absorb_series_from. This is the sampling path
-// for sharded runs — note it schedules engine events (bright mode), unlike
-// the counter registry.
-TEST(ShardedEngine, PerShardSamplersMergeOnSave) {
-  ShardedEngine::Config cfg;
-  cfg.shards = 2;
-  cfg.threads = 2;
-  ShardedEngine eng(cfg);
-
-  std::vector<std::unique_ptr<obs::Recorder>> recs;
-  std::vector<std::unique_ptr<obs::Sampler>> samplers;
-  std::vector<std::uint64_t> work(cfg.shards, 0);
-  for (unsigned s = 0; s < cfg.shards; ++s) {
-    recs.push_back(std::make_unique<obs::Recorder>());
-    samplers.push_back(std::make_unique<obs::Sampler>(*recs[s]));
-    samplers[s]->add_probe("work/s" + std::to_string(s),
-                           [&work, s] { return static_cast<double>(work[s]); });
-    obs::attach_periodic(eng.shard(s), *samplers[s], Duration{1'000'000}, /*until_s=*/0.009);
-  }
-  // Distinguishable per-shard load.
-  for (int i = 0; i < 10; ++i) {
-    eng.shard(0).schedule_at(SimTime{i * 1'000'000 + 1}, [&work]() { work[0] += 1; });
-    eng.shard(1).schedule_at(SimTime{i * 1'000'000 + 1}, [&work]() { work[1] += 2; });
-  }
-  eng.run_until(SimTime{10'000'000});
-
-  // Save-time merge: fold every shard's series into shard 0's recorder.
-  for (unsigned s = 1; s < cfg.shards; ++s) recs[0]->absorb_series_from(*recs[s]);
-
-  const obs::Series* s0 = nullptr;
-  const obs::Series* s1 = nullptr;
-  for (const obs::Series& se : recs[0]->series()) {
-    if (se.name == "work/s0") s0 = &se;
-    if (se.name == "work/s1") s1 = &se;
-  }
-  ASSERT_NE(s0, nullptr) << "shard 0's own series present";
-  ASSERT_NE(s1, nullptr) << "shard 1's series absorbed into the merged recorder";
-  ASSERT_GE(s0->points.size(), 5u);
-  EXPECT_EQ(s0->points.size(), s1->points.size()) << "same cadence on both shards";
-  for (std::size_t i = 1; i < s1->points.size(); ++i) {
-    EXPECT_LE(s1->points[i - 1].t_s, s1->points[i].t_s) << "merged series stay time-sorted";
-  }
-  // Shard 1 accumulated twice the work at each sample point.
-  EXPECT_DOUBLE_EQ(s1->points.back().value, 2.0 * s0->points.back().value);
 }
 
 TEST(ShardedEngine, CountsAggregateAcrossShards) {

@@ -161,7 +161,8 @@ TEST(Checker, SplitVictimIsOverwrittenWriterForWriteOrder) {
   h.mark_byzantine(kB);
   disk_write(h, kB, 0, 2, 10);
   disk_write(h, kA, 0, 1, 20);  // kA's late flush clobbers kB's newer data
-  auto s = ConsistencyChecker(h).check_all_split();
+  const ConsistencyChecker c(h);
+  auto s = c.split(c.check_all());
   EXPECT_TRUE(s.honest.empty());  // the overwritten writer (kB) is byzantine
   ASSERT_EQ(s.byzantine.size(), 1u);
   EXPECT_EQ(s.byzantine[0].victim, kB);
@@ -172,7 +173,8 @@ TEST(Checker, SplitVictimIsReaderForStaleRead) {
   h.mark_byzantine(kA);
   disk_write(h, kA, 0, 3, 10);
   read(h, kB, 0, 2, 20, 21);  // honest kB observes stale data
-  auto s = ConsistencyChecker(h).check_all_split();
+  const ConsistencyChecker c(h);
+  auto s = c.split(c.check_all());
   ASSERT_EQ(s.honest.size(), 1u);  // the reader is the victim, and is honest
   EXPECT_EQ(s.honest[0].victim, kB);
   EXPECT_TRUE(s.byzantine.empty());
@@ -182,7 +184,8 @@ TEST(Checker, SplitVictimIsBufferingClientForLostUpdate) {
   HistoryRecorder h;
   h.mark_byzantine(kA);
   buffered(h, kA, 0, 1, 10);  // byzantine kA buffers and never flushes
-  auto s = ConsistencyChecker(h).check_all_split();
+  const ConsistencyChecker c(h);
+  auto s = c.split(c.check_all());
   EXPECT_TRUE(s.honest.empty());
   ASSERT_EQ(s.byzantine.size(), 1u);
   EXPECT_EQ(s.byzantine[0].victim, kA);
@@ -196,7 +199,7 @@ TEST(Checker, SplitWithNoByzantineMatchesCheckAll) {
   disk_write(h, kA, 1, 1, 25);
   buffered(h, kA, 2, 1, 5);
   ConsistencyChecker c(h);
-  auto s = c.check_all_split();
+  auto s = c.split(c.check_all());
   EXPECT_TRUE(s.byzantine.empty());
   EXPECT_EQ(s.honest.size(), c.check_all().size());
 }
