@@ -4,8 +4,7 @@ namespace stank {
 
 std::uint64_t ByteReader::get_le(std::size_t width) {
   if (pos_ + width > data_.size()) {
-    truncated_ = true;
-    pos_ = data_.size();
+    fail();
     return 0;
   }
   std::uint64_t v = 0;
@@ -18,9 +17,8 @@ std::uint64_t ByteReader::get_le(std::size_t width) {
 
 std::string ByteReader::str() {
   std::uint32_t n = u32();
-  if (truncated_ || pos_ + n > data_.size()) {
-    truncated_ = true;
-    pos_ = data_.size();
+  if (failed_ || pos_ + n > data_.size()) {
+    fail();
     return {};
   }
   std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
@@ -30,9 +28,8 @@ std::string ByteReader::str() {
 
 Bytes ByteReader::raw() {
   std::uint32_t n = u32();
-  if (truncated_ || pos_ + n > data_.size()) {
-    truncated_ = true;
-    pos_ = data_.size();
+  if (failed_ || pos_ + n > data_.size()) {
+    fail();
     return {};
   }
   Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

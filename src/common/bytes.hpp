@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,15 +23,8 @@ class ByteWriter {
   explicit ByteWriter(Bytes& out) : out_(&out) {}
 
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u16(std::uint16_t v) { put_le(v); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
-  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_le(bits);
-  }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void str(std::string_view s) {
@@ -46,7 +38,6 @@ class ByteWriter {
   }
 
   [[nodiscard]] const Bytes& bytes() const { return *out_; }
-  [[nodiscard]] Bytes take() { return std::move(*out_); }
 
  private:
   template <typename T>
@@ -60,38 +51,37 @@ class ByteWriter {
   Bytes* out_{&owned_};
 };
 
-// Bounds-checked reader; any read past the end latches a truncation flag and
+// Bounds-checked reader; any read past the end latches a failure flag and
 // returns zeroes so decoders can finish and then test ok() once.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(get_le(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get_le(2)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(get_le(4)); }
   std::uint64_t u64() { return get_le(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(get_le(8)); }
-  double f64() {
-    std::uint64_t bits = get_le(8);
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
   bool boolean() { return u8() != 0; }
 
   std::string str();
   Bytes raw();
 
-  [[nodiscard]] bool ok() const { return !truncated_; }
+  // Latches the failure flag, as a read past the end does: for decoders
+  // that find a well-formed read carrying an invalid value.
+  void fail() {
+    failed_ = true;
+    pos_ = data_.size();
+  }
+
+  [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] bool at_end() const { return pos_ == data_.size() && !truncated_; }
+  [[nodiscard]] bool at_end() const { return pos_ == data_.size() && !failed_; }
 
  private:
   std::uint64_t get_le(std::size_t width);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_{0};
-  bool truncated_{false};
+  bool failed_{false};
 };
 
 }  // namespace stank

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -57,6 +58,12 @@ enum class ErrorCode {
   }
   return "unknown";
 }
+
+// Highest valid ErrorCode: the wire codec rejects an error byte above it.
+// The static_assert fails if a code is appended without moving the bound.
+[[nodiscard]] constexpr ErrorCode max_enumerator(ErrorCode) { return ErrorCode::kRetryLater; }
+static_assert(std::string_view(to_string(static_cast<ErrorCode>(
+                  static_cast<int>(max_enumerator(ErrorCode{})) + 1))) == "unknown");
 
 inline std::ostream& operator<<(std::ostream& os, ErrorCode e) { return os << to_string(e); }
 

@@ -1,348 +1,35 @@
 #include "protocol/codec.hpp"
 
-#include "common/assert.hpp"
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 namespace stank::protocol {
 
 namespace {
 
-// Body type tags. Stable on the wire; append-only.
-enum class ReqTag : std::uint8_t {
-  kOpen = 1,
-  kClose,
-  kLock,
-  kUnlock,
-  kDemandDone,
-  kGetAttr,
-  kSetSize,
-  kKeepAlive,
-  kRegister,
-  kRenewObj,
-  kReadData,
-  kWriteData,
-  kReassertLock,
-};
-enum class RepTag : std::uint8_t {
-  kOk = 1,
-  kErr,
-  kOpen,
-  kLock,
-  kAttr,
-  kRegister,
-  kData,
-};
-enum class SrvTag : std::uint8_t {
-  kLockDemand = 1,
-  kLockGrant,
-};
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
 
-template <typename W>
-void put_attr(W& w, const FileAttr& a) {
-  w.u64(a.size);
-  w.u64(a.mtime_ns);
-  w.u32(a.meta_version);
-}
+template <typename T>
+inline constexpr bool kIsVariant = false;
+template <typename... Ts>
+inline constexpr bool kIsVariant<std::variant<Ts...>> = true;
 
-FileAttr get_attr(ByteReader& r) {
-  FileAttr a;
-  a.size = r.u64();
-  a.mtime_ns = r.u64();
-  a.meta_version = r.u32();
-  return a;
-}
+template <typename T>
+inline constexpr bool kIsStrongId = false;
+template <typename Tag, typename Rep>
+inline constexpr bool kIsStrongId<StrongId<Tag, Rep>> = true;
 
-template <typename W>
-void put_extents(W& w, const std::vector<Extent>& ex) {
-  w.u32(static_cast<std::uint32_t>(ex.size()));
-  for (const auto& e : ex) {
-    w.u32(e.disk.value());
-    w.u64(e.start);
-    w.u32(e.count);
-  }
-}
-
-std::vector<Extent> get_extents(ByteReader& r) {
-  std::uint32_t n = r.u32();
-  std::vector<Extent> ex;
-  // Guard against hostile lengths: cap by remaining bytes (16 per extent).
-  if (n > r.remaining() / 16 + 1) {
-    n = 0;
-  }
-  ex.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Extent e;
-    e.disk = DiskId{r.u32()};
-    e.start = r.u64();
-    e.count = r.u32();
-    ex.push_back(e);
-  }
-  return ex;
-}
-
-template <typename W>
-void encode_request(W& w, const RequestBody& body) {
-  std::visit(
-      [&](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, OpenReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kOpen));
-          w.str(b.path);
-          w.boolean(b.create);
-        } else if constexpr (std::is_same_v<T, CloseReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kClose));
-          w.u32(b.file.value());
-        } else if constexpr (std::is_same_v<T, LockReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kLock));
-          w.u32(b.file.value());
-          w.u8(static_cast<std::uint8_t>(b.mode));
-        } else if constexpr (std::is_same_v<T, UnlockReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kUnlock));
-          w.u32(b.file.value());
-          w.u8(static_cast<std::uint8_t>(b.downgrade_to));
-          w.u32(b.gen);
-          w.u64(b.cookie);
-        } else if constexpr (std::is_same_v<T, DemandDoneReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kDemandDone));
-          w.u32(b.file.value());
-          w.u8(static_cast<std::uint8_t>(b.new_mode));
-          w.u32(b.gen);
-          w.u64(b.cookie);
-        } else if constexpr (std::is_same_v<T, GetAttrReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kGetAttr));
-          w.u32(b.file.value());
-        } else if constexpr (std::is_same_v<T, SetSizeReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kSetSize));
-          w.u32(b.file.value());
-          w.u64(b.new_size);
-          w.boolean(b.truncate);
-        } else if constexpr (std::is_same_v<T, KeepAliveReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kKeepAlive));
-        } else if constexpr (std::is_same_v<T, RegisterReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kRegister));
-        } else if constexpr (std::is_same_v<T, RenewObjReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kRenewObj));
-          w.u32(b.file.value());
-        } else if constexpr (std::is_same_v<T, ReadDataReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kReadData));
-          w.u32(b.file.value());
-          w.u64(b.offset);
-          w.u32(b.len);
-        } else if constexpr (std::is_same_v<T, WriteDataReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kWriteData));
-          w.u32(b.file.value());
-          w.u64(b.offset);
-          w.raw(b.data);
-        } else if constexpr (std::is_same_v<T, ReassertLockReq>) {
-          w.u8(static_cast<std::uint8_t>(ReqTag::kReassertLock));
-          w.u32(b.file.value());
-          w.u8(static_cast<std::uint8_t>(b.mode));
-        }
-      },
-      body);
-}
-
-std::optional<RequestBody> decode_request(ByteReader& r) {
-  const auto tag = static_cast<ReqTag>(r.u8());
-  switch (tag) {
-    case ReqTag::kOpen: {
-      OpenReq b;
-      b.path = r.str();
-      b.create = r.boolean();
-      return RequestBody{b};
-    }
-    case ReqTag::kClose:
-      return RequestBody{CloseReq{FileId{r.u32()}}};
-    case ReqTag::kLock: {
-      LockReq b;
-      b.file = FileId{r.u32()};
-      b.mode = static_cast<LockMode>(r.u8());
-      return RequestBody{b};
-    }
-    case ReqTag::kUnlock: {
-      UnlockReq b;
-      b.file = FileId{r.u32()};
-      b.downgrade_to = static_cast<LockMode>(r.u8());
-      b.gen = r.u32();
-      b.cookie = r.u64();
-      return RequestBody{b};
-    }
-    case ReqTag::kDemandDone: {
-      DemandDoneReq b;
-      b.file = FileId{r.u32()};
-      b.new_mode = static_cast<LockMode>(r.u8());
-      b.gen = r.u32();
-      b.cookie = r.u64();
-      return RequestBody{b};
-    }
-    case ReqTag::kGetAttr:
-      return RequestBody{GetAttrReq{FileId{r.u32()}}};
-    case ReqTag::kSetSize: {
-      SetSizeReq b;
-      b.file = FileId{r.u32()};
-      b.new_size = r.u64();
-      b.truncate = r.boolean();
-      return RequestBody{b};
-    }
-    case ReqTag::kKeepAlive:
-      return RequestBody{KeepAliveReq{}};
-    case ReqTag::kRegister:
-      return RequestBody{RegisterReq{}};
-    case ReqTag::kRenewObj:
-      return RequestBody{RenewObjReq{FileId{r.u32()}}};
-    case ReqTag::kReadData: {
-      ReadDataReq b;
-      b.file = FileId{r.u32()};
-      b.offset = r.u64();
-      b.len = r.u32();
-      return RequestBody{b};
-    }
-    case ReqTag::kWriteData: {
-      WriteDataReq b;
-      b.file = FileId{r.u32()};
-      b.offset = r.u64();
-      b.data = r.raw();
-      return RequestBody{b};
-    }
-    case ReqTag::kReassertLock: {
-      ReassertLockReq b;
-      b.file = FileId{r.u32()};
-      b.mode = static_cast<LockMode>(r.u8());
-      return RequestBody{b};
-    }
-  }
-  return std::nullopt;
-}
-
-template <typename W>
-void encode_reply(W& w, const ReplyBody& body) {
-  std::visit(
-      [&](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, OkReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kOk));
-        } else if constexpr (std::is_same_v<T, ErrReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kErr));
-          w.u8(static_cast<std::uint8_t>(b.code));
-        } else if constexpr (std::is_same_v<T, OpenReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kOpen));
-          w.u32(b.file.value());
-          put_attr(w, b.attr);
-          put_extents(w, b.extents);
-        } else if constexpr (std::is_same_v<T, LockReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kLock));
-          w.boolean(b.granted);
-          w.u8(static_cast<std::uint8_t>(b.mode));
-          w.u32(b.gen);
-          w.u64(b.cookie);
-        } else if constexpr (std::is_same_v<T, AttrReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kAttr));
-          put_attr(w, b.attr);
-          put_extents(w, b.extents);
-        } else if constexpr (std::is_same_v<T, RegisterReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kRegister));
-          w.u32(b.epoch);
-          w.u32(b.incarnation);
-        } else if constexpr (std::is_same_v<T, DataReply>) {
-          w.u8(static_cast<std::uint8_t>(RepTag::kData));
-          w.raw(b.data);
-        }
-      },
-      body);
-}
-
-std::optional<ReplyBody> decode_reply(ByteReader& r) {
-  const auto tag = static_cast<RepTag>(r.u8());
-  switch (tag) {
-    case RepTag::kOk:
-      return ReplyBody{OkReply{}};
-    case RepTag::kErr:
-      return ReplyBody{ErrReply{static_cast<ErrorCode>(r.u8())}};
-    case RepTag::kOpen: {
-      OpenReply b;
-      b.file = FileId{r.u32()};
-      b.attr = get_attr(r);
-      b.extents = get_extents(r);
-      return ReplyBody{b};
-    }
-    case RepTag::kLock: {
-      LockReply b;
-      b.granted = r.boolean();
-      b.mode = static_cast<LockMode>(r.u8());
-      b.gen = r.u32();
-      b.cookie = r.u64();
-      return ReplyBody{b};
-    }
-    case RepTag::kAttr: {
-      AttrReply b;
-      b.attr = get_attr(r);
-      b.extents = get_extents(r);
-      return ReplyBody{b};
-    }
-    case RepTag::kRegister: {
-      RegisterReply b;
-      b.epoch = r.u32();
-      b.incarnation = r.u32();
-      return ReplyBody{b};
-    }
-    case RepTag::kData:
-      return ReplyBody{DataReply{r.raw()}};
-  }
-  return std::nullopt;
-}
-
-template <typename W>
-void encode_server(W& w, const ServerBody& body) {
-  std::visit(
-      [&](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, LockDemand>) {
-          w.u8(static_cast<std::uint8_t>(SrvTag::kLockDemand));
-          w.u32(b.file.value());
-          w.u8(static_cast<std::uint8_t>(b.max_mode));
-          w.u32(b.gen);
-        } else if constexpr (std::is_same_v<T, LockGrant>) {
-          w.u8(static_cast<std::uint8_t>(SrvTag::kLockGrant));
-          w.u32(b.file.value());
-          w.u8(static_cast<std::uint8_t>(b.mode));
-          w.u32(b.gen);
-          w.u64(b.cookie);
-        }
-      },
-      body);
-}
-
-std::optional<ServerBody> decode_server(ByteReader& r) {
-  const auto tag = static_cast<SrvTag>(r.u8());
-  switch (tag) {
-    case SrvTag::kLockDemand: {
-      LockDemand b;
-      b.file = FileId{r.u32()};
-      b.max_mode = static_cast<LockMode>(r.u8());
-      b.gen = r.u32();
-      return ServerBody{b};
-    }
-    case SrvTag::kLockGrant: {
-      LockGrant b;
-      b.file = FileId{r.u32()};
-      b.mode = static_cast<LockMode>(r.u8());
-      b.gen = r.u32();
-      b.cookie = r.u64();
-      return ServerBody{b};
-    }
-  }
-  return std::nullopt;
-}
-
-// Writer that only measures: drives the same encode_* templates as
-// ByteWriter so encoded_size() can never drift from the real encoding.
+// Writer that only measures: put() drives it exactly as it drives
+// ByteWriter, so encoded_size() can never drift from the real encoding.
 class SizeCounter {
  public:
   void u8(std::uint8_t) { n_ += 1; }
-  void u16(std::uint16_t) { n_ += 2; }
   void u32(std::uint32_t) { n_ += 4; }
   void u64(std::uint64_t) { n_ += 8; }
-  void i64(std::int64_t) { n_ += 8; }
-  void f64(double) { n_ += 8; }
   void boolean(bool) { n_ += 1; }
   void str(std::string_view s) { n_ += 4 + s.size(); }
   void raw(std::span<const std::uint8_t> data) { n_ += 4 + data.size(); }
@@ -352,22 +39,94 @@ class SizeCounter {
   std::size_t n_{0};
 };
 
+// The whole wire format, by field type. A variant is its tag (index() + 1)
+// followed by the alternative's fields; a message struct is the fields its
+// tie() names, in order.
+template <typename W, typename T>
+void put(W& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.boolean(v);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w.u32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.u64(v);
+  } else if constexpr (kIsStrongId<T>) {
+    put(w, v.value());
+  } else if constexpr (std::is_enum_v<T>) {
+    w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    w.raw(v);
+  } else if constexpr (kIsVector<T>) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) put(w, e);
+  } else if constexpr (kIsVariant<T>) {
+    w.u8(static_cast<std::uint8_t>(v.index() + 1));
+    std::visit([&](const auto& alt) { put(w, alt); }, v);
+  } else {
+    std::apply([&](const auto&... f) { (put(w, f), ...); }, T::tie(v));
+  }
+}
+
+// Inverse of put(), decoding in place. Anything put() could not have
+// written fails the reader: an enum above its max_enumerator, a vector
+// longer than the bytes left, an unknown variant tag.
+template <typename T>
+void get(ByteReader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.boolean();
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    v = r.u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = r.u64();
+  } else if constexpr (kIsStrongId<T>) {
+    typename T::rep_type rep{};
+    get(r, rep);
+    v = T{rep};
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::uint8_t raw = r.u8();
+    if (raw > static_cast<std::uint8_t>(max_enumerator(T{}))) r.fail();
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.str();
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    v = r.raw();
+  } else if constexpr (kIsVector<T>) {
+    const std::uint32_t n = r.u32();
+    if (n > r.remaining()) {
+      r.fail();
+      return;
+    }
+    v.resize(n);
+    for (auto& e : v) get(r, e);
+  } else if constexpr (kIsVariant<T>) {
+    const std::size_t tag = r.u8();
+    const bool known = [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return ((tag == I + 1 && (get(r, v.template emplace<I>()), true)) || ...);
+    }(std::make_index_sequence<std::variant_size_v<T>>{});
+    if (!known) r.fail();
+  } else {
+    std::apply([&](auto&... f) { (get(r, f), ...); }, T::tie(v));
+  }
+}
+
 template <typename W>
-void encode_frame(W& w, const Frame& frame) {
-  w.u8(static_cast<std::uint8_t>(frame.kind));
-  w.u32(frame.sender.value());
-  w.u64(frame.msg_id.value());
-  w.u32(frame.epoch);
-  w.u32(frame.incarnation);
-  switch (frame.kind) {
+void put_frame(W& w, const Frame& f) {
+  put(w, f.kind);
+  put(w, f.sender);
+  put(w, f.msg_id);
+  put(w, f.epoch);
+  put(w, f.incarnation);
+  switch (f.kind) {
     case FrameKind::kRequest:
-      encode_request(w, std::get<RequestBody>(frame.body));
+      put(w, std::get<RequestBody>(f.body));
       break;
     case FrameKind::kAck:
-      encode_reply(w, std::get<ReplyBody>(frame.body));
+      put(w, std::get<ReplyBody>(f.body));
       break;
     case FrameKind::kServerMsg:
-      encode_server(w, std::get<ServerBody>(frame.body));
+      put(w, std::get<ServerBody>(f.body));
       break;
     case FrameKind::kNack:
     case FrameKind::kClientAck:
@@ -375,33 +134,11 @@ void encode_frame(W& w, const Frame& frame) {
   }
 }
 
-bool valid_mode(LockMode m) {
-  return m == LockMode::kNone || m == LockMode::kShared || m == LockMode::kExclusive;
-}
-
-bool body_modes_valid(const Frame& f) {
-  // Reject out-of-range lock modes smuggled in by a corrupted datagram.
-  if (const auto* req = std::get_if<RequestBody>(&f.body)) {
-    if (const auto* l = std::get_if<LockReq>(req)) return valid_mode(l->mode);
-    if (const auto* u = std::get_if<UnlockReq>(req)) return valid_mode(u->downgrade_to);
-    if (const auto* d = std::get_if<DemandDoneReq>(req)) return valid_mode(d->new_mode);
-    if (const auto* ra = std::get_if<ReassertLockReq>(req)) return valid_mode(ra->mode);
-  }
-  if (const auto* rep = std::get_if<ReplyBody>(&f.body)) {
-    if (const auto* l = std::get_if<LockReply>(rep)) return valid_mode(l->mode);
-  }
-  if (const auto* srv = std::get_if<ServerBody>(&f.body)) {
-    if (const auto* d = std::get_if<LockDemand>(srv)) return valid_mode(d->max_mode);
-    if (const auto* g = std::get_if<LockGrant>(srv)) return valid_mode(g->mode);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::size_t encoded_size(const Frame& frame) {
   SizeCounter c;
-  encode_frame(c, frame);
+  put_frame(c, frame);
   return c.size();
 }
 
@@ -409,7 +146,7 @@ void encode_into(const Frame& frame, Bytes& out) {
   out.clear();
   out.reserve(encoded_size(frame));
   ByteWriter w(out);
-  encode_frame(w, frame);
+  put_frame(w, frame);
 }
 
 Bytes encode(const Frame& frame) {
@@ -426,63 +163,28 @@ std::optional<Frame> decode(const Bytes& datagram) {
     return std::nullopt;
   }
   f.kind = static_cast<FrameKind>(kind);
-  f.sender = NodeId{r.u32()};
-  f.msg_id = MsgId{r.u64()};
-  f.epoch = r.u32();
-  f.incarnation = r.u32();
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-
+  get(r, f.sender);
+  get(r, f.msg_id);
+  get(r, f.epoch);
+  get(r, f.incarnation);
   switch (f.kind) {
-    case FrameKind::kRequest: {
-      auto body = decode_request(r);
-      if (!body) return std::nullopt;
-      f.body = std::move(*body);
+    case FrameKind::kRequest:
+      get(r, f.body.emplace<RequestBody>());
       break;
-    }
-    case FrameKind::kAck: {
-      auto body = decode_reply(r);
-      if (!body) return std::nullopt;
-      f.body = std::move(*body);
+    case FrameKind::kAck:
+      get(r, f.body.emplace<ReplyBody>());
       break;
-    }
-    case FrameKind::kServerMsg: {
-      auto body = decode_server(r);
-      if (!body) return std::nullopt;
-      f.body = std::move(*body);
+    case FrameKind::kServerMsg:
+      get(r, f.body.emplace<ServerBody>());
       break;
-    }
     case FrameKind::kNack:
     case FrameKind::kClientAck:
       break;
   }
-  if (!r.ok() || !r.at_end() || !body_modes_valid(f)) {
+  if (!r.ok() || !r.at_end()) {
     return std::nullopt;
   }
   return f;
-}
-
-const char* request_name(const RequestBody& body) {
-  return std::visit(
-      [](const auto& b) -> const char* {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, OpenReq>) return "open";
-        else if constexpr (std::is_same_v<T, CloseReq>) return "close";
-        else if constexpr (std::is_same_v<T, LockReq>) return "lock";
-        else if constexpr (std::is_same_v<T, UnlockReq>) return "unlock";
-        else if constexpr (std::is_same_v<T, DemandDoneReq>) return "demand-done";
-        else if constexpr (std::is_same_v<T, GetAttrReq>) return "getattr";
-        else if constexpr (std::is_same_v<T, SetSizeReq>) return "setsize";
-        else if constexpr (std::is_same_v<T, KeepAliveReq>) return "keepalive";
-        else if constexpr (std::is_same_v<T, RegisterReq>) return "register";
-        else if constexpr (std::is_same_v<T, RenewObjReq>) return "renew-obj";
-        else if constexpr (std::is_same_v<T, ReadDataReq>) return "read-data";
-        else if constexpr (std::is_same_v<T, WriteDataReq>) return "write-data";
-        else if constexpr (std::is_same_v<T, ReassertLockReq>) return "reassert-lock";
-        else return "?";
-      },
-      body);
 }
 
 }  // namespace stank::protocol

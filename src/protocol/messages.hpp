@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -33,16 +35,29 @@ enum class LockMode : std::uint8_t { kNone = 0, kShared = 1, kExclusive = 2 };
   return "?";
 }
 
+// Highest valid LockMode: the codec rejects a mode byte above it. The
+// static_assert fails if a mode is appended without moving the bound.
+[[nodiscard]] constexpr LockMode max_enumerator(LockMode) { return LockMode::kExclusive; }
+static_assert(std::string_view(to_string(static_cast<LockMode>(
+                  static_cast<int>(max_enumerator(LockMode{})) + 1))) == "?");
+
 // True if two locks may be held simultaneously by different clients.
 [[nodiscard]] constexpr bool compatible(LockMode a, LockMode b) {
   if (a == LockMode::kNone || b == LockMode::kNone) return true;
   return a == LockMode::kShared && b == LockMode::kShared;
 }
 
+// Wire format. Every message struct below names its fields once, in wire
+// order, in a static tie(); protocol/codec.cpp derives encode, decode,
+// encoded_size and range validation from that list alone. Field types fix
+// the encoding: bool and enums are one byte (enums range-checked against
+// their max_enumerator), u32/u64 and ids are little-endian, strings, byte
+// payloads and vectors carry a u32 length prefix.
 struct FileAttr {
   std::uint64_t size{0};       // bytes
   std::uint64_t mtime_ns{0};   // server-local modification stamp
   std::uint32_t meta_version{0};
+  template <class S> static auto tie(S& s) { return std::tie(s.size, s.mtime_ns, s.meta_version); }
 };
 
 // A run of blocks on one disk. File data lives on shared SAN disks; the
@@ -51,6 +66,7 @@ struct Extent {
   DiskId disk;
   storage::BlockAddr start{0};
   std::uint32_t count{0};
+  template <class S> static auto tie(S& s) { return std::tie(s.disk, s.start, s.count); }
 };
 
 // ---------------------------------------------------------------------------
@@ -59,14 +75,17 @@ struct Extent {
 struct OpenReq {
   std::string path;
   bool create{false};
+  template <class S> static auto tie(S& s) { return std::tie(s.path, s.create); }
 };
 struct CloseReq {
   FileId file;
+  template <class S> static auto tie(S& s) { return std::tie(s.file); }
 };
 // Acquire or upgrade a data lock.
 struct LockReq {
   FileId file;
   LockMode mode{LockMode::kShared};
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.mode); }
 };
 // Voluntarily release or downgrade. Carries the lock generation the client
 // believes it holds; the server ignores the request if a newer grant is in
@@ -83,6 +102,8 @@ struct UnlockReq {
   LockMode downgrade_to{LockMode::kNone};
   std::uint32_t gen{0};
   std::uint64_t cookie{0};
+  template <class S>
+  static auto tie(S& s) { return std::tie(s.file, s.downgrade_to, s.gen, s.cookie); }
 };
 // Client's protocol-level answer to a LockDemand, sent after it has flushed
 // dirty data covered by the demanded lock. Echoes the demand's generation so
@@ -93,9 +114,11 @@ struct DemandDoneReq {
   LockMode new_mode{LockMode::kNone};
   std::uint32_t gen{0};
   std::uint64_t cookie{0};
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.new_mode, s.gen, s.cookie); }
 };
 struct GetAttrReq {
   FileId file;
+  template <class S> static auto tie(S& s) { return std::tie(s.file); }
 };
 // Grow (allocating blocks) or — with truncate set — shrink a file. Without
 // truncate the request is grow-only: a client holding stale attributes must
@@ -104,17 +127,23 @@ struct SetSizeReq {
   FileId file;
   std::uint64_t new_size{0};
   bool truncate{false};
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.new_size, s.truncate); }
 };
 // The paper's NULL message: encodes no file-system or lock operation, exists
 // solely to solicit an ACK that renews the lease (lease phase 2).
-struct KeepAliveReq {};
+struct KeepAliveReq {
+  template <class S> static auto tie(S&) { return std::tie(); }
+};
 // (Re-)establish a session. A client whose lease expired must re-register
 // under a fresh epoch before the server will serve it again.
-struct RegisterReq {};
+struct RegisterReq {
+  template <class S> static auto tie(S&) { return std::tie(); }
+};
 // V-system-style per-object lease renewal (baseline only): keeps ONE cached
 // object alive. Storage Tank never sends these; the comparison is table T1.
 struct RenewObjReq {
   FileId file;
+  template <class S> static auto tie(S& s) { return std::tie(s.file); }
 };
 // Re-establish a lock after a SERVER failure (paper section 6: client-driven
 // lock reassertion). Valid only during the restarted server's grace period;
@@ -122,6 +151,7 @@ struct RenewObjReq {
 struct ReassertLockReq {
   FileId file;
   LockMode mode{LockMode::kNone};
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.mode); }
 };
 // Data ops shipped through the server (traditional client/server baseline,
 // table T5, and the NFS-style polling baseline). Storage Tank clients do
@@ -130,13 +160,16 @@ struct ReadDataReq {
   FileId file;
   std::uint64_t offset{0};
   std::uint32_t len{0};
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.offset, s.len); }
 };
 struct WriteDataReq {
   FileId file;
   std::uint64_t offset{0};
   Bytes data;
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.offset, s.data); }
 };
 
+// Alternatives are append-only: index() + 1 is the wire tag.
 using RequestBody =
     std::variant<OpenReq, CloseReq, LockReq, UnlockReq, DemandDoneReq, GetAttrReq, SetSizeReq,
                  KeepAliveReq, RegisterReq, RenewObjReq, ReadDataReq, WriteDataReq,
@@ -145,35 +178,44 @@ using RequestBody =
 // ---------------------------------------------------------------------------
 // Server -> client reply bodies (carried inside an ACK).
 
-struct OkReply {};
+struct OkReply {
+  template <class S> static auto tie(S&) { return std::tie(); }
+};
 struct ErrReply {
   ErrorCode code{ErrorCode::kInvalidArgument};
+  template <class S> static auto tie(S& s) { return std::tie(s.code); }
 };
 struct OpenReply {
   FileId file;
   FileAttr attr;
   std::vector<Extent> extents;
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.attr, s.extents); }
 };
 struct LockReply {
   bool granted{false};
   LockMode mode{LockMode::kNone};
   std::uint32_t gen{0};        // lock generation of this grant (granted only)
   std::uint64_t cookie{0};     // per-grant secret to echo in releases (granted only)
+  template <class S> static auto tie(S& s) { return std::tie(s.granted, s.mode, s.gen, s.cookie); }
 };
 struct AttrReply {
   FileAttr attr;
   std::vector<Extent> extents;
+  template <class S> static auto tie(S& s) { return std::tie(s.attr, s.extents); }
 };
 struct RegisterReply {
   std::uint32_t epoch{0};
   // Bumped every time the server restarts; a change tells the client the
   // server lost its lock state and reassertion is in order.
   std::uint32_t incarnation{1};
+  template <class S> static auto tie(S& s) { return std::tie(s.epoch, s.incarnation); }
 };
 struct DataReply {
   Bytes data;
+  template <class S> static auto tie(S& s) { return std::tie(s.data); }
 };
 
+// Alternatives are append-only: index() + 1 is the wire tag.
 using ReplyBody =
     std::variant<OkReply, ErrReply, OpenReply, LockReply, AttrReply, RegisterReply, DataReply>;
 
@@ -195,6 +237,7 @@ struct LockDemand {
   FileId file;
   LockMode max_mode{LockMode::kNone};
   std::uint32_t gen{0};  // generation of the holder's lock being demanded
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.max_mode, s.gen); }
 };
 
 // Grants a previously queued lock request (LockReply{granted=false}) once
@@ -204,8 +247,10 @@ struct LockGrant {
   LockMode mode{LockMode::kNone};
   std::uint32_t gen{0};
   std::uint64_t cookie{0};  // per-grant secret to echo in releases
+  template <class S> static auto tie(S& s) { return std::tie(s.file, s.mode, s.gen, s.cookie); }
 };
 
+// Alternatives are append-only: index() + 1 is the wire tag.
 using ServerBody = std::variant<LockDemand, LockGrant>;
 
 // ---------------------------------------------------------------------------
@@ -243,8 +288,5 @@ struct Frame {
   }
   return "?";
 }
-
-// Human-readable tag of a request body, for traces.
-[[nodiscard]] const char* request_name(const RequestBody& body);
 
 }  // namespace stank::protocol

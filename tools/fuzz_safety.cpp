@@ -42,9 +42,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -305,11 +307,13 @@ bool violates(const workload::ScenarioConfig& cfg) {
 
 // Re-runs a (deterministic) episode with the flight recorder attached and
 // saves the binary trace next to the replay file, so a developer picking the
-// repro up can open the timeline without reconstructing anything.
-void dump_trace(workload::ScenarioConfig cfg, const std::string& path) {
+// repro up can open the timeline without reconstructing anything. Returns
+// that run's result, which the replay header reports.
+EpisodeResult dump_trace(workload::ScenarioConfig cfg, const std::string& path) {
   cfg.enable_trace = true;
-  (void)run_episode(cfg, nullptr, path);
+  EpisodeResult r = run_episode(cfg, nullptr, path);
   std::printf("flight trace written to %s (inspect with tools/trace_dump)\n", path.c_str());
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -317,55 +321,83 @@ void dump_trace(workload::ScenarioConfig cfg, const std::string& path) {
 // self-contained (no re-derivation from the RNG needed — which is what lets
 // the shrinker persist a minimized plan).
 
-void write_replay(const std::string& path, const Episode& ep,
-                  const verify::ViolationSummary& v, const net::NetStats& net) {
+// The replay keys in file order, each bound to the field it holds.
+// write_replay and read_replay both walk this one list, so no field can be
+// written and not read back. `byzantine` and `failure` take one line per
+// entry.
+template <typename Ep, typename F>
+void replay_fields(Ep& ep, F&& field) {
+  auto& c = ep.cfg;
+  field("episode_seed", ep.seed);
+  field("mode", ep.negative);  // "negative" or "valid"
+  field("pattern", c.workload.pattern);
+  field("num_clients", c.workload.num_clients);
+  field("num_files", c.workload.num_files);
+  field("file_blocks", c.workload.file_blocks);
+  field("read_fraction", c.workload.read_fraction);
+  field("mean_interarrival_s", c.workload.mean_interarrival_s);
+  field("zipf_s", c.workload.zipf_s);
+  field("run_seconds", c.workload.run_seconds);
+  field("workload_seed", c.workload.seed);
+  field("tau_s_ns", c.lease.tau.ns);
+  field("epsilon", c.lease.epsilon);
+  field("clock_skew_mode", c.clock_skew_mode);
+  field("tau_c_ns", c.client_tau.ns);
+  field("client_rate_scale", c.client_rate_scale);
+  field("net_latency_ns", c.control_net.latency.ns);
+  field("net_jitter_ns", c.control_net.jitter.ns);
+  field("net_drop", c.control_net.drop_probability);
+  field("net_dup", c.control_net.dup_probability);
+  field("net_reorder_prob", c.control_net.reorder_probability);
+  field("net_reorder_spike_ns", c.control_net.reorder_spike.ns);
+  field("net_ge_good_to_bad", c.control_net.ge_good_to_bad);
+  field("net_ge_bad_to_good", c.control_net.ge_bad_to_good);
+  field("net_burst_loss", c.control_net.burst_loss);
+  field("recovery", c.recovery);
+  field("demand_timeout_ns", c.demand_timeout.ns);
+  field("byzantine", c.byzantine);  // client index, behavior mask, skew
+  field("failure", c.failures.events);  // at, kind, client index, param
+}
+
+using ByzantineMap = decltype(workload::ScenarioConfig::byzantine);
+
+// The header states the verdict and net counters of the run `r` — the
+// episode exactly as the file body describes it.
+void write_replay(const std::string& path, const Episode& ep, const EpisodeResult& r) {
   std::ofstream f(path);
-  const workload::ScenarioConfig& c = ep.cfg;
+  // Every double at full precision: the replay must be the episode, not a
+  // neighbour of it.
+  f.precision(std::numeric_limits<double>::max_digits10);
+  const verify::ViolationSummary& v = r.violations;
   f << "# stank fuzz_safety replay v1\n";
   f << "# violations: write_order=" << v.write_order << " stale_reads=" << v.stale_reads
     << " lost_updates=" << v.lost_updates << "\n";
-  f << "# net: " << net.summary() << "\n";
-  f << "episode_seed=" << ep.seed << "\n";
-  f << "mode=" << (ep.negative ? "negative" : "valid") << "\n";
-  f << "pattern=" << static_cast<int>(c.workload.pattern) << "\n";
-  f << "num_clients=" << c.workload.num_clients << "\n";
-  f << "num_files=" << c.workload.num_files << "\n";
-  f << "file_blocks=" << c.workload.file_blocks << "\n";
-  f << "read_fraction=" << c.workload.read_fraction << "\n";
-  f << "mean_interarrival_s=" << c.workload.mean_interarrival_s << "\n";
-  f << "zipf_s=" << c.workload.zipf_s << "\n";
-  f << "run_seconds=" << c.workload.run_seconds << "\n";
-  f << "workload_seed=" << c.workload.seed << "\n";
-  f << "tau_s_ns=" << c.lease.tau.ns << "\n";
-  f << "epsilon=" << c.lease.epsilon << "\n";
-  f << "clock_skew_mode=" << c.clock_skew_mode << "\n";
-  f << "tau_c_ns=" << c.client_tau.ns << "\n";
-  f << "client_rate_scale=" << c.client_rate_scale << "\n";
-  f << "net_latency_ns=" << c.control_net.latency.ns << "\n";
-  f << "net_jitter_ns=" << c.control_net.jitter.ns << "\n";
-  f << "net_drop=" << c.control_net.drop_probability << "\n";
-  f << "net_dup=" << c.control_net.dup_probability << "\n";
-  f << "net_reorder_prob=" << c.control_net.reorder_probability << "\n";
-  f << "net_reorder_spike_ns=" << c.control_net.reorder_spike.ns << "\n";
-  f << "net_ge_good_to_bad=" << c.control_net.ge_good_to_bad << "\n";
-  f << "net_ge_bad_to_good=" << c.control_net.ge_bad_to_good << "\n";
-  f << "net_burst_loss=" << c.control_net.burst_loss << "\n";
-  f << "recovery=" << static_cast<int>(c.recovery) << "\n";
-  f << "demand_timeout_ns=" << c.demand_timeout.ns << "\n";
-  for (const auto& [idx, spec] : c.byzantine) {
-    f << "byzantine=" << idx << " " << spec.mask() << " " << spec.send_time_skew_s << "\n";
-  }
-  for (const auto& ev : c.failures.events) {
-    f << "failure=" << ev.at_s << " " << static_cast<int>(ev.kind) << " " << ev.client_idx
-      << " " << ev.param_s << "\n";
-  }
+  f << "# net: " << r.net.summary() << "\n";
+  replay_fields(ep, [&](const char* key, const auto& val) {
+    using T = std::decay_t<decltype(val)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      f << key << "=" << (val ? "negative" : "valid") << "\n";
+    } else if constexpr (std::is_enum_v<T>) {
+      f << key << "=" << static_cast<int>(val) << "\n";
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      f << key << "=" << val << "\n";
+    } else if constexpr (std::is_same_v<T, ByzantineMap>) {
+      for (const auto& [idx, spec] : val) {
+        f << key << "=" << idx << " " << spec.mask() << " " << spec.send_time_skew_s << "\n";
+      }
+    } else {
+      for (const workload::FailureEvent& ev : val) {
+        f << key << "=" << ev.at_s << " " << static_cast<int>(ev.kind) << " " << ev.client_idx
+          << " " << ev.param_s << "\n";
+      }
+    }
+  });
 }
 
 std::optional<Episode> read_replay(const std::string& path) {
   std::ifstream f(path);
   if (!f) return std::nullopt;
   Episode ep;
-  workload::ScenarioConfig& c = ep.cfg;
   std::string line;
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -374,52 +406,39 @@ std::optional<Episode> read_replay(const std::string& path) {
     const std::string key = line.substr(0, eq);
     const std::string val = line.substr(eq + 1);
     std::istringstream in(val);
-    if (key == "episode_seed") in >> ep.seed;
-    else if (key == "mode") ep.negative = val == "negative";
-    else if (key == "pattern") { int p; in >> p; c.workload.pattern = static_cast<workload::Pattern>(p); }
-    else if (key == "num_clients") in >> c.workload.num_clients;
-    else if (key == "num_files") in >> c.workload.num_files;
-    else if (key == "file_blocks") in >> c.workload.file_blocks;
-    else if (key == "read_fraction") in >> c.workload.read_fraction;
-    else if (key == "mean_interarrival_s") in >> c.workload.mean_interarrival_s;
-    else if (key == "zipf_s") in >> c.workload.zipf_s;
-    else if (key == "run_seconds") in >> c.workload.run_seconds;
-    else if (key == "workload_seed") in >> c.workload.seed;
-    else if (key == "tau_s_ns") in >> c.lease.tau.ns;
-    else if (key == "epsilon") in >> c.lease.epsilon;
-    else if (key == "clock_skew_mode") in >> c.clock_skew_mode;
-    else if (key == "tau_c_ns") in >> c.client_tau.ns;
-    else if (key == "client_rate_scale") in >> c.client_rate_scale;
-    else if (key == "net_latency_ns") in >> c.control_net.latency.ns;
-    else if (key == "net_jitter_ns") in >> c.control_net.jitter.ns;
-    else if (key == "net_drop") in >> c.control_net.drop_probability;
-    else if (key == "net_dup") in >> c.control_net.dup_probability;
-    else if (key == "net_reorder_prob") in >> c.control_net.reorder_probability;
-    else if (key == "net_reorder_spike_ns") in >> c.control_net.reorder_spike.ns;
-    else if (key == "net_ge_good_to_bad") in >> c.control_net.ge_good_to_bad;
-    else if (key == "net_ge_bad_to_good") in >> c.control_net.ge_bad_to_good;
-    else if (key == "net_burst_loss") in >> c.control_net.burst_loss;
-    else if (key == "recovery") { int m; in >> m; c.recovery = static_cast<server::RecoveryMode>(m); }
-    else if (key == "demand_timeout_ns") in >> c.demand_timeout.ns;
-    else if (key == "byzantine") {
-      std::size_t idx = 0;
-      std::uint32_t behavior_mask = 0;
-      double skew = 0.0;
-      in >> idx >> behavior_mask >> skew;
-      c.byzantine[idx] = client::ByzantineSpec::from_mask(behavior_mask, skew);
-      ep.byzantine = true;
-    }
-    else if (key == "failure") {
-      workload::FailureEvent ev;
-      int kind = 0;
-      in >> ev.at_s >> kind >> ev.client_idx >> ev.param_s;
-      ev.kind = static_cast<workload::FailureKind>(kind);
-      c.failures.events.push_back(ev);
-    } else {
+    bool known = false;
+    replay_fields(ep, [&](const char* name, auto& field) {
+      if (known || key != name) return;
+      known = true;
+      using T = std::decay_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, bool>) {
+        field = val == "negative";
+      } else if constexpr (std::is_enum_v<T>) {
+        int e = 0;
+        in >> e;
+        field = static_cast<T>(e);
+      } else if constexpr (std::is_arithmetic_v<T>) {
+        in >> field;
+      } else if constexpr (std::is_same_v<T, ByzantineMap>) {
+        std::size_t idx = 0;
+        std::uint32_t behavior_mask = 0;
+        double skew = 0.0;
+        in >> idx >> behavior_mask >> skew;
+        field[idx] = client::ByzantineSpec::from_mask(behavior_mask, skew);
+      } else {
+        workload::FailureEvent ev;
+        int kind = 0;
+        in >> ev.at_s >> kind >> ev.client_idx >> ev.param_s;
+        ev.kind = static_cast<workload::FailureKind>(kind);
+        field.push_back(ev);
+      }
+    });
+    if (!known) {
       std::fprintf(stderr, "replay: unknown key '%s'\n", key.c_str());
       return std::nullopt;
     }
   }
+  ep.byzantine = !ep.cfg.byzantine.empty();
   return ep;
 }
 
@@ -658,9 +677,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const Episode ep = generate(seed, first_violating, negative, byzantine);
-    write_replay(out_path, ep, results[first_violating].violations,
-                 results[first_violating].net);
-    dump_trace(ep.cfg, out_path + ".trace");
+    write_replay(out_path, ep, dump_trace(ep.cfg, out_path + ".trace"));
     std::printf("negative control OK: %zu/%zu episodes violated as expected.\n"
                 "replayable example: seed %llu -> %s\n",
                 violating, episodes, static_cast<unsigned long long>(ep.seed),
@@ -680,9 +697,9 @@ int main(int argc, char** argv) {
                 "replay written to %s\n",
                 ep.cfg.failures.events.size(), ep.cfg.byzantine.size(), shrink_runs,
                 out_path.c_str());
-    write_replay(out_path, ep, results[first_violating].violations,
-                 results[first_violating].net);
-    dump_trace(ep.cfg, out_path + ".trace");
+    // The header comes from a run of the SHRUNK episode, the one the file
+    // body describes.
+    write_replay(out_path, ep, dump_trace(ep.cfg, out_path + ".trace"));
     return 1;
   }
 
