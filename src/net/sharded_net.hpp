@@ -18,10 +18,10 @@
 // (arrival time, source shard, source sequence) order and injects them into
 // its ControlNet's per-destination delivery queues with fresh local sequence
 // numbers, so co-timed cross-shard arrivals drain in exactly that order —
-// deterministic across worker-thread counts. The conservative lookahead
-// contract (no arrival may land inside the window it was sent in) is
-// asserted per datagram: it holds whenever the base one-way latency is at
-// least the engine's window, which the constructor checks.
+// deterministic across worker-thread counts. The fabric's lookahead is its
+// base one-way latency, and the engine takes that as its window, so the
+// conservative contract (no arrival lands inside the window it was sent in)
+// holds by construction; it is still asserted per datagram.
 //
 // With one shard the mailboxes are never touched and shard(0) behaves
 // exactly like a standalone ControlNet.
@@ -67,11 +67,15 @@ class ShardedNet final : public sim::ShardExchange {
   // ShardExchange: drains every mailbox destined for dst_shard, merges in
   // (arrival, source shard, source seq) order, injects into the shard net.
   void deliver(unsigned dst_shard, sim::SimTime window_end) override;
+  // ShardExchange: every datagram takes at least the base latency (jitter,
+  // reorder spikes and bucketing only add), so that is the window.
+  [[nodiscard]] sim::Duration lookahead() const override { return nets_[0]->config().latency; }
 
   // Aggregate of the per-shard fabrics' counters.
   [[nodiscard]] NetStats stats() const;
 
-  // Applies a config to every shard fabric (setup-time only).
+  // Applies a config to every shard fabric (between run_until calls). A new
+  // latency becomes the engine's window at its next run_until.
   void set_config(const NetConfig& cfg);
 
   // Arms mailbox telemetry: per-(src,dst) exchange volume, cross-shard

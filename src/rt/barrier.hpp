@@ -1,11 +1,12 @@
 // Reusable synchronization barrier for the sharded simulation engine.
 //
-// The window loop synchronizes K shard workers twice per 10us simulated
-// window, so a conservative parallel run crosses the barrier hundreds of
-// thousands of times. std::barrier's completion-function machinery and
-// futex round trips are measurable at that rate; this barrier spins briefly
-// (windows are short, the other workers are usually already arriving) and
-// then yields, so it degrades gracefully when workers outnumber cores.
+// The window loop synchronizes K shard workers twice per simulated window
+// (200us, the ControlNet lookahead), so a conservative parallel run crosses
+// the barrier ten thousand times per simulated second. std::barrier's
+// completion-function machinery and futex round trips are measurable at that
+// rate; this barrier spins briefly (windows are short, the other workers are
+// usually already arriving) and then yields, so it degrades gracefully when
+// workers outnumber cores.
 //
 // Memory ordering: arrive_and_wait() is a full rendezvous — every write a
 // participant made before arriving happens-before every read any participant

@@ -12,7 +12,6 @@ namespace stank::sim {
 
 ShardedEngine::ShardedEngine(Config cfg) : cfg_(cfg) {
   STANK_ASSERT_MSG(cfg.shards >= 1, "need at least one shard");
-  STANK_ASSERT_MSG(cfg.window.ns > 0, "window must be positive");
   shards_.reserve(cfg.shards);
   for (unsigned s = 0; s < cfg.shards; ++s) {
     shards_.push_back(std::make_unique<Engine>());
@@ -62,13 +61,14 @@ void ShardedEngine::run_until(SimTime horizon) {
   unsigned workers = cfg_.threads != 0 ? cfg_.threads : std::thread::hardware_concurrency();
   if (workers == 0) workers = 1;
   workers = std::min<unsigned>(workers, shard_count());
-  run_windows(horizon, workers);
+  const std::int64_t w = std::min(window().ns, horizon.ns - frontier_.ns);
+  STANK_ASSERT_MSG(w > 0, "exchange lookahead must be positive");
+  run_windows(horizon, w, workers);
   frontier_ = horizon;
 }
 
-void ShardedEngine::run_windows(SimTime horizon, unsigned workers) {
+void ShardedEngine::run_windows(SimTime horizon, std::int64_t w, unsigned workers) {
   const unsigned k = shard_count();
-  const std::int64_t w = cfg_.window.ns;
   obs::Counters* const ctr = tel_.counters;
   const std::uint64_t snap_every = ctr != nullptr ? tel_.snapshot_every_windows : 0;
   rt::Barrier barrier(workers);

@@ -4,24 +4,25 @@
 // full serial Engine (its own event queue, clock and — by construction of
 // the fabrics above it — its own RNG streams). Shards advance concurrently
 // under conservative time-window synchronization: simulated time is cut into
-// fixed windows of length `window` (by default the ControlNet delivery
-// bucket, 10us), every shard runs its own events for the window with no
+// windows, every shard runs its own events for the window with no
 // cross-shard interaction, and at the window barrier cross-shard traffic is
 // exchanged through the registered ShardExchange (per-(src,dst) SPSC
 // mailboxes in net::ShardedNet). The scheme is safe iff no event on one
-// shard can affect another shard within the same window — i.e. the minimum
-// cross-shard propagation delay (the ControlNet base latency, 200us by
-// default) is at least `window`. The exchange asserts that contract per
-// datagram.
+// shard can affect another shard within the same window, i.e. the window is
+// no longer than the minimum cross-shard propagation delay. The window is
+// therefore not a knob: it IS the exchange's lookahead (the ControlNet base
+// latency, 200us by default), read at the start of every run_until. With no
+// exchange the shards cannot interact, and one window spans the whole
+// run_until. The exchange asserts the contract per datagram.
 //
 // Determinism contract:
-//  * A fixed (seed, K) run is bit-identical regardless of worker-thread
-//    count: shard execution within a window touches only shard-local state,
-//    mailboxes are single-producer/single-consumer with the barrier
-//    providing the ordering, and co-timed cross-shard arrivals are merged in
-//    (arrival time, source shard, source sequence) order at the barrier.
-//    Worker count only changes which OS thread runs a shard, never what the
-//    shard computes.
+//  * A fixed (seed, K, NetConfig) run is bit-identical regardless of
+//    worker-thread count: shard execution within a window touches only
+//    shard-local state, mailboxes are single-producer/single-consumer with
+//    the barrier providing the ordering, and co-timed cross-shard arrivals
+//    are merged in (arrival time, source shard, source sequence) order at
+//    the barrier. Worker count only changes which OS thread runs a shard,
+//    never what the shard computes.
 //  * K = 1 runs the same window loop on one worker (parallel_for runs it
 //    inline, a one-party barrier returns at once) and reproduces the serial
 //    engine byte for byte: cutting run_until() at window edges executes the
@@ -58,15 +59,15 @@ class ShardExchange {
   // that shard's engine. Everything scheduled must lie at or beyond
   // window_end — the conservative lookahead contract.
   virtual void deliver(unsigned dst_shard, SimTime window_end) = 0;
+  // Minimum cross-shard propagation delay: the engine's window length.
+  // Must be positive; may change between run_until calls.
+  [[nodiscard]] virtual Duration lookahead() const = 0;
 };
 
 class ShardedEngine {
  public:
   struct Config {
     unsigned shards{1};
-    // Window length = cross-shard lookahead. Must not exceed the minimum
-    // cross-shard propagation delay of the fabrics built on top.
-    Duration window{micros(10)};
     // Worker threads for run_until (0 = hardware_concurrency), capped at the
     // shard count. Affects wall-clock only, never results.
     unsigned threads{0};
@@ -79,7 +80,11 @@ class ShardedEngine {
   [[nodiscard]] unsigned shard_count() const { return static_cast<unsigned>(shards_.size()); }
   [[nodiscard]] Engine& shard(unsigned s) { return *shards_[s]; }
   [[nodiscard]] const Engine& shard(unsigned s) const { return *shards_[s]; }
-  [[nodiscard]] Duration window() const { return cfg_.window; }
+  // The window the next run_until uses: the exchange's lookahead, or
+  // unbounded (one window per run_until) when no exchange is registered.
+  [[nodiscard]] Duration window() const {
+    return exchange_ != nullptr ? exchange_->lookahead() : Duration{Engine::kNever.ns};
+  }
 
   // The synchronized window frontier: every shard has run to at least here.
   [[nodiscard]] SimTime now() const { return frontier_; }
@@ -108,7 +113,8 @@ class ShardedEngine {
   };
   void set_telemetry(Telemetry tel);
 
-  // Advances every shard to `horizon` under window synchronization. With one
+  // Advances every shard to `horizon` under window synchronization, with
+  // the window read from window() once at the start of the call. With one
   // shard the result is exactly Engine::run_until on the lone shard.
   void run_until(SimTime horizon);
 
@@ -130,7 +136,7 @@ class ShardedEngine {
     obs::Counters::HistId barrier_wait_hist;
   };
 
-  void run_windows(SimTime horizon, unsigned workers);
+  void run_windows(SimTime horizon, std::int64_t w, unsigned workers);
   void snapshot_tick(SimTime window_end);
   void fold_wait_stats(unsigned workers);
 

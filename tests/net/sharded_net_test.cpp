@@ -28,8 +28,10 @@ NetConfig quiet_net() {
 struct Fixture {
   sim::ShardedEngine engine;
   ShardedNet net;
-  // (from, first payload byte) in delivery order at the receiver.
+  // (from, first payload byte) in delivery order at the receiver, and the
+  // receiver shard's clock at each delivery.
   std::vector<std::pair<std::uint32_t, std::uint8_t>> received;
+  std::vector<std::int64_t> received_at_ns;
 
   explicit Fixture(unsigned shards, unsigned threads, NetConfig cfg = quiet_net())
       : engine(make_cfg(shards, threads)), net(engine, sim::Rng(7), cfg) {}
@@ -43,8 +45,9 @@ struct Fixture {
 
   void listen(NodeId node, unsigned shard) {
     net.place(node, shard);
-    net.shard(shard).attach(node, [this](NodeId from, const Bytes& b) {
+    net.shard(shard).attach(node, [this, shard](NodeId from, const Bytes& b) {
       received.emplace_back(from.value(), b.empty() ? 0 : b[0]);
+      received_at_ns.push_back(engine.shard(shard).now().ns);
     });
   }
 };
@@ -62,6 +65,77 @@ TEST(ShardedNet, CrossShardDeliveryAtExactLatency) {
   EXPECT_EQ(f.received[0], (std::pair<std::uint32_t, std::uint8_t>{1u, 42}));
   EXPECT_EQ(f.net.stats().sent, 1u);
   EXPECT_EQ(f.net.stats().delivered, 1u);
+}
+
+// The engine's window is the net's latency. set_config may lower the latency
+// between runs; the engine must pick the new window up at its next
+// run_until. A ping-pong at the new 50us latency would land inside a 200us
+// window and trip the per-datagram lookahead assert, so exact arrivals prove
+// the narrower window was used.
+TEST(ShardedNet, EngineWindowFollowsTheNetLatency) {
+  Fixture f(2, 2);
+  EXPECT_EQ(f.engine.window(), quiet_net().latency);
+  f.net.place(NodeId{1}, 0);
+  f.net.place(NodeId{2}, 1);
+  f.engine.run_until(sim::SimTime{} + sim::millis(1));
+  NetConfig fast = quiet_net();
+  fast.latency = sim::micros(50);
+  f.net.set_config(fast);
+  EXPECT_EQ(f.engine.window(), sim::micros(50));
+  f.engine.shard(0).schedule_at(sim::SimTime{} + sim::millis(1) + sim::micros(10), [&]() {
+    f.net.shard(0).send(NodeId{1}, NodeId{2}, Bytes{1});
+  });
+  // Hops alternate shards, so the handlers never run in the same window.
+  f.net.shard(1).attach(NodeId{2}, [&](NodeId, const Bytes& b) {
+    f.received_at_ns.push_back(f.engine.shard(1).now().ns);
+    const std::uint8_t next = b[0] + 1;
+    if (next < 6) f.net.shard(1).send(NodeId{2}, NodeId{1}, Bytes{next});
+  });
+  f.net.shard(0).attach(NodeId{1}, [&](NodeId, const Bytes& b) {
+    f.received_at_ns.push_back(f.engine.shard(0).now().ns);
+    const std::uint8_t next = b[0] + 1;
+    f.net.shard(0).send(NodeId{1}, NodeId{2}, Bytes{next});
+  });
+  f.engine.run_until(sim::SimTime{} + sim::millis(2));
+  // Five hops arrive 50us apart, the first 50us after the 1.01ms send.
+  EXPECT_EQ(f.received_at_ns,
+            (std::vector<std::int64_t>{1'060'000, 1'110'000, 1'160'000, 1'210'000, 1'260'000}));
+}
+
+// Zero jitter, sent at the first instant after an idle skip: the engine skips
+// [200us, 1ms) and starts the next window exactly at 1ms, so datagrams sent
+// there arrive at exactly that window's end (1ms + L). Each is delivered
+// once, at send + L, and the drain order is the co-timed contract below at
+// every thread count.
+TEST(ShardedNet, ArrivalExactlyAtWindowEndAfterIdleSkip) {
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint8_t>>> runs;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Fixture f(3, threads);
+    f.net.place(NodeId{11}, 0);
+    f.net.place(NodeId{12}, 1);
+    f.net.place(NodeId{13}, 2);
+    f.listen(NodeId{10}, 0);
+    const sim::SimTime at = sim::SimTime{} + sim::millis(1);
+    f.engine.shard(2).schedule_at(at, [&]() {
+      f.net.shard(2).send(NodeId{13}, NodeId{10}, Bytes{0});
+    });
+    f.engine.shard(1).schedule_at(at, [&]() {
+      f.net.shard(1).send(NodeId{12}, NodeId{10}, Bytes{0});
+      f.net.shard(1).send(NodeId{12}, NodeId{10}, Bytes{1});
+    });
+    f.engine.shard(0).schedule_at(at, [&]() {
+      f.net.shard(0).send(NodeId{11}, NodeId{10}, Bytes{0});
+    });
+    f.engine.run_until(sim::SimTime{} + sim::millis(3));
+    EXPECT_EQ(f.received_at_ns, std::vector<std::int64_t>(4, 1'200'000)) << "threads=" << threads;
+    EXPECT_EQ(f.net.stats().delivered, 4u);
+    runs.push_back(f.received);
+  }
+  const std::vector<std::pair<std::uint32_t, std::uint8_t>> want = {
+      {11u, 0}, {12u, 0}, {12u, 1}, {13u, 0}};
+  EXPECT_EQ(runs[0], want);
+  EXPECT_EQ(runs[1], want);
+  EXPECT_EQ(runs[2], want);
 }
 
 // Five datagrams from three shards, all sent at t=0 with zero jitter, all

@@ -38,6 +38,27 @@ void build_schedule(Engine& eng, Log& log) {
   e->schedule_at(SimTime{5'000'000}, [&log, e]() { log.emplace_back(e->now().ns, 5); });
 }
 
+// Exchange double: declares a fixed lookahead (the engine's window) and
+// records every (dst_shard, window_end) delivery callback.
+class CountingExchange final : public ShardExchange {
+ public:
+  CountingExchange(unsigned shards, Duration lookahead)
+      : per_shard_(shards), lookahead_(lookahead) {}
+  void deliver(unsigned dst_shard, SimTime window_end) override {
+    // Called from the worker that owns dst_shard; per-shard vectors make
+    // the recording race-free by construction, like the engine's own state.
+    per_shard_[dst_shard].push_back(window_end.ns);
+  }
+  [[nodiscard]] Duration lookahead() const override { return lookahead_; }
+  [[nodiscard]] const std::vector<std::int64_t>& calls(unsigned s) const {
+    return per_shard_[s];
+  }
+
+ private:
+  std::vector<std::vector<std::int64_t>> per_shard_;
+  Duration lookahead_;
+};
+
 TEST(ShardedEngine, K1MatchesSerialEngine) {
   Log serial_log;
   Engine serial;
@@ -66,6 +87,9 @@ TEST(ShardedEngine, ThreadCountDoesNotChangeExecution) {
     cfg.shards = 4;
     cfg.threads = threads;
     ShardedEngine eng(cfg);
+    // A 30ns lookahead cuts the schedule into many windows.
+    CountingExchange ex(cfg.shards, Duration{30});
+    eng.set_exchange(&ex);
     std::vector<Log> logs(cfg.shards);
     for (unsigned s = 0; s < cfg.shards; ++s) {
       build_schedule(eng.shard(s), logs[s]);
@@ -83,14 +107,17 @@ TEST(ShardedEngine, ThreadCountDoesNotChangeExecution) {
 }
 
 TEST(ShardedEngine, IdleGapsAreSkippedWithoutLosingEvents) {
-  // Two events five simulated seconds apart on different shards: without the
-  // deterministic idle-skip this is 500,000 ten-microsecond windows of pure
-  // barrier traffic; with it, a handful. Correctness check: both fire, at
-  // their exact times, and every shard clock reaches the horizon.
+  // Two events five simulated seconds apart on different shards, under the
+  // ControlNet's 200us lookahead: without the deterministic idle-skip this is
+  // 30,000 windows of pure barrier traffic; with it, two (one per event, each
+  // followed by a skip). Correctness check: both fire, at their exact times,
+  // and every shard clock reaches the horizon.
   ShardedEngine::Config cfg;
   cfg.shards = 2;
   cfg.threads = 2;
   ShardedEngine eng(cfg);
+  CountingExchange ex(cfg.shards, micros(200));
+  eng.set_exchange(&ex);
   Log log0;
   Log log1;
   eng.shard(0).schedule_at(SimTime{1'000}, [&]() { log0.emplace_back(eng.shard(0).now().ns, 1); });
@@ -104,6 +131,7 @@ TEST(ShardedEngine, IdleGapsAreSkippedWithoutLosingEvents) {
   EXPECT_EQ(log1[0].first, 5'000'000'000);
   EXPECT_EQ(eng.shard(0).now().ns, 6'000'000'000);
   EXPECT_EQ(eng.shard(1).now().ns, 6'000'000'000);
+  EXPECT_EQ(ex.calls(0), (std::vector<std::int64_t>{200'000, 5'000'200'000}));
 }
 
 TEST(ShardedEngine, RunUntilIsResumable) {
@@ -127,29 +155,12 @@ TEST(ShardedEngine, RunUntilIsResumable) {
   EXPECT_EQ(eng.now().ns, 3'000'000);
 }
 
-// Exchange double: records every (dst_shard, window_end) delivery callback.
-class CountingExchange final : public ShardExchange {
- public:
-  explicit CountingExchange(unsigned shards) : per_shard_(shards) {}
-  void deliver(unsigned dst_shard, SimTime window_end) override {
-    // Called from the worker that owns dst_shard; per-shard vectors make
-    // the recording race-free by construction, like the engine's own state.
-    per_shard_[dst_shard].push_back(window_end.ns);
-  }
-  [[nodiscard]] const std::vector<std::int64_t>& calls(unsigned s) const {
-    return per_shard_[s];
-  }
-
- private:
-  std::vector<std::vector<std::int64_t>> per_shard_;
-};
-
 TEST(ShardedEngine, ExchangeRunsOncePerShardPerWindowInOrder) {
   ShardedEngine::Config cfg;
   cfg.shards = 3;
   cfg.threads = 2;
   ShardedEngine eng(cfg);
-  CountingExchange ex(cfg.shards);
+  CountingExchange ex(cfg.shards, micros(10));
   eng.set_exchange(&ex);
   // Keep one shard busy so windows actually execute.
   for (int i = 0; i < 50; ++i) {
@@ -181,6 +192,10 @@ TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
       cfg.shards = shards;
       cfg.threads = threads;
       ShardedEngine eng(cfg);
+      // The 8-window snapshot cadence needs windows much shorter than the
+      // 1ms chain: a 10us lookahead gives about a hundred.
+      CountingExchange ex(cfg.shards, micros(10));
+      eng.set_exchange(&ex);
 
       obs::Counters ctr;
       int snapshots = 0;
@@ -225,6 +240,35 @@ TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
       EXPECT_GT(ctr.merged(win), 0u);
     }
   }
+}
+
+// Without an exchange the shards cannot interact, so nothing bounds the
+// window: each run_until is exactly one window (one barrier round), however
+// far apart its events lie.
+TEST(ShardedEngine, NoExchangeRunsOneWindowPerRunUntil) {
+  ShardedEngine::Config cfg;
+  cfg.shards = 4;
+  cfg.threads = 4;
+  ShardedEngine eng(cfg);
+  EXPECT_EQ(eng.window().ns, Engine::kNever.ns);
+  obs::Counters ctr;
+  ShardedEngine::Telemetry tel;
+  tel.counters = &ctr;
+  eng.set_telemetry(std::move(tel));
+  ctr.freeze(cfg.shards);
+  const obs::Counters::Id win = ctr.find("engine.windows");
+  std::vector<int> fired(cfg.shards, 0);  // per shard: workers never share a slot
+  for (unsigned s = 0; s < cfg.shards; ++s) {
+    eng.shard(s).schedule_at(SimTime{1'000 + s}, [&fired, s]() { ++fired[s]; });
+    eng.shard(s).schedule_at(SimTime{3'000'000'000 + s}, [&fired, s]() { ++fired[s]; });
+  }
+  eng.run_until(SimTime{2'000'000'000});
+  EXPECT_EQ(ctr.merged(win), 1u);
+  EXPECT_EQ(fired, std::vector<int>(cfg.shards, 1));
+  eng.run_until(SimTime{4'000'000'000});
+  EXPECT_EQ(ctr.merged(win), 2u);
+  EXPECT_EQ(fired, std::vector<int>(cfg.shards, 2));
+  EXPECT_EQ(ctr.merged(ctr.find("engine.idle_windows")), 0u);
 }
 
 TEST(ShardedEngine, CountsAggregateAcrossShards) {
