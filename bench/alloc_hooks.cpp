@@ -8,6 +8,7 @@
 #include "alloc_hooks.hpp"
 
 #include <execinfo.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,6 +20,18 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
 std::atomic<bool> g_trap{false};
+std::atomic<std::uint64_t> g_live{0};
+std::atomic<std::uint64_t> g_high{0};
+
+void note_alloc(void* p) {
+  if (p == nullptr) return;
+  const std::uint64_t n = malloc_usable_size(p);
+  const std::uint64_t live = g_live.fetch_add(n, std::memory_order_relaxed) + n;
+  std::uint64_t high = g_high.load(std::memory_order_relaxed);
+  while (live > high &&
+         !g_high.compare_exchange_weak(high, live, std::memory_order_relaxed)) {
+  }
+}
 
 [[noreturn]] void trap_fire() {
   // Disarmed by the exchange in the caller, so the backtrace machinery's own
@@ -37,7 +50,9 @@ void* counted_alloc(std::size_t size) {
     trap_fire();
   }
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
+  void* p = std::malloc(size != 0 ? size : 1);
+  note_alloc(p);
+  return p;
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
@@ -50,12 +65,14 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   if (posix_memalign(&p, align, size != 0 ? size : 1) != 0) {
     return nullptr;
   }
+  note_alloc(p);
   return p;
 }
 
 void counted_free(void* p) noexcept {
   if (p != nullptr) {
     g_frees.fetch_add(1, std::memory_order_relaxed);
+    g_live.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
     std::free(p);
   }
 }
@@ -66,6 +83,9 @@ namespace stank::bench {
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 std::uint64_t frees() { return g_frees.load(std::memory_order_relaxed); }
+std::uint64_t live_bytes() { return g_live.load(std::memory_order_relaxed); }
+std::uint64_t high_water_bytes() { return g_high.load(std::memory_order_relaxed); }
+void reset_high_water() { g_high.store(live_bytes(), std::memory_order_relaxed); }
 void trap_next_alloc(bool armed) { g_trap.store(armed, std::memory_order_relaxed); }
 
 }  // namespace stank::bench

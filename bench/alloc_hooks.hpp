@@ -5,7 +5,9 @@
 // bench/CMakeLists.txt) but NOT into the libraries or tests, so production
 // code is unaffected. Benches snapshot allocs() around their steady-state
 // window and report the delta as an `allocs` entry in their JSON report
-// line; bench_steady turns a non-zero delta into a hard failure.
+// line; bench_steady turns a non-zero delta into a hard failure. The live-byte
+// counters give a bench the heap footprint of what it builds (bench_swarm's
+// resident bytes per client).
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,14 @@ namespace stank::bench {
 [[nodiscard]] std::uint64_t allocs();
 // Number of global operator delete calls (all variants) since process start.
 [[nodiscard]] std::uint64_t frees();
+
+// Bytes currently held by live operator-new blocks, each counted at its
+// malloc_usable_size (the block as the allocator sized it, not the request).
+[[nodiscard]] std::uint64_t live_bytes();
+// Highest live_bytes() since process start or the last reset_high_water().
+[[nodiscard]] std::uint64_t high_water_bytes();
+// Restarts the high-water mark from the current live_bytes().
+void reset_high_water();
 
 // Debugging aid: while armed, the very next operator new call aborts the
 // process so a debugger/core dump shows the allocation site. Off by default.

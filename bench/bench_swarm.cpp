@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_hooks.hpp"
 #include "bench_util.hpp"
 #include "client/client.hpp"
 #include "common/table.hpp"
@@ -70,6 +71,9 @@ std::size_t pool_for(std::uint32_t n) {
 }
 constexpr double kMeanGapS = 2.0;
 constexpr double kExclusiveProb = 0.05;
+// Gate on every sharded point: bench_swarm exits 1 above this. See the
+// resident-bytes bound in DESIGN.md §12 for how it was set.
+constexpr double kResidentBytesPerClientBound = 4600.0;
 constexpr double kWarmS = 3.0;     // registration + opens finish well before this
 constexpr double kMeasureS = 8.0;  // measured steady window
 
@@ -239,7 +243,8 @@ struct ShardedPoint {
   double wall_s;
   std::uint64_t sim_events;
   double events_per_sec;
-  double bytes_per_client;
+  double wire_bytes_per_client;      // control-net bytes sent in the window / N
+  double resident_bytes_per_client;  // live-heap high-water the clients add / N
   std::uint64_t ops_ok;
   std::uint64_t ops_failed;
   std::uint64_t digest;
@@ -333,6 +338,13 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
     servers.back()->start();
   }
 
+  // Resident bytes per client count what the clients add from here on:
+  // server session tables, reply caches, net queues and engine timers grow
+  // with them, while the engine, the fabric and the servers' preallocated
+  // pool are fixed costs that would dominate at small N.
+  bench::reset_high_water();
+  const std::uint64_t live0 = bench::live_bytes();
+
   // Client i registers with server i mod K but lives on shard (i + i/K) mod K:
   // each run of K consecutive clients covers every shard once, so shards hold
   // N/K clients each; 1/K of them are co-located with their server, the rest
@@ -377,7 +389,8 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
   p.wall_s = wall;
   p.sim_events = engine.events_executed() - events0;
   p.events_per_sec = wall > 0 ? static_cast<double>(p.sim_events) / wall : 0.0;
-  p.bytes_per_client = static_cast<double>(fabric->stats().bytes - bytes0) / n;
+  p.wire_bytes_per_client = static_cast<double>(fabric->stats().bytes - bytes0) / n;
+  p.resident_bytes_per_client = static_cast<double>(bench::high_water_bytes() - live0) / n;
   p.ops_ok = 0;
   p.ops_failed = 0;
   // The digest folds in every member's op counts in index order plus the
@@ -430,8 +443,8 @@ int main() {
   std::uint64_t total_trips = 0;
   std::printf("Swarm scaling: one server, N clients of renewal-storm + Zipf lock traffic\n\n");
 
-  Table tbl({"N clients", "sim events", "wall (s)", "events/s", "bytes/client", "ops ok",
-             "ops failed"});
+  Table tbl({"N clients", "sim events", "wall (s)", "events/s", "wire B/client",
+             "resident B/client", "ops ok", "ops failed"});
   tbl.title("8 s measured window; tau = 2 s; Zipf(0.9) over pool_for(N) files; 5% exclusive");
   for (std::uint32_t n : env_u32_list("STANK_SWARM_NS", {100, 1000, 10000, 50000})) {
     const ShardedPoint p = run_sharded_swarm(n, 1, 1, telemetry);
@@ -441,22 +454,28 @@ int main() {
         .cell(p.sim_events)
         .cell(p.wall_s, 2)
         .cell(p.events_per_sec, 0)
-        .cell(p.bytes_per_client, 0)
+        .cell(p.wire_bytes_per_client, 0)
+        .cell(p.resident_bytes_per_client, 0)
         .cell(p.ops_ok)
         .cell(p.ops_failed);
     char key[48];
     std::snprintf(key, sizeof(key), "swarm_n%u_events_per_sec", p.n);
     reporter.value(key, p.events_per_sec);
-    std::snprintf(key, sizeof(key), "swarm_n%u_bytes_per_client", p.n);
-    reporter.value(key, p.bytes_per_client);
+    std::snprintf(key, sizeof(key), "swarm_n%u_wire_bytes_per_client", p.n);
+    reporter.value(key, p.wire_bytes_per_client);
+    std::snprintf(key, sizeof(key), "swarm_n%u_resident_bytes_per_client", p.n);
+    reporter.value(key, p.resident_bytes_per_client);
   }
   tbl.print(std::cout);
 
   std::printf(
       "\nReading: events/s is simulator throughput at that swarm size — flat-to-rising\n"
       "means per-event cost does not degrade with population (batched delivery, pooled\n"
-      "timer slots). bytes/client is per-client protocol overhead over the window and\n"
-      "should be roughly constant: the lease protocol's cost scales with N, not N^2.\n\n");
+      "timer slots). wire B/client is the control-net bytes each client's protocol sends\n"
+      "and receives over the window and should be roughly constant: the lease protocol's\n"
+      "cost scales with N, not N^2. resident B/client is the live-heap high-water the\n"
+      "clients add (their own state plus what they grow in servers, net and engine)\n"
+      "divided by N.\n\n");
 
   const std::uint32_t sharded_n = env_u32("STANK_SWARM_N_SHARDED", 1'000'000);
   const std::uint32_t threads_override = env_u32("STANK_SWARM_THREADS", 0xFFFFFFFFu);
@@ -467,10 +486,12 @@ int main() {
               sharded_n, static_cast<long long>(net::NetConfig{}.latency.ns / 1000));
   std::printf("Telemetry: %s (STANK_SWARM_TELEMETRY=0 to disable; must not change digests)\n\n",
               telemetry ? "counters + watchdog armed" : "dark");
-  Table stbl({"K", "threads", "sim events", "wall (s)", "events/s", "speedup", "bytes/client",
-              "ops ok", "ops failed", "imb", "mbox hw", "bar p50us", "bar p99us", "digest"});
+  Table stbl({"K", "threads", "sim events", "wall (s)", "events/s", "speedup", "wire B/client",
+              "resident B/client", "ops ok", "ops failed", "imb", "mbox hw", "bar p50us",
+              "bar p99us", "digest"});
   stbl.title("client i -> server i%K, shard (i+i/K)%K: 1/K co-located, rest cross-shard");
   double base_eps = 0.0;
+  int over_bound = 0;
   for (std::uint32_t k : ks) {
     const std::uint32_t threads = threads_override != 0xFFFFFFFFu ? threads_override : k;
     const ShardedPoint p = run_sharded_swarm(sharded_n, k, threads, telemetry);
@@ -486,7 +507,8 @@ int main() {
                     .cell(p.wall_s, 2)
                     .cell(p.events_per_sec, 0)
                     .cell(speedup, 2)
-                    .cell(p.bytes_per_client, 0)
+                    .cell(p.wire_bytes_per_client, 0)
+                    .cell(p.resident_bytes_per_client, 0)
                     .cell(p.ops_ok)
                     .cell(p.ops_failed);
     if (p.telemetry && p.k > 1) {
@@ -502,8 +524,12 @@ int main() {
     char key[96];
     std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_events_per_sec", p.n, p.k);
     reporter.value(key, p.events_per_sec);
-    std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_bytes_per_client", p.n, p.k);
-    reporter.value(key, p.bytes_per_client);
+    std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_wire_bytes_per_client", p.n, p.k);
+    reporter.value(key, p.wire_bytes_per_client);
+    std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_resident_bytes_per_client", p.n,
+                  p.k);
+    reporter.value(key, p.resident_bytes_per_client);
+    if (p.resident_bytes_per_client > kResidentBytesPerClientBound) ++over_bound;
     if (p.telemetry && p.k > 1) {
       // Shard-utilization columns for BENCH_core.json: per-shard events per
       // executed window, plus the health gauges the ROADMAP's multi-core
@@ -537,6 +563,11 @@ int main() {
     std::printf("WATCHDOG: %llu invariant probe trip(s) during the sweep — inspect before\n"
                 "trusting these numbers.\n",
                 static_cast<unsigned long long>(total_trips));
+  }
+  if (over_bound > 0) {
+    std::printf("RESIDENT: %d sharded point(s) above %.0f resident B/client.\n", over_bound,
+                kResidentBytesPerClientBound);
+    return 1;
   }
   return 0;
 }

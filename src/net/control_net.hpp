@@ -180,9 +180,13 @@ class ControlNet {
   // Pending deliveries for one destination plus its single armed drain
   // timer. armed_ns is the bucket edge the timer fires at (kNotArmed when
   // no timer is pending); keeping exactly one timer per destination, always
-  // for the earliest bucket, is the whole batching win.
+  // for the earliest bucket, is the whole batching win. A client mostly has
+  // one datagram in flight towards it, so one item lives inline; a busier
+  // destination (a server) spills to the heap once and keeps that buffer,
+  // since draining clears the items without releasing it.
+  static constexpr std::size_t kInlineItems = 1;
   struct DestQueue {
-    SmallVec<Item, 4> items;
+    SmallVec<Item, kInlineItems> items;
     sim::TimerId timer{0};
     std::int64_t armed_ns{kNotArmed};
   };

@@ -27,7 +27,7 @@ void ClientTransport::stop() {
   if (!started_) return;
   started_ = false;
   net_->detach(self_);
-  for (auto& [id, p] : pending_) {
+  for (Pending& p : pending_) {
     clock_->cancel(p.timer);
   }
   pending_.clear();
@@ -37,27 +37,34 @@ MsgId ClientTransport::send_request(RequestBody body, ReplyHandler handler, bool
   STANK_ASSERT_MSG(started_, "send_request on stopped transport");
   STANK_ASSERT(handler != nullptr);
   const MsgId id{next_msg_++};
-  Pending p;
+  Pending& p = pending_.emplace_back();
+  p.id = id;
   p.body = std::move(body);
   p.handler = std::move(handler);
   p.first_send = clock_->now();
   p.lease_only = lease_only;
   p.epoch = epoch_;
   p.session_gen = session_gen_;
-  pending_.insert(id, std::move(p));
   transmit(id);
   return id;
 }
 
+ClientTransport::Pending* ClientTransport::find_pending(MsgId id) {
+  for (Pending& p : pending_) {
+    if (p.id == id) return &p;
+  }
+  return nullptr;
+}
+
 void ClientTransport::abandon_pending() {
-  for (auto& [id, p] : pending_) {
+  for (Pending& p : pending_) {
     clock_->cancel(p.timer);
   }
   pending_.clear();
 }
 
 void ClientTransport::transmit(MsgId id) {
-  Pending* found = pending_.find(id);
+  Pending* found = find_pending(id);
   STANK_ASSERT(found != nullptr);
   Pending& p = *found;
 
@@ -99,16 +106,16 @@ void ClientTransport::send_frame(NodeId to, const Frame& f) {
 }
 
 void ClientTransport::arm_retry(MsgId id) {
-  Pending& p = *pending_.find(id);
+  Pending& p = *find_pending(id);
   p.timer = clock_->schedule_after(cfg_.retransmit_timeout, [this, id]() {
-    Pending* found = pending_.find(id);
+    Pending* found = find_pending(id);
     if (found == nullptr) {
       return;  // already answered
     }
     if (found->transmissions > cfg_.max_retries) {
       // Delivery failure: report timeout and give up.
       Pending p2 = std::move(*found);
-      pending_.erase(id);
+      pending_.swap_erase(found);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kReqTimeout, id.value(),
                      static_cast<std::uint64_t>(p2.transmissions));
@@ -133,7 +140,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
 
   switch (f.kind) {
     case FrameKind::kAck: {
-      Pending* found = pending_.find(f.msg_id);
+      Pending* found = find_pending(f.msg_id);
       if (found == nullptr) {
         return;  // duplicate ACK for an already-completed request
       }
@@ -144,7 +151,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       }
       Pending p = std::move(*found);
       clock_->cancel(p.timer);
-      pending_.erase(f.msg_id);
+      pending_.swap_erase(found);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kAckRecv, f.msg_id.value());
         rec_->span(obs::SpanKind::kRequestRtt, (clock_->now() - p.first_send).millis());
@@ -183,7 +190,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       return;
     }
     case FrameKind::kNack: {
-      Pending* found = pending_.find(f.msg_id);
+      Pending* found = find_pending(f.msg_id);
       if (found == nullptr) {
         // Duplicated or delayed NACK for a request that no longer exists —
         // possibly from before a crash/recovery. Acting on it would re-latch
@@ -197,7 +204,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       }
       Pending p = std::move(*found);
       clock_->cancel(p.timer);
-      pending_.erase(f.msg_id);
+      pending_.swap_erase(found);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kNackRecv, f.msg_id.value());
         rec_->span(obs::SpanKind::kRequestRtt, (clock_->now() - p.first_send).millis());

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/small_vec.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
@@ -98,17 +99,20 @@ class ClientTransport {
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
  private:
+  // Widest members first, so the fields pack without padding.
   struct Pending {
     RequestBody body;
     ReplyHandler handler;
+    MsgId id;
     sim::LocalTime first_send;
-    int transmissions{0};
     sim::TimerId timer{0};
-    bool lease_only{false};
-    std::uint32_t epoch{0};
     std::uint64_t session_gen{0};
+    std::uint32_t epoch{0};
+    int transmissions{0};
+    bool lease_only{false};
   };
 
+  [[nodiscard]] Pending* find_pending(MsgId id);
   void transmit(MsgId id);
   void arm_retry(MsgId id);
   void send_frame(NodeId to, const Frame& f);
@@ -134,9 +138,12 @@ class ClientTransport {
   std::uint64_t next_msg_{1};
   bool started_{false};
 
-  // Flat table: at steady state the in-flight set is small and churns via
-  // balanced insert/erase, so capacity — and therefore memory — stays fixed.
-  FlatMap<MsgId, Pending> pending_;
+  // In-flight requests, found by linear search. A client rarely has more
+  // than two in flight, so two live inline and more spill to the heap; the
+  // order is arbitrary (erase swaps the last entry in), which only
+  // stop()/abandon_pending() observe, and they merely cancel timers.
+  static constexpr std::size_t kInlinePending = 2;
+  SmallVec<Pending, kInlinePending> pending_;
   // Recently seen server-msg ids, to suppress duplicate delivery while still
   // re-ACKing (the ACK may have been lost). The window is bounded
   // (reply_cache_size); ids evicted from it are covered by the monotone

@@ -1,5 +1,6 @@
 #include "protocol/server_transport.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -33,9 +34,28 @@ void ServerTransport::stop() {
   out_msgs_.clear();
 }
 
-ServerTransport::Session& ServerTransport::session(NodeId client, std::uint32_t epoch) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(client.value()) << 32) | epoch;
-  return sessions_[key];
+ServerTransport::Cached* ServerTransport::Session::find(MsgId id) {
+  if (id.value() > max_id) return nullptr;
+  // Newest first: the reply being stored, or the request being
+  // retransmitted, is almost always a recent one. Slots [0, oldest) are
+  // newer than [oldest, size).
+  for (std::size_t i = oldest; i-- > 0;) {
+    if (ring[i].id == id) return &ring[i];
+  }
+  for (std::size_t i = ring.size(); i-- > oldest;) {
+    if (ring[i].id == id) return &ring[i];
+  }
+  return nullptr;
+}
+
+void ServerTransport::Session::admit(MsgId id, std::size_t limit) {
+  max_id = std::max(max_id, id.value());
+  if (ring.size() < limit) {
+    ring.push_back(Cached{id, {}});
+    return;
+  }
+  ring[oldest] = Cached{id, {}};  // also frees the evicted reply's payload
+  if (++oldest == ring.size()) oldest = 0;
 }
 
 void ServerTransport::handle_datagram(const Bytes& datagram) {
@@ -74,37 +94,38 @@ void ServerTransport::handle_datagram(const Bytes& datagram) {
 }
 
 void ServerTransport::handle_request(const Frame& f) {
-  Session& s = session(f.sender, f.epoch);
-  if (std::optional<Frame>* cached = s.executed.find(f.msg_id)) {
-    if (cached->has_value()) {
-      // Retransmission of a completed request: re-send the cached reply,
-      // unless the ACK gate has closed in the meantime — then the client
-      // must see a NACK, not a lease-renewing ACK.
-      Frame reply = **cached;
-      if (reply.kind == FrameKind::kAck && may_ack && !may_ack(f.sender)) {
-        reply.kind = FrameKind::kNack;
-        reply.body = std::monostate{};
+  // reply_cache_size 0 caches nothing: every copy of a request executes.
+  if (cfg_.reply_cache_size > 0) {
+    Session& s = sessions_[session_key(f.sender, f.epoch)];
+    if (const Cached* c = s.find(f.msg_id)) {
+      if (c->state != Cached::State::kExecuting) {
+        // Retransmission of a completed request: re-send the cached reply,
+        // unless the ACK gate has closed in the meantime — then the client
+        // must see a NACK, not a lease-renewing ACK.
+        Frame reply;
+        reply.kind = c->state == Cached::State::kAck ? FrameKind::kAck : FrameKind::kNack;
+        reply.sender = self_;
+        reply.msg_id = f.msg_id;
+        reply.epoch = f.epoch;
+        reply.incarnation = c->incarnation;
+        if (reply.kind == FrameKind::kAck) {
+          if (may_ack && !may_ack(f.sender)) {
+            reply.kind = FrameKind::kNack;
+          } else {
+            reply.body = c->body;
+          }
+        }
+        ++counters_->reply_cache_hits;
+        if (rec_ != nullptr) {
+          rec_->record(clock_->engine().now(), self_, obs::EventKind::kReqReplay,
+                       f.msg_id.value(), f.sender.value());
+        }
+        send_reply_frame(f.sender, reply);
       }
-      ++counters_->reply_cache_hits;
-      if (rec_ != nullptr) {
-        rec_->record(clock_->engine().now(), self_, obs::EventKind::kReqReplay,
-                     f.msg_id.value(), f.sender.value());
-      }
-      send_reply_frame(f.sender, reply);
+      // else: still executing; the eventual reply will go out once.
+      return;
     }
-    // else: still executing; the eventual reply will go out once.
-    return;
-  }
-
-  s.executed.try_emplace(f.msg_id);
-  if (s.ring.size() < cfg_.reply_cache_size) {
-    s.ring.push_back(f.msg_id);
-  } else {
-    // Recycle the oldest ring slot in place: no deque churn, no allocation
-    // once the session has seen reply_cache_size requests.
-    s.executed.erase(s.ring[s.ring_pos]);
-    s.ring[s.ring_pos] = f.msg_id;
-    s.ring_pos = (s.ring_pos + 1) % s.ring.size();
+    s.admit(f.msg_id, cfg_.reply_cache_size);
   }
 
   if (rec_ != nullptr) {
@@ -143,12 +164,21 @@ void ServerTransport::respond(NodeId client, MsgId id, std::uint32_t epoch, bool
     f.kind = FrameKind::kNack;
   }
 
-  Session& s = session(client, epoch);
-  if (std::optional<Frame>* cached = s.executed.find(id)) {
-    STANK_ASSERT_MSG(!cached->has_value(), "double reply to one request");
-    *cached = f;
-  }
+  Session* s = sessions_.find(session_key(client, epoch));
+  Cached* c = s != nullptr ? s->find(id) : nullptr;
+  STANK_ASSERT_MSG(c == nullptr || c->state == Cached::State::kExecuting,
+                   "double reply to one request");
   send_reply_frame(client, f);
+  if (c != nullptr) {
+    // Sending touches no session, so c is still valid; the frame is spent.
+    c->incarnation = f.incarnation;
+    if (positive) {
+      c->state = Cached::State::kAck;
+      c->body = std::move(std::get<ReplyBody>(f.body));
+    } else {
+      c->state = Cached::State::kNack;
+    }
+  }
 }
 
 void ServerTransport::send_reply_frame(NodeId client, const Frame& f) {

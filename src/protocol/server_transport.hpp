@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -88,15 +87,32 @@ class ServerTransport {
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
  private:
+  // One request id's entry in a session's reply cache. The reply is stored
+  // as its body, not as a Frame: a replay rebuilds the frame from the
+  // retransmitted request's id and epoch plus the incarnation stored here.
+  struct Cached {
+    enum class State : std::uint8_t { kExecuting, kAck, kNack };
+    MsgId id;
+    ReplyBody body;  // meaningful for kAck only
+    std::uint32_t incarnation{0};
+    State state{State::kExecuting};
+  };
+  // A session's reply cache is one FIFO ring holding the last
+  // reply_cache_size distinct request ids in arrival order. It grows on
+  // demand, so a session that has seen three requests holds three entries;
+  // once full, every further request recycles the oldest slot in place and
+  // the steady-state server path makes zero allocations per request.
   struct Session {
-    // msg id -> cached reply frame; nullopt while the handler is running.
-    FlatMap<MsgId, std::optional<Frame>> executed;
-    // Fixed-capacity eviction ring (FIFO). Once the session has seen
-    // reply_cache_size requests the ring stops growing and every further
-    // request recycles one slot — the steady-state server path makes zero
-    // allocations per request.
-    std::vector<MsgId> ring;
-    std::size_t ring_pos{0};
+    std::vector<Cached> ring;
+    std::uint32_t oldest{0};  // next slot to recycle once the ring is full
+    // Highest id ever admitted: a request above it was never seen, so the
+    // common case (a fresh request) misses without scanning the ring.
+    std::uint64_t max_id{0};
+
+    [[nodiscard]] Cached* find(MsgId id);
+    // Admits a new id as executing, evicting the oldest once `limit` (> 0)
+    // ids are held.
+    void admit(MsgId id, std::size_t limit);
   };
   struct OutMsg {
     NodeId client;
@@ -112,7 +128,9 @@ class ServerTransport {
   void send_reply_frame(NodeId client, const Frame& f);
   void send_frame(NodeId to, const Frame& f);
   void transmit_server_msg(MsgId id);
-  Session& session(NodeId client, std::uint32_t epoch);
+  [[nodiscard]] static std::uint64_t session_key(NodeId client, std::uint32_t epoch) {
+    return (static_cast<std::uint64_t>(client.value()) << 32) | epoch;
+  }
 
   net::ControlNet* net_;
   sim::NodeClock* clock_;
@@ -126,7 +144,9 @@ class ServerTransport {
 
   // Sessions keyed by packed (client, epoch): one flat table instead of a
   // map-of-maps, so a million-client server pays one probe per request and
-  // ~56 bytes of per-session overhead instead of two bucket chains.
+  // a 48-byte slot per session plus the entries its ring holds. Sessions of
+  // superseded epochs are kept: dropping one would let a late duplicate of
+  // its RegisterReq execute again and bump the client's epoch.
   FlatMap<std::uint64_t, Session> sessions_;
   std::unordered_map<MsgId, OutMsg> out_msgs_;
 };

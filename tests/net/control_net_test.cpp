@@ -30,6 +30,35 @@ TEST(ControlNet, DeliversAfterLatency) {
   EXPECT_EQ(f.received_at_2[0].second, Bytes{42});
 }
 
+TEST(ControlNet, QueueBeyondInlineCapacityDrainsInArrivalThenSendOrder) {
+  NetConfig cfg{sim::micros(100), sim::Duration{0}, 0.0};
+  cfg.delivery_bucket = sim::micros(100);
+  Fixture f(cfg);
+  std::vector<sim::SimTime> delivered_at;
+  f.net.attach(NodeId{2}, [&](NodeId, const Bytes& b) {
+    f.received_at_2.emplace_back(NodeId{1}, b);
+    delivered_at.push_back(f.engine.now());
+  });
+  // Arrival instants out of order, with ties; 7 and 8 fall in the second
+  // bucket and stay queued (compacted in place) across the first drain.
+  const sim::SimTime t0{};
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(50), Bytes{5});
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(150), Bytes{8});
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(30), Bytes{2});
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(120), Bytes{7});
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(30), Bytes{3});
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(10), Bytes{1});
+  f.net.inject(NodeId{1}, NodeId{2}, t0 + sim::micros(40), Bytes{4});
+  f.net.send(NodeId{1}, NodeId{2}, Bytes{6});  // arrives at 100 us, sent last
+  f.engine.run();
+  ASSERT_EQ(f.received_at_2.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(f.received_at_2[i].second, Bytes{static_cast<std::uint8_t>(i + 1)}) << i;
+  }
+  EXPECT_EQ(delivered_at.front(), t0 + sim::micros(100));
+  EXPECT_EQ(delivered_at.back(), t0 + sim::micros(200));
+}
+
 TEST(ControlNet, PartitionDropsSilently) {
   Fixture f;
   f.net.reachability().sever(NodeId{1}, NodeId{2});

@@ -203,6 +203,62 @@ TEST(ClientTransport, StopDropsEverything) {
   EXPECT_FALSE(fired);
 }
 
+TEST(ClientTransport, ManyInFlightAnsweredInReverseResolveOnce) {
+  Fixture f;  // server never answers on its own
+  constexpr int kRequests = 5;  // more than the table holds inline
+  std::vector<int> calls(kRequests, 0);
+  std::vector<std::uint32_t> gens(kRequests, 0);
+  std::vector<int> order;
+  for (int i = 0; i < kRequests; ++i) {
+    f.transport.send_request(KeepAliveReq{}, [&, i](const ReplyEvent& ev) {
+      ++calls[i];
+      order.push_back(i);
+      ASSERT_EQ(ev.outcome, ReplyOutcome::kAck);
+      gens[i] = std::get<LockReply>(ev.body).gen;
+    });
+  }
+  f.engine.run_until(sim::SimTime{} + sim::millis(1));
+  ASSERT_EQ(f.server_rx.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(f.transport.pending_requests(), static_cast<std::size_t>(kRequests));
+
+  auto ack = [&](int i) {
+    Frame reply;
+    reply.kind = FrameKind::kAck;
+    reply.sender = NodeId{1};
+    reply.msg_id = f.server_rx[i].msg_id;
+    reply.epoch = f.server_rx[i].epoch;
+    reply.body = ReplyBody{LockReply{true, LockMode::kShared, static_cast<std::uint32_t>(i), 0}};
+    f.net.send(NodeId{1}, NodeId{100}, encode(reply));
+  };
+  for (int i = kRequests - 1; i >= 0; --i) ack(i);
+  for (int i = 0; i < kRequests; ++i) ack(i);  // duplicates of every reply
+  f.engine.run();
+
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(calls[i], 1) << "request " << i;
+    EXPECT_EQ(gens[i], static_cast<std::uint32_t>(i)) << "request " << i;
+  }
+  EXPECT_EQ(f.transport.pending_requests(), 0u);
+  EXPECT_EQ(f.counters.retransmissions, 0u);
+}
+
+TEST(ClientTransport, StopCancelsEveryRetryTimer) {
+  Fixture f;
+  int fired = 0;
+  for (int i = 0; i < 5; ++i) {
+    f.transport.send_request(KeepAliveReq{}, [&](const ReplyEvent&) { ++fired; });
+  }
+  f.engine.run_until(sim::SimTime{} + sim::millis(1));  // requests delivered
+  EXPECT_EQ(f.engine.events_pending(), 5u);              // one retry timer each
+  f.transport.stop();
+  EXPECT_EQ(f.engine.events_pending(), 0u);
+  EXPECT_EQ(f.transport.pending_requests(), 0u);
+  f.engine.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(f.server_rx.size(), 5u);  // no retransmission went out
+}
+
 TEST(ClientTransport, LeaseOnlyCounted) {
   Fixture f;
   f.auto_ack = true;

@@ -21,11 +21,11 @@ struct Fixture {
   bool client_auto_acks{true};
   int handler_calls{0};
 
-  Fixture()
+  explicit Fixture(std::size_t reply_cache_size = 8)
       : net(engine, sim::Rng(1), net::NetConfig{sim::micros(100), sim::Duration{0}, 0.0}),
         server_clock(engine, sim::LocalClock(1.0)),
         transport(net, server_clock, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(100), 2, 8}) {
+                  TransportConfig{sim::local_millis(100), 2, reply_cache_size}) {
     net.attach(NodeId{100}, [this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
@@ -205,6 +205,87 @@ TEST(ServerTransport, ReplyCacheEvictsOldEntries) {
   f.client_send(KeepAliveReq{}, 1);
   f.engine.run();
   EXPECT_EQ(f.handler_calls, 21);
+}
+
+TEST(ServerTransport, ReplyCacheHoldsTheLastIdsInArrivalOrder) {
+  Fixture f;  // cache size 8
+  f.transport.on_request = [&](NodeId, std::uint32_t, const RequestBody&,
+                               ServerTransport::Responder r) {
+    ++f.handler_calls;
+    r.ack(ReplyBody{LockReply{true, LockMode::kShared,
+                              static_cast<std::uint32_t>(f.handler_calls), 0xC00C1Eu}});
+  };
+  f.transport.set_incarnation(7);
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    f.client_send(KeepAliveReq{}, i);
+  }
+  f.engine.run();
+  ASSERT_EQ(f.handler_calls, 20);
+
+  // A restart bumps the incarnation; a replay still carries the one its
+  // reply was produced under, with the original body.
+  f.transport.set_incarnation(9);
+  f.client_send(KeepAliveReq{}, 13);  // oldest of the last eight: replayed
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 20);
+  EXPECT_EQ(f.counters.reply_cache_hits, 1u);
+  ASSERT_EQ(f.client_rx.size(), 21u);
+  const Frame& replay = f.client_rx.back();
+  EXPECT_EQ(replay.kind, FrameKind::kAck);
+  EXPECT_EQ(replay.sender, NodeId{1});
+  EXPECT_EQ(replay.msg_id, MsgId{13});
+  EXPECT_EQ(replay.epoch, 1u);
+  EXPECT_EQ(replay.incarnation, 7u);
+  const auto& lock = std::get<LockReply>(std::get<ReplyBody>(replay.body));
+  EXPECT_EQ(lock.gen, 13u);
+  EXPECT_EQ(lock.cookie, 0xC00C1Eu);
+
+  f.client_send(KeepAliveReq{}, 12);  // evicted: executes again
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 21);
+  EXPECT_EQ(f.client_rx.back().incarnation, 9u);
+  // Admitting 12 evicted 13, the oldest id.
+  f.client_send(KeepAliveReq{}, 13);
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 22);
+}
+
+TEST(ServerTransport, CachedNackReplayedWithoutReExecuting) {
+  Fixture f;
+  f.client_send(GetAttrReq{FileId{1}}, 3);  // handler nacks non-keepalives
+  f.engine.run();
+  f.client_send(GetAttrReq{FileId{1}}, 3);
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 1);
+  ASSERT_EQ(f.client_rx.size(), 2u);
+  EXPECT_EQ(f.client_rx[1].kind, FrameKind::kNack);
+  EXPECT_EQ(f.counters.reply_cache_hits, 1u);
+}
+
+TEST(ServerTransport, IdsArrivingBelowTheHighestAreStillDeduplicated) {
+  Fixture f;
+  f.client_send(KeepAliveReq{}, 5);
+  f.engine.run();
+  f.client_send(KeepAliveReq{}, 3);  // overtaken by 5 on the wire: fresh
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 2);
+  f.client_send(KeepAliveReq{}, 3);
+  f.client_send(KeepAliveReq{}, 5);
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 2);
+  EXPECT_EQ(f.counters.reply_cache_hits, 2u);
+}
+
+TEST(ServerTransport, ZeroReplyCacheReExecutesEveryCopy) {
+  Fixture f(0);
+  f.client_send(KeepAliveReq{}, 1);
+  f.engine.run();
+  f.client_send(KeepAliveReq{}, 1);
+  f.engine.run();
+  EXPECT_EQ(f.handler_calls, 2);
+  ASSERT_EQ(f.client_rx.size(), 2u);
+  EXPECT_EQ(f.client_rx[1].kind, FrameKind::kAck);
+  EXPECT_EQ(f.counters.reply_cache_hits, 0u);
 }
 
 TEST(ServerTransport, RejectedFramesDroppedAndCounted) {
