@@ -1,11 +1,11 @@
-// Composable client misbehaviors for the adversarial-client harness.
+// Composable client misbehaviors and the ByzantineClient that performs them.
 //
 // The paper's safety argument (section 2/6) trusts exactly two parties: the
 // server and the fence list at the network-attached disks. Clients and the
-// network are untrusted. Each flag below makes this client violate one
-// protocol obligation an honest client keeps; tools/fuzz_safety composes
-// them and the split verdict in src/verify/ checks that HONEST clients stay
-// safe regardless (DESIGN.md §13).
+// network are untrusted. Each flag below makes a client violate one protocol
+// obligation an honest client keeps; tools/fuzz_safety composes them and the
+// split verdict in src/verify/ checks that HONEST clients stay safe
+// regardless (DESIGN.md §13).
 //
 // These are protocol-level lies — late I/O under a superseded registration,
 // timestamp lies, ignored quiesce/revocation, replayed datagrams, forged
@@ -16,6 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+#include "client/client.hpp"
 
 namespace stank::client {
 
@@ -40,10 +43,7 @@ struct ByzantineSpec {
   // this client was never granted.
   bool forge_lock_claims{false};
 
-  [[nodiscard]] bool any() const {
-    return lie_send_time || defy_quiesce || write_after_expiry || ack_without_release ||
-           replay_old_session || forge_lock_claims;
-  }
+  [[nodiscard]] bool any() const { return mask() != 0; }
 
   // Bitmask form for replay files and shrinkers (send_time_skew_s rides
   // separately: it is a continuous parameter, not a behavior).
@@ -54,30 +54,91 @@ struct ByzantineSpec {
     kAckWithoutRelease = 1u << 3,
     kReplayOldSession = 1u << 4,
     kForgeLockClaims = 1u << 5,
+    kAllBehaviors = (1u << 6) - 1,
   };
 
   [[nodiscard]] std::uint32_t mask() const {
-    std::uint32_t m = 0;
-    if (lie_send_time) m |= kLieSendTime;
-    if (defy_quiesce) m |= kDefyQuiesce;
-    if (write_after_expiry) m |= kWriteAfterExpiry;
-    if (ack_without_release) m |= kAckWithoutRelease;
-    if (replay_old_session) m |= kReplayOldSession;
-    if (forge_lock_claims) m |= kForgeLockClaims;
-    return m;
+    return (lie_send_time ? kLieSendTime : 0u) | (defy_quiesce ? kDefyQuiesce : 0u) |
+           (write_after_expiry ? kWriteAfterExpiry : 0u) |
+           (ack_without_release ? kAckWithoutRelease : 0u) |
+           (replay_old_session ? kReplayOldSession : 0u) |
+           (forge_lock_claims ? kForgeLockClaims : 0u);
   }
 
   [[nodiscard]] static ByzantineSpec from_mask(std::uint32_t m, double skew_s = 0.0) {
-    ByzantineSpec s;
-    s.lie_send_time = (m & kLieSendTime) != 0;
-    s.send_time_skew_s = skew_s;
-    s.defy_quiesce = (m & kDefyQuiesce) != 0;
-    s.write_after_expiry = (m & kWriteAfterExpiry) != 0;
-    s.ack_without_release = (m & kAckWithoutRelease) != 0;
-    s.replay_old_session = (m & kReplayOldSession) != 0;
-    s.forge_lock_claims = (m & kForgeLockClaims) != 0;
-    return s;
+    return {.lie_send_time = (m & kLieSendTime) != 0,
+            .send_time_skew_s = skew_s,
+            .defy_quiesce = (m & kDefyQuiesce) != 0,
+            .write_after_expiry = (m & kWriteAfterExpiry) != 0,
+            .ack_without_release = (m & kAckWithoutRelease) != 0,
+            .replay_old_session = (m & kReplayOldSession) != 0,
+            .forge_lock_claims = (m & kForgeLockClaims) != 0};
   }
+};
+
+// A real Client with a few screws removed: each behavior subverts one
+// obligation, by wrapping or dropping the honest transport or lease-agent hook
+// that keeps it (in the constructor) or by a timed attack of its own.
+class ByzantineClient final : public Client {
+ public:
+  ByzantineClient(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
+                  sim::LocalClock local_clock, ClientConfig cfg, ByzantineSpec spec,
+                  obs::Recorder* rec = nullptr);
+  ~ByzantineClient() override { cancel_timers(); }
+
+  // The honest lifecycle first, then the attack timers.
+  void start() override {
+    Client::start();
+    arm_timers();
+  }
+  void crash() override;
+  void restart() override {
+    Client::restart();
+    arm_timers();
+  }
+
+  // How often the timed attacks fired (datagrams re-injected, claims forged).
+  [[nodiscard]] std::uint64_t datagrams_replayed() const { return datagrams_replayed_; }
+  [[nodiscard]] std::uint64_t claims_forged() const { return claims_forged_; }
+
+ private:
+  struct RogueWrite {
+    DiskId disk;
+    storage::BlockAddr addr{0};
+    Bytes data;
+  };
+  struct CapturedDatagram {
+    std::uint32_t epoch{0};
+    std::uint32_t incarnation{0};
+    Bytes bytes;
+  };
+
+  void before_lease_teardown() override {
+    if (spec_.write_after_expiry) snapshot_rogue_writes();
+  }
+  void snapshot_rogue_writes();
+  void rogue_flush_tick();
+  void replay_tick();
+  void forge_tick();
+  void arm_timers();
+  void cancel_timers();
+  // Tiny deterministic generator for the forged/replayed message choices,
+  // client-local so runs stay reproducible without the scenario RNG.
+  std::uint32_t next_rand();
+
+  storage::SanFabric* san_;
+  ByzantineSpec spec_;
+  std::vector<RogueWrite> rogue_writes_;
+  std::uint64_t rogue_io_key_{0};  // captured at expiry; never re-keyed
+  std::uint32_t rogue_rounds_left_{0};
+  std::vector<CapturedDatagram> captured_;  // bounded ring of server msgs
+  std::size_t captured_next_{0};
+  sim::TimerId rogue_timer_{0};
+  sim::TimerId replay_timer_{0};
+  sim::TimerId forge_timer_{0};
+  std::uint32_t rng_state_;
+  std::uint64_t datagrams_replayed_{0};
+  std::uint64_t claims_forged_{0};
 };
 
 }  // namespace stank::client

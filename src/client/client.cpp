@@ -1,7 +1,6 @@
 #include "client/client.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -92,28 +91,16 @@ Client::~Client() {
   if (register_timer_ != 0) {
     clock_.cancel(register_timer_);
   }
-  cancel_byzantine_timers();
+  if (writeback_timer_ != 0) {
+    clock_.cancel(writeback_timer_);
+  }
 }
 
 void Client::wire_transport() {
   transport_.on_ack = [this](sim::LocalTime first_send) {
-    if (agent_) {
-      if (cfg_.byzantine.lie_send_time) {
-        // The lie-about-time attack: renew from a shifted anchor instead of
-        // the true first transmission. A positive skew makes this client
-        // believe its lease outlives the server's tau(1+eps) suspect math.
-        agent_->renew(first_send + sim::local_seconds_d(cfg_.byzantine.send_time_skew_s));
-        return;
-      }
-      agent_->renew(first_send);
-    }
+    if (agent_) agent_->renew(first_send);
   };
   transport_.on_nack = [this]() {
-    if (cfg_.byzantine.defy_quiesce) {
-      // An honest client treats a NACK as proof it missed a message and
-      // rides down; this one pretends it never happened.
-      return;
-    }
     if (agent_) {
       // Section 3.3: the client knows it missed a message; phase 3 directly.
       agent_->on_nack();
@@ -123,19 +110,6 @@ void Client::wire_transport() {
       handle_lease_expired();
     }
   };
-  if (cfg_.byzantine.replay_old_session) {
-    transport_.wiretap_server_msg = [this](const Bytes& datagram) {
-      // Tag with the session the capture happened in; once the session
-      // changes these become dead-session datagrams — the replay material.
-      CapturedDatagram c{transport_.epoch(), transport_.incarnation(), datagram};
-      if (captured_.size() < 16) {
-        captured_.push_back(std::move(c));
-      } else {
-        captured_[captured_next_] = std::move(c);
-        captured_next_ = (captured_next_ + 1) % captured_.size();
-      }
-    };
-  }
   transport_.on_stale_session = [this]() { handle_stale_session(); };
   transport_.on_server_msg = [this](const protocol::ServerBody& body) { handle_server_msg(body); };
   transport_.accept_server_msg = [this](std::uint32_t epoch) {
@@ -156,21 +130,8 @@ void Client::build_lease_machinery() {
         transport_.send_request(protocol::KeepAliveReq{}, [](const protocol::ReplyEvent&) {},
                                 /*lease_only=*/true);
       };
-      hooks.quiesce = [this]() {
-        if (cfg_.byzantine.defy_quiesce) {
-          return;  // keeps serving local processes through phase 3
-        }
-        accepting_ = false;
-      };
-      hooks.flush = [this]() {
-        if (cfg_.byzantine.write_after_expiry) {
-          // The paper's "slow computer" weaponized: sit on the dirty data
-          // through phase 4 so it is still buffered at expiry, then push it
-          // down the SAN under the dead registration (snapshot_rogue_writes).
-          return;
-        }
-        flush_all([](Status) {});
-      };
+      hooks.quiesce = [this]() { accepting_ = false; };
+      hooks.flush = [this]() { flush_all([](Status) {}); };
       hooks.expired = [this]() { handle_lease_expired(); };
       hooks.phase_changed = [this](core::LeasePhase from, core::LeasePhase to) {
         if (static_cast<int>(from) >= static_cast<int>(core::LeasePhase::kSuspect) &&
@@ -246,7 +207,6 @@ void Client::start() {
     writeback_timer_ = clock_.schedule_after(cfg_.writeback_interval,
                                              [this]() { writeback_tick(); });
   }
-  arm_byzantine_timers();
 }
 
 void Client::writeback_tick() {
@@ -297,13 +257,6 @@ void Client::crash() {
   register_inflight_ = false;
   registered_ = false;
   accepting_ = false;
-  // A crashed machine loses even its misbehavior: snapshots and captured
-  // datagrams are volatile state too.
-  cancel_byzantine_timers();
-  rogue_writes_.clear();
-  rogue_rounds_left_ = 0;
-  captured_.clear();
-  captured_next_ = 0;
   // Volatile state is gone. Callbacks of in-flight operations are dropped —
   // a crashed machine answers nobody.
   cache_.invalidate_all();
@@ -324,7 +277,6 @@ void Client::restart() {
     writeback_timer_ = clock_.schedule_after(cfg_.writeback_interval,
                                              [this]() { writeback_tick(); });
   }
-  arm_byzantine_timers();
 }
 
 // ---------------------------------------------------------------------------
@@ -466,11 +418,7 @@ void Client::handle_lease_expired() {
   if (!registered_ && !accepting_) {
     return;  // already torn down
   }
-  if (cfg_.byzantine.write_after_expiry) {
-    // Freeze the dirty cache NOW, before teardown invalidates it: the rogue
-    // flusher keeps pushing these pages to the SAN under the superseded key.
-    snapshot_rogue_writes();
-  }
+  before_lease_teardown();
   registered_ = false;
   accepting_ = false;
   transport_.abandon_pending();
@@ -1041,12 +989,6 @@ void Client::handle_server_msg(const protocol::ServerBody& body) {
 }
 
 void Client::handle_demand(const protocol::LockDemand& d) {
-  if (cfg_.byzantine.ack_without_release) {
-    // The transport already ACKed the datagram; swallowing the demand here
-    // means the server sees a compliant-looking client that never flushes,
-    // downgrades, or answers — the revocation must time out instead.
-    return;
-  }
   FileState& fs = state_for(d.file);
   if (d.gen < fs.lock_gen) {
     return;  // demand against a superseded incarnation: a newer grant exists
@@ -1628,142 +1570,6 @@ void Client::maybe_revalidate(FileState& fs, std::function<void(Status)> cb) {
         }
         cb(Status{ErrorCode::kInvalidArgument});
       });
-}
-
-// ---------------------------------------------------------------------------
-// Byzantine behaviors (see client/byzantine.hpp and DESIGN.md §13)
-
-void Client::arm_byzantine_timers() {
-  if (cfg_.byzantine.replay_old_session && replay_timer_ == 0) {
-    replay_timer_ = clock_.schedule_after(sim::local_millis(400), [this]() { replay_tick(); });
-  }
-  if (cfg_.byzantine.forge_lock_claims && forge_timer_ == 0) {
-    forge_timer_ = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
-  }
-}
-
-void Client::cancel_byzantine_timers() {
-  if (rogue_timer_ != 0) {
-    clock_.cancel(rogue_timer_);
-    rogue_timer_ = 0;
-  }
-  if (replay_timer_ != 0) {
-    clock_.cancel(replay_timer_);
-    replay_timer_ = 0;
-  }
-  if (forge_timer_ != 0) {
-    clock_.cancel(forge_timer_);
-    forge_timer_ = 0;
-  }
-}
-
-std::uint32_t Client::byz_rand() {
-  if (byz_rng_state_ == 0) {
-    byz_rng_state_ = cfg_.id.value() * 2654435761u + 12345u;
-    if (byz_rng_state_ == 0) byz_rng_state_ = 1;
-  }
-  byz_rng_state_ ^= byz_rng_state_ << 13;
-  byz_rng_state_ ^= byz_rng_state_ >> 17;
-  byz_rng_state_ ^= byz_rng_state_ << 5;
-  return byz_rng_state_;
-}
-
-void Client::snapshot_rogue_writes() {
-  // Resolve every dirty page to its (disk, addr) NOW, with the extents and
-  // registration key of the dying session; the flusher never re-resolves or
-  // re-keys — that staleness is the attack.
-  rogue_io_key_ =
-      (static_cast<std::uint64_t>(server_incarnation_) << 32) | transport_.epoch();
-  rogue_writes_.clear();
-  for (const auto& [file, fb] : cache_.all_dirty()) {
-    auto fit = files_.find(file);
-    if (fit == files_.end()) continue;
-    DiskId disk;
-    storage::BlockAddr addr;
-    if (!protocol::locate_block(fit->second.extents, fb, disk, addr)) continue;
-    const BlockCache::Page* page = cache_.peek(file, fb);
-    if (page == nullptr) continue;
-    rogue_writes_.push_back(RogueWrite{disk, addr, page->data});
-  }
-  if (rogue_writes_.empty()) return;
-  // Long enough (~4s of 50ms rounds) to straddle the server's fence+steal and
-  // the next holder's first writes — the window the fence must actually close.
-  rogue_rounds_left_ = 80;
-  if (rogue_timer_ == 0) {
-    rogue_timer_ = clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
-  }
-}
-
-void Client::rogue_flush_tick() {
-  rogue_timer_ = 0;
-  if (crashed_ || rogue_rounds_left_ == 0 || rogue_writes_.empty()) return;
-  --rogue_rounds_left_;
-  for (const auto& rw : rogue_writes_) {
-    storage::IoRequest io;
-    io.initiator = cfg_.id;
-    io.disk = rw.disk;
-    io.op = storage::IoOp::kWrite;
-    io.addr = rw.addr;
-    io.count = 1;
-    io.io_key = rogue_io_key_;  // deliberately stale: the dead session's key
-    io.data = rw.data;
-    san_->submit(std::move(io), [](storage::IoResult) {});
-  }
-  rogue_timer_ = clock_.schedule_after(sim::local_millis(50), [this]() { rogue_flush_tick(); });
-}
-
-void Client::replay_tick() {
-  replay_timer_ = 0;
-  if (crashed_) return;
-  if (!captured_.empty()) {
-    // Prefer a datagram captured in a DEAD session (older epoch or server
-    // incarnation); fall back to a same-session duplicate, which exercises
-    // the dedup window instead.
-    const std::uint32_t cur_epoch = transport_.epoch();
-    const std::uint32_t cur_inc = transport_.incarnation();
-    const CapturedDatagram* pick = nullptr;
-    for (const auto& c : captured_) {
-      if (c.epoch != cur_epoch || c.incarnation != cur_inc) {
-        pick = &c;
-        break;
-      }
-    }
-    if (pick == nullptr) {
-      pick = &captured_[byz_rand() % captured_.size()];
-    }
-    transport_.inject_datagram(pick->bytes);
-  }
-  replay_timer_ = clock_.schedule_after(sim::local_millis(400), [this]() { replay_tick(); });
-}
-
-void Client::forge_tick() {
-  forge_timer_ = 0;
-  if (crashed_) return;
-  if (registered_) {
-    // Claim release/compliance for a lock and generation this client was
-    // never granted. Generations are small counters, so guessing one that is
-    // current is easy — before grant cookies this released locks whose real
-    // grant was still in flight to us. The forged cookie is a guess; the
-    // server must reject the claim on that mismatch. Prefer files we know
-    // exist.
-    FileId file{1 + (byz_rand() % 4)};
-    if (!files_.empty()) {
-      auto it = files_.begin();
-      std::advance(it, byz_rand() % files_.size());
-      file = it->first;
-    }
-    const std::uint32_t gen = 1 + (byz_rand() % 4);
-    const std::uint64_t cookie =
-        (static_cast<std::uint64_t>(byz_rand()) << 32) | byz_rand();
-    if ((byz_rand() & 1u) != 0) {
-      transport_.send_request(protocol::UnlockReq{file, LockMode::kNone, gen, cookie},
-                              [](const protocol::ReplyEvent&) {});
-    } else {
-      transport_.send_request(protocol::DemandDoneReq{file, LockMode::kNone, gen, cookie},
-                              [](const protocol::ReplyEvent&) {});
-    }
-  }
-  forge_timer_ = clock_.schedule_after(sim::local_millis(600), [this]() { forge_tick(); });
 }
 
 }  // namespace stank::client

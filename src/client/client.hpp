@@ -17,6 +17,9 @@
 // All public calls are asynchronous: the simulation is event-driven, so a
 // call schedules work and the callback fires when it completes. Callbacks
 // always fire exactly once.
+//
+// Honest only: it keeps every protocol obligation. The untrusted client of
+// DESIGN.md §13 subclasses it through the protected seams below.
 #pragma once
 
 #include <functional>
@@ -29,7 +32,6 @@
 
 #include "baselines/heartbeat.hpp"
 #include "baselines/v_lease.hpp"
-#include "client/byzantine.hpp"
 #include "client/cache.hpp"
 #include "common/flat_map.hpp"
 #include "common/small_vec.hpp"
@@ -70,9 +72,6 @@ struct ClientConfig {
   // Background write-back period (0 = off): dirty pages are flushed
   // periodically instead of only at demand/fsync/lease-phase-4 time.
   sim::LocalDuration writeback_interval{sim::LocalDuration{0}};
-  // Adversarial misbehaviors (all off for an honest client). See
-  // client/byzantine.hpp and DESIGN.md §13.
-  ByzantineSpec byzantine;
 };
 
 using Fd = std::uint32_t;
@@ -81,17 +80,17 @@ class Client {
  public:
   Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
          sim::LocalClock local_clock, ClientConfig cfg, obs::Recorder* rec = nullptr);
-  ~Client();
+  virtual ~Client();
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
   // Attaches to the network and (by default) registers with the server.
-  void start();
+  virtual void start();
   // Fail-stop crash: detach, drop all volatile state, fire no callbacks.
-  void crash();
+  virtual void crash();
   // Reboot after crash(): fresh cache, re-register.
-  void restart();
+  virtual void restart();
 
   // --- Local-process file API --------------------------------------------
   void open(const std::string& path, bool create, std::function<void(Result<Fd>)> cb);
@@ -184,6 +183,21 @@ class Client {
     SmallVec<LockWait, 2> lock_waits;
   };
 
+ protected:
+  // Seams for a subclass that changes what this client does (the adversary,
+  // DESIGN.md §13). Wrap a hook only from a constructor, before start().
+  [[nodiscard]] sim::NodeClock& clock() { return clock_; }
+  [[nodiscard]] protocol::ClientTransport& transport() { return transport_; }
+  // The lease agent's hooks; null unless the strategy is Storage Tank.
+  [[nodiscard]] core::ClientLeaseAgent::Hooks* lease_hooks() {
+    return agent_ ? &agent_->hooks() : nullptr;
+  }
+  // Every file this client holds state for, with its last-known extents.
+  [[nodiscard]] const std::map<FileId, FileState>& known_files() const { return files_; }
+  // Called by handle_lease_expired() past its already-torn-down guard.
+  virtual void before_lease_teardown() {}
+
+ private:
   // Setup & lifecycle.
   void wire_transport();
   void build_lease_machinery();
@@ -255,21 +269,6 @@ class Client {
   // NFS attribute revalidation.
   void maybe_revalidate(FileState& fs, std::function<void(Status)> cb);
 
-  // Byzantine behavior machinery (no-ops for honest clients).
-  void arm_byzantine_timers();
-  void cancel_byzantine_timers();
-  // write_after_expiry: freeze the dirty cache (with block locations and the
-  // superseded registration's io_key) at expiry time, then keep re-submitting
-  // it raw to the SAN — the slow-computer late write the fence must stop.
-  void snapshot_rogue_writes();
-  void rogue_flush_tick();
-  void replay_tick();
-  void forge_tick();
-  // Tiny deterministic generator for the forged/replayed message choices —
-  // client-local so runs stay reproducible without threading the scenario RNG
-  // through here.
-  std::uint32_t byz_rand();
-
   sim::Engine* engine_;
   storage::SanFabric* san_;
   ClientConfig cfg_;
@@ -307,27 +306,6 @@ class Client {
   // Incarnation counter: bumped on crash so SAN completions from a previous
   // life are discarded instead of mutating the rebooted client.
   std::uint32_t gen_{0};
-
-  // --- Byzantine state (unused when cfg_.byzantine is all-off) -------------
-  struct RogueWrite {
-    DiskId disk;
-    storage::BlockAddr addr{0};
-    Bytes data;
-  };
-  struct CapturedDatagram {
-    std::uint32_t epoch{0};
-    std::uint32_t incarnation{0};
-    Bytes bytes;
-  };
-  std::vector<RogueWrite> rogue_writes_;
-  std::uint64_t rogue_io_key_{0};  // captured at expiry; never re-keyed
-  std::uint32_t rogue_rounds_left_{0};
-  std::vector<CapturedDatagram> captured_;  // bounded ring of server msgs
-  std::size_t captured_next_{0};
-  sim::TimerId rogue_timer_{0};
-  sim::TimerId replay_timer_{0};
-  sim::TimerId forge_timer_{0};
-  std::uint32_t byz_rng_state_{0};
 };
 
 }  // namespace stank::client

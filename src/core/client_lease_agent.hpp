@@ -110,6 +110,8 @@ class ClientLeaseAgent {
   [[nodiscard]] bool nack_latched() const { return nack_latched_; }
 
   [[nodiscard]] const LeaseConfig& config() const { return cfg_; }
+  // The owner may rewire a hook after construction, never while one runs.
+  [[nodiscard]] Hooks& hooks() { return hooks_; }
 
   // Attaches the flight recorder. The agent does not otherwise know which
   // node it serves, so the owner names it here. Phase transitions become

@@ -122,6 +122,9 @@ void Scenario::build() {
   server_ = std::make_unique<server::Server>(engine_, *net_, *san_,
                                              sim::LocalClock(draw_rate(true)), scfg, rec_);
 
+  STANK_ASSERT_MSG(
+      cfg_.byzantine.empty() || cfg_.byzantine.rbegin()->first < cfg_.workload.num_clients,
+      "ScenarioConfig::byzantine names a client index >= num_clients");
   for (std::uint32_t c = 0; c < cfg_.workload.num_clients; ++c) {
     client::ClientConfig ccfg;
     ccfg.id = client_node(c);
@@ -137,13 +140,15 @@ void Scenario::build() {
     ccfg.data_path = cfg_.data_path;
     ccfg.transport = cfg_.transport;
     ccfg.block_size = cfg_.block_size;
+    const sim::LocalClock clock(draw_rate(false) * cfg_.client_rate_scale);
     if (auto bit = cfg_.byzantine.find(c); bit != cfg_.byzantine.end() && bit->second.any()) {
-      ccfg.byzantine = bit->second;
       history_.mark_byzantine(client_node(c));
+      clients_.push_back(std::make_unique<client::ByzantineClient>(
+          engine_, *net_, *san_, clock, ccfg, bit->second, rec_));
+    } else {
+      clients_.push_back(
+          std::make_unique<client::Client>(engine_, *net_, *san_, clock, ccfg, rec_));
     }
-    clients_.push_back(std::make_unique<client::Client>(
-        engine_, *net_, *san_, sim::LocalClock(draw_rate(false) * cfg_.client_rate_scale),
-        ccfg, rec_));
   }
 
   drivers_.resize(clients_.size());

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "client/byzantine.hpp"
 #include "client/client.hpp"
 #include "metrics/histogram.hpp"
 #include "net/control_net.hpp"
@@ -72,9 +73,10 @@ struct ScenarioConfig {
   double client_rate_scale{1.0};
 
   // --- Adversarial clients (tools/fuzz_safety --byzantine) ----------------
-  // Client index -> misbehavior set. Marked clients are recorded in the
-  // history so the checker's split verdict (DESIGN.md §13) can separate
-  // honest-client safety from self-inflicted byzantine damage.
+  // Client index -> misbehavior set; every index must be < num_clients. Each
+  // index with a behavior set runs a client::ByzantineClient and is recorded
+  // in the history so the checker's split verdict (DESIGN.md §13) can
+  // separate honest-client safety from self-inflicted byzantine damage.
   std::map<std::size_t, client::ByzantineSpec> byzantine;
   // Override for the server's demand compliance timeout; 0 keeps the
   // ServerConfig default. Byzantine episodes shorten it so an

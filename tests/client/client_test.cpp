@@ -497,6 +497,26 @@ TEST(Client, BackgroundWritebackHardensDirtyData) {
   EXPECT_EQ(san.disk(DiskId{1}).writes_served(), 1u);
 }
 
+// The engine outlives a destroyed client: its write-back timer must be
+// cancelled with it, or the next tick runs on freed memory (the sanitizer
+// build reports it). Nothing of the client may stay scheduled.
+TEST(Client, DestroyedClientLeavesNoWritebackTick) {
+  sim::Engine engine;
+  net::ControlNet net(engine, sim::Rng(1), {});
+  storage::SanFabric san(engine, sim::Rng(2), {});
+  san.add_disk(DiskId{1}, 4096, 64);
+  ClientConfig ccfg;
+  ccfg.id = NodeId{100};
+  ccfg.server = NodeId{1};
+  ccfg.block_size = 64;
+  ccfg.writeback_interval = sim::local_seconds(2);
+  auto c = std::make_unique<Client>(engine, net, san, sim::LocalClock(1.0), ccfg);
+  c->start();
+  c.reset();
+  engine.run_until(sim::SimTime{} + sim::seconds(5));
+  EXPECT_EQ(engine.events_pending(), 0u);
+}
+
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {
   Fixture f(1, core::LeaseStrategy::kVLeases);
   Fd fd = f.must_open(0, "/file");

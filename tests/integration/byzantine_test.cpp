@@ -121,6 +121,45 @@ TEST(Byzantine, LieSendTimeHarmsOnlyTheLiar) {
   }
 }
 
+// The replay-old-session attacker records server datagrams and re-injects
+// them later, preferring ones from a dead session. A control partition ends
+// its session mid-run, so it holds dead-session grants and demands to replay;
+// the transport's incarnation, epoch and dedup gates must absorb them all.
+TEST(Byzantine, ReplayOldSessionAbsorbedByTransportGates) {
+  std::uint64_t replayed = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ScenarioConfig cfg = contended_cfg(seed);
+    cfg.byzantine[0] = ByzantineSpec::from_mask(ByzantineSpec::kReplayOldSession);
+    cfg.failures.add(0.3 * cfg.workload.run_seconds, FailureKind::kCtrlIsolate, 0);
+    cfg.failures.add(0.6 * cfg.workload.run_seconds, FailureKind::kCtrlHeal, 0);
+    Scenario sc(cfg);
+    auto r = sc.run();
+    EXPECT_TRUE(r.honest_violations.empty()) << "seed " << seed;
+    // The partition killed the session, so dead-session material existed.
+    EXPECT_GT(sc.client(0).lease_agent()->expiries(), 0u) << "seed " << seed;
+    replayed += dynamic_cast<client::ByzantineClient&>(sc.client(0)).datagrams_replayed();
+  }
+  // The attack ran: captured datagrams were fed back through the receive path.
+  EXPECT_GT(replayed, 0u);
+}
+
+// The forge-lock-claims attacker sends UnlockReq/DemandDoneReq for locks and
+// generations it was never granted, with guessed cookies. The server must
+// ignore every one (grant cookies), so no honest holder loses a live lock.
+TEST(Byzantine, ForgedLockClaimsRejectedByGrantCookies) {
+  std::uint64_t forged = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ScenarioConfig cfg = contended_cfg(seed);
+    cfg.byzantine[0] = ByzantineSpec::from_mask(ByzantineSpec::kForgeLockClaims);
+    Scenario sc(cfg);
+    auto r = sc.run();
+    EXPECT_TRUE(r.honest_violations.empty()) << "seed " << seed;
+    forged += dynamic_cast<client::ByzantineClient&>(sc.client(0)).claims_forged();
+  }
+  // The attack ran: forged claims reached the wire.
+  EXPECT_GT(forged, 0u);
+}
+
 // With no byzantine clients configured, the split verdict degenerates to the
 // plain one: everything lands in the honest bucket.
 TEST(Byzantine, NoAttackersMeansBucketsCollapse) {

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -394,12 +396,20 @@ void write_replay(const std::string& path, const Episode& ep, const EpisodeResul
   });
 }
 
+// A replay file is outside input: every value must parse completely, and an
+// attacker line must name a real client, known behaviors and a finite skew.
+// On the first bad line, says which and returns nullopt.
 std::optional<Episode> read_replay(const std::string& path) {
   std::ifstream f(path);
   if (!f) return std::nullopt;
   Episode ep;
+  // (line number, client index) of each attacker line, checked against
+  // num_clients once the whole file is read.
+  std::vector<std::pair<std::size_t, std::size_t>> attackers;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(f, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     const auto eq = line.find('=');
     if (eq == std::string::npos) continue;
@@ -407,12 +417,16 @@ std::optional<Episode> read_replay(const std::string& path) {
     const std::string val = line.substr(eq + 1);
     std::istringstream in(val);
     bool known = false;
+    bool valid = true;
     replay_fields(ep, [&](const char* name, auto& field) {
       if (known || key != name) return;
       known = true;
       using T = std::decay_t<decltype(field)>;
       if constexpr (std::is_same_v<T, bool>) {
-        field = val == "negative";
+        std::string mode;
+        in >> mode;
+        valid = mode == "negative" || mode == "valid";
+        field = mode == "negative";
       } else if constexpr (std::is_enum_v<T>) {
         int e = 0;
         in >> e;
@@ -424,7 +438,10 @@ std::optional<Episode> read_replay(const std::string& path) {
         std::uint32_t behavior_mask = 0;
         double skew = 0.0;
         in >> idx >> behavior_mask >> skew;
+        valid = (behavior_mask & ~client::ByzantineSpec::kAllBehaviors) == 0 &&
+                std::isfinite(skew);
         field[idx] = client::ByzantineSpec::from_mask(behavior_mask, skew);
+        attackers.emplace_back(line_no, idx);
       } else {
         workload::FailureEvent ev;
         int kind = 0;
@@ -434,7 +451,18 @@ std::optional<Episode> read_replay(const std::string& path) {
       }
     });
     if (!known) {
-      std::fprintf(stderr, "replay: unknown key '%s'\n", key.c_str());
+      std::fprintf(stderr, "replay: line %zu: unknown key '%s'\n", line_no, key.c_str());
+      return std::nullopt;
+    }
+    if (!valid || in.fail() || !(in >> std::ws).eof()) {
+      std::fprintf(stderr, "replay: line %zu: bad value '%s'\n", line_no, line.c_str());
+      return std::nullopt;
+    }
+  }
+  for (const auto& [at, idx] : attackers) {
+    if (idx >= ep.cfg.workload.num_clients) {
+      std::fprintf(stderr, "replay: line %zu: byzantine client %zu but num_clients=%u\n", at,
+                   idx, ep.cfg.workload.num_clients);
       return std::nullopt;
     }
   }
