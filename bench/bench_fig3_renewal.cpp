@@ -45,8 +45,10 @@ RenewalStats run(double rtt_ms, double tau_s) {
   const auto* agent = c0.lease_agent();
 
   // Issue a getattr every 800ms; each ACK opportunistically renews.
+  // Pending events own the tick and it refers to itself weakly, so the
+  // chain is freed once it stops rescheduling.
   auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&, tick]() {
+  *tick = [&, weak = std::weak_ptr(tick)]() {
     if (sc.engine().now().seconds() < 60.0) {
       const auto before = agent->renewals();
       c0.getattr(sc.fd(0, 0), [&, before](Result<protocol::FileAttr>) {
@@ -60,7 +62,7 @@ RenewalStats run(double rtt_ms, double tau_s) {
           ++stats.renewals;
         }
       });
-      sc.engine().schedule_after(sim::millis(800), [tick]() { (*tick)(); });
+      sc.engine().schedule_after(sim::millis(800), [self = weak.lock()]() { (*self)(); });
     }
   };
   (*tick)();

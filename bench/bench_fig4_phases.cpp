@@ -56,15 +56,17 @@ PhaseTimes run_activity(double interarrival_s, bool partitioned, double phase2_f
     // Server-visible activity (metadata requests): a fully-cached working
     // set would be served locally and look idle to the server, so drive
     // getattr traffic at the requested rate.
+    // Pending events own the tick and it refers to itself weakly, so the
+    // chain is freed once it stops rescheduling.
     auto tick = std::make_shared<std::function<void()>>();
     auto rng = std::make_shared<sim::Rng>(7);
-    *tick = [&sc, &c0, tick, rng, interarrival_s]() {
+    *tick = [&sc, &c0, weak = std::weak_ptr(tick), rng, interarrival_s]() {
       if (sc.engine().now().seconds() < 60.0) {
         if (c0.accepting()) {
           c0.getattr(sc.fd(0, 0), [](Result<protocol::FileAttr>) {});
         }
         sc.engine().schedule_after(sim::seconds_d(rng->exponential(interarrival_s)),
-                                   [tick]() { (*tick)(); });
+                                   [self = weak.lock()]() { (*self)(); });
       }
     };
     sc.engine().schedule_at(sim::SimTime{} + sim::millis(600), [tick]() { (*tick)(); });

@@ -76,8 +76,10 @@ NackOutcome run_direct(bool nack_enabled) {
 
   NackOutcome out;
   // After healing, c0's local process keeps working: one getattr per 500ms.
+  // Pending events own the tick and it refers to itself weakly, so the
+  // chain is freed once it stops rescheduling.
   auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&, tick]() {
+  *tick = [&, weak = std::weak_ptr(tick)]() {
     if (engine.now().seconds() < 40.0) {
       if (c0->accepting()) {
         c0->getattr(fd0, [](Result<protocol::FileAttr>) {});
@@ -89,7 +91,7 @@ NackOutcome run_direct(bool nack_enabled) {
       if (out.reregistered_at < 0 && server.session_epoch(NodeId{100}) >= 2) {
         out.reregistered_at = engine.now().seconds();
       }
-      engine.schedule_after(sim::millis(100), [tick]() { (*tick)(); });
+      engine.schedule_after(sim::millis(100), [self = weak.lock()]() { (*self)(); });
     }
   };
   engine.schedule_at(sim::SimTime{} + sim::seconds_d(6.1), [tick]() { (*tick)(); });

@@ -1,6 +1,5 @@
 #include "client/byzantine.hpp"
 
-#include <iterator>
 #include <utility>
 #include <variant>
 
@@ -98,13 +97,12 @@ void ByzantineClient::snapshot_rogue_writes() {
   // re-keys — that staleness is the attack.
   rogue_io_key_ = (static_cast<std::uint64_t>(server_incarnation()) << 32) | transport().epoch();
   rogue_writes_.clear();
-  const auto& files = known_files();
   for (const auto& [file, fb] : cache().all_dirty()) {
-    auto fit = files.find(file);
-    if (fit == files.end()) continue;
+    const std::vector<protocol::Extent>* extents = known_extents(file);
+    if (extents == nullptr) continue;
     DiskId disk;
     storage::BlockAddr addr;
-    if (!protocol::locate_block(fit->second.extents, fb, disk, addr)) continue;
+    if (!protocol::locate_block(*extents, fb, disk, addr)) continue;
     const BlockCache::Page* page = cache().peek(file, fb);
     if (page == nullptr) continue;
     rogue_writes_.push_back(RogueWrite{disk, addr, page->data});
@@ -170,11 +168,9 @@ void ByzantineClient::forge_tick() {
     // server must reject the claim on that mismatch. Prefer files we know
     // exist.
     FileId file{1 + (next_rand() % 4)};
-    const auto& files = known_files();
+    const std::vector<FileId> files = known_files();
     if (!files.empty()) {
-      auto it = files.begin();
-      std::advance(it, next_rand() % files.size());
-      file = it->first;
+      file = files[next_rand() % files.size()];
     }
     const std::uint32_t gen = 1 + (next_rand() % 4);
     const std::uint64_t cookie = (static_cast<std::uint64_t>(next_rand()) << 32) | next_rand();

@@ -165,11 +165,10 @@ void Client::build_lease_machinery() {
       hooks.object_expired = [this](FileId file) {
         // This object's lease lapsed: its lock and cached pages are invalid.
         cache_.invalidate_file(file);
-        auto it = files_.find(file);
-        if (it != files_.end()) {
-          it->second.mode = LockMode::kNone;
-          ++it->second.mode_seq;
-          it->second.pending_mode = LockMode::kNone;
+        if (FileState* fs = find_file(file)) {
+          fs->mode = LockMode::kNone;
+          ++fs->mode_seq;
+          fs->pending_mode = LockMode::kNone;
         }
         fail_lock_waits(file, ErrorCode::kLeaseExpired);
       };
@@ -371,26 +370,27 @@ void Client::reassert_locks() {
   // file, not only the ones we reassert, or a stale pre-crash generation
   // would make us discard the new incarnation's grants and demands.
   for (auto& [file, fs] : files_) {
-    fs.lock_gen = 0;
-    fs.lock_cookie = 0;
-    fs.pending_mode = LockMode::kNone;
-    fs.revoking = false;
-    fs.revoke_target = LockMode::kNone;
-    fs.deferred_demand.reset();
+    fs->lock_gen = 0;
+    fs->lock_cookie = 0;
+    fs->pending_mode = LockMode::kNone;
+    fs->revoking = false;
+    fs->revoke_target = LockMode::kNone;
+    fs->deferred_demand.reset();
   }
-  for (auto& [file, fs] : files_) {
-    if (fs.mode == LockMode::kNone) continue;
-    const LockMode mode = fs.mode;
+  // Ascending FileId: the send order assigns the msg ids.
+  for (const FileId file : known_files()) {
+    const LockMode mode = find_file(file)->mode;
+    if (mode == LockMode::kNone) continue;
     transport_.send_request(
         protocol::ReassertLockReq{file, mode},
         [this, file_id = file](const protocol::ReplyEvent& ev) {
-          auto fit = files_.find(file_id);
-          if (fit == files_.end()) return;
+          FileState* fs = find_file(file_id);
+          if (fs == nullptr) return;
           if (ev.outcome == protocol::ReplyOutcome::kAck) {
             if (const auto* rep = std::get_if<protocol::LockReply>(&ev.body)) {
               if (rep->granted) {
-                fit->second.lock_gen = rep->gen;
-                fit->second.lock_cookie = rep->cookie;
+                fs->lock_gen = rep->gen;
+                fs->lock_cookie = rep->cookie;
                 if (rec_ != nullptr) {
                   rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockReassert,
                                file_id.value(), 1);
@@ -408,8 +408,8 @@ void Client::reassert_locks() {
                          file_id.value(), 0);
           }
           cache_.invalidate_file(file_id);
-          fit->second.mode = LockMode::kNone;
-          ++fit->second.mode_seq;
+          fs->mode = LockMode::kNone;
+          ++fs->mode_seq;
         });
   }
 }
@@ -435,20 +435,20 @@ void Client::handle_lease_expired() {
 void Client::invalidate_everything() {
   cache_.invalidate_all();
   for (auto& [file, fs] : files_) {
-    fs.mode = LockMode::kNone;
-    ++fs.mode_seq;
-    fs.pending_mode = LockMode::kNone;
-    fs.revoking = false;
-    fs.revoke_target = LockMode::kNone;
-    fs.deferred_demand.reset();
-    fs.attr_known = false;
+    fs->mode = LockMode::kNone;
+    ++fs->mode_seq;
+    fs->pending_mode = LockMode::kNone;
+    fs->revoking = false;
+    fs->revoke_target = LockMode::kNone;
+    fs->deferred_demand.reset();
+    fs->attr_known = false;
   }
 }
 
 void Client::reset_lock_generations() {
   for (auto& [file, fs] : files_) {
-    fs.lock_gen = 0;
-    fs.lock_cookie = 0;
+    fs->lock_gen = 0;
+    fs->lock_cookie = 0;
   }
 }
 
@@ -484,24 +484,44 @@ bool Client::gate(ErrorCode& why) const {
 
 Client::FileState* Client::state_of(Fd fd) {
   const FileId* file = fds_.find(fd);
-  if (file == nullptr) return nullptr;
-  auto fit = files_.find(*file);
-  return fit == files_.end() ? nullptr : &fit->second;
+  return file == nullptr ? nullptr : find_file(*file);
+}
+
+Client::FileState* Client::find_file(FileId file) {
+  std::unique_ptr<FileState>* fs = files_.find(file);
+  return fs == nullptr ? nullptr : fs->get();
+}
+
+const Client::FileState* Client::find_file(FileId file) const {
+  return const_cast<Client*>(this)->find_file(file);
 }
 
 Client::FileState& Client::state_for(FileId file) {
-  auto [it, inserted] = files_.try_emplace(file);
+  auto [slot, inserted] = files_.try_emplace(file);
   if (inserted) {
-    it->second.file = file;
+    *slot = std::make_unique<FileState>();
+    (*slot)->file = file;
   }
-  return it->second;
+  return **slot;
+}
+
+std::vector<FileId> Client::known_files() const {
+  std::vector<FileId> ids;
+  ids.reserve(files_.size());
+  for (const auto& [file, fs] : files_) ids.push_back(file);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+const std::vector<protocol::Extent>* Client::known_extents(FileId file) const {
+  const FileState* fs = find_file(file);
+  return fs == nullptr ? nullptr : &fs->extents;
 }
 
 protocol::LockMode Client::lock_mode(Fd fd) const {
   const FileId* file = fds_.find(fd);
-  if (file == nullptr) return LockMode::kNone;
-  auto fit = files_.find(*file);
-  return fit == files_.end() ? LockMode::kNone : fit->second.mode;
+  const FileState* fs = file == nullptr ? nullptr : find_file(*file);
+  return fs == nullptr ? LockMode::kNone : fs->mode;
 }
 
 // ---------------------------------------------------------------------------
@@ -698,15 +718,13 @@ void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(S
                               // Buffering now would dirty the cache under a
                               // serialization this write was not issued in —
                               // fail and let the caller retry afresh.
-                              auto fit = files_.find(file);
-                              if (fit == files_.end() || fit->second.mode_seq != seq ||
-                                  fit->second.mode != LockMode::kExclusive ||
-                                  fit->second.revoking) {
+                              FileState* fs3 = find_file(file);
+                              if (fs3 == nullptr || fs3->mode_seq != seq ||
+                                  fs3->mode != LockMode::kExclusive || fs3->revoking) {
                                 cb(Status{ErrorCode::kLockConflict});
                                 return;
                               }
-                              write_direct(fit->second, offset, std::move(data),
-                                           std::move(cb));
+                              write_direct(*fs3, offset, std::move(data), std::move(cb));
                             });
               });
 }
@@ -766,12 +784,12 @@ void Client::release(Fd fd, protocol::LockMode downgrade_to, std::function<void(
 }
 
 void Client::do_unlock(FileId file, LockMode downgrade_to, std::function<void(Status)> cb) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
+  FileState* fsp = find_file(file);
+  if (fsp == nullptr) {
     cb(Status{ErrorCode::kShutdown});
     return;
   }
-  FileState& fs = fit->second;
+  FileState& fs = *fsp;
   fs.mode = downgrade_to;
   ++fs.mode_seq;
   if (downgrade_to == LockMode::kNone) {
@@ -846,9 +864,9 @@ void Client::ensure_lock(FileId file, LockMode mode, std::function<void(Status)>
 }
 
 void Client::pump_lock_requests(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
-  FileState& fs = fit->second;
+  FileState* fsp = find_file(file);
+  if (fsp == nullptr) return;
+  FileState& fs = *fsp;
   if (fs.revoking) return;  // re-pumped when the demand completes
 
   if (fs.lock_waits.empty()) return;
@@ -866,11 +884,11 @@ void Client::pump_lock_requests(FileId file) {
   fs.pending_mode = want;
   transport_.send_request(
       protocol::LockReq{file, want}, [this, file](const protocol::ReplyEvent& ev) {
-        auto fit2 = files_.find(file);
-        if (fit2 == files_.end()) {
+        FileState* fs2p = find_file(file);
+        if (fs2p == nullptr) {
           return;  // state discarded (crash) while in flight
         }
-        FileState& fs2 = fit2->second;
+        FileState& fs2 = *fs2p;
         if (ev.outcome == protocol::ReplyOutcome::kAck) {
           if (const auto* rep = std::get_if<protocol::LockReply>(&ev.body)) {
             if (rep->granted) {
@@ -952,19 +970,21 @@ void Client::lock_state_changed(FileId file) {
 }
 
 void Client::fail_lock_waits(FileId file, ErrorCode code) {
-  auto fit = files_.find(file);
-  if (fit == files_.end() || fit->second.lock_waits.empty()) return;
-  SmallVec<LockWait, 2> failed = std::move(fit->second.lock_waits);
+  FileState* fs = find_file(file);
+  if (fs == nullptr || fs->lock_waits.empty()) return;
+  SmallVec<LockWait, 2> failed = std::move(fs->lock_waits);
   for (auto& w : failed) {
     w.cb(Status{code});
   }
 }
 
 void Client::fail_all_lock_waits(ErrorCode code) {
-  // Collect every waiter first: a failure callback may re-enter and mutate
-  // files_ (this is the expiry/teardown path, not a hot one).
+  // Collect every waiter first, in ascending FileId (the callback order): a
+  // failure callback may re-enter and mutate files_ (this is the
+  // expiry/teardown path, not a hot one).
   std::vector<LockWait> failed;
-  for (auto& [file, fs] : files_) {
+  for (const FileId file : known_files()) {
+    FileState& fs = *find_file(file);
     for (auto& w : fs.lock_waits) {
       failed.push_back(std::move(w));
     }
@@ -1022,9 +1042,9 @@ void Client::handle_demand(const protocol::LockDemand& d) {
 }
 
 void Client::process_demand(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
-  FileState& fs = fit->second;
+  FileState* fsp = find_file(file);
+  if (fsp == nullptr) return;
+  FileState& fs = *fsp;
   if (!fs.revoking) return;  // resolved meanwhile (e.g. lease expiry)
 
   if (fs.writes_in_flight > 0) {
@@ -1037,8 +1057,8 @@ void Client::process_demand(FileId file) {
     // Dirty data protected by this lock must reach the disk before the lock
     // is ceded (the consistency guarantee fencing alone cannot provide).
     flush_file(file, [this, file](Status st) {
-      auto fit2 = files_.find(file);
-      if (fit2 == files_.end() || !fit2->second.revoking) return;
+      FileState* fs2 = find_file(file);
+      if (fs2 == nullptr || !fs2->revoking) return;
       if (st.is_ok()) {
         finish_demand(file);
       } else {
@@ -1055,9 +1075,9 @@ void Client::process_demand(FileId file) {
 }
 
 void Client::finish_demand(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
-  FileState& fs = fit->second;
+  FileState* fsp = find_file(file);
+  if (fsp == nullptr) return;
+  FileState& fs = *fsp;
   if (!fs.revoking) return;
   const LockMode target = fs.revoke_target;
   const std::uint32_t gen = fs.lock_gen;
@@ -1095,9 +1115,9 @@ void Client::ensure_size(FileState& fs, std::uint64_t min_size, std::function<vo
 }
 
 void Client::pump_size_round(FileId file) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return;
-  FileState& fs = fit->second;
+  FileState* fsp = find_file(file);
+  if (fsp == nullptr) return;
+  FileState& fs = *fsp;
   if (fs.size_waiters.empty()) {
     fs.size_round_inflight = false;
     return;
@@ -1110,9 +1130,9 @@ void Client::pump_size_round(FileId file) {
   transport_.send_request(
       protocol::SetSizeReq{file, want, /*truncate=*/false},
       [this, file](const protocol::ReplyEvent& ev) {
-        auto fit2 = files_.find(file);
-        if (fit2 == files_.end()) return;
-        FileState& fs2 = fit2->second;
+        FileState* fs2p = find_file(file);
+        if (fs2p == nullptr) return;
+        FileState& fs2 = *fs2p;
         fs2.size_round_inflight = false;
 
         Status st = Status::ok();
@@ -1141,9 +1161,9 @@ void Client::pump_size_round(FileId file) {
         // Serve the satisfied prefix strictly in arrival order; a waiter
         // queued mid-flight may need a bigger size and starts a new round.
         while (true) {
-          auto fit3 = files_.find(file);
-          if (fit3 == files_.end()) return;
-          FileState& fs3 = fit3->second;
+          FileState* fs3p = find_file(file);
+          if (fs3p == nullptr) return;
+          FileState& fs3 = *fs3p;
           if (fs3.size_waiters.empty() || !fs3.attr_known ||
               fs3.attr.size < fs3.size_waiters.front().min_size) {
             break;
@@ -1158,7 +1178,8 @@ void Client::pump_size_round(FileId file) {
 
 void Client::abort_size_rounds(ErrorCode why) {
   std::vector<std::function<void(Status)>> cbs;
-  for (auto& [file, fs] : files_) {
+  for (const FileId file : known_files()) {  // the callback order
+    FileState& fs = *find_file(file);
     for (auto& w : fs.size_waiters) {
       cbs.push_back(std::move(w.cb));
     }
@@ -1252,9 +1273,9 @@ void Client::read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
       }
       std::copy_n(res.value().begin() + s.offset_in_block, s.len,
                   fan->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
-      auto fit2 = files_.find(file);
-      const bool lock_intact = fit2 != files_.end() && fit2->second.lock_gen == fetch_gen &&
-                               fit2->second.mode != LockMode::kNone;
+      const FileState* fs2 = find_file(file);
+      const bool lock_intact =
+          fs2 != nullptr && fs2->lock_gen == fetch_gen && fs2->mode != LockMode::kNone;
       const bool cacheable =
           cfg_.coherence == CoherenceMode::kNfsPoll ? true : lock_intact;
       // Also never clobber a page that appeared (dirty) while we fetched.
@@ -1312,9 +1333,9 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
     ++fs.writes_in_flight;
     const std::uint64_t seq = fs.mode_seq;
     fetch_block(fs, s.file_block, [this, file, s, seq, fan, complete](Result<Bytes> res) {
-      auto fit2 = files_.find(file);
-      if (fit2 != files_.end() && fit2->second.writes_in_flight > 0) {
-        --fit2->second.writes_in_flight;
+      FileState* fs2 = find_file(file);
+      if (fs2 != nullptr && fs2->writes_in_flight > 0) {
+        --fs2->writes_in_flight;
       }
       if (!res.ok()) {
         complete(Status{res.error()});
@@ -1323,8 +1344,7 @@ void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
       // Demands wait on writes_in_flight, but a lease ride-down does not:
       // if the lock changed while the fill was in flight, the dirty put
       // would outlive its serialization.
-      if (fit2 == files_.end() || fit2->second.mode_seq != seq ||
-          fit2->second.mode != LockMode::kExclusive) {
+      if (fs2 == nullptr || fs2->mode_seq != seq || fs2->mode != LockMode::kExclusive) {
         recycle_buf(std::move(res).value());
         complete(Status{ErrorCode::kLockConflict});
         return;
@@ -1446,12 +1466,12 @@ void Client::write_shipped(FileState& fs, std::uint64_t offset, Bytes data,
 // Flushing
 
 void Client::flush_file(FileId file, std::function<void(Status)> cb) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
+  FileState* fsp = find_file(file);
+  if (fsp == nullptr) {
     cb(Status::ok());
     return;
   }
-  FileState& fs = fit->second;
+  FileState& fs = *fsp;
   auto dirty = cache_.dirty_blocks(file);
   if (dirty.empty()) {
     cb(Status::ok());
@@ -1518,8 +1538,8 @@ void Client::flush_all(std::function<void(Status)> cb) {
   fan->expected = dirty.size();
   fan->done = std::move(cb);
   for (const auto& [file, fb] : dirty) {
-    auto fit = files_.find(file);
-    if (fit == files_.end()) {
+    FileState* fs = find_file(file);
+    if (fs == nullptr) {
       fan->complete(Status{ErrorCode::kIoError});
       continue;
     }
@@ -1528,7 +1548,7 @@ void Client::flush_all(std::function<void(Status)> cb) {
       fan->complete(Status::ok());
       continue;
     }
-    write_block_through(fit->second, fb, page->data, [fan](Status st) { fan->complete(st); });
+    write_block_through(*fs, fb, page->data, [fan](Status st) { fan->complete(st); });
   }
 }
 

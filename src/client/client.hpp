@@ -23,7 +23,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -192,8 +191,12 @@ class Client {
   [[nodiscard]] core::ClientLeaseAgent::Hooks* lease_hooks() {
     return agent_ ? &agent_->hooks() : nullptr;
   }
-  // Every file this client holds state for, with its last-known extents.
-  [[nodiscard]] const std::map<FileId, FileState>& known_files() const { return files_; }
+  // Every file this client holds state for, in ascending FileId: the order
+  // of every walk whose order a caller can observe (sends, callbacks),
+  // which the per-file table's own iteration order is not.
+  [[nodiscard]] std::vector<FileId> known_files() const;
+  // A known file's last-known extents; null if the file is not known.
+  [[nodiscard]] const std::vector<protocol::Extent>* known_extents(FileId file) const;
   // Called by handle_lease_expired() past its already-torn-down guard.
   virtual void before_lease_teardown() {}
 
@@ -215,6 +218,9 @@ class Client {
   // Request plumbing.
   [[nodiscard]] bool gate(ErrorCode& why) const;
   FileState* state_of(Fd fd);
+  // One probe; null if the file is not known.
+  [[nodiscard]] FileState* find_file(FileId file);
+  [[nodiscard]] const FileState* find_file(FileId file) const;
   FileState& state_for(FileId file);
 
   // Locking.
@@ -296,10 +302,12 @@ class Client {
   std::uint32_t server_incarnation_{0};
 
   Fd next_fd_{1};
-  // Flat open-addressing table: a handful of open fds per client at steady
-  // state, probed once per data op.
+  // Flat open-addressing tables: a handful of open fds per client at steady
+  // state, probed once per data op, then one probe for the file's state.
+  // FileState lives behind a pointer so a FileState& stays valid when
+  // another file's insert rehashes the table.
   FlatMap<Fd, FileId> fds_;
-  std::map<FileId, FileState> files_;
+  FlatMap<FileId, std::unique_ptr<FileState>> files_;
 
   std::uint64_t ops_completed_{0};
   std::uint64_t ops_rejected_{0};

@@ -6,6 +6,9 @@
 // steady-state server path touch one or two adjacent cache lines instead of
 // chasing std::unordered_map buckets. FlatSet is the keys-only wrapper.
 //
+// The slot array and its occupancy bytes share one heap block (slots first,
+// then one byte per slot), so a table costs one allocation and one pointer.
+//
 // Requirements: Key and Value are default-constructible and movable; Key is
 // equality-comparable. Hash output is spread with a Fibonacci multiply, so
 // the identity hashes of StrongId / integers are fine. Pointers and iterators
@@ -16,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 
@@ -32,8 +36,15 @@ class FlatMap {
   };
 
   FlatMap() = default;
-  FlatMap(FlatMap&&) noexcept = default;
-  FlatMap& operator=(FlatMap&&) noexcept = default;
+  ~FlatMap() { release(); }
+  FlatMap(FlatMap&& other) noexcept { steal(other); }
+  FlatMap& operator=(FlatMap&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
   FlatMap(const FlatMap& other) { *this = other; }
   FlatMap& operator=(const FlatMap& other) {
     if (this == &other) return *this;
@@ -50,8 +61,7 @@ class FlatMap {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   void clear() {
-    slots_.reset();
-    used_.reset();
+    release();
     capacity_ = 0;
     size_ = 0;
     shift_ = 0;
@@ -66,8 +76,9 @@ class FlatMap {
 
   [[nodiscard]] Value* find(const Key& k) {
     if (size_ == 0) return nullptr;
+    const std::uint8_t* const occupied = used();
     std::size_t i = bucket(k);
-    while (used_[i]) {
+    while (occupied[i]) {
       if (slots_[i].key == k) return &slots_[i].value;
       i = (i + 1) & mask();
     }
@@ -87,12 +98,13 @@ class FlatMap {
     if (capacity_ == 0 || size_ + 1 > capacity_ - capacity_ / 4) {
       rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
     }
+    std::uint8_t* const occupied = used();
     std::size_t i = bucket(k);
-    while (used_[i]) {
+    while (occupied[i]) {
       if (slots_[i].key == k) return {&slots_[i].value, false};
       i = (i + 1) & mask();
     }
-    used_[i] = 1;
+    occupied[i] = 1;
     slots_[i].key = k;
     ++size_;
     return {&slots_[i].value, true};
@@ -108,14 +120,15 @@ class FlatMap {
   // members down, so lookups never scan tombstones.
   bool erase(const Key& k) {
     if (size_ == 0) return false;
+    std::uint8_t* const occupied = used();
     std::size_t i = bucket(k);
-    while (used_[i]) {
+    while (occupied[i]) {
       if (slots_[i].key == k) {
         std::size_t hole = i;
         std::size_t j = i;
         for (;;) {
           j = (j + 1) & mask();
-          if (!used_[j]) break;
+          if (!occupied[j]) break;
           const std::size_t home = bucket(slots_[j].key);
           // Slot j may fill the hole only if the hole is not before its home
           // position on the (cyclic) probe sequence.
@@ -124,7 +137,7 @@ class FlatMap {
             hole = j;
           }
         }
-        used_[hole] = 0;
+        occupied[hole] = 0;
         slots_[hole] = Slot{};  // release the stale element's resources
         --size_;
         return true;
@@ -152,7 +165,7 @@ class FlatMap {
 
    private:
     void skip() {
-      while (idx_ < map_->capacity_ && !map_->used_[idx_]) ++idx_;
+      while (idx_ < map_->capacity_ && !map_->used()[idx_]) ++idx_;
     }
     MapT* map_;
     std::size_t idx_;
@@ -175,14 +188,44 @@ class FlatMap {
     return static_cast<std::size_t>(h >> shift_);
   }
 
+  // The occupancy bytes follow the last slot in the same block.
+  [[nodiscard]] std::uint8_t* used() const {
+    return reinterpret_cast<std::uint8_t*>(slots_ + capacity_);
+  }
+
+  // Plain operator new, so the bench allocation hooks see the block.
+  static_assert(alignof(Slot) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  static Slot* allocate(std::size_t cap) {
+    void* block = ::operator new(cap * sizeof(Slot) + cap);
+    Slot* slots = static_cast<Slot*>(block);
+    std::uninitialized_value_construct_n(slots, cap);
+    std::uninitialized_fill_n(reinterpret_cast<std::uint8_t*>(slots + cap), cap, 0);
+    return slots;
+  }
+  static void free_block(Slot* slots, std::size_t cap) {
+    if (slots == nullptr) return;
+    std::destroy_n(slots, cap);
+    ::operator delete(slots);
+  }
+  void release() {
+    free_block(slots_, capacity_);
+    slots_ = nullptr;
+  }
+  void steal(FlatMap& other) {
+    slots_ = std::exchange(other.slots_, nullptr);
+    capacity_ = std::exchange(other.capacity_, 0);
+    size_ = std::exchange(other.size_, 0);
+    shift_ = std::exchange(other.shift_, 0);
+  }
+
   void rehash(std::size_t new_cap) {
-    auto old_slots = std::move(slots_);
-    auto old_used = std::move(used_);
+    Slot* const old_slots = slots_;
+    const std::uint8_t* const old_used = used();
     const std::size_t old_cap = capacity_;
 
-    slots_ = std::make_unique<Slot[]>(new_cap);
-    used_ = std::make_unique<std::uint8_t[]>(new_cap);
+    slots_ = allocate(new_cap);
     capacity_ = new_cap;
+    std::uint8_t* const occupied = used();
     std::uint32_t log2 = 0;
     while ((std::size_t{1} << log2) < new_cap) ++log2;
     shift_ = 64 - log2;
@@ -190,14 +233,14 @@ class FlatMap {
     for (std::size_t i = 0; i < old_cap; ++i) {
       if (!old_used[i]) continue;
       std::size_t j = bucket(old_slots[i].key);
-      while (used_[j]) j = (j + 1) & mask();
-      used_[j] = 1;
+      while (occupied[j]) j = (j + 1) & mask();
+      occupied[j] = 1;
       slots_[j] = std::move(old_slots[i]);
     }
+    free_block(old_slots, old_cap);
   }
 
-  std::unique_ptr<Slot[]> slots_;
-  std::unique_ptr<std::uint8_t[]> used_;
+  Slot* slots_{nullptr};
   std::size_t capacity_{0};
   std::size_t size_{0};
   std::uint32_t shift_{0};

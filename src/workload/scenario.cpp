@@ -39,7 +39,7 @@ client::Fd Scenario::fd(std::size_t client_idx, std::size_t file_idx) const {
 }
 
 std::uint64_t Scenario::next_version(FileId file, std::uint64_t block) {
-  return ++versions_[{file, block}];
+  return ++versions_[BlockKey{file, block}];
 }
 
 std::string ScenarioResult::verdict_line() const {

@@ -16,6 +16,7 @@
 
 #include "client/byzantine.hpp"
 #include "client/client.hpp"
+#include "common/flat_map.hpp"
 #include "metrics/histogram.hpp"
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
@@ -214,7 +215,18 @@ class Scenario {
   std::vector<std::unique_ptr<client::Client>> clients_;
   std::vector<ClientDriver> drivers_;
   std::vector<FileId> file_ids_;
-  std::map<std::pair<FileId, std::uint64_t>, std::uint64_t> versions_;
+  // Last version stamped per (file, block): one flat probe per write.
+  struct BlockKey {
+    FileId file;
+    std::uint64_t block{0};
+    friend bool operator==(const BlockKey&, const BlockKey&) = default;
+  };
+  struct BlockKeyHash {
+    std::size_t operator()(const BlockKey& k) const {
+      return (static_cast<std::size_t>(k.file.value()) << 32) ^ k.block;
+    }
+  };
+  FlatMap<BlockKey, std::uint64_t, BlockKeyHash> versions_;
 
   std::uint64_t reads_ok_{0};
   std::uint64_t writes_ok_{0};

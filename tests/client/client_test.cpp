@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <string>
 
+#include "obs/recorder.hpp"
 #include "server/server.hpp"
 #include "verify/stamp.hpp"
 
@@ -22,9 +26,11 @@ struct Fixture {
   std::vector<std::unique_ptr<Client>> clients;
   static constexpr std::uint32_t kBs = 64;
 
-  explicit Fixture(int num_clients = 2, core::LeaseStrategy strategy =
-                                            core::LeaseStrategy::kStorageTank)
+  explicit Fixture(int num_clients = 2,
+                   core::LeaseStrategy strategy = core::LeaseStrategy::kStorageTank,
+                   obs::Recorder* rec = nullptr)
       : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2), {}) {
+    if (rec != nullptr) rec->bind_engine(engine);
     san.add_disk(DiskId{1}, 4096, kBs);
 
     server::ServerConfig scfg;
@@ -45,7 +51,7 @@ struct Fixture {
       ccfg.strategy = strategy;
       ccfg.block_size = kBs;
       clients.push_back(
-          std::make_unique<Client>(engine, net, san, sim::LocalClock(1.0), ccfg));
+          std::make_unique<Client>(engine, net, san, sim::LocalClock(1.0), ccfg, rec));
       clients.back()->start();
     }
     run_for(0.5);  // registration completes
@@ -515,6 +521,93 @@ TEST(Client, DestroyedClientLeavesNoWritebackTick) {
   c.reset();
   engine.run_until(sim::SimTime{} + sim::seconds(5));
   EXPECT_EQ(engine.events_pending(), 0u);
+}
+
+// After a server restart the client reasserts its locks in ascending FileId:
+// the send order assigns the msg ids, so it must not follow the per-file
+// table's hash order. Each reassertion's file is read off the trace by
+// pairing its ACK with the kLockReassert it triggers.
+TEST(Client, ReassertsLocksInAscendingFileIdOrder) {
+  obs::Recorder rec;
+  Fixture f(1, core::LeaseStrategy::kStorageTank, &rec);
+  net::NetConfig quiet = f.net.config();
+  quiet.jitter = sim::Duration{0};  // FIFO delivery, no reordering
+  f.net.set_config(quiet);
+
+  std::vector<Fd> fds;
+  for (int i = 0; i < 20; ++i) fds.push_back(f.must_open(0, "/f" + std::to_string(i)));
+  const std::vector<std::size_t> locked = {13, 2, 17, 7, 0, 11, 5, 19, 9, 3, 16};
+  for (std::size_t i : locked) {
+    std::optional<Status> st;
+    f.c(0).lock(fds[i], LockMode::kExclusive, [&](Status s) { st = s; });
+    f.run_for(0.1);
+    ASSERT_TRUE(st.has_value() && st->is_ok()) << "lock " << i;
+  }
+
+  f.server->crash();
+  f.run_for(0.5);
+  f.server->restart();
+  // The next request meets the new incarnation and triggers re-registration.
+  f.c(0).getattr(fds[0], [](Result<protocol::FileAttr>) {});
+  f.run_for(2.0);
+  ASSERT_EQ(f.c(0).server_incarnation(), 2u);
+  ASSERT_EQ(rec.dropped_events(), 0u);
+
+  const std::uint64_t reassert_kind = protocol::RequestBody{protocol::ReassertLockReq{}}.index();
+  std::vector<std::uint64_t> sent;                // msg ids, in send order
+  std::map<std::uint64_t, std::uint64_t> file_of;  // msg id -> reasserted file
+  std::uint64_t last_ack = 0;
+  rec.visit_node(f.c(0).id(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kReqSend && e.b == reassert_kind) sent.push_back(e.a);
+    if (e.kind == obs::EventKind::kAckRecv) last_ack = e.a;
+    if (e.kind == obs::EventKind::kLockReassert) {
+      EXPECT_EQ(e.b, 1u) << "reassertion of file " << e.a << " refused";
+      file_of[last_ack] = e.a;
+    }
+  });
+  ASSERT_EQ(sent.size(), locked.size());
+  std::vector<std::uint64_t> files;
+  for (std::uint64_t msg : sent) {
+    ASSERT_TRUE(file_of.contains(msg)) << "no reply traced for msg " << msg;
+    files.push_back(file_of[msg]);
+  }
+  EXPECT_TRUE(std::adjacent_find(files.begin(), files.end(),
+                                 std::greater_equal<>()) == files.end())
+      << "ReassertLockReqs not sent in strictly ascending FileId order";
+  for (std::size_t i : locked) EXPECT_EQ(f.c(0).lock_mode(fds[i]), LockMode::kExclusive);
+}
+
+// A pending op on file A survives the per-file table growing under it: the
+// lock() stays queued behind an unreachable holder while 200 more opens
+// rehash the table several times, then completes with the holder's data.
+TEST(Client, PendingLockSurvivesPerFileTableGrowth) {
+  Fixture f;
+  const Fd held = f.must_open(1, "/a");
+  ASSERT_TRUE(f.must_write(1, held, 0, Bytes(Fixture::kBs, 0x3C)).is_ok());
+  ASSERT_EQ(f.c(1).lock_mode(held), LockMode::kExclusive);
+  const Fd fd = f.must_open(0, "/a");
+  // The holder cannot hear the demand: the lock is stolen only once its
+  // lease has run out, seconds from now (phase 4 flushes its data first).
+  f.net.reachability().sever_pair(NodeId{101}, NodeId{1});
+
+  std::optional<Status> locked;
+  f.c(0).lock(fd, LockMode::kExclusive, [&](Status s) { locked = s; });
+  f.run_for(0.05);
+  int opened = 0;
+  for (int i = 0; i < 200; ++i) {
+    f.c(0).open("/g" + std::to_string(i), true, [&](Result<Fd> r) { opened += r.ok() ? 1 : 0; });
+  }
+  f.run_for(1.0);
+  ASSERT_EQ(opened, 200);
+  ASSERT_FALSE(locked.has_value()) << "the lock must still be pending across the rehashes";
+
+  f.run_for(15.0);
+  ASSERT_TRUE(locked.has_value());
+  EXPECT_TRUE(locked->is_ok());
+  EXPECT_EQ(f.c(0).lock_mode(fd), LockMode::kExclusive);
+  auto r = f.must_read(0, fd, 0, Fixture::kBs);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), Bytes(Fixture::kBs, 0x3C));
 }
 
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {

@@ -2,8 +2,10 @@
 // cross-checked against std::unordered_map under randomized churn.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -209,6 +211,91 @@ TEST(FlatMapTest, MissingEraseAtHighLoadIsInert) {
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(*v, static_cast<int>(k));
   }
+}
+
+// Iteration order is a pure function of capacity, the bucket function and
+// the probe/erase order. Callers that let it reach the wire or a digest
+// depend on it, so a layout change must not move it: this list was taken
+// from the two-array (slots + occupancy) table this layout replaced.
+TEST(FlatMapTest, IterationOrderIsGolden) {
+  FlatMap<FileId, int> m;
+  for (std::uint32_t i = 1; i <= 40; ++i) m[FileId{i * 3}] = static_cast<int>(i);
+  for (std::uint32_t i = 4; i <= 40; i += 4) ASSERT_TRUE(m.erase(FileId{i * 3}));
+  const std::vector<std::uint32_t> golden = {
+      102, 81, 39, 18, 99, 78, 57, 15,  117, 75, 54, 33, 114, 93, 51,
+      30,  9,  111, 90, 69, 27, 6,  87, 66,  45, 3,  105, 63, 42,  21};
+  std::vector<std::uint32_t> seen;
+  for (const auto& [key, value] : m) {
+    seen.push_back(key.value());
+    EXPECT_EQ(static_cast<std::uint32_t>(value) * 3, key.value());
+  }
+  EXPECT_EQ(m.capacity(), 64u);
+  EXPECT_EQ(seen, golden);
+}
+
+// Owning values through every operation that moves, copies or drops slots:
+// the sanitizer build reports any leak, double free or use after move.
+TEST(FlatMapTest, OwningValuesSurviveEveryOperation) {
+  FlatMap<FileId, std::unique_ptr<int>> m;
+  for (std::uint32_t i = 0; i < 100; ++i) {  // several rehashes
+    m[FileId{i}] = std::make_unique<int>(static_cast<int>(i));
+  }
+  const int* stable = m.find(FileId{7})->get();
+  for (std::uint32_t i = 0; i < 100; i += 3) ASSERT_TRUE(m.erase(FileId{i}));  // backward shifts
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    const auto* v = m.find(FileId{i});
+    ASSERT_EQ(v != nullptr, i % 3 != 0) << i;
+    if (v != nullptr) {
+      EXPECT_EQ(**v, static_cast<int>(i));
+    }
+  }
+  EXPECT_EQ(m.find(FileId{7})->get(), stable) << "the pointee never moves";
+
+  FlatMap<FileId, std::unique_ptr<int>> moved(std::move(m));
+  EXPECT_EQ(moved.size(), 66u);
+  EXPECT_EQ(**moved.find(FileId{8}), 8);
+  FlatMap<FileId, std::unique_ptr<int>> assigned;
+  assigned[FileId{500}] = std::make_unique<int>(500);  // dropped by the assignment
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 66u);
+  EXPECT_EQ(assigned.find(FileId{500}), nullptr);
+  EXPECT_EQ(**assigned.find(FileId{8}), 8);
+  assigned.clear();
+  EXPECT_EQ(assigned.find(FileId{8}), nullptr);
+  assigned[FileId{1}] = std::make_unique<int>(1);
+  EXPECT_EQ(**assigned.find(FileId{1}), 1);
+}
+
+TEST(FlatMapTest, StringValuesCopyAndMove) {
+  // Longer than any small-string buffer, so every copy owns heap memory.
+  auto text = [](std::uint32_t i) { return std::string(40, 'a') + std::to_string(i); };
+  FlatMap<FileId, std::string> m;
+  for (std::uint32_t i = 0; i < 60; ++i) m[FileId{i}] = text(i);
+  for (std::uint32_t i = 0; i < 60; i += 4) ASSERT_TRUE(m.erase(FileId{i}));
+
+  FlatMap<FileId, std::string> copy;
+  copy[FileId{999}] = text(999);
+  copy = m;
+  EXPECT_EQ(copy.size(), m.size());
+  EXPECT_EQ(copy.find(FileId{999}), nullptr);
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    const auto* v = copy.find(FileId{i});
+    ASSERT_EQ(v != nullptr, i % 4 != 0) << i;
+    if (v != nullptr) {
+      EXPECT_EQ(*v, text(i));
+    }
+  }
+  copy[FileId{1}] = "changed";
+  EXPECT_EQ(*m.find(FileId{1}), text(1)) << "copy must not alias";
+
+  const auto& alias = copy;
+  copy = alias;  // self-assignment is a no-op
+  EXPECT_EQ(*copy.find(FileId{1}), "changed");
+  FlatMap<FileId, std::string> moved(std::move(copy));
+  moved = std::move(m);
+  EXPECT_EQ(*moved.find(FileId{1}), text(1));
+  moved.clear();
+  EXPECT_TRUE(moved.empty());
 }
 
 TEST(FlatSetTest, InsertEraseContains) {
