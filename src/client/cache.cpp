@@ -1,5 +1,7 @@
 #include "client/cache.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/byte_pool.hpp"
 
@@ -10,137 +12,218 @@ BlockCache::BlockCache(std::uint32_t block_size, std::size_t capacity_pages)
   STANK_ASSERT(block_size > 0);
 }
 
-void BlockCache::touch(const std::map<Key, Entry>::iterator& it) {
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+std::uint64_t BlockCache::pack(FileId file, std::uint64_t fb) {
+  STANK_ASSERT_MSG(fb <= 0xFFFFFFFFull, "file block number exceeds 32 bits");
+  return (static_cast<std::uint64_t>(file.value()) << 32) | fb;
+}
+
+const std::uint32_t* BlockCache::slot_of(FileId file, std::uint64_t fb) const {
+  return fb > 0xFFFFFFFFull ? nullptr : index_.find(pack(file, fb));
+}
+
+void BlockCache::link_front(std::uint32_t i) {
+  Node& n = nodes_[i];
+  n.newer = kNone;
+  n.older = lru_front_;
+  if (lru_front_ != kNone) {
+    nodes_[lru_front_].newer = i;
+  } else {
+    lru_back_ = i;
+  }
+  lru_front_ = i;
+}
+
+void BlockCache::unlink(std::uint32_t i) {
+  Node& n = nodes_[i];
+  if (n.newer != kNone) {
+    nodes_[n.newer].older = n.older;
+  } else {
+    lru_front_ = n.older;
+  }
+  if (n.older != kNone) {
+    nodes_[n.older].newer = n.newer;
+  } else {
+    lru_back_ = n.newer;
+  }
+}
+
+void BlockCache::touch(std::uint32_t i) {
+  if (lru_front_ == i) return;
+  unlink(i);
+  link_front(i);
+}
+
+std::vector<std::uint32_t>::iterator BlockCache::position(std::vector<std::uint32_t>& list,
+                                                          std::uint64_t fb) const {
+  return std::lower_bound(list.begin(), list.end(), fb, [this](std::uint32_t i, std::uint64_t b) {
+    return nodes_[i].key.second < b;
+  });
+}
+
+void BlockCache::release(std::uint32_t i) {
+  Node& n = nodes_[i];
+  recycle_buf(std::move(n.page.data));
+  index_.erase(pack(n.key.first, n.key.second));
+  unlink(i);
+  n.page = Page{};
+  n.older = free_;
+  free_ = i;
+}
+
+void BlockCache::remove(std::uint32_t i) {
+  std::vector<std::uint32_t>& list = *files_.find(nodes_[i].key.first);
+  const auto pos = position(list, nodes_[i].key.second);
+  STANK_ASSERT(pos != list.end() && *pos == i);
+  list.erase(pos);
+  release(i);
 }
 
 BlockCache::Page* BlockCache::find(FileId file, std::uint64_t fb) {
-  auto it = pages_.find({file, fb});
-  if (it == pages_.end()) {
+  const std::uint32_t* slot = slot_of(file, fb);
+  if (slot == nullptr) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  touch(it);
-  return &it->second.page;
+  touch(*slot);
+  return &nodes_[*slot].page;
 }
 
 const BlockCache::Page* BlockCache::peek(FileId file, std::uint64_t fb) const {
-  auto it = pages_.find({file, fb});
-  return it == pages_.end() ? nullptr : &it->second.page;
+  const std::uint32_t* slot = slot_of(file, fb);
+  return slot == nullptr ? nullptr : &nodes_[*slot].page;
 }
 
 BlockCache::Page& BlockCache::put(FileId file, std::uint64_t fb, Bytes data, bool dirty) {
   STANK_ASSERT_MSG(data.size() == block_size_, "page must be exactly one block");
-  const Key key{file, fb};
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    lru_.push_front(key);
-    it = pages_.emplace(key, Entry{Page{std::move(data), dirty}, lru_.begin()}).first;
-  } else {
-    recycle_buf(std::move(it->second.page.data));  // replaced page's buffer
-    it->second.page.data = std::move(data);
-    it->second.page.dirty = dirty;
-    touch(it);
+  auto [slot, inserted] = index_.try_emplace(pack(file, fb));
+  if (!inserted) {
+    Node& n = nodes_[*slot];
+    recycle_buf(std::move(n.page.data));  // replaced page's buffer
+    n.page.data = std::move(data);
+    n.page.dirty = dirty;
+    touch(*slot);
+    return n.page;
   }
-  return it->second.page;
+  std::uint32_t i = free_;
+  if (i == kNone) {
+    i = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    free_ = nodes_[i].older;
+  }
+  *slot = i;
+  Node& n = nodes_[i];
+  n.page.data = std::move(data);
+  n.page.dirty = dirty;
+  n.key = Key{file, fb};
+  link_front(i);
+  std::vector<std::uint32_t>& list = files_[file];
+  list.insert(position(list, fb), i);
+  return n.page;
 }
 
 void BlockCache::mark_dirty(FileId file, std::uint64_t fb) {
-  auto it = pages_.find({file, fb});
-  STANK_ASSERT_MSG(it != pages_.end(), "mark_dirty of uncached page");
-  it->second.page.dirty = true;
+  const std::uint32_t* slot = slot_of(file, fb);
+  STANK_ASSERT_MSG(slot != nullptr, "mark_dirty of uncached page");
+  nodes_[*slot].page.dirty = true;
 }
 
 void BlockCache::mark_clean(FileId file, std::uint64_t fb) {
-  auto it = pages_.find({file, fb});
-  if (it != pages_.end()) {
-    it->second.page.dirty = false;
+  if (const std::uint32_t* slot = slot_of(file, fb)) {
+    nodes_[*slot].page.dirty = false;
+  }
+}
+
+void BlockCache::dirty_blocks(FileId file, std::vector<std::uint64_t>& out) const {
+  out.clear();
+  if (const auto* list = files_.find(file)) {
+    for (const std::uint32_t i : *list) {
+      if (nodes_[i].page.dirty) out.push_back(nodes_[i].key.second);
+    }
   }
 }
 
 std::vector<std::uint64_t> BlockCache::dirty_blocks(FileId file) const {
   std::vector<std::uint64_t> out;
-  for (auto it = pages_.lower_bound({file, 0}); it != pages_.end() && it->first.first == file;
-       ++it) {
-    if (it->second.page.dirty) {
-      out.push_back(it->first.second);
-    }
-  }
+  dirty_blocks(file, out);
   return out;
 }
 
 bool BlockCache::has_dirty(FileId file) const {
-  for (auto it = pages_.lower_bound({file, 0}); it != pages_.end() && it->first.first == file;
-       ++it) {
-    if (it->second.page.dirty) return true;
+  if (const auto* list = files_.find(file)) {
+    for (const std::uint32_t i : *list) {
+      if (nodes_[i].page.dirty) return true;
+    }
   }
   return false;
 }
 
-std::vector<BlockCache::Key> BlockCache::all_dirty() const {
-  std::vector<Key> out;
-  for (const auto& [key, entry] : pages_) {
-    if (entry.page.dirty) {
-      out.push_back(key);
+void BlockCache::all_dirty(std::vector<Key>& out) const {
+  out.clear();
+  // Dirty pages are few next to the table: gather them, then sort by key.
+  for (const auto& [file, list] : files_) {
+    for (const std::uint32_t i : list) {
+      if (nodes_[i].page.dirty) out.push_back(nodes_[i].key);
     }
   }
+  std::sort(out.begin(), out.end());
+}
+
+std::vector<BlockCache::Key> BlockCache::all_dirty() const {
+  std::vector<Key> out;
+  all_dirty(out);
   return out;
 }
 
 void BlockCache::invalidate_file(FileId file) {
-  auto it = pages_.lower_bound({file, 0});
-  while (it != pages_.end() && it->first.first == file) {
-    recycle_buf(std::move(it->second.page.data));
-    lru_.erase(it->second.lru_it);
-    it = pages_.erase(it);
-  }
+  std::vector<std::uint32_t>* list = files_.find(file);
+  if (list == nullptr) return;
+  for (const std::uint32_t i : *list) release(i);
+  list->clear();
 }
 
 void BlockCache::invalidate_all() {
-  for (auto& [key, entry] : pages_) {
-    recycle_buf(std::move(entry.page.data));
+  for (auto& [file, list] : files_) {
+    for (const std::uint32_t i : list) {
+      recycle_buf(std::move(nodes_[i].page.data));
+      index_.erase(pack(file, nodes_[i].key.second));
+    }
+    list.clear();
   }
-  pages_.clear();
-  lru_.clear();
+  nodes_.clear();  // keeps the slab's capacity
+  free_ = kNone;
+  lru_front_ = kNone;
+  lru_back_ = kNone;
 }
 
 std::size_t BlockCache::dirty_count() const {
   std::size_t n = 0;
-  for (const auto& [key, entry] : pages_) {
-    if (entry.page.dirty) ++n;
+  for (const auto& [file, list] : files_) {
+    for (const std::uint32_t i : list) n += nodes_[i].page.dirty ? 1 : 0;
   }
   return n;
 }
 
 std::size_t BlockCache::file_page_count(FileId file) const {
-  std::size_t n = 0;
-  for (auto it = pages_.lower_bound({file, 0}); it != pages_.end() && it->first.first == file;
-       ++it) {
-    ++n;
-  }
-  return n;
+  const auto* list = files_.find(file);
+  return list == nullptr ? 0 : list->size();
 }
 
 std::vector<FileId> BlockCache::cached_files() const {
   std::vector<FileId> out;
-  for (const auto& [key, entry] : pages_) {
-    if (out.empty() || out.back() != key.first) {
-      out.push_back(key.first);
-    }
+  for (const auto& [file, list] : files_) {
+    if (!list.empty()) out.push_back(file);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::optional<BlockCache::Key> BlockCache::evict_clean_lru() {
-  for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-    auto it = pages_.find(*rit);
-    STANK_ASSERT(it != pages_.end());
-    if (!it->second.page.dirty) {
-      const Key key = *rit;
-      recycle_buf(std::move(it->second.page.data));
-      lru_.erase(it->second.lru_it);
-      pages_.erase(it);
+  for (std::uint32_t i = lru_back_; i != kNone; i = nodes_[i].newer) {
+    if (!nodes_[i].page.dirty) {
+      const Key key = nodes_[i].key;
+      remove(i);
       ++evictions_;
       return key;
     }
@@ -149,11 +232,8 @@ std::optional<BlockCache::Key> BlockCache::evict_clean_lru() {
 }
 
 std::optional<BlockCache::Key> BlockCache::oldest_dirty() const {
-  for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-    auto it = pages_.find(*rit);
-    if (it != pages_.end() && it->second.page.dirty) {
-      return *rit;
-    }
+  for (std::uint32_t i = lru_back_; i != kNone; i = nodes_[i].newer) {
+    if (nodes_[i].page.dirty) return nodes_[i].key;
   }
   return std::nullopt;
 }

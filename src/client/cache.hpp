@@ -4,15 +4,22 @@
 // until an explicit flush — a demand, an fsync, or lease phase 4 — which is
 // precisely the behaviour that makes "fence and steal" unsafe (section 2.1):
 // fencing strands these dirty pages.
+//
+// Layout: pages live in a recycled slab, found through one flat hash probe
+// on the packed (file, block) key, threaded on an intrusive LRU list, and
+// listed per file in ascending block order. Steady-state lookups,
+// puts and evictions therefore allocate nothing, and every walk whose order
+// a caller can observe keeps the order of an ordered map: ascending
+// all_dirty / dirty_blocks / cached_files, least-recently-used eviction.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/strong_id.hpp"
 
 namespace stank::client {
@@ -30,12 +37,14 @@ class BlockCache {
 
   [[nodiscard]] std::uint32_t block_size() const { return block_size_; }
 
-  // Returns the cached page or nullptr. Counts a hit/miss.
+  // Returns the cached page or nullptr. Counts a hit/miss. Page pointers stay
+  // valid until the next put() or removal.
   [[nodiscard]] Page* find(FileId file, std::uint64_t fb);
   // Lookup without touching hit/miss statistics.
   [[nodiscard]] const Page* peek(FileId file, std::uint64_t fb) const;
 
-  // Inserts or replaces a page (data must be exactly one block).
+  // Inserts or replaces a page (data must be exactly one block; block
+  // numbers must fit in 32 bits).
   Page& put(FileId file, std::uint64_t fb, Bytes data, bool dirty);
 
   // Marks an existing page dirty.
@@ -43,7 +52,12 @@ class BlockCache {
   // Marks a page clean (it reached the disk).
   void mark_clean(FileId file, std::uint64_t fb);
 
+  // The dirty blocks of `file` in ascending order, into caller scratch
+  // (cleared first), so a flush allocates nothing once the scratch is warm.
+  void dirty_blocks(FileId file, std::vector<std::uint64_t>& out) const;
   [[nodiscard]] std::vector<std::uint64_t> dirty_blocks(FileId file) const;
+  // Every dirty page in ascending (file, block) order, into caller scratch.
+  void all_dirty(std::vector<Key>& out) const;
   [[nodiscard]] std::vector<Key> all_dirty() const;
   // Allocation-free check used by the release/demand fast paths: whether any
   // page of `file` is dirty, without materializing the block list.
@@ -54,10 +68,10 @@ class BlockCache {
   void invalidate_file(FileId file);
   void invalidate_all();
 
-  [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+  [[nodiscard]] std::size_t page_count() const { return index_.size(); }
   [[nodiscard]] std::size_t dirty_count() const;
   [[nodiscard]] std::size_t file_page_count(FileId file) const;
-  // Distinct files with at least one cached page.
+  // Distinct files with at least one cached page, ascending.
   [[nodiscard]] std::vector<FileId> cached_files() const;
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
@@ -68,7 +82,7 @@ class BlockCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   void set_capacity(std::size_t pages) { capacity_ = pages; }
   [[nodiscard]] bool over_capacity() const {
-    return capacity_ != 0 && pages_.size() > capacity_;
+    return capacity_ != 0 && index_.size() > capacity_;
   }
   // Evicts the least-recently-used CLEAN page; returns its key, or nullopt
   // when every cached page is dirty (the caller must flush first — dropping
@@ -78,16 +92,40 @@ class BlockCache {
   [[nodiscard]] std::optional<Key> oldest_dirty() const;
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  // One slab slot. A free slot is chained through `older`.
+  struct Node {
     Page page;
-    std::list<Key>::iterator lru_it;
+    Key key;
+    std::uint32_t newer{kNone};  // toward the LRU front
+    std::uint32_t older{kNone};  // toward the LRU back
   };
-  void touch(const std::map<Key, Entry>::iterator& it);
+
+  [[nodiscard]] static std::uint64_t pack(FileId file, std::uint64_t fb);
+  [[nodiscard]] const std::uint32_t* slot_of(FileId file, std::uint64_t fb) const;
+  void link_front(std::uint32_t i);
+  void unlink(std::uint32_t i);
+  void touch(std::uint32_t i);
+  // Where block fb sits, or belongs, in a file's ascending list.
+  [[nodiscard]] std::vector<std::uint32_t>::iterator position(std::vector<std::uint32_t>& list,
+                                                            std::uint64_t fb) const;
+  // Drops node i's page, index entry and LRU links and returns its slot to
+  // the slab; the caller maintains the file's list.
+  void release(std::uint32_t i);
+  // release(), and takes the node off its file's list.
+  void remove(std::uint32_t i);
 
   std::uint32_t block_size_;
+  std::uint32_t free_{kNone};
+  std::uint32_t lru_front_{kNone};  // most recently used
+  std::uint32_t lru_back_{kNone};   // least recently used
   std::size_t capacity_;
-  std::map<Key, Entry> pages_;
-  std::list<Key> lru_;  // front = most recently used
+  std::vector<Node> nodes_;
+  FlatMap<std::uint64_t, std::uint32_t> index_;  // packed key -> slab slot
+  // Per-file slab slots in ascending block order. A list emptied by an
+  // invalidation keeps its capacity for the file's next pages.
+  FlatMap<FileId, std::vector<std::uint32_t>> files_;
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
   std::uint64_t evictions_{0};

@@ -26,43 +26,6 @@ constexpr sim::LocalDuration kReregisterRetry = sim::local_millis(700);
 constexpr double kVRenewFrac = 0.5;
 constexpr double kHbBeatFrac = 0.34;
 
-// Fan-in helper for multi-block operations.
-struct FanIn {
-  std::size_t expected{0};
-  std::size_t seen{0};
-  Status status{Status::ok()};
-  std::function<void(Status)> done;
-
-  void complete(Status s) {
-    if (!s.is_ok() && status.is_ok()) {
-      status = s;
-    }
-    if (++seen == expected && done) {
-      done(status);
-    }
-  }
-};
-
-// Combined fan state for read_direct: the (pooled) result buffer, the
-// caller's callback and the fan-in counters share one allocation instead of
-// a buffer shared_ptr + FanIn + a capturing done-closure.
-struct ReadFan {
-  Bytes buf;
-  std::function<void(Result<Bytes>)> cb;
-  std::size_t expected{0};
-  std::size_t seen{0};
-  Status status{Status::ok()};
-};
-
-// Same idea for write_direct: the caller's payload rides in the fan.
-struct WriteFan {
-  Bytes data;
-  std::function<void(Status)> cb;
-  std::size_t expected{0};
-  std::size_t seen{0};
-  Status status{Status::ok()};
-};
-
 // On-stack slice list: steady-state ops span a handful of blocks, so the
 // inline capacity makes slicing allocation-free.
 using SliceVec = SmallVec<protocol::BlockSlice, 8>;
@@ -71,8 +34,7 @@ using SliceVec = SmallVec<protocol::BlockSlice, 8>;
 
 Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
                sim::LocalClock local_clock, ClientConfig cfg, obs::Recorder* rec)
-    : engine_(&engine),
-      san_(&san),
+    : san_(&san),
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
       rec_(rec),
@@ -392,7 +354,7 @@ void Client::reassert_locks() {
                 fs->lock_gen = rep->gen;
                 fs->lock_cookie = rep->cookie;
                 if (rec_ != nullptr) {
-                  rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockReassert,
+                  rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
                                file_id.value(), 1);
                 }
                 return;
@@ -404,7 +366,7 @@ void Client::reassert_locks() {
           // checker charges this to the server-crash scenario, exactly the
           // data-loss window reassertion is meant to close.
           if (rec_ != nullptr) {
-            rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockReassert,
+            rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
                          file_id.value(), 0);
           }
           cache_.invalidate_file(file_id);
@@ -525,29 +487,122 @@ protocol::LockMode Client::lock_mode(Fd fd) const {
 }
 
 // ---------------------------------------------------------------------------
+// Op records
+
+enum class Client::OpKind : std::uint8_t {
+  kOpen,
+  kClose,
+  kGetattr,
+  kRead,
+  kWrite,
+  kLock,
+  kUnlock,
+  kFlush,
+};
+
+struct Client::Op {
+  OpKind kind{OpKind::kFlush};
+  LockMode mode{LockMode::kNone};  // kUnlock: the mode to downgrade to
+  bool timed{false};               // a traced lock wait started at wait_start
+  std::uint32_t refs{0};
+  std::uint32_t life{0};      // the client's gen_ when the op began
+  std::uint32_t lock_gen{0};  // kRead: the lock generation its fetches run under
+  FileId file;
+  std::uint64_t offset{0};
+  std::uint64_t size{0};      // bytes to read, or written
+  std::uint64_t mode_seq{0};  // kWrite: the lock transition it was issued under
+  sim::SimTime wait_start{};
+  // Fan-in over the op's block I/Os.
+  std::size_t expected{0};
+  std::size_t seen{0};
+  Status status{Status::ok()};
+  Bytes buf;  // kRead: the result; kWrite: the payload
+  // Flush scratch, kept with its capacity while the record is pooled.
+  std::vector<std::uint64_t> blocks;
+  std::vector<BlockCache::Key> pages;
+  // The caller's continuation; the one matching `kind` is set.
+  StatusCb done;
+  ReadCb read_done;
+  OpenCb open_done;
+  AttrCb attr_done;
+
+  // Records the last of `expected` completions; true when this was it.
+  bool fan_in(Status st) {
+    if (!st.is_ok() && status.is_ok()) status = st;
+    return ++seen == expected;
+  }
+};
+
+std::vector<std::unique_ptr<Client::Op>>& Client::op_pool() {
+  thread_local std::vector<std::unique_ptr<Op>> pool;
+  return pool;
+}
+
+Client::OpRef::OpRef(Op* op) : op_(op) { ++op_->refs; }
+
+void Client::OpRef::reset() {
+  Op* op = std::exchange(op_, nullptr);
+  if (op == nullptr || --op->refs > 0) return;
+  // The last handle is gone: a continuation that never fired is dropped
+  // unanswered, exactly as a crash or an abandoned request drops it.
+  op->done.reset();
+  op->read_done.reset();
+  op->open_done.reset();
+  op->attr_done.reset();
+  recycle_buf(std::move(op->buf));
+  op_pool().emplace_back(op);
+}
+
+Client::OpRef Client::start_op(OpKind kind, FileId file) {
+  auto& pool = op_pool();
+  Op* op = nullptr;
+  if (pool.empty()) {
+    op = new Op;
+  } else {
+    op = pool.back().release();
+    pool.pop_back();
+  }
+  op->kind = kind;
+  op->mode = LockMode::kNone;
+  op->timed = false;
+  op->life = gen_;
+  op->lock_gen = 0;
+  op->file = file;
+  op->offset = 0;
+  op->size = 0;
+  op->mode_seq = 0;
+  op->expected = 0;
+  op->seen = 0;
+  op->status = Status::ok();
+  return OpRef(op);
+}
+
+// ---------------------------------------------------------------------------
 // Public file API
 
-void Client::open(const std::string& path, bool create, std::function<void(Result<Fd>)> cb) {
+void Client::open(const std::string& path, bool create, OpenCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
     cb(why);
     return;
   }
+  OpRef op = start_op(OpKind::kOpen, FileId{});
+  op->open_done = std::move(cb);
   transport_.send_request(
-      protocol::OpenReq{path, create}, [this, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+      protocol::OpenReq{path, create}, [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
         if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                         : ErrorCode::kTimeout);
+          op->open_done(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
+                                                                    : ErrorCode::kTimeout);
           return;
         }
         if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(err->code);
+          op->open_done(err->code);
           return;
         }
         const auto* rep = std::get_if<protocol::OpenReply>(&ev.body);
         if (rep == nullptr) {
-          cb(ErrorCode::kInvalidArgument);
+          op->open_done(ErrorCode::kInvalidArgument);
           return;
         }
         FileState& fs = state_for(rep->file);
@@ -559,11 +614,11 @@ void Client::open(const std::string& path, bool create, std::function<void(Resul
         const Fd fd = next_fd_++;
         fds_.insert(fd, rep->file);
         ++ops_completed_;
-        cb(fd);
+        op->open_done(fd);
       });
 }
 
-void Client::close(Fd fd, std::function<void(Status)> cb) {
+void Client::close(Fd fd, StatusCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -582,16 +637,18 @@ void Client::close(Fd fd, std::function<void(Status)> cb) {
   fds_.erase(fd);
   // Cached data and locks are deliberately RETAINED across close — that is
   // the whole point of lease-protected caching.
+  OpRef op = start_op(OpKind::kClose, file);
+  op->done = std::move(cb);
   transport_.send_request(protocol::CloseReq{file},
-                          [this, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+                          [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
                             ++ops_completed_;
-                            cb(ev.outcome == protocol::ReplyOutcome::kAck
-                                   ? Status::ok()
-                                   : Status{ErrorCode::kTimeout});
+                            op->done(ev.outcome == protocol::ReplyOutcome::kAck
+                                         ? Status::ok()
+                                         : Status{ErrorCode::kTimeout});
                           });
 }
 
-void Client::getattr(Fd fd, std::function<void(Result<protocol::FileAttr>)> cb) {
+void Client::getattr(Fd fd, AttrCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -604,34 +661,34 @@ void Client::getattr(Fd fd, std::function<void(Result<protocol::FileAttr>)> cb) 
     return;
   }
   const FileId file = fs->file;
+  OpRef op = start_op(OpKind::kGetattr, file);
+  op->attr_done = std::move(cb);
   transport_.send_request(
-      protocol::GetAttrReq{file},
-      [this, file, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+      protocol::GetAttrReq{file}, [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
         if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                         : ErrorCode::kTimeout);
+          op->attr_done(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
+                                                                    : ErrorCode::kTimeout);
           return;
         }
         if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          FileState& fs2 = state_for(file);
+          FileState& fs2 = state_for(op->file);
           fs2.attr = rep->attr;
           fs2.extents = rep->extents;
           fs2.attr_known = true;
           fs2.last_validate = clock_.now();
           ++ops_completed_;
-          cb(rep->attr);
+          op->attr_done(rep->attr);
           return;
         }
         if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(err->code);
+          op->attr_done(err->code);
           return;
         }
-        cb(ErrorCode::kInvalidArgument);
+        op->attr_done(ErrorCode::kInvalidArgument);
       });
 }
 
-void Client::read(Fd fd, std::uint64_t offset, std::uint32_t len,
-                  std::function<void(Result<Bytes>)> cb) {
+void Client::read(Fd fd, std::uint64_t offset, std::uint32_t len, ReadCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -643,39 +700,31 @@ void Client::read(Fd fd, std::uint64_t offset, std::uint32_t len,
     cb(ErrorCode::kBadHandle);
     return;
   }
-  const FileId file = fs->file;
-
+  OpRef op = start_op(OpKind::kRead, fs->file);
+  op->offset = offset;
+  op->size = len;
+  op->read_done = std::move(cb);
   if (cfg_.coherence == CoherenceMode::kNfsPoll) {
-    maybe_revalidate(*fs, [this, file, offset, len, cb = std::move(cb)](Status st) {
-      if (!st.is_ok()) {
-        cb(st.error());
-        return;
-      }
-      FileState& fs2 = state_for(file);
-      if (cfg_.data_path == DataPath::kServerShipped) {
-        read_shipped(fs2, offset, len, std::move(cb));
-      } else {
-        read_direct(fs2, offset, len, std::move(cb));
-      }
-    });
+    maybe_revalidate(*fs, std::move(op));
     return;
   }
-
-  ensure_lock(file, LockMode::kShared, [this, file, offset, len, cb = std::move(cb)](Status st) {
-    if (!st.is_ok()) {
-      cb(st.error());
-      return;
-    }
-    FileState& fs2 = state_for(file);
-    if (cfg_.data_path == DataPath::kServerShipped) {
-      read_shipped(fs2, offset, len, std::move(cb));
-    } else {
-      read_direct(fs2, offset, len, std::move(cb));
-    }
-  });
+  ensure_lock(fs->file, LockMode::kShared, std::move(op));
 }
 
-void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(Status)> cb) {
+void Client::read_locked(OpRef op, Status st) {
+  if (!st.is_ok()) {
+    op->read_done(st.error());
+    return;
+  }
+  FileState& fs = state_for(op->file);
+  if (cfg_.data_path == DataPath::kServerShipped) {
+    read_shipped(fs, std::move(op));
+  } else {
+    read_direct(fs, std::move(op));
+  }
+}
+
+void Client::write(Fd fd, std::uint64_t offset, Bytes data, StatusCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -687,49 +736,51 @@ void Client::write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(S
     cb(ErrorCode::kBadHandle);
     return;
   }
-  const FileId file = fs->file;
+  OpRef op = start_op(OpKind::kWrite, fs->file);
+  op->offset = offset;
+  op->size = data.size();
+  op->buf = std::move(data);
+  op->done = std::move(cb);
 
   if (cfg_.coherence == CoherenceMode::kNfsPoll ||
       cfg_.data_path == DataPath::kServerShipped) {
     // Traditional/NFS path: ship the write; the server grows the file.
-    write_shipped(*fs, offset, std::move(data), std::move(cb));
+    write_shipped(*fs, std::move(op));
     return;
   }
-
-  ensure_lock(file, LockMode::kExclusive,
-              [this, file, offset, data = std::move(data), cb = std::move(cb)](Status st) mutable {
-                if (!st.is_ok()) {
-                  cb(st);
-                  return;
-                }
-                FileState& fs2 = state_for(file);
-                const std::uint64_t seq = fs2.mode_seq;
-                const std::uint64_t end = offset + data.size();
-                ensure_size(fs2, end,
-                            [this, file, offset, seq, data = std::move(data),
-                             cb = std::move(cb)](Status st2) mutable {
-                              if (!st2.is_ok()) {
-                                cb(st2);
-                                return;
-                              }
-                              // The size round crossed the control net; the
-                              // exclusive lock may have been revoked (demand,
-                              // lease ride-down) and even re-granted under it.
-                              // Buffering now would dirty the cache under a
-                              // serialization this write was not issued in —
-                              // fail and let the caller retry afresh.
-                              FileState* fs3 = find_file(file);
-                              if (fs3 == nullptr || fs3->mode_seq != seq ||
-                                  fs3->mode != LockMode::kExclusive || fs3->revoking) {
-                                cb(Status{ErrorCode::kLockConflict});
-                                return;
-                              }
-                              write_direct(*fs3, offset, std::move(data), std::move(cb));
-                            });
-              });
+  ensure_lock(fs->file, LockMode::kExclusive, std::move(op));
 }
 
-void Client::lock(Fd fd, protocol::LockMode mode, std::function<void(Status)> cb) {
+void Client::write_locked(OpRef op, Status st) {
+  if (!st.is_ok()) {
+    op->done(st);
+    return;
+  }
+  FileState& fs = state_for(op->file);
+  op->mode_seq = fs.mode_seq;
+  const std::uint64_t end = op->offset + op->size;
+  ensure_size(fs, end, std::move(op));
+}
+
+void Client::write_sized(OpRef op, Status st) {
+  if (!st.is_ok()) {
+    op->done(st);
+    return;
+  }
+  // The size round crossed the control net; the exclusive lock may have been
+  // revoked (demand, lease ride-down) and even re-granted under it.
+  // Buffering now would dirty the cache under a serialization this write was
+  // not issued in — fail and let the caller retry afresh.
+  FileState* fs = find_file(op->file);
+  if (fs == nullptr || fs->mode_seq != op->mode_seq || fs->mode != LockMode::kExclusive ||
+      fs->revoking) {
+    op->done(Status{ErrorCode::kLockConflict});
+    return;
+  }
+  write_direct(*fs, std::move(op));
+}
+
+void Client::lock(Fd fd, protocol::LockMode mode, StatusCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -741,10 +792,12 @@ void Client::lock(Fd fd, protocol::LockMode mode, std::function<void(Status)> cb
     cb(ErrorCode::kBadHandle);
     return;
   }
-  ensure_lock(fs->file, mode, std::move(cb));
+  OpRef op = start_op(OpKind::kLock, fs->file);
+  op->done = std::move(cb);
+  ensure_lock(fs->file, mode, std::move(op));
 }
 
-void Client::release(Fd fd, protocol::LockMode downgrade_to, std::function<void(Status)> cb) {
+void Client::release(Fd fd, protocol::LockMode downgrade_to, StatusCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -766,30 +819,34 @@ void Client::release(Fd fd, protocol::LockMode downgrade_to, std::function<void(
     return;
   }
 
+  OpRef op = start_op(OpKind::kUnlock, file);
+  op->mode = downgrade_to;
+  op->done = std::move(cb);
   if (fs->mode == LockMode::kExclusive && cache_.has_dirty(file)) {
-    flush_file(file, [this, file, downgrade_to, cb = std::move(cb)](Status st) mutable {
+    flush_file(file, [this, op = std::move(op)](Status st) mutable {
       if (!st.is_ok()) {
         // Keep the lock — dirty data must not be orphaned — but tell the
         // caller the release did not happen.
-        cb(st);
+        op->done(st);
         return;
       }
-      do_unlock(file, downgrade_to, std::move(cb));
+      do_unlock(std::move(op));
     });
     return;
   }
-  // Fast path (shared lock, or exclusive with a clean cache): no flush, no
-  // shared_ptr dance, no allocation.
-  do_unlock(file, downgrade_to, std::move(cb));
+  // Fast path (shared lock, or exclusive with a clean cache): no flush.
+  do_unlock(std::move(op));
 }
 
-void Client::do_unlock(FileId file, LockMode downgrade_to, std::function<void(Status)> cb) {
-  FileState* fsp = find_file(file);
+void Client::do_unlock(OpRef op) {
+  FileState* fsp = find_file(op->file);
   if (fsp == nullptr) {
-    cb(Status{ErrorCode::kShutdown});
+    op->done(Status{ErrorCode::kShutdown});
     return;
   }
   FileState& fs = *fsp;
+  const FileId file = fs.file;
+  const LockMode downgrade_to = op->mode;
   fs.mode = downgrade_to;
   ++fs.mode_seq;
   if (downgrade_to == LockMode::kNone) {
@@ -797,14 +854,14 @@ void Client::do_unlock(FileId file, LockMode downgrade_to, std::function<void(St
     if (v_sched_) v_sched_->object_released(file);
   }
   transport_.send_request(protocol::UnlockReq{file, downgrade_to, fs.lock_gen, fs.lock_cookie},
-                          [cb = std::move(cb)](const protocol::ReplyEvent& ev) {
-                            cb(ev.outcome == protocol::ReplyOutcome::kAck
-                                   ? Status::ok()
-                                   : Status{ErrorCode::kTimeout});
+                          [op = std::move(op)](const protocol::ReplyEvent& ev) {
+                            op->done(ev.outcome == protocol::ReplyOutcome::kAck
+                                         ? Status::ok()
+                                         : Status{ErrorCode::kTimeout});
                           });
 }
 
-void Client::sync_all(std::function<void(Status)> cb) {
+void Client::sync_all(StatusCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     cb(why);
@@ -813,7 +870,7 @@ void Client::sync_all(std::function<void(Status)> cb) {
   flush_all(std::move(cb));
 }
 
-void Client::fsync(Fd fd, std::function<void(Status)> cb) {
+void Client::fsync(Fd fd, StatusCb cb) {
   ErrorCode why;
   if (!gate(why)) {
     ++ops_rejected_;
@@ -831,7 +888,7 @@ void Client::fsync(Fd fd, std::function<void(Status)> cb) {
 // ---------------------------------------------------------------------------
 // Locking
 
-void Client::ensure_lock(FileId file, LockMode mode, std::function<void(Status)> cb) {
+void Client::ensure_lock(FileId file, LockMode mode, OpRef op) {
   FileState& fs = state_for(file);
   // Per-object (V-lease) strategy: the lock is only usable while its lease
   // lives. Checked on EVERY operation, not only at scheduler ticks, so an
@@ -847,20 +904,38 @@ void Client::ensure_lock(FileId file, LockMode mode, std::function<void(Status)>
   // under an insufficient lock.
   const bool blocked_by_revoke = fs.revoking && mode == LockMode::kExclusive;
   if (mode_leq(mode, fs.mode) && !blocked_by_revoke) {
-    cb(Status::ok());
+    proceed(std::move(op), Status::ok());
     return;
   }
   if (rec_ != nullptr) {
-    // Lock-grant latency span: queued-acquire to callback (cache hits above
+    // Lock-grant latency span: queued-acquire to settlement (cache hits above
     // are free and would only dilute the percentiles).
-    const sim::SimTime start = clock_.engine().now();
-    cb = [this, start, inner = std::move(cb)](Status st) {
-      rec_->span(obs::SpanKind::kLockAcquire, (clock_.engine().now() - start).millis());
-      inner(st);
-    };
+    op->timed = true;
+    op->wait_start = clock_.engine().now();
   }
-  fs.lock_waits.push_back(LockWait{mode, std::move(cb)});
+  fs.lock_waits.push_back(LockWait{std::move(op), mode});
   pump_lock_requests(file);
+}
+
+void Client::settle_lock_wait(OpRef op, Status st) {
+  if (op->timed) {
+    rec_->span(obs::SpanKind::kLockAcquire, (clock_.engine().now() - op->wait_start).millis());
+  }
+  proceed(std::move(op), st);
+}
+
+void Client::proceed(OpRef op, Status st) {
+  switch (op->kind) {
+    case OpKind::kRead:
+      read_locked(std::move(op), st);
+      return;
+    case OpKind::kWrite:
+      write_locked(std::move(op), st);
+      return;
+    default:  // kLock: the lock itself was the op
+      op->done(st);
+      return;
+  }
 }
 
 void Client::pump_lock_requests(FileId file) {
@@ -965,7 +1040,7 @@ void Client::lock_state_changed(FileId file) {
     }
   }
   for (auto& w : ready) {
-    w.cb(Status::ok());
+    settle_lock_wait(std::move(w.op), Status::ok());
   }
 }
 
@@ -974,7 +1049,7 @@ void Client::fail_lock_waits(FileId file, ErrorCode code) {
   if (fs == nullptr || fs->lock_waits.empty()) return;
   SmallVec<LockWait, 2> failed = std::move(fs->lock_waits);
   for (auto& w : failed) {
-    w.cb(Status{code});
+    settle_lock_wait(std::move(w.op), Status{code});
   }
 }
 
@@ -991,7 +1066,7 @@ void Client::fail_all_lock_waits(ErrorCode code) {
     fs.lock_waits.clear();
   }
   for (auto& w : failed) {
-    w.cb(Status{code});
+    settle_lock_wait(std::move(w.op), Status{code});
   }
 }
 
@@ -1099,16 +1174,16 @@ void Client::finish_demand(FileId file) {
 // ---------------------------------------------------------------------------
 // Size management
 
-void Client::ensure_size(FileState& fs, std::uint64_t min_size, std::function<void(Status)> cb) {
+void Client::ensure_size(FileState& fs, std::uint64_t min_size, OpRef op) {
   // Fast path only when nothing is queued: letting a fresh write skip past
   // waiters parked behind an in-flight round would buffer it ahead of writes
   // that drew earlier versions under the same lock.
   if (fs.attr_known && fs.attr.size >= min_size && fs.size_waiters.empty() &&
       !fs.size_round_inflight) {
-    cb(Status::ok());
+    write_sized(std::move(op), Status::ok());
     return;
   }
-  fs.size_waiters.push_back(FileState::SizeWait{min_size, std::move(cb)});
+  fs.size_waiters.push_back(FileState::SizeWait{min_size, std::move(op)});
   if (!fs.size_round_inflight) {
     pump_size_round(fs.file);
   }
@@ -1153,7 +1228,7 @@ void Client::pump_size_round(FileId file) {
           auto waiters = std::move(fs2.size_waiters);
           fs2.size_waiters.clear();
           for (auto& w : waiters) {
-            w.cb(st);
+            write_sized(std::move(w.op), st);
           }
           pump_size_round(file);  // arrivals queued by the callbacks
           return;
@@ -1168,206 +1243,200 @@ void Client::pump_size_round(FileId file) {
               fs3.attr.size < fs3.size_waiters.front().min_size) {
             break;
           }
-          auto cb = std::move(fs3.size_waiters.front().cb);
+          OpRef w = std::move(fs3.size_waiters.front().op);
           fs3.size_waiters.erase(fs3.size_waiters.begin());
-          cb(Status::ok());
+          write_sized(std::move(w), Status::ok());
         }
         pump_size_round(file);
       });
 }
 
 void Client::abort_size_rounds(ErrorCode why) {
-  std::vector<std::function<void(Status)>> cbs;
+  std::vector<OpRef> waiters;
   for (const FileId file : known_files()) {  // the callback order
     FileState& fs = *find_file(file);
     for (auto& w : fs.size_waiters) {
-      cbs.push_back(std::move(w.cb));
+      waiters.push_back(std::move(w.op));
     }
     fs.size_waiters.clear();
     fs.size_round_inflight = false;
   }
-  for (auto& cb : cbs) {
-    cb(Status{why});
+  for (auto& w : waiters) {
+    write_sized(std::move(w), Status{why});
   }
 }
 
 // ---------------------------------------------------------------------------
 // Direct SAN data path
 
-void Client::fetch_block(FileState& fs, std::uint64_t fb, std::function<void(Result<Bytes>)> cb) {
-  DiskId disk;
-  storage::BlockAddr addr;
-  if (!protocol::locate_block(fs.extents, fb, disk, addr)) {
-    cb(ErrorCode::kIoError);
-    return;
-  }
-  storage::IoRequest io;
+bool Client::block_io(const FileState& fs, std::uint64_t fb, storage::IoOp kind,
+                      storage::IoRequest& io) const {
+  if (!protocol::locate_block(fs.extents, fb, io.disk, io.addr)) return false;
   io.initiator = cfg_.id;
-  io.disk = disk;
-  io.op = storage::IoOp::kRead;
-  io.addr = addr;
+  io.op = kind;
   io.count = 1;
   io.io_key = (static_cast<std::uint64_t>(server_incarnation_) << 32) | transport_.epoch();
-  const std::uint32_t gen = gen_;
-  san_->submit(std::move(io), [this, gen, cb = std::move(cb)](storage::IoResult res) {
-    if (gen != gen_) return;  // completion from a previous incarnation
-    if (!res.status.is_ok()) {
-      cb(res.status.error());
-      return;
-    }
-    cb(std::move(res.data));
-  });
+  return true;
 }
 
-void Client::read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
-                         std::function<void(Result<Bytes>)> cb) {
-  const std::uint64_t size = fs.attr.size;
-  const std::uint64_t end = std::min<std::uint64_t>(size, offset + len);
+void Client::read_direct(FileState& fs, OpRef op) {
+  const std::uint64_t offset = op->offset;
+  const std::uint64_t end = std::min<std::uint64_t>(fs.attr.size, offset + op->size);
   if (end <= offset) {
     ++ops_completed_;
-    cb(Bytes{});
+    op->read_done(Bytes{});
     return;
   }
   const std::uint64_t n = end - offset;
   SliceVec slices;
   if (!protocol::slice_range_into(fs.extents, cfg_.block_size, offset, n, slices)) {
-    cb(ErrorCode::kIoError);
+    op->read_done(ErrorCode::kIoError);
     return;
   }
 
   const FileId file = fs.file;
-  auto fan = std::make_shared<ReadFan>();
-  fan->buf = take_buf();
-  fan->buf.resize(n);  // slices overwrite every byte; resize just sizes it
-  fan->cb = std::move(cb);
-  fan->expected = slices.size();
-  auto complete = [this, fan](Status st) {
-    if (!st.is_ok() && fan->status.is_ok()) fan->status = st;
-    if (++fan->seen != fan->expected) return;
-    if (!fan->status.is_ok()) {
-      recycle_buf(std::move(fan->buf));
-      fan->cb(fan->status.error());
-      return;
-    }
-    ++ops_completed_;
-    enforce_cache_limit();
-    fan->cb(std::move(fan->buf));
-  };
-
+  op->buf = take_buf();
+  op->buf.resize(n);  // slices overwrite every byte; resize just sizes it
+  op->expected = slices.size();
   // Pages fetched from disk may only enter the cache if the lock that
   // protected the fetch is STILL held, same incarnation — otherwise a fetch
   // completing after a demand invalidated this file would pollute the cache
   // with an unprotected (and soon stale) page.
-  const std::uint32_t fetch_gen = fs.lock_gen;
+  op->lock_gen = fs.lock_gen;
   for (const auto& s : slices) {
     if (BlockCache::Page* page = cache_.find(file, s.file_block)) {
       std::copy_n(page->data.begin() + s.offset_in_block, s.len,
-                  fan->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
-      complete(Status::ok());
+                  op->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
+      read_slice_done(*op, Status::ok());
       continue;
     }
-    fetch_block(fs, s.file_block, [this, file, s, fan, fetch_gen, complete](Result<Bytes> res) {
-      if (!res.ok()) {
-        complete(Status{res.error()});
-        return;
-      }
-      std::copy_n(res.value().begin() + s.offset_in_block, s.len,
-                  fan->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
-      const FileState* fs2 = find_file(file);
-      const bool lock_intact =
-          fs2 != nullptr && fs2->lock_gen == fetch_gen && fs2->mode != LockMode::kNone;
-      const bool cacheable =
-          cfg_.coherence == CoherenceMode::kNfsPoll ? true : lock_intact;
-      // Also never clobber a page that appeared (dirty) while we fetched.
-      if (cacheable && cache_.peek(file, s.file_block) == nullptr) {
-        cache_.put(file, s.file_block, std::move(res).value(), /*dirty=*/false);
-      } else {
-        recycle_buf(std::move(res).value());
-      }
-      complete(Status::ok());
+    storage::IoRequest io;
+    if (!block_io(fs, s.file_block, storage::IoOp::kRead, io)) {
+      read_slice_done(*op, Status{ErrorCode::kIoError});
+      continue;
+    }
+    san_->submit(std::move(io), [this, op = op.share(), s](storage::IoResult res) {
+      read_fetched(*op, s, std::move(res));
     });
   }
 }
 
-void Client::write_direct(FileState& fs, std::uint64_t offset, Bytes data,
-                          std::function<void(Status)> cb) {
+void Client::read_fetched(Op& op, const protocol::BlockSlice& s, storage::IoResult res) {
+  if (op.life != gen_) return;  // completion from a previous incarnation
+  if (!res.status.is_ok()) {
+    read_slice_done(op, res.status);
+    return;
+  }
+  std::copy_n(res.data.begin() + s.offset_in_block, s.len,
+              op.buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
+  const FileState* fs = find_file(op.file);
+  const bool lock_intact =
+      fs != nullptr && fs->lock_gen == op.lock_gen && fs->mode != LockMode::kNone;
+  const bool cacheable = cfg_.coherence == CoherenceMode::kNfsPoll ? true : lock_intact;
+  // Also never clobber a page that appeared (dirty) while we fetched.
+  if (cacheable && cache_.peek(op.file, s.file_block) == nullptr) {
+    cache_.put(op.file, s.file_block, std::move(res.data), /*dirty=*/false);
+  } else {
+    recycle_buf(std::move(res.data));
+  }
+  read_slice_done(op, Status::ok());
+}
+
+void Client::read_slice_done(Op& op, Status st) {
+  if (!op.fan_in(st)) return;
+  if (!op.status.is_ok()) {
+    recycle_buf(std::move(op.buf));
+    op.read_done(op.status.error());
+    return;
+  }
+  ++ops_completed_;
+  enforce_cache_limit();
+  op.read_done(std::move(op.buf));
+}
+
+void Client::write_direct(FileState& fs, OpRef op) {
   SliceVec slices;
-  if (!protocol::slice_range_into(fs.extents, cfg_.block_size, offset, data.size(), slices)) {
-    recycle_buf(std::move(data));
-    cb(Status{ErrorCode::kIoError});
+  if (!protocol::slice_range_into(fs.extents, cfg_.block_size, op->offset, op->buf.size(),
+                                  slices)) {
+    recycle_buf(std::move(op->buf));
+    op->done(Status{ErrorCode::kIoError});
     return;
   }
 
   const FileId file = fs.file;
-  auto fan = std::make_shared<WriteFan>();
-  fan->data = std::move(data);
-  fan->cb = std::move(cb);
-  fan->expected = slices.size();
-  auto complete = [this, fan](Status st) {
-    if (!st.is_ok() && fan->status.is_ok()) fan->status = st;
-    if (++fan->seen != fan->expected) return;
-    if (fan->status.is_ok()) ++ops_completed_;
-    enforce_cache_limit();
-    recycle_buf(std::move(fan->data));  // every slice has consumed its span
-    fan->cb(fan->status);
-  };
-
+  op->expected = slices.size();
   for (const auto& s : slices) {
+    const auto from = op->buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset);
     if (s.len == cfg_.block_size) {
       Bytes block = take_buf();
-      block.assign(fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset),
-                   fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset + s.len));
+      block.assign(from, from + s.len);
       cache_.put(file, s.file_block, std::move(block), /*dirty=*/true);
-      complete(Status::ok());
+      write_slice_done(*op, Status::ok());
       continue;
     }
     if (BlockCache::Page* page = cache_.find(file, s.file_block)) {
-      std::copy_n(fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset), s.len,
-                  page->data.begin() + s.offset_in_block);
+      std::copy_n(from, s.len, page->data.begin() + s.offset_in_block);
       page->dirty = true;
-      complete(Status::ok());
+      write_slice_done(*op, Status::ok());
       continue;
     }
     // Partial write of an uncached block: read-modify-write. Counted as an
     // in-flight write so a concurrent lock demand waits for it.
+    storage::IoRequest io;
+    if (!block_io(fs, s.file_block, storage::IoOp::kRead, io)) {
+      write_slice_done(*op, Status{ErrorCode::kIoError});
+      continue;
+    }
     ++fs.writes_in_flight;
-    const std::uint64_t seq = fs.mode_seq;
-    fetch_block(fs, s.file_block, [this, file, s, seq, fan, complete](Result<Bytes> res) {
-      FileState* fs2 = find_file(file);
-      if (fs2 != nullptr && fs2->writes_in_flight > 0) {
-        --fs2->writes_in_flight;
-      }
-      if (!res.ok()) {
-        complete(Status{res.error()});
-        return;
-      }
-      // Demands wait on writes_in_flight, but a lease ride-down does not:
-      // if the lock changed while the fill was in flight, the dirty put
-      // would outlive its serialization.
-      if (fs2 == nullptr || fs2->mode_seq != seq || fs2->mode != LockMode::kExclusive) {
-        recycle_buf(std::move(res).value());
-        complete(Status{ErrorCode::kLockConflict});
-        return;
-      }
-      Bytes block = std::move(res).value();
-      std::copy_n(fan->data.begin() + static_cast<std::ptrdiff_t>(s.buf_offset), s.len,
-                  block.begin() + s.offset_in_block);
-      cache_.put(file, s.file_block, std::move(block), /*dirty=*/true);
-      complete(Status::ok());
+    san_->submit(std::move(io), [this, op = op.share(), s](storage::IoResult res) {
+      write_filled(*op, s, std::move(res));
     });
   }
+}
+
+void Client::write_filled(Op& op, const protocol::BlockSlice& s, storage::IoResult res) {
+  if (op.life != gen_) return;  // completion from a previous incarnation
+  FileState* fs = find_file(op.file);
+  if (fs != nullptr && fs->writes_in_flight > 0) {
+    --fs->writes_in_flight;
+  }
+  if (!res.status.is_ok()) {
+    write_slice_done(op, res.status);
+    return;
+  }
+  // Demands wait on writes_in_flight, but a lease ride-down does not: if the
+  // lock changed while the fill was in flight, the dirty put would outlive
+  // its serialization. (write_sized checked mode_seq just before the fill.)
+  if (fs == nullptr || fs->mode_seq != op.mode_seq || fs->mode != LockMode::kExclusive) {
+    recycle_buf(std::move(res.data));
+    write_slice_done(op, Status{ErrorCode::kLockConflict});
+    return;
+  }
+  Bytes block = std::move(res.data);
+  std::copy_n(op.buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset), s.len,
+              block.begin() + s.offset_in_block);
+  cache_.put(op.file, s.file_block, std::move(block), /*dirty=*/true);
+  write_slice_done(op, Status::ok());
+}
+
+void Client::write_slice_done(Op& op, Status st) {
+  if (!op.fan_in(st)) return;
+  if (op.status.is_ok()) ++ops_completed_;
+  enforce_cache_limit();
+  recycle_buf(std::move(op.buf));  // every slice has consumed its span
+  op.done(op.status);
 }
 
 // ---------------------------------------------------------------------------
 // Server-shipped data path (traditional / NFS baselines)
 
-void Client::read_shipped(FileState& fs, std::uint64_t offset, std::uint32_t len,
-                          std::function<void(Result<Bytes>)> cb) {
+void Client::read_shipped(FileState& fs, OpRef op) {
   const FileId file = fs.file;
+  const std::uint64_t offset = op->offset;
 
   // Serve entirely from cache when possible (NFS semantics: the cache is
   // trusted while the attributes are fresh — possibly stale data).
-  const std::uint64_t end = std::min<std::uint64_t>(fs.attr.size, offset + len);
+  const std::uint64_t end = std::min<std::uint64_t>(fs.attr.size, offset + op->size);
   if (end > offset) {
     const std::uint64_t n = end - offset;
     const std::uint32_t bs = cfg_.block_size;
@@ -1392,203 +1461,191 @@ void Client::read_shipped(FileState& fs, std::uint64_t offset, std::uint32_t len
         pos += take;
       }
       ++ops_completed_;
-      cb(std::move(out));
+      op->read_done(std::move(out));
       return;
     }
   }
 
+  const auto len = static_cast<std::uint32_t>(op->size);
   transport_.send_request(
       protocol::ReadDataReq{file, offset, len},
-      [this, file, offset, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+      [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
         if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                         : ErrorCode::kTimeout);
+          op->read_done(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
+                                                                    : ErrorCode::kTimeout);
           return;
         }
         if (const auto* rep = std::get_if<protocol::DataReply>(&ev.body)) {
-          FileState& fs2 = state_for(file);
+          const FileId file2 = op->file;
+          const std::uint64_t offset2 = op->offset;
+          FileState& fs2 = state_for(file2);
           // The server clamped by its own size; what came back proves the
           // file extends at least this far.
-          fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset + rep->data.size());
+          fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset2 + rep->data.size());
           // Cache fully covered blocks for future hits (NFS-style caching).
           const std::uint32_t bs = cfg_.block_size;
-          if (offset % bs == 0) {
+          if (offset2 % bs == 0) {
             for (std::uint64_t off = 0; off + bs <= rep->data.size(); off += bs) {
               Bytes block = take_buf();
               block.assign(rep->data.begin() + static_cast<std::ptrdiff_t>(off),
                            rep->data.begin() + static_cast<std::ptrdiff_t>(off + bs));
-              cache_.put(file, (offset + off) / bs, std::move(block), /*dirty=*/false);
+              cache_.put(file2, (offset2 + off) / bs, std::move(block), /*dirty=*/false);
             }
           }
           ++ops_completed_;
-          cb(rep->data);
+          op->read_done(rep->data);
           return;
         }
         if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(err->code);
+          op->read_done(err->code);
           return;
         }
-        cb(ErrorCode::kInvalidArgument);
+        op->read_done(ErrorCode::kInvalidArgument);
       });
 }
 
-void Client::write_shipped(FileState& fs, std::uint64_t offset, Bytes data,
-                           std::function<void(Status)> cb) {
+void Client::write_shipped(FileState& fs, OpRef op) {
   const FileId file = fs.file;
-  const std::uint64_t end = offset + data.size();
+  const std::uint64_t end = op->offset + op->size;
   // Write-through: the cached copies of the touched blocks are stale now;
-  // drop them rather than patching partially covered pages.
+  // drop them rather than patching partially covered pages (coarse but
+  // simple: the whole file goes, unless the write touches no block).
   const std::uint32_t bs = cfg_.block_size;
-  for (std::uint64_t fb = offset / bs; fb <= (end > 0 ? (end - 1) / bs : 0); ++fb) {
-    cache_.invalidate_file(file);  // coarse but simple: whole-file drop
-    break;
+  if (op->offset / bs <= (end > 0 ? (end - 1) / bs : 0)) {
+    cache_.invalidate_file(file);
   }
+  protocol::WriteDataReq req{file, op->offset, std::move(op->buf)};
   transport_.send_request(
-      protocol::WriteDataReq{file, offset, std::move(data)},
-      [this, file, end, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+      std::move(req), [this, op = std::move(op), end](const protocol::ReplyEvent& ev) {
         if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                : ErrorCode::kTimeout});
+          op->done(Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
+                                                                      : ErrorCode::kTimeout});
           return;
         }
         if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(Status{err->code});
+          op->done(Status{err->code});
           return;
         }
-        FileState& fs2 = state_for(file);
+        FileState& fs2 = state_for(op->file);
         fs2.attr.size = std::max(fs2.attr.size, end);
         ++ops_completed_;
-        cb(Status::ok());
+        op->done(Status::ok());
       });
 }
 
 // ---------------------------------------------------------------------------
 // Flushing
 
-void Client::flush_file(FileId file, std::function<void(Status)> cb) {
-  FileState* fsp = find_file(file);
-  if (fsp == nullptr) {
+void Client::flush_file(FileId file, StatusCb cb) {
+  FileState* fs = find_file(file);
+  if (fs == nullptr || !cache_.has_dirty(file)) {
     cb(Status::ok());
     return;
   }
-  FileState& fs = *fsp;
-  auto dirty = cache_.dirty_blocks(file);
-  if (dirty.empty()) {
-    cb(Status::ok());
-    return;
-  }
-
-  auto fan = std::make_shared<FanIn>();
-  fan->expected = dirty.size();
-  fan->done = std::move(cb);  // same signature — no wrapping closure needed
-
-  for (std::uint64_t fb : dirty) {
+  OpRef op = start_op(OpKind::kFlush, file);
+  op->done = std::move(cb);
+  cache_.dirty_blocks(file, op->blocks);
+  op->expected = op->blocks.size();
+  for (const std::uint64_t fb : op->blocks) {
     const BlockCache::Page* page = cache_.peek(file, fb);
     STANK_ASSERT(page != nullptr);
-    write_block_through(fs, fb, page->data, [fan](Status st) { fan->complete(st); });
+    write_block_through(*fs, op, fb, page->data);
   }
 }
 
-void Client::write_block_through(FileState& fs, std::uint64_t fb, const Bytes& data,
-                                 std::function<void(Status)> cb) {
-  DiskId disk;
-  storage::BlockAddr addr;
-  if (!protocol::locate_block(fs.extents, fb, disk, addr)) {
-    cb(Status{ErrorCode::kIoError});
+void Client::write_block_through(FileState& fs, const OpRef& op, std::uint64_t fb,
+                                 const Bytes& data) {
+  storage::IoRequest io;
+  if (!block_io(fs, fb, storage::IoOp::kWrite, io)) {
+    flush_block_done(*op, Status{ErrorCode::kIoError});
     return;
   }
-  storage::IoRequest io;
-  io.initiator = cfg_.id;
-  io.disk = disk;
-  io.op = storage::IoOp::kWrite;
-  io.addr = addr;
-  io.count = 1;
-  io.io_key = (static_cast<std::uint64_t>(server_incarnation_) << 32) | transport_.epoch();
   io.data = take_buf();  // snapshot of the page at flush time
   io.data.assign(data.begin(), data.end());
-
-  const FileId file = fs.file;
-  const std::uint32_t gen = gen_;
   Bytes snapshot = take_buf();  // second copy stays behind for the compare
   snapshot.assign(data.begin(), data.end());
-  san_->submit(std::move(io),
-               [this, gen, file, fb, snapshot = std::move(snapshot),
-                cb = std::move(cb)](storage::IoResult res) mutable {
-                 if (gen != gen_) return;
-                 if (res.status.is_ok()) {
-                   // Only mark clean if the page still holds exactly what we
-                   // wrote; a concurrent process write must stay dirty.
-                   const BlockCache::Page* page = cache_.peek(file, fb);
-                   if (page != nullptr && page->data == snapshot) {
-                     cache_.mark_clean(file, fb);
-                   }
-                 }
-                 recycle_buf(std::move(snapshot));
-                 cb(res.status);
-               });
+  san_->submit(std::move(io), [this, op = op.share(), file = fs.file, fb,
+                               snapshot = std::move(snapshot)](storage::IoResult res) mutable {
+    if (op->life != gen_) return;  // completion from a previous incarnation
+    if (res.status.is_ok()) {
+      // Only mark clean if the page still holds exactly what we wrote; a
+      // concurrent process write must stay dirty.
+      const BlockCache::Page* page = cache_.peek(file, fb);
+      if (page != nullptr && page->data == snapshot) {
+        cache_.mark_clean(file, fb);
+      }
+    }
+    recycle_buf(std::move(snapshot));
+    flush_block_done(*op, res.status);
+  });
 }
 
-void Client::flush_all(std::function<void(Status)> cb) {
-  auto dirty = cache_.all_dirty();
-  if (dirty.empty()) {
+void Client::flush_block_done(Op& op, Status st) {
+  if (op.fan_in(st)) op.done(op.status);
+}
+
+void Client::flush_all(StatusCb cb) {
+  OpRef op = start_op(OpKind::kFlush, FileId{});
+  cache_.all_dirty(op->pages);
+  if (op->pages.empty()) {
     cb(Status::ok());
     return;
   }
-  auto fan = std::make_shared<FanIn>();
-  fan->expected = dirty.size();
-  fan->done = std::move(cb);
-  for (const auto& [file, fb] : dirty) {
+  op->done = std::move(cb);
+  op->expected = op->pages.size();
+  for (const auto& [file, fb] : op->pages) {
     FileState* fs = find_file(file);
     if (fs == nullptr) {
-      fan->complete(Status{ErrorCode::kIoError});
+      flush_block_done(*op, Status{ErrorCode::kIoError});
       continue;
     }
     const BlockCache::Page* page = cache_.peek(file, fb);
     if (page == nullptr || !page->dirty) {
-      fan->complete(Status::ok());
+      flush_block_done(*op, Status::ok());
       continue;
     }
-    write_block_through(*fs, fb, page->data, [fan](Status st) { fan->complete(st); });
+    write_block_through(*fs, op, fb, page->data);
   }
 }
 
 // ---------------------------------------------------------------------------
 // NFS attribute polling
 
-void Client::maybe_revalidate(FileState& fs, std::function<void(Status)> cb) {
+void Client::maybe_revalidate(FileState& fs, OpRef op) {
   const sim::LocalTime now = clock_.now();
   if (fs.attr_known && now - fs.last_validate <= cfg_.attr_timeout) {
-    cb(Status::ok());
+    proceed(std::move(op), Status::ok());
     return;
   }
   const FileId file = fs.file;
   const std::uint64_t old_mtime = fs.attr.mtime_ns;
   transport_.send_request(
       protocol::GetAttrReq{file},
-      [this, file, old_mtime, cb = std::move(cb)](const protocol::ReplyEvent& ev) {
+      [this, op = std::move(op), old_mtime](const protocol::ReplyEvent& ev) mutable {
         if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          cb(Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                : ErrorCode::kTimeout});
+          proceed(std::move(op), Status{ev.outcome == protocol::ReplyOutcome::kNack
+                                            ? ErrorCode::kNacked
+                                            : ErrorCode::kTimeout});
           return;
         }
         if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          FileState& fs2 = state_for(file);
+          FileState& fs2 = state_for(op->file);
           if (fs2.attr_known && rep->attr.mtime_ns != old_mtime) {
             // File changed on the server: NFS semantics discard the cache.
-            cache_.invalidate_file(file);
+            cache_.invalidate_file(op->file);
           }
           fs2.attr = rep->attr;
           fs2.extents = rep->extents;
           fs2.attr_known = true;
           fs2.last_validate = clock_.now();
-          cb(Status::ok());
+          proceed(std::move(op), Status::ok());
           return;
         }
         if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          cb(Status{err->code});
+          proceed(std::move(op), Status{err->code});
           return;
         }
-        cb(Status{ErrorCode::kInvalidArgument});
+        proceed(std::move(op), Status{ErrorCode::kInvalidArgument});
       });
 }
 

@@ -16,7 +16,10 @@
 //
 // All public calls are asynchronous: the simulation is event-driven, so a
 // call schedules work and the callback fires when it completes. Callbacks
-// always fire exactly once.
+// fire at most once: exactly once unless the client crashes, its lease
+// expires, or a stale session abandons the request first. Callbacks are
+// move-only; each call's state lives in one pooled record (DESIGN.md §11), so
+// the per-op path allocates nothing once warm.
 //
 // Honest only: it keeps every protocol obligation. The untrusted client of
 // DESIGN.md §13 subclasses it through the protected seams below.
@@ -33,12 +36,14 @@
 #include "baselines/v_lease.hpp"
 #include "client/cache.hpp"
 #include "common/flat_map.hpp"
+#include "common/move_fn.hpp"
 #include "common/small_vec.hpp"
 #include "core/client_lease_agent.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
 #include "protocol/client_transport.hpp"
+#include "protocol/layout.hpp"
 #include "storage/san.hpp"
 
 namespace stank::client {
@@ -77,6 +82,11 @@ using Fd = std::uint32_t;
 
 class Client {
  public:
+  using StatusCb = MoveFn<void(Status)>;
+  using ReadCb = MoveFn<void(Result<Bytes>)>;
+  using OpenCb = MoveFn<void(Result<Fd>)>;
+  using AttrCb = MoveFn<void(Result<protocol::FileAttr>)>;
+
   Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
          sim::LocalClock local_clock, ClientConfig cfg, obs::Recorder* rec = nullptr);
   virtual ~Client();
@@ -92,22 +102,21 @@ class Client {
   virtual void restart();
 
   // --- Local-process file API --------------------------------------------
-  void open(const std::string& path, bool create, std::function<void(Result<Fd>)> cb);
-  void read(Fd fd, std::uint64_t offset, std::uint32_t len,
-            std::function<void(Result<Bytes>)> cb);
-  void write(Fd fd, std::uint64_t offset, Bytes data, std::function<void(Status)> cb);
-  void fsync(Fd fd, std::function<void(Status)> cb);
-  void close(Fd fd, std::function<void(Status)> cb);
-  void getattr(Fd fd, std::function<void(Result<protocol::FileAttr>)> cb);
+  void open(const std::string& path, bool create, OpenCb cb);
+  void read(Fd fd, std::uint64_t offset, std::uint32_t len, ReadCb cb);
+  void write(Fd fd, std::uint64_t offset, Bytes data, StatusCb cb);
+  void fsync(Fd fd, StatusCb cb);
+  void close(Fd fd, StatusCb cb);
+  void getattr(Fd fd, AttrCb cb);
 
   // Explicit data-lock control. lock() acquires at least `mode`; release()
   // downgrades (flushing dirty data first when ceding an exclusive lock).
   // Ordinary reads/writes acquire locks implicitly; these exist for
   // workloads that need to serialize around the lock boundary.
-  void lock(Fd fd, protocol::LockMode mode, std::function<void(Status)> cb);
-  void release(Fd fd, protocol::LockMode downgrade_to, std::function<void(Status)> cb);
+  void lock(Fd fd, protocol::LockMode mode, StatusCb cb);
+  void release(Fd fd, protocol::LockMode downgrade_to, StatusCb cb);
   // Flushes every dirty page (all files) to the SAN.
-  void sync_all(std::function<void(Status)> cb);
+  void sync_all(StatusCb cb);
 
   // --- Introspection ------------------------------------------------------
   [[nodiscard]] NodeId id() const { return cfg_.id; }
@@ -133,9 +142,44 @@ class Client {
   std::function<void()> on_lease_expired;
 
  private:
+  // One in-flight call (or internal flush): the caller's continuation and
+  // every piece of state its steps share, in one record from a per-thread
+  // recycled pool. Defined in client.cpp.
+  enum class OpKind : std::uint8_t;
+  struct Op;
+  // Owning, move-only handle on an Op. A fan-out share()s it across its
+  // block I/Os; when the last handle goes, the record returns to the pool and
+  // a continuation that never fired is dropped unanswered. A continuation
+  // captures {this, handle} (plus a slice or a snapshot), so it always fits
+  // a MoveFn inline.
+  class OpRef {
+   public:
+    OpRef() = default;
+    explicit OpRef(Op* op);
+    OpRef(OpRef&& other) noexcept : op_(std::exchange(other.op_, nullptr)) {}
+    OpRef& operator=(OpRef&& other) noexcept {
+      if (this != &other) {
+        reset();
+        op_ = std::exchange(other.op_, nullptr);
+      }
+      return *this;
+    }
+    OpRef(const OpRef&) = delete;
+    OpRef& operator=(const OpRef&) = delete;
+    ~OpRef() { reset(); }
+
+    [[nodiscard]] OpRef share() const { return OpRef(op_); }
+    Op* operator->() const { return op_; }
+    Op& operator*() const { return *op_; }
+
+   private:
+    void reset();
+    Op* op_{nullptr};
+  };
+  // A caller blocked on a lock upgrade: the op resumes when it settles.
   struct LockWait {
+    OpRef op;
     protocol::LockMode mode;
-    std::function<void(Status)> cb;
   };
   struct FileState {
     FileId file;
@@ -173,7 +217,7 @@ class Client {
     // a reordering network would apply to the page cache out of issue order.
     struct SizeWait {
       std::uint64_t min_size{0};
-      std::function<void(Status)> cb;
+      OpRef op;  // a write
     };
     std::vector<SizeWait> size_waiters;
     bool size_round_inflight{false};
@@ -223,11 +267,23 @@ class Client {
   [[nodiscard]] const FileState* find_file(FileId file) const;
   FileState& state_for(FileId file);
 
+  // Ops.
+  static std::vector<std::unique_ptr<Op>>& op_pool();
+  OpRef start_op(OpKind kind, FileId file);
+  // The op's lock (or NFS attribute check) has settled: run its next step.
+  void proceed(OpRef op, Status st);
+  // proceed(), after closing the traced lock-wait span.
+  void settle_lock_wait(OpRef op, Status st);
+  void read_locked(OpRef op, Status st);
+  void write_locked(OpRef op, Status st);
+  void write_sized(OpRef op, Status st);
+
   // Locking.
-  void ensure_lock(FileId file, protocol::LockMode mode, std::function<void(Status)> cb);
-  // Downgrades the held mode and sends the UnlockReq (any required flush has
-  // already completed). The release() fast path reaches here directly.
-  void do_unlock(FileId file, protocol::LockMode downgrade_to, std::function<void(Status)> cb);
+  void ensure_lock(FileId file, protocol::LockMode mode, OpRef op);
+  // Downgrades the held mode to op->mode and sends the UnlockReq (any
+  // required flush has already completed). The release() fast path reaches
+  // here directly.
+  void do_unlock(OpRef op);
   // Sends a LockReq for the strongest still-unsatisfied wait, unless one is
   // already pending or a revocation is in progress.
   void pump_lock_requests(FileId file);
@@ -244,38 +300,40 @@ class Client {
   void finish_demand(FileId file);
 
   // Data path.
-  void ensure_size(FileState& fs, std::uint64_t min_size, std::function<void(Status)> cb);
+  void ensure_size(FileState& fs, std::uint64_t min_size, OpRef op);
   // Starts the next size round for `file` if waiters are queued and no round
   // is in flight; completion serves every waiter the result covers, in order.
   void pump_size_round(FileId file);
   // Fails every queued size waiter (all files) with `why`; used when pending
   // transport requests are abandoned, which silently drops their handlers.
   void abort_size_rounds(ErrorCode why);
-  void read_direct(FileState& fs, std::uint64_t offset, std::uint32_t len,
-                   std::function<void(Result<Bytes>)> cb);
-  void write_direct(FileState& fs, std::uint64_t offset, Bytes data,
-                    std::function<void(Status)> cb);
-  void read_shipped(FileState& fs, std::uint64_t offset, std::uint32_t len,
-                    std::function<void(Result<Bytes>)> cb);
-  void write_shipped(FileState& fs, std::uint64_t offset, Bytes data,
-                     std::function<void(Status)> cb);
-  void fetch_block(FileState& fs, std::uint64_t fb,
-                   std::function<void(Result<Bytes>)> cb);
-  void write_block_through(FileState& fs, std::uint64_t fb, const Bytes& data,
-                           std::function<void(Status)> cb);
+  // Fills the SAN command for file block fb; false if the extents do not
+  // cover it.
+  bool block_io(const FileState& fs, std::uint64_t fb, storage::IoOp kind,
+                storage::IoRequest& io) const;
+  void read_direct(FileState& fs, OpRef op);
+  void read_fetched(Op& op, const protocol::BlockSlice& s, storage::IoResult res);
+  void read_slice_done(Op& op, Status st);
+  void write_direct(FileState& fs, OpRef op);
+  void write_filled(Op& op, const protocol::BlockSlice& s, storage::IoResult res);
+  void write_slice_done(Op& op, Status st);
+  void read_shipped(FileState& fs, OpRef op);
+  void write_shipped(FileState& fs, OpRef op);
 
   // Flushing.
-  void flush_file(FileId file, std::function<void(Status)> cb);
-  void flush_all(std::function<void(Status)> cb);
+  void flush_file(FileId file, StatusCb cb);
+  void flush_all(StatusCb cb);
+  // Writes one dirty page of a flush op to the SAN.
+  void write_block_through(FileState& fs, const OpRef& op, std::uint64_t fb, const Bytes& data);
+  void flush_block_done(Op& op, Status st);
   // Evicts down to the configured capacity (clean LRU pages first; flushes
   // the oldest dirty file when nothing clean remains).
   void enforce_cache_limit();
   void writeback_tick();
 
-  // NFS attribute revalidation.
-  void maybe_revalidate(FileState& fs, std::function<void(Status)> cb);
+  // NFS attribute revalidation, then proceed(op).
+  void maybe_revalidate(FileState& fs, OpRef op);
 
-  sim::Engine* engine_;
   storage::SanFabric* san_;
   ClientConfig cfg_;
   sim::NodeClock clock_;

@@ -2,19 +2,6 @@
 
 namespace stank {
 
-std::uint64_t ByteReader::get_le(std::size_t width) {
-  if (pos_ + width > data_.size()) {
-    fail();
-    return 0;
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += width;
-  return v;
-}
-
 std::string ByteReader::str() {
   std::uint32_t n = u32();
   if (failed_ || pos_ + n > data_.size()) {

@@ -5,13 +5,19 @@
 // crashing, since a datagram network may hand us garbage.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace stank {
+
+// Fixed-width fields are copied as host words, which is the wire's
+// little-endian layout only on a little-endian host.
+static_assert(std::endian::native == std::endian::little, "the codec assumes a little-endian host");
 
 using Bytes = std::vector<std::uint8_t>;
 
@@ -40,11 +46,12 @@ class ByteWriter {
   [[nodiscard]] const Bytes& bytes() const { return *out_; }
 
  private:
+  // One resize and one store per field, not a push_back per byte.
   template <typename T>
   void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    const std::size_t at = out_->size();
+    out_->resize(at + sizeof(T));
+    std::memcpy(out_->data() + at, &v, sizeof(T));
   }
 
   Bytes owned_;
@@ -57,9 +64,9 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get_le(1)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get_le(4)); }
-  std::uint64_t u64() { return get_le(8); }
+  std::uint8_t u8() { return get_le<std::uint8_t>(); }
+  std::uint32_t u32() { return get_le<std::uint32_t>(); }
+  std::uint64_t u64() { return get_le<std::uint64_t>(); }
   bool boolean() { return u8() != 0; }
 
   std::string str();
@@ -77,7 +84,18 @@ class ByteReader {
   [[nodiscard]] bool at_end() const { return pos_ == data_.size() && !failed_; }
 
  private:
-  std::uint64_t get_le(std::size_t width);
+  // One bounds check and one load per field.
+  template <typename T>
+  T get_le() {
+    if (sizeof(T) > data_.size() - pos_) {
+      fail();
+      return 0;
+    }
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_{0};

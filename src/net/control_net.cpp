@@ -112,7 +112,9 @@ void ControlNet::send(NodeId from, NodeId to, Bytes datagram) {
     if (rec_ != nullptr) {
       rec_->record(engine_->now(), from, obs::EventKind::kNetDup, to.value());
     }
-    enqueue_copy(from, to, datagram);  // copies the buffer
+    Bytes copy = take_buf();
+    copy.assign(datagram.begin(), datagram.end());
+    enqueue_copy(from, to, std::move(copy));
   }
   enqueue_copy(from, to, std::move(datagram));
 }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/small_vec.hpp"
 
 namespace stank::protocol {
 
@@ -69,13 +70,13 @@ void ServerTransport::handle_datagram(const Bytes& datagram) {
       handle_request(*frame);
       return;
     case FrameKind::kClientAck: {
-      auto it = out_msgs_.find(frame->msg_id);
-      if (it == out_msgs_.end()) {
+      OutMsg* found = out_msgs_.find(frame->msg_id);
+      if (found == nullptr) {
         return;  // duplicate ACK
       }
-      OutMsg m = std::move(it->second);
+      OutMsg m = std::move(*found);
       clock_->cancel(m.timer);
-      out_msgs_.erase(it);
+      out_msgs_.erase(frame->msg_id);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kServerMsgAcked,
                      frame->msg_id.value(), m.client.value());
@@ -206,10 +207,10 @@ void ServerTransport::send_frame(NodeId to, const Frame& f) {
 }
 
 void ServerTransport::send_server_msg(NodeId client, std::uint32_t epoch, ServerBody body,
-                                      std::function<void(bool)> done) {
+                                      DeliveryFn done) {
   STANK_ASSERT_MSG(started_, "send_server_msg on stopped transport");
   const MsgId id{next_msg_++};
-  OutMsg m;
+  OutMsg& m = *out_msgs_.try_emplace(id).first;
   m.client = client;
   m.frame.kind = FrameKind::kServerMsg;
   m.frame.sender = self_;
@@ -218,14 +219,13 @@ void ServerTransport::send_server_msg(NodeId client, std::uint32_t epoch, Server
   m.frame.incarnation = incarnation_;
   m.frame.body = std::move(body);
   m.done = std::move(done);
-  out_msgs_.emplace(id, std::move(m));
   transmit_server_msg(id);
 }
 
 void ServerTransport::transmit_server_msg(MsgId id) {
-  auto it = out_msgs_.find(id);
-  STANK_ASSERT(it != out_msgs_.end());
-  OutMsg& m = it->second;
+  OutMsg* found = out_msgs_.find(id);
+  STANK_ASSERT(found != nullptr);
+  OutMsg& m = *found;
 
   ++counters_->server_msgs_sent;
   if (m.transmissions > 0) {
@@ -246,13 +246,13 @@ void ServerTransport::transmit_server_msg(MsgId id) {
   send_frame(m.client, m.frame);
 
   m.timer = clock_->schedule_after(cfg_.retransmit_timeout, [this, id]() {
-    auto it2 = out_msgs_.find(id);
-    if (it2 == out_msgs_.end()) {
+    OutMsg* pending = out_msgs_.find(id);
+    if (pending == nullptr) {
       return;  // ACKed meanwhile
     }
-    if (it2->second.transmissions > cfg_.max_retries) {
-      OutMsg m2 = std::move(it2->second);
-      out_msgs_.erase(it2);
+    if (pending->transmissions > cfg_.max_retries) {
+      OutMsg m2 = std::move(*pending);
+      out_msgs_.erase(id);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kDeliveryFailure,
                      id.value(), m2.client.value());
@@ -267,14 +267,15 @@ void ServerTransport::transmit_server_msg(MsgId id) {
 }
 
 void ServerTransport::cancel_server_msgs(NodeId client) {
-  for (auto it = out_msgs_.begin(); it != out_msgs_.end();) {
-    if (it->second.client == client) {
-      clock_->cancel(it->second.timer);
-      it = out_msgs_.erase(it);
-    } else {
-      ++it;
+  // Collect first: erasing shifts later slots back, under a live iterator.
+  SmallVec<MsgId, 8> doomed;
+  for (auto& [id, m] : out_msgs_) {
+    if (m.client == client) {
+      clock_->cancel(m.timer);
+      doomed.push_back(id);
     }
   }
+  for (const MsgId id : doomed) out_msgs_.erase(id);
 }
 
 }  // namespace stank::protocol

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -66,8 +65,8 @@ class ServerTransport {
   // Sends a server-initiated message requiring a client transport ACK.
   // done(delivered) fires exactly once; delivered=false after retries are
   // exhausted — the delivery error of section 3.
-  void send_server_msg(NodeId client, std::uint32_t epoch, ServerBody body,
-                       std::function<void(bool delivered)> done);
+  using DeliveryFn = MoveFn<void(bool delivered)>;
+  void send_server_msg(NodeId client, std::uint32_t epoch, ServerBody body, DeliveryFn done);
 
   // Drops outstanding server messages to a client without firing their
   // callbacks (used once the client has been declared failed).
@@ -119,7 +118,7 @@ class ServerTransport {
     Frame frame;
     int transmissions{0};
     sim::TimerId timer{0};
-    std::function<void(bool)> done;
+    DeliveryFn done;
   };
 
   void handle_datagram(const Bytes& datagram);
@@ -148,7 +147,10 @@ class ServerTransport {
   // superseded epochs are kept: dropping one would let a late duplicate of
   // its RegisterReq execute again and bump the client's epoch.
   FlatMap<std::uint64_t, Session> sessions_;
-  std::unordered_map<MsgId, OutMsg> out_msgs_;
+  // Unacknowledged server-initiated messages; slots recycle in place, so a
+  // steady demand/grant stream allocates nothing. No walk over it is
+  // observable: stop() and cancel_server_msgs() only cancel timers.
+  FlatMap<MsgId, OutMsg> out_msgs_;
 };
 
 }  // namespace stank::protocol

@@ -35,10 +35,10 @@ struct ReplyEvent {
   sim::LocalTime first_send{};
 };
 
-// Move-only with a generous inline buffer: reply continuations capture a
-// this-pointer, ids, and sometimes a chained user callback — std::function
-// would heap-allocate and force copyable captures (shared_ptr wrapping) on
-// the per-request path.
-using ReplyHandler = MoveFn<void(const ReplyEvent&)>;
+// Move-only, so captures are never copied. Reply continuations capture a
+// this-pointer plus an op handle or a few ids (the caller's own callback
+// lives in the op record, never in the handler), so 48 inline bytes hold
+// every one; two of them sit inline in each client transport.
+using ReplyHandler = MoveFn<void(const ReplyEvent&), 48>;
 
 }  // namespace stank::protocol

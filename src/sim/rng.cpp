@@ -1,6 +1,8 @@
 #include "sim/rng.hpp"
 
 #include <cmath>
+#include <memory>
+#include <mutex>
 
 #include "common/assert.hpp"
 
@@ -78,34 +80,13 @@ bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::size_t Rng::zipf(std::size_t n, double s) {
   STANK_ASSERT(n > 0);
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(n);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      acc += 1.0 / std::pow(static_cast<double>(k + 1), s);
-      zipf_cdf_[k] = acc;
-    }
-    for (auto& v : zipf_cdf_) {
-      v /= acc;
-    }
+  if (zipf_ == nullptr || zipf_->n() != n || zipf_->s() != s) {
+    zipf_ = &ZipfTable::shared(n, s);
   }
-  const double u = uniform();
-  // Binary search for the first cdf entry >= u.
-  std::size_t lo = 0, hi = n - 1;
-  while (lo < hi) {
-    std::size_t mid = (lo + hi) / 2;
-    if (zipf_cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return zipf_->pick(uniform());
 }
 
-ZipfTable::ZipfTable(std::size_t n, double s) {
+ZipfTable::ZipfTable(std::size_t n, double s) : s_(s) {
   STANK_ASSERT(n > 0);
   cdf_.resize(n);
   double acc = 0.0;
@@ -129,6 +110,16 @@ std::size_t ZipfTable::pick(double u) const {
     }
   }
   return lo;
+}
+
+const ZipfTable& ZipfTable::shared(std::size_t n, double s) {
+  static std::mutex mu;
+  static std::vector<std::unique_ptr<const ZipfTable>> tables;
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const auto& t : tables) {
+    if (t->n() == n && t->s() == s) return *t;
+  }
+  return *tables.emplace_back(std::make_unique<const ZipfTable>(n, s));
 }
 
 }  // namespace stank::sim

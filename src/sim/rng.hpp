@@ -12,6 +12,8 @@
 
 namespace stank::sim {
 
+class ZipfTable;
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -29,7 +31,9 @@ class Rng {
   // Exponential with the given mean (> 0).
   double exponential(double mean);
   bool bernoulli(double p);
-  // Zipf-distributed rank in [0, n), exponent s >= 0 (0 = uniform).
+  // Zipf-distributed rank in [0, n), exponent s >= 0 (0 = uniform). Draws
+  // from the process-wide table for (n, s), looked up only when (n, s)
+  // changes between calls.
   std::size_t zipf(std::size_t n, double s);
 
   // Fisher-Yates shuffle.
@@ -44,26 +48,29 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  // Cached Zipf normalization: recomputed only when (n, s) changes.
-  std::size_t zipf_n_{0};
-  double zipf_s_{-1.0};
-  std::vector<double> zipf_cdf_;
+  // The table of the last (n, s) drawn from; null before the first draw.
+  const ZipfTable* zipf_{nullptr};
 };
 
-// Shared Zipf CDF: build once, draw with any Rng via pick(rng.uniform()).
-// Rng::zipf caches its table per instance, which is fine for a handful of
-// generators but costs n doubles *per Rng* — a million per-member Rngs
-// drawing from a 10k-entry pool would duplicate the table into tens of
-// gigabytes. pick() consumes exactly one uniform draw, the same as
-// Rng::zipf, so swapping between them preserves the RNG stream.
+// Immutable Zipf CDF: build once, draw with any Rng via pick(rng.uniform()).
+// pick() consumes exactly one uniform draw, the same as Rng::zipf, so
+// swapping between them preserves the RNG stream.
 class ZipfTable {
  public:
   ZipfTable(std::size_t n, double s);
   // Rank in [0, n) for a uniform u in [0, 1).
   [[nodiscard]] std::size_t pick(double u) const;
+  [[nodiscard]] std::size_t n() const { return cdf_.size(); }
+  [[nodiscard]] double s() const { return s_; }
+
+  // The process-wide table for (n, s), built on first use and never freed
+  // before exit: a hundred client Rngs on one (n, s) share one table instead
+  // of each binary-searching its own copy. Thread-safe.
+  [[nodiscard]] static const ZipfTable& shared(std::size_t n, double s);
 
  private:
   std::vector<double> cdf_;
+  double s_;
 };
 
 }  // namespace stank::sim

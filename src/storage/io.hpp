@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "common/bytes.hpp"
+#include "common/move_fn.hpp"
 #include "common/result.hpp"
 #include "common/strong_id.hpp"
 
@@ -40,7 +41,9 @@ struct IoResult {
   Bytes data;  // read payload on success
 };
 
-using IoCallback = std::function<void(IoResult)>;
+// Move-only: a completion captures its issuer's pointer and an op handle,
+// and always fits inline.
+using IoCallback = MoveFn<void(IoResult)>;
 
 // Administrative commands the locking authority sends to devices. Fencing by
 // initiator id is exactly the capability the paper assumes of SAN devices or

@@ -41,52 +41,78 @@ sim::Duration SanFabric::service_delay(NodeId initiator) {
   return d;
 }
 
+std::uint32_t SanFabric::park(IoRequest req, IoCallback cb) {
+  std::uint32_t slot = free_slot_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(inflight_.size());
+    inflight_.emplace_back();
+  } else {
+    free_slot_ = inflight_[slot].next_free;
+  }
+  InFlight& f = inflight_[slot];
+  f.req = std::move(req);
+  f.cb = std::move(cb);
+  return slot;
+}
+
+SanFabric::InFlight SanFabric::unpark(std::uint32_t slot) {
+  InFlight& f = inflight_[slot];
+  InFlight out{std::move(f.req), std::move(f.cb)};
+  f.next_free = free_slot_;
+  free_slot_ = slot;
+  return out;
+}
+
 void SanFabric::submit(IoRequest req, IoCallback cb) {
   STANK_ASSERT(cb != nullptr);
   ++stats_.ios_submitted;
 
-  if (!reach_.can_reach(req.initiator, req.disk)) {
-    ++stats_.ios_failed_partition;
-    recycle_buf(std::move(req.data));  // command lost before reaching the disk
-    // The initiator observes a timeout, not an instant failure.
-    engine_->schedule_after(cfg_.error_timeout, [cb = std::move(cb)]() {
-      cb(IoResult{Status{ErrorCode::kIoError}, {}});
-    });
-    return;
-  }
-  if (cfg_.drop_probability > 0.0 && rng_.bernoulli(cfg_.drop_probability)) {
+  const bool partitioned = !reach_.can_reach(req.initiator, req.disk);
+  if (partitioned || (cfg_.drop_probability > 0.0 && rng_.bernoulli(cfg_.drop_probability))) {
+    // Partitioned (command lost before reaching the disk) or dropped: the
+    // initiator observes a timeout, not an instant failure.
+    if (partitioned) ++stats_.ios_failed_partition;
     recycle_buf(std::move(req.data));
-    engine_->schedule_after(cfg_.error_timeout, [cb = std::move(cb)]() {
-      cb(IoResult{Status{ErrorCode::kIoError}, {}});
-    });
+    const std::uint32_t slot = park(IoRequest{}, std::move(cb));
+    engine_->schedule_after(cfg_.error_timeout, [this, slot]() { fail_lost(slot); });
     return;
   }
 
   const sim::Duration delay = service_delay(req.initiator);
-  engine_->schedule_after(delay, [this, req = std::move(req), cb = std::move(cb)]() mutable {
-    // A partition that formed while the command was in flight also kills it.
-    if (!reach_.can_reach(req.initiator, req.disk)) {
-      ++stats_.ios_failed_partition;
-      recycle_buf(std::move(req.data));
-      cb(IoResult{Status{ErrorCode::kIoError}, {}});
-      return;
-    }
-    auto it = disks_.find(req.disk);
-    STANK_ASSERT_MSG(it != disks_.end(), "I/O to unknown disk");
-    IoResult result = it->second->execute(req);
-    ++stats_.ios_completed;
-    if (result.status.is_ok()) {
-      stats_.bytes_transferred += req.op == IoOp::kWrite ? req.data.size() : result.data.size();
-      if (on_io) {
-        on_io(req, result, engine_->now());
-      }
-    } else if (result.status.error() == ErrorCode::kFenced) {
-      ++stats_.ios_failed_fenced;
-    }
-    // The disk copied a write payload into its blocks; the buffer is ours.
+  const std::uint32_t slot = park(std::move(req), std::move(cb));
+  engine_->schedule_after(delay, [this, slot]() { complete(slot); });
+}
+
+void SanFabric::fail_lost(std::uint32_t slot) {
+  InFlight f = unpark(slot);
+  f.cb(IoResult{Status{ErrorCode::kIoError}, {}});
+}
+
+void SanFabric::complete(std::uint32_t slot) {
+  InFlight f = unpark(slot);
+  IoRequest& req = f.req;
+  // A partition that formed while the command was in flight also kills it.
+  if (!reach_.can_reach(req.initiator, req.disk)) {
+    ++stats_.ios_failed_partition;
     recycle_buf(std::move(req.data));
-    cb(std::move(result));
-  });
+    f.cb(IoResult{Status{ErrorCode::kIoError}, {}});
+    return;
+  }
+  auto it = disks_.find(req.disk);
+  STANK_ASSERT_MSG(it != disks_.end(), "I/O to unknown disk");
+  IoResult result = it->second->execute(req);
+  ++stats_.ios_completed;
+  if (result.status.is_ok()) {
+    stats_.bytes_transferred += req.op == IoOp::kWrite ? req.data.size() : result.data.size();
+    if (on_io) {
+      on_io(req, result, engine_->now());
+    }
+  } else if (result.status.error() == ErrorCode::kFenced) {
+    ++stats_.ios_failed_fenced;
+  }
+  // The disk copied a write payload into its blocks; the buffer is ours.
+  recycle_buf(std::move(req.data));
+  f.cb(std::move(result));
 }
 
 void SanFabric::submit_admin(AdminRequest req, AdminCallback cb) {

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "net/reachability.hpp"
 #include "sim/engine.hpp"
@@ -47,7 +48,8 @@ class SanFabric {
   [[nodiscard]] const VirtualDisk& disk(DiskId id) const;
 
   // Submits block I/O; the callback always fires (with kIoError on loss,
-  // kFenced on rejection, kIoError on partition).
+  // kFenced on rejection, kIoError on partition) unless the fabric is
+  // destroyed first.
   void submit(IoRequest req, IoCallback cb);
 
   // Admin command from a server to a disk: travels the SAN like any other
@@ -67,7 +69,22 @@ class SanFabric {
   [[nodiscard]] SanConfig& config() { return cfg_; }
 
  private:
+  // One submitted I/O between submit() and its completion event. Slots are
+  // recycled through a free list, so the engine event captures only
+  // {this, slot} and the table grows only with the I/Os in flight.
+  struct InFlight {
+    IoRequest req;
+    IoCallback cb;
+    std::uint32_t next_free{0};
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   sim::Duration service_delay(NodeId initiator);
+  std::uint32_t park(IoRequest req, IoCallback cb);
+  // Empties a slot onto the free list and hands back its contents.
+  InFlight unpark(std::uint32_t slot);
+  void complete(std::uint32_t slot);
+  void fail_lost(std::uint32_t slot);
 
   sim::Engine* engine_;
   sim::Rng rng_;
@@ -75,6 +92,8 @@ class SanFabric {
   net::Reachability<NodeId, DiskId> reach_;
   std::unordered_map<DiskId, std::unique_ptr<VirtualDisk>> disks_;
   SanStats stats_;
+  std::vector<InFlight> inflight_;
+  std::uint32_t free_slot_{kNoSlot};
 };
 
 }  // namespace stank::storage

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+#include <optional>
+#include <vector>
+
+#include "sim/rng.hpp"
+
 namespace stank::client {
 namespace {
 
@@ -160,6 +167,230 @@ TEST(BlockCacheDeathTest, WrongSizePageAborts) {
 TEST(BlockCacheDeathTest, MarkDirtyUncachedAborts) {
   BlockCache c(64);
   EXPECT_DEATH(c.mark_dirty(kF, 0), "uncached");
+}
+
+// The order contract every caller relies on, pinned against a reference
+// model built the way the cache used to be built: a std::map keyed by
+// (file, block) plus a std::list in recency order (front = most recent).
+// Every walk whose order a caller can observe must match it: ascending
+// all_dirty / dirty_blocks / cached_files, and LRU eviction / oldest_dirty.
+class RefCache {
+ public:
+  using Key = BlockCache::Key;
+  struct Entry {
+    Bytes data;
+    bool dirty{false};
+  };
+
+  void touch(const Key& k) {
+    lru_.remove(k);
+    lru_.push_front(k);
+  }
+  const Entry* find(const Key& k) {
+    auto it = pages_.find(k);
+    if (it == pages_.end()) {
+      ++misses;
+      return nullptr;
+    }
+    ++hits;
+    touch(k);
+    return &it->second;
+  }
+  const Entry* peek(const Key& k) const {
+    auto it = pages_.find(k);
+    return it == pages_.end() ? nullptr : &it->second;
+  }
+  void put(const Key& k, Bytes data, bool dirty) {
+    if (pages_.find(k) == pages_.end()) {
+      lru_.push_front(k);
+    } else {
+      touch(k);
+    }
+    pages_[k] = Entry{std::move(data), dirty};
+  }
+  void mark(const Key& k, bool dirty) {
+    if (auto it = pages_.find(k); it != pages_.end()) it->second.dirty = dirty;
+  }
+  void invalidate_file(FileId f) {
+    for (auto it = pages_.begin(); it != pages_.end();) {
+      if (it->first.first == f) {
+        lru_.remove(it->first);
+        it = pages_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  void invalidate_all() {
+    pages_.clear();
+    lru_.clear();
+  }
+  std::optional<Key> evict_clean_lru() {
+    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
+      if (!pages_.at(*rit).dirty) {
+        const Key k = *rit;
+        pages_.erase(k);
+        lru_.remove(k);
+        ++evictions;
+        return k;
+      }
+    }
+    return std::nullopt;
+  }
+  std::optional<Key> oldest_dirty() const {
+    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
+      if (pages_.at(*rit).dirty) return *rit;
+    }
+    return std::nullopt;
+  }
+  std::vector<std::uint64_t> dirty_blocks(FileId f) const {
+    std::vector<std::uint64_t> out;
+    for (const auto& [k, e] : pages_) {
+      if (k.first == f && e.dirty) out.push_back(k.second);
+    }
+    return out;
+  }
+  std::vector<Key> all_dirty() const {
+    std::vector<Key> out;
+    for (const auto& [k, e] : pages_) {
+      if (e.dirty) out.push_back(k);
+    }
+    return out;
+  }
+  std::vector<FileId> cached_files() const {
+    std::vector<FileId> out;
+    for (const auto& [k, e] : pages_) {
+      if (out.empty() || out.back() != k.first) out.push_back(k.first);
+    }
+    return out;
+  }
+  std::size_t file_page_count(FileId f) const {
+    std::size_t n = 0;
+    for (const auto& [k, e] : pages_) n += k.first == f ? 1 : 0;
+    return n;
+  }
+  std::size_t dirty_count() const {
+    std::size_t n = 0;
+    for (const auto& [k, e] : pages_) n += e.dirty ? 1 : 0;
+    return n;
+  }
+  std::size_t size() const { return pages_.size(); }
+
+  std::uint64_t hits{0};
+  std::uint64_t misses{0};
+  std::uint64_t evictions{0};
+
+ private:
+  std::map<Key, Entry> pages_;
+  std::list<Key> lru_;
+};
+
+TEST(BlockCacheOrder, MatchesMapListReferenceModel) {
+  constexpr std::uint32_t kBs = 8;
+  // Sparse ids and block numbers, so neither the table's hash order nor a
+  // dense index can stand in for the sorted order.
+  const FileId files[] = {FileId{1}, FileId{7}, FileId{3}, FileId{0xFFFFFFF0u}, FileId{12}};
+  const std::uint64_t blocks[] = {0, 1, 2, 5, 9, 31, 1000, 0xFFFFFFF0ull};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Rng rng(seed);
+    BlockCache c(kBs, seed % 2 == 0 ? 6 : 0);
+    RefCache ref;
+    std::size_t capacity = c.capacity();
+    auto pick_key = [&] {
+      return RefCache::Key{files[rng.uniform_int(0, 4)], blocks[rng.uniform_int(0, 7)]};
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const RefCache::Key k = pick_key();
+      const auto fill = static_cast<std::uint8_t>(step);
+      switch (rng.uniform_int(0, 11)) {
+        case 0:
+        case 1: {
+          const bool dirty = rng.bernoulli(0.4);
+          c.put(k.first, k.second, Bytes(kBs, fill), dirty);
+          ref.put(k, Bytes(kBs, fill), dirty);
+          break;
+        }
+        case 2:
+        case 3: {
+          const BlockCache::Page* got = c.find(k.first, k.second);
+          const RefCache::Entry* want = ref.find(k);
+          ASSERT_EQ(got == nullptr, want == nullptr) << "seed " << seed << " step " << step;
+          if (got != nullptr) {
+            ASSERT_EQ(got->data, want->data);
+            ASSERT_EQ(got->dirty, want->dirty);
+          }
+          break;
+        }
+        case 4: {
+          const BlockCache::Page* got = c.peek(k.first, k.second);
+          const RefCache::Entry* want = ref.peek(k);
+          ASSERT_EQ(got == nullptr, want == nullptr);
+          if (got != nullptr) {
+            ASSERT_EQ(got->data, want->data);
+          }
+          break;
+        }
+        case 5:
+          if (ref.peek(k) != nullptr) {
+            c.mark_dirty(k.first, k.second);
+            ref.mark(k, true);
+          }
+          break;
+        case 6:
+          c.mark_clean(k.first, k.second);
+          ref.mark(k, false);
+          break;
+        case 7:
+          if (rng.bernoulli(0.3)) {
+            c.invalidate_file(k.first);
+            ref.invalidate_file(k.first);
+          }
+          break;
+        case 8:
+          if (rng.bernoulli(0.02)) {
+            c.invalidate_all();
+            ref.invalidate_all();
+          }
+          break;
+        case 9:
+          if (rng.bernoulli(0.05)) {
+            capacity = static_cast<std::size_t>(rng.uniform_int(0, 10));
+            c.set_capacity(capacity);
+          }
+          break;
+        default: {
+          // Evict the way the client does: clean LRU pages while over
+          // capacity (or one, when unbounded).
+          const int rounds = capacity == 0 ? 1 : 64;
+          for (int r = 0; r < rounds && (capacity == 0 || c.over_capacity()); ++r) {
+            const auto got = c.evict_clean_lru();
+            const auto want = ref.evict_clean_lru();
+            ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+            if (!got) break;
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(c.page_count(), ref.size());
+      ASSERT_EQ(c.over_capacity(), capacity != 0 && ref.size() > capacity);
+      ASSERT_EQ(c.oldest_dirty(), ref.oldest_dirty()) << "seed " << seed << " step " << step;
+      if (step % 16 == 0) {
+        ASSERT_EQ(c.all_dirty(), ref.all_dirty());
+        ASSERT_EQ(c.cached_files(), ref.cached_files());
+        ASSERT_EQ(c.dirty_count(), ref.dirty_count());
+        for (const FileId f : files) {
+          ASSERT_EQ(c.dirty_blocks(f), ref.dirty_blocks(f));
+          ASSERT_EQ(c.has_dirty(f), !ref.dirty_blocks(f).empty());
+          ASSERT_EQ(c.file_page_count(f), ref.file_page_count(f));
+        }
+      }
+    }
+    EXPECT_EQ(c.hits(), ref.hits);
+    EXPECT_EQ(c.misses(), ref.misses);
+    EXPECT_EQ(c.evictions(), ref.evictions);
+    EXPECT_GT(ref.evictions, 0u);
+    EXPECT_GT(ref.hits, 0u);
+  }
 }
 
 }  // namespace

@@ -523,6 +523,50 @@ TEST(Client, DestroyedClientLeavesNoWritebackTick) {
   EXPECT_EQ(engine.events_pending(), 0u);
 }
 
+// Each op's state lives in a pooled record whose handles ride in transport
+// handlers, lock waits and parked SAN I/Os. Ops caught in flight by a crash
+// must never answer; the record pool must serve the restarted client; and
+// handles released after ~Client (I/Os still parked in the SAN) must not
+// touch the dead client (the sanitizer build reports it if they do).
+TEST(Client, OpsInFlightAcrossCrashRestartAndDestruction) {
+  Fixture f(1);
+  constexpr std::uint32_t kBs = Fixture::kBs;
+  const Fd fd = f.must_open(0, "/inflight");
+  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(4 * kBs, 7)).is_ok());
+  f.san.config().latency = sim::millis(300);
+  f.san.config().jitter = sim::Duration{0};
+
+  // Crash with an fsync's four block writes and a read-modify-write fill
+  // (a partial write past the cached blocks) parked in the SAN.
+  int fired = 0;
+  f.c(0).fsync(fd, [&](Status) { ++fired; });
+  f.c(0).write(fd, 4 * kBs + 8, Bytes(16, 9), [&](Status) { ++fired; });
+  f.run_for(0.05);
+  ASSERT_EQ(f.san.stats().ios_submitted, f.san.stats().ios_completed + 5);
+  f.c(0).crash();
+  f.run_for(1.0);
+  EXPECT_EQ(fired, 0);
+
+  // The restarted client reuses the pool.
+  f.san.config().latency = sim::micros(500);
+  f.c(0).restart();
+  f.run_for(0.5);
+  ASSERT_TRUE(f.c(0).registered());
+  const Fd fd2 = f.must_open(0, "/inflight", /*create=*/false);
+  auto r = f.must_read(0, fd2, 0, kBs);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), Bytes(kBs, 7));  // the crashed fsync's writes landed
+  ASSERT_TRUE(f.must_write(0, fd2, kBs, Bytes(kBs, 5)).is_ok());
+
+  // Destroy the client with a block fetch parked in the SAN.
+  f.san.config().latency = sim::millis(300);
+  f.c(0).read(fd2, 2 * kBs, kBs, [&](Result<Bytes>) { ++fired; });
+  f.run_for(0.05);
+  ASSERT_EQ(f.san.stats().ios_submitted, f.san.stats().ios_completed + 1);
+  f.clients[0].reset();
+  EXPECT_EQ(fired, 0);
+}
+
 // After a server restart the client reasserts its locks in ascending FileId:
 // the send order assigns the msg ids, so it must not follow the per-file
 // table's hash order. Each reassertion's file is read off the trace by
