@@ -37,9 +37,9 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     : san_(&san),
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
-      rec_(rec),
       transport_(net, clock_, cfg_.id, cfg_.server, counters_, cfg_.transport),
-      cache_(cfg_.block_size, cfg_.cache_capacity_pages) {
+      cache_(cfg_.block_size, cfg_.cache_capacity_pages),
+      rec_(rec) {
   cfg_.lease.validate();
   if (rec_ != nullptr) {
     rec_->bind_engine(engine);

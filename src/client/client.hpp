@@ -337,12 +337,13 @@ class Client {
   storage::SanFabric* san_;
   ClientConfig cfg_;
   sim::NodeClock clock_;
-  // Typed flight recorder; null when tracing is off.
-  obs::Recorder* rec_;
 
   metrics::Counters counters_;
   protocol::ClientTransport transport_;
   BlockCache cache_;
+  // Typed flight recorder; null when tracing is off. Declared after the
+  // transport so the members before it need no alignment padding.
+  obs::Recorder* rec_;
 
   // Lease machinery (one of these by strategy; ST uses agent_).
   std::unique_ptr<core::ClientLeaseAgent> agent_;
