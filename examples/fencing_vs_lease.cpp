@@ -15,6 +15,7 @@
 //
 // Build & run:  ./build/examples/fencing_vs_lease
 #include <cstdio>
+#include <functional>
 
 #include "verify/stamp.hpp"
 #include "workload/scenario.hpp"
@@ -72,9 +73,11 @@ verify::ViolationSummary run_policy(server::RecoveryMode recovery) {
   });
 
   // Meanwhile c0's local processes keep reading their (possibly stale)
-  // cache: every 500 ms until its lease machinery stops it.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&, tick]() {
+  // cache: every 500 ms until its lease machinery stops it. The pending tick
+  // refers to `tick` by reference: it is declared after `sc`, so it outlives
+  // every engine run, and the engine never runs again once it is gone.
+  std::function<void()> tick;
+  tick = [&]() {
     if (c0.accepting()) {
       const sim::SimTime t0 = sc.engine().now();
       c0.read(sc.fd(0, 0), 0, bs, [&, t0](Result<Bytes> res) {
@@ -90,9 +93,9 @@ verify::ViolationSummary run_policy(server::RecoveryMode recovery) {
         sc.history().on_read(rec);
       });
     }
-    sc.engine().schedule_after(sim::millis(500), [tick]() { (*tick)(); });
+    sc.engine().schedule_after(sim::millis(500), [&tick]() { tick(); });
   };
-  (*tick)();
+  tick();
 
   sc.run_until_s(40.0);
   auto result = sc.finish();

@@ -7,8 +7,7 @@
 
 namespace stank::client {
 
-BlockCache::BlockCache(std::uint32_t block_size, std::size_t capacity_pages)
-    : block_size_(block_size), capacity_(capacity_pages) {
+BlockCache::BlockCache(std::uint32_t block_size) : block_size_(block_size) {
   STANK_ASSERT(block_size > 0);
 }
 
@@ -19,38 +18,6 @@ std::uint64_t BlockCache::pack(FileId file, std::uint64_t fb) {
 
 const std::uint32_t* BlockCache::slot_of(FileId file, std::uint64_t fb) const {
   return fb > 0xFFFFFFFFull ? nullptr : index_.find(pack(file, fb));
-}
-
-void BlockCache::link_front(std::uint32_t i) {
-  Node& n = nodes_[i];
-  n.newer = kNone;
-  n.older = lru_front_;
-  if (lru_front_ != kNone) {
-    nodes_[lru_front_].newer = i;
-  } else {
-    lru_back_ = i;
-  }
-  lru_front_ = i;
-}
-
-void BlockCache::unlink(std::uint32_t i) {
-  Node& n = nodes_[i];
-  if (n.newer != kNone) {
-    nodes_[n.newer].older = n.older;
-  } else {
-    lru_front_ = n.older;
-  }
-  if (n.older != kNone) {
-    nodes_[n.older].newer = n.newer;
-  } else {
-    lru_back_ = n.newer;
-  }
-}
-
-void BlockCache::touch(std::uint32_t i) {
-  if (lru_front_ == i) return;
-  unlink(i);
-  link_front(i);
 }
 
 std::vector<std::uint32_t>::iterator BlockCache::position(std::vector<std::uint32_t>& list,
@@ -64,18 +31,9 @@ void BlockCache::release(std::uint32_t i) {
   Node& n = nodes_[i];
   recycle_buf(std::move(n.page.data));
   index_.erase(pack(n.key.first, n.key.second));
-  unlink(i);
   n.page = Page{};
-  n.older = free_;
+  n.next_free = free_;
   free_ = i;
-}
-
-void BlockCache::remove(std::uint32_t i) {
-  std::vector<std::uint32_t>& list = *files_.find(nodes_[i].key.first);
-  const auto pos = position(list, nodes_[i].key.second);
-  STANK_ASSERT(pos != list.end() && *pos == i);
-  list.erase(pos);
-  release(i);
 }
 
 BlockCache::Page* BlockCache::find(FileId file, std::uint64_t fb) {
@@ -85,7 +43,6 @@ BlockCache::Page* BlockCache::find(FileId file, std::uint64_t fb) {
     return nullptr;
   }
   ++hits_;
-  touch(*slot);
   return &nodes_[*slot].page;
 }
 
@@ -102,7 +59,6 @@ BlockCache::Page& BlockCache::put(FileId file, std::uint64_t fb, Bytes data, boo
     recycle_buf(std::move(n.page.data));  // replaced page's buffer
     n.page.data = std::move(data);
     n.page.dirty = dirty;
-    touch(*slot);
     return n.page;
   }
   std::uint32_t i = free_;
@@ -110,14 +66,13 @@ BlockCache::Page& BlockCache::put(FileId file, std::uint64_t fb, Bytes data, boo
     i = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
   } else {
-    free_ = nodes_[i].older;
+    free_ = nodes_[i].next_free;
   }
   *slot = i;
   Node& n = nodes_[i];
   n.page.data = std::move(data);
   n.page.dirty = dirty;
   n.key = Key{file, fb};
-  link_front(i);
   std::vector<std::uint32_t>& list = files_[file];
   list.insert(position(list, fb), i);
   return n.page;
@@ -142,12 +97,6 @@ void BlockCache::dirty_blocks(FileId file, std::vector<std::uint64_t>& out) cons
       if (nodes_[i].page.dirty) out.push_back(nodes_[i].key.second);
     }
   }
-}
-
-std::vector<std::uint64_t> BlockCache::dirty_blocks(FileId file) const {
-  std::vector<std::uint64_t> out;
-  dirty_blocks(file, out);
-  return out;
 }
 
 bool BlockCache::has_dirty(FileId file) const {
@@ -193,8 +142,6 @@ void BlockCache::invalidate_all() {
   }
   nodes_.clear();  // keeps the slab's capacity
   free_ = kNone;
-  lru_front_ = kNone;
-  lru_back_ = kNone;
 }
 
 std::size_t BlockCache::dirty_count() const {
@@ -217,25 +164,6 @@ std::vector<FileId> BlockCache::cached_files() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::optional<BlockCache::Key> BlockCache::evict_clean_lru() {
-  for (std::uint32_t i = lru_back_; i != kNone; i = nodes_[i].newer) {
-    if (!nodes_[i].page.dirty) {
-      const Key key = nodes_[i].key;
-      remove(i);
-      ++evictions_;
-      return key;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<BlockCache::Key> BlockCache::oldest_dirty() const {
-  for (std::uint32_t i = lru_back_; i != kNone; i = nodes_[i].newer) {
-    if (nodes_[i].page.dirty) return nodes_[i].key;
-  }
-  return std::nullopt;
 }
 
 }  // namespace stank::client

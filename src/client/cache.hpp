@@ -5,16 +5,17 @@
 // precisely the behaviour that makes "fence and steal" unsafe (section 2.1):
 // fencing strands these dirty pages.
 //
+// The cache is unbounded: the paper's client evicts nothing, and a page
+// leaves only through an invalidation (a demand, an expired lease, a crash).
+//
 // Layout: pages live in a recycled slab, found through one flat hash probe
-// on the packed (file, block) key, threaded on an intrusive LRU list, and
-// listed per file in ascending block order. Steady-state lookups,
-// puts and evictions therefore allocate nothing, and every walk whose order
-// a caller can observe keeps the order of an ordered map: ascending
-// all_dirty / dirty_blocks / cached_files, least-recently-used eviction.
+// on the packed (file, block) key, and listed per file in ascending block
+// order. Steady-state lookups and puts therefore allocate nothing, and every
+// walk whose order a caller can observe keeps the order of an ordered map:
+// ascending all_dirty / dirty_blocks / cached_files.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,8 +27,7 @@ namespace stank::client {
 
 class BlockCache {
  public:
-  // capacity_pages = 0 means unbounded.
-  explicit BlockCache(std::uint32_t block_size, std::size_t capacity_pages = 0);
+  explicit BlockCache(std::uint32_t block_size);
 
   struct Page {
     Bytes data;
@@ -55,7 +55,6 @@ class BlockCache {
   // The dirty blocks of `file` in ascending order, into caller scratch
   // (cleared first), so a flush allocates nothing once the scratch is warm.
   void dirty_blocks(FileId file, std::vector<std::uint64_t>& out) const;
-  [[nodiscard]] std::vector<std::uint64_t> dirty_blocks(FileId file) const;
   // Every dirty page in ascending (file, block) order, into caller scratch.
   void all_dirty(std::vector<Key>& out) const;
   [[nodiscard]] std::vector<Key> all_dirty() const;
@@ -76,51 +75,28 @@ class BlockCache {
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-
-  // --- Capacity management (LRU) ------------------------------------------
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void set_capacity(std::size_t pages) { capacity_ = pages; }
-  [[nodiscard]] bool over_capacity() const {
-    return capacity_ != 0 && index_.size() > capacity_;
-  }
-  // Evicts the least-recently-used CLEAN page; returns its key, or nullopt
-  // when every cached page is dirty (the caller must flush first — dropping
-  // dirty data silently would be a lost update).
-  std::optional<Key> evict_clean_lru();
-  // Least-recently-used dirty page, if any (flush-then-evict candidate).
-  [[nodiscard]] std::optional<Key> oldest_dirty() const;
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  // One slab slot. A free slot is chained through `older`.
+  // One slab slot. Free slots form a LIFO chain through `next_free`.
   struct Node {
     Page page;
     Key key;
-    std::uint32_t newer{kNone};  // toward the LRU front
-    std::uint32_t older{kNone};  // toward the LRU back
+    std::uint32_t next_free{kNone};
   };
 
   [[nodiscard]] static std::uint64_t pack(FileId file, std::uint64_t fb);
   [[nodiscard]] const std::uint32_t* slot_of(FileId file, std::uint64_t fb) const;
-  void link_front(std::uint32_t i);
-  void unlink(std::uint32_t i);
-  void touch(std::uint32_t i);
   // Where block fb sits, or belongs, in a file's ascending list.
   [[nodiscard]] std::vector<std::uint32_t>::iterator position(std::vector<std::uint32_t>& list,
                                                             std::uint64_t fb) const;
-  // Drops node i's page, index entry and LRU links and returns its slot to
-  // the slab; the caller maintains the file's list.
+  // Drops node i's page and index entry and returns its slot to the slab;
+  // the caller maintains the file's list.
   void release(std::uint32_t i);
-  // release(), and takes the node off its file's list.
-  void remove(std::uint32_t i);
 
   std::uint32_t block_size_;
   std::uint32_t free_{kNone};
-  std::uint32_t lru_front_{kNone};  // most recently used
-  std::uint32_t lru_back_{kNone};   // least recently used
-  std::size_t capacity_;
   std::vector<Node> nodes_;
   FlatMap<std::uint64_t, std::uint32_t> index_;  // packed key -> slab slot
   // Per-file slab slots in ascending block order. A list emptied by an
@@ -128,7 +104,6 @@ class BlockCache {
   FlatMap<FileId, std::vector<std::uint32_t>> files_;
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
-  std::uint64_t evictions_{0};
 };
 
 }  // namespace stank::client

@@ -38,7 +38,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
       transport_(net, clock_, cfg_.id, cfg_.server, counters_, cfg_.transport),
-      cache_(cfg_.block_size, cfg_.cache_capacity_pages),
+      cache_(cfg_.block_size),
       rec_(rec) {
   cfg_.lease.validate();
   if (rec_ != nullptr) {
@@ -52,9 +52,6 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
 Client::~Client() {
   if (register_timer_ != 0) {
     clock_.cancel(register_timer_);
-  }
-  if (writeback_timer_ != 0) {
-    clock_.cancel(writeback_timer_);
   }
 }
 
@@ -164,36 +161,6 @@ void Client::start() {
   started_ = true;
   transport_.start();
   register_with_server();
-  if (cfg_.writeback_interval.ns > 0) {
-    writeback_timer_ = clock_.schedule_after(cfg_.writeback_interval,
-                                             [this]() { writeback_tick(); });
-  }
-}
-
-void Client::writeback_tick() {
-  writeback_timer_ = 0;
-  if (crashed_) return;
-  if (registered_ && accepting_ && cache_.dirty_count() > 0) {
-    flush_all([](Status) {});
-  }
-  writeback_timer_ =
-      clock_.schedule_after(cfg_.writeback_interval, [this]() { writeback_tick(); });
-}
-
-void Client::enforce_cache_limit() {
-  while (cache_.over_capacity()) {
-    if (cache_.evict_clean_lru().has_value()) {
-      continue;
-    }
-    // Every page is dirty: flush the least-recently-used dirty page's file,
-    // then try again — dropping dirty data would be a silent lost update.
-    auto od = cache_.oldest_dirty();
-    if (!od) break;
-    flush_file(od->first, [this](Status st) {
-      if (st.is_ok()) enforce_cache_limit();
-    });
-    break;
-  }
 }
 
 void Client::crash() {
@@ -210,10 +177,6 @@ void Client::crash() {
   if (register_timer_ != 0) {
     clock_.cancel(register_timer_);
     register_timer_ = 0;
-  }
-  if (writeback_timer_ != 0) {
-    clock_.cancel(writeback_timer_);
-    writeback_timer_ = 0;
   }
   register_inflight_ = false;
   registered_ = false;
@@ -234,10 +197,6 @@ void Client::restart() {
   transport_.set_epoch(0);
   transport_.start();
   register_with_server();
-  if (cfg_.writeback_interval.ns > 0 && writeback_timer_ == 0) {
-    writeback_timer_ = clock_.schedule_after(cfg_.writeback_interval,
-                                             [this]() { writeback_tick(); });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +348,6 @@ void Client::handle_lease_expired() {
   invalidate_everything();
   if (hb_sched_ && hb_sched_->running()) hb_sched_->stop();
   if (v_sched_) v_sched_->clear();
-  if (on_lease_expired) on_lease_expired();
   register_with_server();
   schedule_register_retry();
 }
@@ -609,7 +567,6 @@ void Client::open(const std::string& path, bool create, OpenCb cb) {
         fs.attr = rep->attr;
         fs.extents = rep->extents;
         fs.attr_known = true;
-        fs.last_validate = clock_.now();
         ++fs.open_count;
         const Fd fd = next_fd_++;
         fds_.insert(fd, rep->file);
@@ -675,7 +632,6 @@ void Client::getattr(Fd fd, AttrCb cb) {
           fs2.attr = rep->attr;
           fs2.extents = rep->extents;
           fs2.attr_known = true;
-          fs2.last_validate = clock_.now();
           ++ops_completed_;
           op->attr_done(rep->attr);
           return;
@@ -704,10 +660,6 @@ void Client::read(Fd fd, std::uint64_t offset, std::uint32_t len, ReadCb cb) {
   op->offset = offset;
   op->size = len;
   op->read_done = std::move(cb);
-  if (cfg_.coherence == CoherenceMode::kNfsPoll) {
-    maybe_revalidate(*fs, std::move(op));
-    return;
-  }
   ensure_lock(fs->file, LockMode::kShared, std::move(op));
 }
 
@@ -742,9 +694,8 @@ void Client::write(Fd fd, std::uint64_t offset, Bytes data, StatusCb cb) {
   op->buf = std::move(data);
   op->done = std::move(cb);
 
-  if (cfg_.coherence == CoherenceMode::kNfsPoll ||
-      cfg_.data_path == DataPath::kServerShipped) {
-    // Traditional/NFS path: ship the write; the server grows the file.
+  if (cfg_.data_path == DataPath::kServerShipped) {
+    // Traditional path: ship the write; the server grows the file.
     write_shipped(*fs, std::move(op));
     return;
   }
@@ -1332,9 +1283,8 @@ void Client::read_fetched(Op& op, const protocol::BlockSlice& s, storage::IoResu
   const FileState* fs = find_file(op.file);
   const bool lock_intact =
       fs != nullptr && fs->lock_gen == op.lock_gen && fs->mode != LockMode::kNone;
-  const bool cacheable = cfg_.coherence == CoherenceMode::kNfsPoll ? true : lock_intact;
   // Also never clobber a page that appeared (dirty) while we fetched.
-  if (cacheable && cache_.peek(op.file, s.file_block) == nullptr) {
+  if (lock_intact && cache_.peek(op.file, s.file_block) == nullptr) {
     cache_.put(op.file, s.file_block, std::move(res.data), /*dirty=*/false);
   } else {
     recycle_buf(std::move(res.data));
@@ -1350,7 +1300,6 @@ void Client::read_slice_done(Op& op, Status st) {
     return;
   }
   ++ops_completed_;
-  enforce_cache_limit();
   op.read_done(std::move(op.buf));
 }
 
@@ -1422,20 +1371,19 @@ void Client::write_filled(Op& op, const protocol::BlockSlice& s, storage::IoResu
 void Client::write_slice_done(Op& op, Status st) {
   if (!op.fan_in(st)) return;
   if (op.status.is_ok()) ++ops_completed_;
-  enforce_cache_limit();
   recycle_buf(std::move(op.buf));  // every slice has consumed its span
   op.done(op.status);
 }
 
 // ---------------------------------------------------------------------------
-// Server-shipped data path (traditional / NFS baselines)
+// Server-shipped data path (the traditional baseline of table T5)
 
 void Client::read_shipped(FileState& fs, OpRef op) {
   const FileId file = fs.file;
   const std::uint64_t offset = op->offset;
 
-  // Serve entirely from cache when possible (NFS semantics: the cache is
-  // trusted while the attributes are fresh — possibly stale data).
+  // Serve entirely from cache when every covered block is cached (the shared
+  // lock taken by read() protects those pages).
   const std::uint64_t end = std::min<std::uint64_t>(fs.attr.size, offset + op->size);
   if (end > offset) {
     const std::uint64_t n = end - offset;
@@ -1482,7 +1430,7 @@ void Client::read_shipped(FileState& fs, OpRef op) {
           // The server clamped by its own size; what came back proves the
           // file extends at least this far.
           fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset2 + rep->data.size());
-          // Cache fully covered blocks for future hits (NFS-style caching).
+          // Cache fully covered blocks for future hits.
           const std::uint32_t bs = cfg_.block_size;
           if (offset2 % bs == 0) {
             for (std::uint64_t off = 0; off + bs <= rep->data.size(); off += bs) {
@@ -1606,47 +1554,6 @@ void Client::flush_all(StatusCb cb) {
     }
     write_block_through(*fs, op, fb, page->data);
   }
-}
-
-// ---------------------------------------------------------------------------
-// NFS attribute polling
-
-void Client::maybe_revalidate(FileState& fs, OpRef op) {
-  const sim::LocalTime now = clock_.now();
-  if (fs.attr_known && now - fs.last_validate <= cfg_.attr_timeout) {
-    proceed(std::move(op), Status::ok());
-    return;
-  }
-  const FileId file = fs.file;
-  const std::uint64_t old_mtime = fs.attr.mtime_ns;
-  transport_.send_request(
-      protocol::GetAttrReq{file},
-      [this, op = std::move(op), old_mtime](const protocol::ReplyEvent& ev) mutable {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          proceed(std::move(op), Status{ev.outcome == protocol::ReplyOutcome::kNack
-                                            ? ErrorCode::kNacked
-                                            : ErrorCode::kTimeout});
-          return;
-        }
-        if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          FileState& fs2 = state_for(op->file);
-          if (fs2.attr_known && rep->attr.mtime_ns != old_mtime) {
-            // File changed on the server: NFS semantics discard the cache.
-            cache_.invalidate_file(op->file);
-          }
-          fs2.attr = rep->attr;
-          fs2.extents = rep->extents;
-          fs2.attr_known = true;
-          fs2.last_validate = clock_.now();
-          proceed(std::move(op), Status::ok());
-          return;
-        }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          proceed(std::move(op), Status{err->code});
-          return;
-        }
-        proceed(std::move(op), Status{ErrorCode::kInvalidArgument});
-      });
 }
 
 }  // namespace stank::client

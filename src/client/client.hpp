@@ -10,7 +10,6 @@
 // tables need:
 //   * LeaseStrategy::kVLeases / kFrangipani — per-object renewals or
 //     heartbeats instead of opportunistic single-lease renewal,
-//   * CoherenceMode::kNfsPoll — attribute polling, no locks (NFS-style),
 //   * DataPath::kServerShipped — function-ship all data through the server
 //     (the traditional client/server file system of table T5).
 //
@@ -48,11 +47,6 @@
 
 namespace stank::client {
 
-enum class CoherenceMode : std::uint8_t {
-  kLocks,    // data locks + callbacks: sequential consistency
-  kNfsPoll,  // NFS-style attribute polling: weak consistency by design
-};
-
 enum class DataPath : std::uint8_t {
   kDirectSan,      // Storage Tank: clients perform I/O to shared disks
   kServerShipped,  // traditional: all data moves through the server
@@ -63,19 +57,9 @@ struct ClientConfig {
   NodeId server{1};
   core::LeaseConfig lease;
   core::LeaseStrategy strategy{core::LeaseStrategy::kStorageTank};
-  CoherenceMode coherence{CoherenceMode::kLocks};
   DataPath data_path{DataPath::kDirectSan};
   protocol::TransportConfig transport;
   std::uint32_t block_size{4096};
-  // NFS mode: how long cached attributes are trusted before re-polling.
-  sim::LocalDuration attr_timeout{sim::local_seconds(3)};
-  // Page-cache capacity (0 = unbounded). When full, clean pages are evicted
-  // LRU-first; if everything is dirty, the oldest dirty file is flushed to
-  // make clean pages available.
-  std::size_t cache_capacity_pages{0};
-  // Background write-back period (0 = off): dirty pages are flushed
-  // periodically instead of only at demand/fsync/lease-phase-4 time.
-  sim::LocalDuration writeback_interval{sim::LocalDuration{0}};
 };
 
 using Fd = std::uint32_t;
@@ -139,7 +123,6 @@ class Client {
   // Observers for benches/tests.
   std::function<void(core::LeasePhase, core::LeasePhase)> on_phase_change;
   std::function<void()> on_registered;
-  std::function<void()> on_lease_expired;
 
  private:
   // One in-flight call (or internal flush): the caller's continuation and
@@ -210,7 +193,6 @@ class Client {
     // demand processing waits for zero before flushing.
     std::uint32_t writes_in_flight{0};
     std::uint32_t open_count{0};
-    sim::LocalTime last_validate{};  // NFS mode
     bool attr_known{false};
     // Size/attr rounds are serialized per file and their waiters served in
     // arrival order: two concurrent writes racing independent rounds through
@@ -270,7 +252,7 @@ class Client {
   // Ops.
   static std::vector<std::unique_ptr<Op>>& op_pool();
   OpRef start_op(OpKind kind, FileId file);
-  // The op's lock (or NFS attribute check) has settled: run its next step.
+  // The op's lock has settled: run its next step.
   void proceed(OpRef op, Status st);
   // proceed(), after closing the traced lock-wait span.
   void settle_lock_wait(OpRef op, Status st);
@@ -326,13 +308,6 @@ class Client {
   // Writes one dirty page of a flush op to the SAN.
   void write_block_through(FileState& fs, const OpRef& op, std::uint64_t fb, const Bytes& data);
   void flush_block_done(Op& op, Status st);
-  // Evicts down to the configured capacity (clean LRU pages first; flushes
-  // the oldest dirty file when nothing clean remains).
-  void enforce_cache_limit();
-  void writeback_tick();
-
-  // NFS attribute revalidation, then proceed(op).
-  void maybe_revalidate(FileState& fs, OpRef op);
 
   storage::SanFabric* san_;
   ClientConfig cfg_;
@@ -350,7 +325,6 @@ class Client {
   std::unique_ptr<baselines::VLeaseClientScheduler> v_sched_;
   std::unique_ptr<baselines::HeartbeatClientScheduler> hb_sched_;
 
-  sim::TimerId writeback_timer_{0};
   bool started_{false};
   bool crashed_{false};
   bool registered_{false};

@@ -1,14 +1,15 @@
-// Small-buffer move-only callable, the general-purpose sibling of
-// sim::EventFn.
+// Small-buffer move-only callable.
 //
-// The protocol layers hold one completion callback per in-flight request
-// (reply handlers, unlock continuations). std::function heap-allocates for
-// any capture larger than two pointers and requires copyability, which both
-// forces shared_ptr dances for move-only captures and puts an allocator
-// round-trip on the steady-state request path. MoveFn<R(Args...)> keeps a
-// configurable inline buffer (default 64 bytes — a this-pointer plus a few
-// ids and a moved callback), is move-only so captures are never copied, and
-// falls back to the heap transparently for oversized callables.
+// The simulation engine stores every scheduled event as one (sim::EventFn is
+// MoveFn<void(), 48>), and the protocol layers hold one completion callback
+// per in-flight request (reply handlers, unlock continuations).
+// std::function heap-allocates for any capture larger than two pointers and
+// requires copyability, which both forces shared_ptr dances for move-only
+// captures and puts an allocator round-trip on the steady-state request
+// path. MoveFn<R(Args...)> keeps a configurable inline buffer (default 64
+// bytes — a this-pointer plus a few ids and a moved callback), is move-only
+// so captures are never copied, and falls back to the heap transparently for
+// oversized callables.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +59,17 @@ class MoveFn<R(Args...), InlineSize> {
 
   R operator()(Args... args) { return ops_->invoke(buf_, std::forward<Args>(args)...); }
 
+  // Invokes and destroys the stored callable in one indirect call, leaving
+  // this MoveFn null. Precondition: non-null. The engine's step() uses this
+  // so firing an event costs a single indirect call.
+  void consume(Args... args)
+    requires std::is_void_v<R>
+  {
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    ops->consume(buf_, std::forward<Args>(args)...);
+  }
+
   void reset() {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -72,6 +84,7 @@ class MoveFn<R(Args...), InlineSize> {
   struct Ops {
     R (*invoke)(void* buf, Args&&... args);
     void (*destroy)(void* buf);
+    void (*consume)(void* buf, Args&&... args);  // invoke, then destroy
     // Move-constructs dst's storage from src's and destroys src's.
     void (*relocate)(void* dst, void* src);
   };
@@ -82,12 +95,17 @@ class MoveFn<R(Args...), InlineSize> {
       return (*std::launder(static_cast<Fn*>(b)))(std::forward<Args>(args)...);
     }
     static void destroy(void* b) { std::launder(static_cast<Fn*>(b))->~Fn(); }
+    static void consume(void* b, Args&&... args) {
+      Fn* f = std::launder(static_cast<Fn*>(b));
+      (*f)(std::forward<Args>(args)...);
+      f->~Fn();
+    }
     static void relocate(void* dst, void* src) {
       Fn* s = std::launder(static_cast<Fn*>(src));
       ::new (dst) Fn(std::move(*s));
       s->~Fn();
     }
-    static constexpr Ops ops{&invoke, &destroy, &relocate};
+    static constexpr Ops ops{&invoke, &destroy, &consume, &relocate};
   };
 
   template <typename Fn>
@@ -95,8 +113,13 @@ class MoveFn<R(Args...), InlineSize> {
     static Fn* ptr(void* b) { return *std::launder(static_cast<Fn**>(b)); }
     static R invoke(void* b, Args&&... args) { return (*ptr(b))(std::forward<Args>(args)...); }
     static void destroy(void* b) { delete ptr(b); }
+    static void consume(void* b, Args&&... args) {
+      Fn* p = ptr(b);
+      (*p)(std::forward<Args>(args)...);
+      delete p;
+    }
     static void relocate(void* dst, void* src) { ::new (dst) Fn*(ptr(src)); }
-    static constexpr Ops ops{&invoke, &destroy, &relocate};
+    static constexpr Ops ops{&invoke, &destroy, &consume, &relocate};
   };
 
   void move_from(MoveFn& other) noexcept {

@@ -1,126 +1,18 @@
-// Small-buffer event callback for the simulation engine.
+// Event callback for the simulation engine.
 //
 // The engine schedules millions of short-lived closures per simulated run —
 // message deliveries, disk completions, lease timers. std::function heap
 // allocates for anything larger than two pointers, which put an allocator
-// round-trip on every scheduled event. EventFn keeps a 48-byte inline buffer
-// (enough for a this-pointer, a couple of ids and a moved Bytes vector) and
-// is move-only, so move-only captures work and nothing is ever copied.
-// Callables that do not fit fall back to the heap transparently.
+// round-trip on every scheduled event. EventFn is a MoveFn with a 48-byte
+// inline buffer (enough for a this-pointer, a couple of ids and a moved Bytes
+// vector): move-only, so move-only captures work and nothing is ever copied,
+// and consume() fires and destroys an event in one indirect call.
 #pragma once
 
-#include <cstddef>
-#include <new>
-#include <type_traits>
-#include <utility>
+#include "common/move_fn.hpp"
 
 namespace stank::sim {
 
-class EventFn {
- public:
-  static constexpr std::size_t kInlineSize = 48;
-
-  EventFn() = default;
-  EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F>
-    requires(!std::is_same_v<std::decay_t<F>, EventFn> &&
-             std::is_invocable_r_v<void, std::decay_t<F>&>)
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &HeapOps<Fn>::ops;
-    }
-  }
-
-  EventFn(EventFn&& other) noexcept { move_from(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { reset(); }
-
-  void operator()() { ops_->invoke(buf_); }
-
-  // Invokes and destroys the stored callable in one virtual hop, leaving
-  // this EventFn null. Precondition: non-null. The engine's step() uses this
-  // so firing an event costs a single indirect call.
-  void consume() {
-    const Ops* ops = ops_;
-    ops_ = nullptr;
-    ops->consume(buf_);
-  }
-
-  void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  friend bool operator==(const EventFn& f, std::nullptr_t) { return f.ops_ == nullptr; }
-
- private:
-  struct Ops {
-    void (*invoke)(void* buf);
-    void (*destroy)(void* buf);
-    void (*consume)(void* buf);  // invoke, then destroy
-    // Move-constructs dst's storage from src's and destroys src's.
-    void (*relocate)(void* dst, void* src);
-  };
-
-  template <typename Fn>
-  struct InlineOps {
-    static void invoke(void* b) { (*std::launder(static_cast<Fn*>(b)))(); }
-    static void destroy(void* b) { std::launder(static_cast<Fn*>(b))->~Fn(); }
-    static void consume(void* b) {
-      Fn* f = std::launder(static_cast<Fn*>(b));
-      (*f)();
-      f->~Fn();
-    }
-    static void relocate(void* dst, void* src) {
-      Fn* s = std::launder(static_cast<Fn*>(src));
-      ::new (dst) Fn(std::move(*s));
-      s->~Fn();
-    }
-    static constexpr Ops ops{&invoke, &destroy, &consume, &relocate};
-  };
-
-  template <typename Fn>
-  struct HeapOps {
-    static Fn* ptr(void* b) { return *std::launder(static_cast<Fn**>(b)); }
-    static void invoke(void* b) { (*ptr(b))(); }
-    static void destroy(void* b) { delete ptr(b); }
-    static void consume(void* b) {
-      Fn* p = ptr(b);
-      (*p)();
-      delete p;
-    }
-    static void relocate(void* dst, void* src) { ::new (dst) Fn*(ptr(src)); }
-    static constexpr Ops ops{&invoke, &destroy, &consume, &relocate};
-  };
-
-  void move_from(EventFn& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-  const Ops* ops_{nullptr};
-};
+using EventFn = MoveFn<void(), 48>;
 
 }  // namespace stank::sim

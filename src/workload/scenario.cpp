@@ -136,7 +136,6 @@ void Scenario::build() {
       ccfg.lease.tau = cfg_.client_tau;
     }
     ccfg.strategy = cfg_.strategy;
-    ccfg.coherence = cfg_.coherence;
     ccfg.data_path = cfg_.data_path;
     ccfg.transport = cfg_.transport;
     ccfg.block_size = cfg_.block_size;
@@ -371,14 +370,18 @@ void Scenario::do_write(std::size_t ci, std::size_t fi, std::uint64_t block) {
   const NodeId node = client_node(ci);
   const sim::SimTime t0 = engine_.now();
 
-  auto perform = [this, ci, fd, file, block, node, t0]() {
+  cl.lock(fd, protocol::LockMode::kExclusive, [this, ci, fd, file, block, node, t0](Status st) {
+    if (!st.is_ok()) {
+      ++ops_failed_;
+      return;
+    }
     client::Client& cl2 = *clients_[ci];
     const std::uint64_t version = next_version(file, block);
     verify::Stamp stamp{file, block, version, node};
     Bytes data = verify::make_stamped_block(cfg_.block_size, stamp);
     cl2.write(fd, block * cfg_.block_size, std::move(data),
-              [this, stamp, node, t0](Status st) {
-                if (st.is_ok()) {
+              [this, stamp, node, t0](Status wst) {
+                if (wst.is_ok()) {
                   ++writes_ok_;
                   history_.on_buffered_write(engine_.now(), node, stamp);
                   note_op_latency(t0);
@@ -386,20 +389,6 @@ void Scenario::do_write(std::size_t ci, std::size_t fi, std::uint64_t block) {
                   ++ops_failed_;
                 }
               });
-  };
-
-  if (cfg_.coherence == client::CoherenceMode::kNfsPoll) {
-    // No locks in NFS mode; versions are drawn at issue time, which is
-    // exactly why unsynchronized writers can interleave badly.
-    perform();
-    return;
-  }
-  cl.lock(fd, protocol::LockMode::kExclusive, [this, perform](Status st) {
-    if (!st.is_ok()) {
-      ++ops_failed_;
-      return;
-    }
-    perform();
   });
 }
 

@@ -38,7 +38,6 @@ struct ScenarioConfig {
   core::LeaseConfig lease;
   server::RecoveryMode recovery{server::RecoveryMode::kLeaseAndFence};
   core::LeaseStrategy strategy{core::LeaseStrategy::kStorageTank};
-  client::CoherenceMode coherence{client::CoherenceMode::kLocks};
   client::DataPath data_path{client::DataPath::kDirectSan};
   net::NetConfig control_net;
   storage::SanConfig san;

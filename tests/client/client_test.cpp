@@ -304,209 +304,44 @@ TEST(Client, OpportunisticRenewalKeepsActiveClientInPhase1) {
   EXPECT_EQ(f.c(0).lease_agent()->keepalives_sent(), 0u);
 }
 
+// The cache is write-back in the paper's sense: a dirty page leaves only
+// through a demand, an fsync or lease phase 4, never in the background. An
+// idle client keeps its lease alive, so an un-fsynced page stays dirty and
+// unwritten however long the client sits idle.
 TEST(Client, IdleClientPreservesCacheViaKeepAlives) {
   Fixture f;
   Fd fd = f.must_open(0, "/file");
   ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(64, 1)).is_ok());
   std::optional<Status> st;
   f.c(0).fsync(fd, [&](Status s) { st = s; });
+  f.run_for(0.2);
+  ASSERT_TRUE(st.has_value() && st->is_ok());
+  // A second block, never fsynced.
+  ASSERT_TRUE(f.must_write(0, fd, 64, Bytes(64, 2)).is_ok());
   // Nothing else for 20 seconds (4 lease periods).
   f.run_for(20.0);
   EXPECT_EQ(f.c(0).lease_phase(), core::LeasePhase::kActive);
   EXPECT_GT(f.c(0).lease_agent()->keepalives_sent(), 0u);
   EXPECT_GT(f.c(0).cache().page_count(), 0u);  // cache survived
+
+  const auto file = f.server->metadata().lookup("/file");
+  ASSERT_TRUE(file.has_value());
+  const server::Inode* inode = f.server->metadata().find(*file);
+  ASSERT_NE(inode, nullptr);
+  DiskId disk;
+  storage::BlockAddr addr = 0;
+  ASSERT_TRUE(protocol::locate_block(inode->extents, 1, disk, addr));
+  const BlockCache::Page* page = f.c(0).cache().peek(*file, 1);
+  ASSERT_NE(page, nullptr);
+  EXPECT_TRUE(page->dirty);
+  EXPECT_FALSE(f.san.disk(disk).ever_written(addr));
 }
 
-TEST(Client, NfsPollModeSeesStaleDataWithinAttrTimeout) {
-  // Both clients in NFS mode (no locks, server-shipped data, attr polling).
-  // NFS mode needs its own stack (no locks, server-shipped data).
-  sim::Engine engine;
-  net::ControlNet net(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
-  san.add_disk(DiskId{1}, 4096, 64);
-  server::ServerConfig scfg;
-  scfg.id = NodeId{1};
-  scfg.block_size = 64;
-  scfg.data_disks = {DiskId{1}};
-  server::Server server(engine, net, san, sim::LocalClock(1.0), scfg);
-  server.start();
-
-  auto mk = [&](std::uint32_t id) {
-    ClientConfig c;
-    c.id = NodeId{id};
-    c.server = NodeId{1};
-    c.block_size = 64;
-    c.coherence = CoherenceMode::kNfsPoll;
-    c.data_path = DataPath::kServerShipped;
-    c.attr_timeout = sim::local_seconds(3);
-    return std::make_unique<Client>(engine, net, san, sim::LocalClock(1.0), c);
-  };
-  auto c0 = mk(100), c1 = mk(101);
-  c0->start();
-  c1->start();
-  engine.run_until(engine.now() + sim::seconds(1));
-
-  std::optional<Fd> fd0, fd1;
-  c0->open("/f", true, [&](Result<Fd> r) { fd0 = r.value(); });
-  engine.run_until(engine.now() + sim::millis(100));
-  c1->open("/f", false, [&](Result<Fd> r) { fd1 = r.value(); });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(fd0 && fd1);
-
-  // c0 writes v1; c1 reads (caches it).
-  std::optional<Status> wst;
-  c0->write(*fd0, 0, Bytes(64, 1), [&](Status s) { wst = s; });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(wst && wst->is_ok());
-  std::optional<Result<Bytes>> r1;
-  c1->read(*fd1, 0, 64, [&](Result<Bytes> r) { r1 = std::move(r); });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(r1 && r1->ok());
-  EXPECT_EQ(r1->value(), Bytes(64, 1));
-
-  // c0 overwrites; c1 re-reads within the attr timeout: stale cache hit.
-  c0->write(*fd0, 0, Bytes(64, 2), [](Status) {});
-  engine.run_until(engine.now() + sim::millis(200));
-  std::optional<Result<Bytes>> r2;
-  c1->read(*fd1, 0, 64, [&](Result<Bytes> r) { r2 = std::move(r); });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(r2 && r2->ok());
-  EXPECT_EQ(r2->value(), Bytes(64, 1));  // STALE — NFS semantics
-
-  // After the attr timeout, revalidation notices the mtime change.
-  engine.run_until(engine.now() + sim::seconds(4));
-  std::optional<Result<Bytes>> r3;
-  c1->read(*fd1, 0, 64, [&](Result<Bytes> r) { r3 = std::move(r); });
-  engine.run_until(engine.now() + sim::millis(200));
-  ASSERT_TRUE(r3 && r3->ok());
-  EXPECT_EQ(r3->value(), Bytes(64, 2));  // fresh after poll
-}
-
-TEST(Client, BoundedCacheEvictsCleanPages) {
-  // A dedicated stack with a 4-page cache.
-  sim::Engine engine;
-  net::ControlNet net(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
-  san.add_disk(DiskId{1}, 4096, 64);
-  server::ServerConfig scfg;
-  scfg.id = NodeId{1};
-  scfg.block_size = 64;
-  scfg.data_disks = {DiskId{1}};
-  server::Server server(engine, net, san, sim::LocalClock(1.0), scfg);
-  server.start();
-  ClientConfig ccfg;
-  ccfg.id = NodeId{100};
-  ccfg.server = NodeId{1};
-  ccfg.block_size = 64;
-  ccfg.cache_capacity_pages = 4;
-  Client c(engine, net, san, sim::LocalClock(1.0), ccfg);
-  c.start();
-  engine.run_until(sim::SimTime{} + sim::seconds(1));
-
-  std::optional<Fd> fd;
-  c.open("/big", true, [&](Result<Fd> r) { fd = r.value(); });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(fd);
-  // Write 12 blocks then fsync (clean); read them back: cache stays bounded.
-  for (std::uint64_t b = 0; b < 12; ++b) {
-    c.write(*fd, b * 64, Bytes(64, static_cast<std::uint8_t>(b)), [](Status) {});
-    engine.run_until(engine.now() + sim::millis(20));
-  }
-  c.fsync(*fd, [](Status) {});
-  engine.run_until(engine.now() + sim::millis(100));
-  for (std::uint64_t b = 0; b < 12; ++b) {
-    c.read(*fd, b * 64, 64, [](Result<Bytes>) {});
-    engine.run_until(engine.now() + sim::millis(20));
-  }
-  EXPECT_LE(c.cache().page_count(), 4u);
-  EXPECT_GT(c.cache().evictions(), 0u);
-  // Correctness preserved: re-read returns the right data from disk.
-  std::optional<Bytes> got;
-  c.read(*fd, 0, 64, [&](Result<Bytes> r) { got = r.ok() ? std::optional<Bytes>(r.value())
-                                                         : std::nullopt; });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(got);
-  EXPECT_EQ(*got, Bytes(64, 0));
-}
-
-TEST(Client, BoundedCacheFlushesWhenAllDirty) {
-  sim::Engine engine;
-  net::ControlNet net(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
-  san.add_disk(DiskId{1}, 4096, 64);
-  server::ServerConfig scfg;
-  scfg.id = NodeId{1};
-  scfg.block_size = 64;
-  scfg.data_disks = {DiskId{1}};
-  server::Server server(engine, net, san, sim::LocalClock(1.0), scfg);
-  server.start();
-  ClientConfig ccfg;
-  ccfg.id = NodeId{100};
-  ccfg.server = NodeId{1};
-  ccfg.block_size = 64;
-  ccfg.cache_capacity_pages = 3;
-  Client c(engine, net, san, sim::LocalClock(1.0), ccfg);
-  c.start();
-  engine.run_until(sim::SimTime{} + sim::seconds(1));
-
-  std::optional<Fd> fd;
-  c.open("/big", true, [&](Result<Fd> r) { fd = r.value(); });
-  engine.run_until(engine.now() + sim::millis(100));
-  ASSERT_TRUE(fd);
-  for (std::uint64_t b = 0; b < 8; ++b) {
-    c.write(*fd, b * 64, Bytes(64, static_cast<std::uint8_t>(b + 1)), [](Status) {});
-    engine.run_until(engine.now() + sim::millis(30));
-  }
-  // Dirty pages were flushed to make room, never dropped.
-  EXPECT_GT(san.disk(DiskId{1}).writes_served(), 0u);
-  EXPECT_LE(c.cache().page_count(), 4u);  // capacity + at most one in flight
-  // Nothing lost: every block readable with its data.
-  for (std::uint64_t b = 0; b < 8; ++b) {
-    std::optional<Bytes> got;
-    c.read(*fd, b * 64, 64, [&](Result<Bytes> r) {
-      got = r.ok() ? std::optional<Bytes>(r.value()) : std::nullopt;
-    });
-    engine.run_until(engine.now() + sim::millis(30));
-    ASSERT_TRUE(got);
-    EXPECT_EQ(*got, Bytes(64, static_cast<std::uint8_t>(b + 1))) << "block " << b;
-  }
-}
-
-TEST(Client, BackgroundWritebackHardensDirtyData) {
-  sim::Engine engine;
-  net::ControlNet net(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
-  san.add_disk(DiskId{1}, 4096, 64);
-  server::ServerConfig scfg;
-  scfg.id = NodeId{1};
-  scfg.block_size = 64;
-  scfg.data_disks = {DiskId{1}};
-  server::Server server(engine, net, san, sim::LocalClock(1.0), scfg);
-  server.start();
-  ClientConfig ccfg;
-  ccfg.id = NodeId{100};
-  ccfg.server = NodeId{1};
-  ccfg.block_size = 64;
-  ccfg.writeback_interval = sim::local_seconds(2);
-  Client c(engine, net, san, sim::LocalClock(1.0), ccfg);
-  c.start();
-  engine.run_until(sim::SimTime{} + sim::seconds(1));
-  std::optional<Fd> fd;
-  c.open("/wb", true, [&](Result<Fd> r) { fd = r.value(); });
-  engine.run_until(engine.now() + sim::millis(100));
-  c.write(*fd, 0, Bytes(64, 0x66), [](Status) {});
-  engine.run_until(engine.now() + sim::millis(100));
-  EXPECT_EQ(c.cache().dirty_count(), 1u);
-  // Without any fsync, the background daemon flushes within its period.
-  engine.run_until(engine.now() + sim::seconds(3));
-  EXPECT_EQ(c.cache().dirty_count(), 0u);
-  EXPECT_EQ(san.disk(DiskId{1}).writes_served(), 1u);
-}
-
-// The engine outlives a destroyed client: its write-back timer must be
-// cancelled with it, or the next tick runs on freed memory (the sanitizer
+// The engine outlives a destroyed client: every timer the client armed (the
+// registration retry, the transport's retransmissions, the lease agent's)
+// must be cancelled with it, or it fires on freed memory (the sanitizer
 // build reports it). Nothing of the client may stay scheduled.
-TEST(Client, DestroyedClientLeavesNoWritebackTick) {
+TEST(Client, DestroyedClientLeavesNothingScheduled) {
   sim::Engine engine;
   net::ControlNet net(engine, sim::Rng(1), {});
   storage::SanFabric san(engine, sim::Rng(2), {});
@@ -515,10 +350,14 @@ TEST(Client, DestroyedClientLeavesNoWritebackTick) {
   ccfg.id = NodeId{100};
   ccfg.server = NodeId{1};
   ccfg.block_size = 64;
-  ccfg.writeback_interval = sim::local_seconds(2);
   auto c = std::make_unique<Client>(engine, net, san, sim::LocalClock(1.0), ccfg);
   c->start();
+  // No server: the RegisterReq gives up after four 500 ms transmissions and
+  // the 700 ms re-registration timer is armed when the client goes.
+  engine.run_until(sim::SimTime{} + sim::seconds_d(2.3));
+  ASSERT_GT(engine.events_pending(), 0u);
   c.reset();
+  EXPECT_EQ(engine.events_pending(), 0u);
   engine.run_until(sim::SimTime{} + sim::seconds(5));
   EXPECT_EQ(engine.events_pending(), 0u);
 }

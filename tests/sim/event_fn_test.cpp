@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -76,6 +77,48 @@ TEST(EventFn, DestructorRunsCaptureDestructors) {
     EXPECT_EQ(*counter, 1);
   }
   EXPECT_EQ(*counter, 1);
+}
+
+// Counts calls and destructions of the live capture (a moved-from copy counts
+// nothing). Pad sizes it for the inline buffer or for the heap fallback.
+template <std::size_t Pad>
+struct CountedCall {
+  int* calls;
+  int* destroyed;
+  std::array<std::uint64_t, Pad> pad{};
+  CountedCall(int* c, int* d) : calls(c), destroyed(d) {}
+  CountedCall(CountedCall&& o) noexcept
+      : calls(o.calls), destroyed(std::exchange(o.destroyed, nullptr)), pad(o.pad) {}
+  ~CountedCall() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  void operator()() { ++*calls; }
+};
+
+// consume() runs the callable, destroys its capture exactly once and leaves
+// the EventFn null.
+template <std::size_t Pad>
+void expect_consume_once() {
+  int calls = 0;
+  int destroyed = 0;
+  EventFn f(CountedCall<Pad>(&calls, &destroyed));
+  ASSERT_EQ(destroyed, 0);
+  f.consume();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_TRUE(f == nullptr);
+  f.reset();  // already null: nothing left to destroy
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventFn, ConsumeDestroysInlineCaptureOnce) {
+  static_assert(sizeof(CountedCall<2>) <= EventFn::kInlineSize);
+  expect_consume_once<2>();
+}
+
+TEST(EventFn, ConsumeDestroysHeapCaptureOnce) {
+  static_assert(sizeof(CountedCall<16>) > EventFn::kInlineSize);
+  expect_consume_once<16>();
 }
 
 TEST(EventFn, AssignReplacesExistingCallable) {

@@ -194,17 +194,6 @@ TEST(Scenario, ServerShippedDataPathMovesBytesThroughServer) {
   EXPECT_GT(r.server.server_data_bytes, 0u);
 }
 
-TEST(Scenario, NfsPollModeViolatesCoherence) {
-  auto cfg = small_cfg();
-  cfg.workload.run_seconds = 20.0;
-  cfg.workload.read_fraction = 0.5;
-  cfg.coherence = client::CoherenceMode::kNfsPoll;
-  cfg.data_path = client::DataPath::kServerShipped;
-  auto r = Scenario(cfg).run();
-  // NFS attribute polling cannot keep caches coherent (paper section 5).
-  EXPECT_GT(r.violations.total(), 0u);
-}
-
 TEST(Scenario, PrivatePatternGeneratesNoDemands) {
   auto cfg = small_cfg();
   cfg.workload.pattern = Pattern::kPrivate;
