@@ -10,24 +10,20 @@
 // idle; no piggybacking on regular traffic.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 
-#include "common/strong_id.hpp"
-#include "metrics/counters.hpp"
-#include "sim/clock.hpp"
+#include "baselines/lease_table.hpp"
 
 namespace stank::baselines {
 
 // Server-side per-client heartbeat lease table.
-class HeartbeatTable {
+class HeartbeatTable : public LeaseTable {
  public:
-  HeartbeatTable(sim::LocalDuration tau, metrics::Counters& counters)
-      : tau_(tau), counters_(&counters) {}
+  using LeaseTable::LeaseTable;
 
   void renew(NodeId client, sim::LocalTime now) {
     ++counters_->lease_ops;
-    table_[client] = now + tau_;
+    table_[client] = now + cfg_.tau;
   }
 
   void drop(NodeId client) {
@@ -52,18 +48,29 @@ class HeartbeatTable {
   }
 
   [[nodiscard]] std::size_t entries() const { return table_.size(); }
-  [[nodiscard]] std::size_t state_bytes() const {
+  [[nodiscard]] std::size_t state_bytes() const override {
     return table_.size() * (sizeof(NodeId) + sizeof(sim::LocalTime) + 2 * sizeof(void*));
   }
 
+  // Registration counts as the first heartbeat.
+  void on_registered(NodeId client) override { renew(client, clock_->now()); }
+  void on_keepalive(NodeId client) override { renew(client, clock_->now()); }
+  void on_delivery_failure(NodeId client) override {
+    wait_until(client, steal_time(client, clock_->now(), cfg_.epsilon));
+  }
+  void drop_client(NodeId client) override { drop(client); }
+
  private:
-  sim::LocalDuration tau_;
-  metrics::Counters* counters_;
+  // A heartbeat that arrived during the wait proves the client alive.
+  void wait_over(NodeId client) override {
+    if (!valid(client, clock_->now())) hooks_.steal_locks(client);
+  }
+
   std::unordered_map<NodeId, sim::LocalTime> table_;
 };
 
 // Client-side heartbeat loop with local expiry detection.
-class HeartbeatClientScheduler {
+class HeartbeatClientScheduler : public core::ClientLease {
  public:
   struct Hooks {
     // Send one heartbeat (its ACK should call on_ack with the heartbeat's
@@ -76,23 +83,28 @@ class HeartbeatClientScheduler {
 
   HeartbeatClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau, double beat_frac,
                            Hooks hooks);
-  ~HeartbeatClientScheduler();
-
-  HeartbeatClientScheduler(const HeartbeatClientScheduler&) = delete;
-  HeartbeatClientScheduler& operator=(const HeartbeatClientScheduler&) = delete;
+  ~HeartbeatClientScheduler() override;
 
   void start();
-  void stop();
+  void stop() override;
   void on_ack(sim::LocalTime t_send);
 
+  // Every registration restarts the heartbeat loop.
+  bool on_registered(sim::LocalTime /*t_c1*/) override {
+    stop();
+    start();
+    return true;
+  }
   // Real Frangipani checks lease validity on every operation, not only at
   // heartbeat ticks; the client consults this before serving from cache.
-  [[nodiscard]] bool lease_valid(sim::LocalTime now) const {
-    return running_ && now < lease_start_ + tau_;
+  [[nodiscard]] bool admits_ops() const override {
+    return running_ && clock_->now() < lease_start_ + tau_;
   }
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
+  // The owner may rewire a hook after construction, never while one runs.
+  [[nodiscard]] Hooks& hooks() { return hooks_; }
 
  private:
   void beat();

@@ -1,8 +1,30 @@
 #include "baselines/v_lease.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace stank::baselines {
+
+void VLeaseTable::on_delivery_failure(NodeId client) {
+  const sim::LocalTime now = clock_->now();
+  sim::LocalTime steal_at = now;
+  for (FileId f : hooks_.held_files(client)) {
+    steal_at = std::max(steal_at, steal_time(client, f, now, cfg_.epsilon));
+  }
+  wait_until(client, steal_at);
+}
+
+void VLeaseTable::wait_over(NodeId client) {
+  const sim::LocalTime now = clock_->now();
+  for (FileId f : hooks_.held_files(client)) {
+    if (valid(client, f, now)) {
+      on_delivery_failure(client);  // renewed meanwhile: wait out the new expiry
+      return;
+    }
+  }
+  hooks_.steal_locks(client);
+}
 
 VLeaseClientScheduler::VLeaseClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau,
                                              double renew_frac, Hooks hooks)
@@ -10,7 +32,7 @@ VLeaseClientScheduler::VLeaseClientScheduler(sim::NodeClock& clock, sim::LocalDu
   STANK_ASSERT(renew_frac > 0.0 && renew_frac < 1.0);
 }
 
-VLeaseClientScheduler::~VLeaseClientScheduler() { clear(); }
+VLeaseClientScheduler::~VLeaseClientScheduler() { stop(); }
 
 void VLeaseClientScheduler::object_acquired(FileId object) {
   auto [it, inserted] = objects_.emplace(object, Entry{clock_->now(), 0});
@@ -37,7 +59,7 @@ void VLeaseClientScheduler::renewed(FileId object, sim::LocalTime t_send) {
   arm(object);
 }
 
-void VLeaseClientScheduler::clear() {
+void VLeaseClientScheduler::stop() {
   for (auto& [object, e] : objects_) {
     clock_->cancel(e.timer);
   }

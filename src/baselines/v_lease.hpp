@@ -12,29 +12,24 @@
 // when the client is otherwise active.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
-#include "common/strong_id.hpp"
-#include "metrics/counters.hpp"
-#include "sim/clock.hpp"
+#include "baselines/lease_table.hpp"
 
 namespace stank::baselines {
 
 // Server-side per-object lease table.
-class VLeaseTable {
+class VLeaseTable : public LeaseTable {
  public:
-  VLeaseTable(sim::LocalDuration tau, metrics::Counters& counters)
-      : tau_(tau), counters_(&counters) {}
+  using LeaseTable::LeaseTable;
 
   // Grant or renew the lease on (client, object); every call is lease work
   // the server must perform.
   void renew(NodeId client, FileId object, sim::LocalTime now) {
     ++counters_->lease_ops;
-    table_[{client, object}] = now + tau_;
+    table_[{client, object}] = now + cfg_.tau;
   }
 
   void drop(NodeId client, FileId object) {
@@ -42,7 +37,7 @@ class VLeaseTable {
     table_.erase({client, object});
   }
 
-  void drop_client(NodeId client) {
+  void drop_client(NodeId client) override {
     ++counters_->lease_ops;
     for (auto it = table_.begin(); it != table_.end();) {
       if (it->first.first == client) {
@@ -72,19 +67,28 @@ class VLeaseTable {
   }
 
   [[nodiscard]] std::size_t entries() const { return table_.size(); }
-  [[nodiscard]] std::size_t state_bytes() const {
+  [[nodiscard]] std::size_t state_bytes() const override {
     return table_.size() *
            (sizeof(std::pair<std::pair<NodeId, FileId>, sim::LocalTime>) + 3 * sizeof(void*));
   }
 
+  // A grant starts the object's lease; RenewObj messages extend it.
+  void on_grant(NodeId client, FileId file) override { renew(client, file, clock_->now()); }
+  void on_renew_object(NodeId client, FileId file) override {
+    renew(client, file, clock_->now());
+  }
+  void on_release(NodeId client, FileId file) override { drop(client, file); }
+  // Waits out the latest-expiring lease among the objects the client holds.
+  void on_delivery_failure(NodeId client) override;
+
  private:
-  sim::LocalDuration tau_;
-  metrics::Counters* counters_;
+  void wait_over(NodeId client) override;
+
   std::map<std::pair<NodeId, FileId>, sim::LocalTime> table_;
 };
 
 // Client-side renewal scheduler: one renewal stream per held object.
-class VLeaseClientScheduler {
+class VLeaseClientScheduler : public core::ClientLease {
  public:
   struct Hooks {
     // Send one RenewObj message for this object (its ACK should call
@@ -97,10 +101,7 @@ class VLeaseClientScheduler {
 
   VLeaseClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau, double renew_frac,
                         Hooks hooks);
-  ~VLeaseClientScheduler();
-
-  VLeaseClientScheduler(const VLeaseClientScheduler&) = delete;
-  VLeaseClientScheduler& operator=(const VLeaseClientScheduler&) = delete;
+  ~VLeaseClientScheduler() override;
 
   // The client obtained (lock on) this object; lease starts now.
   void object_acquired(FileId object);
@@ -108,17 +109,22 @@ class VLeaseClientScheduler {
   // A renewal ACK arrived for this object; t_send is the renewal's first
   // transmission time.
   void renewed(FileId object, sim::LocalTime t_send);
-  void clear();
+  void stop() override;
 
-  // Per-operation validity check (the lock is only usable while its lease
-  // lives); untracked objects report invalid.
-  [[nodiscard]] bool object_valid(FileId object, sim::LocalTime now) const {
-    auto it = objects_.find(object);
-    return it != objects_.end() && now < it->second.lease_start + tau_;
+  bool on_registered(sim::LocalTime /*t_c1*/) override { return true; }
+  void lock_acquired(FileId file) override { object_acquired(file); }
+  void lock_released(FileId file) override { object_released(file); }
+  // The lock is only usable while its object's lease lives; untracked
+  // objects report invalid.
+  [[nodiscard]] bool lock_usable(FileId file) const override {
+    auto it = objects_.find(file);
+    return it != objects_.end() && clock_->now() < it->second.lease_start + tau_;
   }
 
   [[nodiscard]] std::size_t tracked_objects() const { return objects_.size(); }
   [[nodiscard]] std::uint64_t renewals_sent() const { return renewals_sent_; }
+  // The owner may rewire a hook after construction, never while one runs.
+  [[nodiscard]] Hooks& hooks() { return hooks_; }
 
  private:
   struct Entry {

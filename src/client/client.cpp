@@ -22,9 +22,6 @@ LockMode mode_max(LockMode a, LockMode b) { return mode_leq(a, b) ? b : a; }
 
 // How often a deregistered client retries RegisterReq.
 constexpr sim::LocalDuration kReregisterRetry = sim::local_millis(700);
-// V-lease renewal point and Frangipani heartbeat period, as fractions of tau.
-constexpr double kVRenewFrac = 0.5;
-constexpr double kHbBeatFrac = 0.34;
 
 // On-stack slice list: steady-state ops span a handful of blocks, so the
 // inline capacity makes slicing allocation-free.
@@ -46,7 +43,32 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     transport_.set_recorder(rec_);
   }
   wire_transport();
-  build_lease_machinery();
+  core::ClientLease::Hooks hooks;
+  hooks.quiesce = [this]() { accepting_ = false; };
+  hooks.flush = [this]() { flush_all([](Status) {}); };
+  hooks.expired = [this]() { handle_lease_expired(); };
+  hooks.phase_changed = [this](core::LeasePhase from, core::LeasePhase to) {
+    if (static_cast<int>(from) >= static_cast<int>(core::LeasePhase::kSuspect) &&
+        (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
+      // A keep-alive probe rescued an un-NACKed ride-down: the lease is
+      // valid again and quiesce is over.
+      if (registered_ && !crashed_) {
+        accepting_ = true;
+      }
+    }
+    if (on_phase_change) on_phase_change(from, to);
+  };
+  auto object_expired = [this](FileId file) {
+    cache_.invalidate_file(file);
+    if (FileState* fs = find_file(file)) {
+      fs->mode = LockMode::kNone;
+      ++fs->mode_seq;
+      fs->pending_mode = LockMode::kNone;
+    }
+    fail_lock_waits(file, ErrorCode::kLeaseExpired);
+  };
+  lease_ = core::make_client_lease(cfg_.strategy, transport_, clock_, cfg_.lease,
+                                   std::move(hooks), object_expired, rec_, cfg_.id);
 }
 
 Client::~Client() {
@@ -56,104 +78,20 @@ Client::~Client() {
 }
 
 void Client::wire_transport() {
-  transport_.on_ack = [this](sim::LocalTime first_send) {
-    if (agent_) agent_->renew(first_send);
-  };
+  transport_.on_ack = [this](sim::LocalTime first_send) { lease_->renew(first_send); };
   transport_.on_nack = [this]() {
-    if (agent_) {
-      // Section 3.3: the client knows it missed a message; phase 3 directly.
-      agent_->on_nack();
-    } else {
-      // Heartbeat / per-object strategies have no phased ride-down: the
-      // session is gone, recover now.
-      handle_lease_expired();
-    }
+    // Section 3.3: the client knows it missed a message and rides down from
+    // phase 3. A strategy with no ride-down has lost the session: recover now.
+    if (!lease_->on_nack()) handle_lease_expired();
   };
   transport_.on_stale_session = [this]() { handle_stale_session(); };
   transport_.on_server_msg = [this](const protocol::ServerBody& body) { handle_server_msg(body); };
   transport_.accept_server_msg = [this](std::uint32_t epoch) {
     if (crashed_ || !registered_) return false;
     if (epoch != transport_.epoch()) return false;
-    if (agent_ && !agent_->lease_valid()) return false;
+    if (!lease_->lease_valid()) return false;
     return true;
   };
-}
-
-void Client::build_lease_machinery() {
-  switch (cfg_.strategy) {
-    case core::LeaseStrategy::kStorageTank: {
-      core::ClientLeaseAgent::Hooks hooks;
-      hooks.send_keepalive = [this]() {
-        // The NULL message: no file-system or lock content, exists to be
-        // ACKed (which renews via transport_.on_ack).
-        transport_.send_request(protocol::KeepAliveReq{}, [](const protocol::ReplyEvent&) {},
-                                /*lease_only=*/true);
-      };
-      hooks.quiesce = [this]() { accepting_ = false; };
-      hooks.flush = [this]() { flush_all([](Status) {}); };
-      hooks.expired = [this]() { handle_lease_expired(); };
-      hooks.phase_changed = [this](core::LeasePhase from, core::LeasePhase to) {
-        if (static_cast<int>(from) >= static_cast<int>(core::LeasePhase::kSuspect) &&
-            (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
-          // A keep-alive probe rescued an un-NACKed ride-down: the lease is
-          // valid again and quiesce is over.
-          if (registered_ && !crashed_) {
-            accepting_ = true;
-          }
-        }
-        if (on_phase_change) on_phase_change(from, to);
-      };
-      agent_ = std::make_unique<core::ClientLeaseAgent>(clock_, cfg_.lease, std::move(hooks));
-      if (rec_ != nullptr) {
-        agent_->set_recorder(rec_, cfg_.id);
-      }
-      break;
-    }
-    case core::LeaseStrategy::kVLeases: {
-      baselines::VLeaseClientScheduler::Hooks hooks;
-      hooks.send_renew = [this](FileId file) {
-        transport_.send_request(
-            protocol::RenewObjReq{file},
-            [this, file](const protocol::ReplyEvent& ev) {
-              if (ev.outcome == protocol::ReplyOutcome::kAck && v_sched_) {
-                v_sched_->renewed(file, ev.first_send);
-              }
-            },
-            /*lease_only=*/true);
-      };
-      hooks.object_expired = [this](FileId file) {
-        // This object's lease lapsed: its lock and cached pages are invalid.
-        cache_.invalidate_file(file);
-        if (FileState* fs = find_file(file)) {
-          fs->mode = LockMode::kNone;
-          ++fs->mode_seq;
-          fs->pending_mode = LockMode::kNone;
-        }
-        fail_lock_waits(file, ErrorCode::kLeaseExpired);
-      };
-      v_sched_ = std::make_unique<baselines::VLeaseClientScheduler>(clock_, cfg_.lease.tau,
-                                                                    kVRenewFrac,
-                                                                    std::move(hooks));
-      break;
-    }
-    case core::LeaseStrategy::kFrangipani: {
-      baselines::HeartbeatClientScheduler::Hooks hooks;
-      hooks.send_heartbeat = [this]() {
-        transport_.send_request(
-            protocol::KeepAliveReq{},
-            [this](const protocol::ReplyEvent& ev) {
-              if (ev.outcome == protocol::ReplyOutcome::kAck && hb_sched_) {
-                hb_sched_->on_ack(ev.first_send);
-              }
-            },
-            /*lease_only=*/true);
-      };
-      hooks.expired = [this]() { handle_lease_expired(); };
-      hb_sched_ = std::make_unique<baselines::HeartbeatClientScheduler>(
-          clock_, cfg_.lease.tau, kHbBeatFrac, std::move(hooks));
-      break;
-    }
-  }
 }
 
 void Client::start() {
@@ -171,9 +109,7 @@ void Client::crash() {
   crashed_ = true;
   ++gen_;
   transport_.stop();
-  if (agent_) agent_->deactivate();
-  if (hb_sched_) hb_sched_->stop();
-  if (v_sched_) v_sched_->clear();
+  lease_->stop();
   if (register_timer_ != 0) {
     clock_.cancel(register_timer_);
     register_timer_ = 0;
@@ -219,34 +155,10 @@ void Client::register_with_server() {
         // it refuses. Re-registering and silently keeping the old lock
         // table would serve stale cache under locks granted elsewhere.
         const bool re_registration = server_incarnation_ != 0;
-        const bool can_reassert =
-            re_registration && (agent_ == nullptr || agent_->lease_valid());
+        const bool can_reassert = re_registration && lease_->lease_valid();
         server_incarnation_ = rep->incarnation;
         registered_ = true;
-        if (agent_) {
-          if (agent_->lease_valid() && !agent_->nack_latched()) {
-            agent_->renew(ev.first_send);
-          } else {
-            // NACK-latched or expired: the successful registration opened a
-            // FRESH contract (new epoch at the server), so the old lease's
-            // quiesce discipline no longer applies. renew() would refuse
-            // while latched and the client would expire moments after
-            // resuming service, dropping writes accepted in the window.
-            // Anchor the new lease at the RegisterReq's first send (t_C1).
-            agent_->restart(ev.first_send);
-          }
-          // A retried RegisterReq can anchor so far back that the lease is
-          // already in ride-down; resuming service then would buffer dirty
-          // data inside the flush window and lose it at expiry. Stay
-          // quiesced — the keep-alive probe re-opens service on rescue.
-          accepting_ = agent_->fs_ops_allowed();
-        } else {
-          accepting_ = true;
-        }
-        if (hb_sched_) {
-          if (hb_sched_->running()) hb_sched_->stop();
-          hb_sched_->start();
-        }
+        accepting_ = lease_->on_registered(ev.first_send);
         if (can_reassert) {
           reassert_locks();
         } else if (re_registration) {
@@ -346,8 +258,7 @@ void Client::handle_lease_expired() {
   abort_size_rounds(ErrorCode::kLeaseExpired);
   fail_all_lock_waits(ErrorCode::kLeaseExpired);
   invalidate_everything();
-  if (hb_sched_ && hb_sched_->running()) hb_sched_->stop();
-  if (v_sched_) v_sched_->clear();
+  lease_->torn_down();
   register_with_server();
   schedule_register_retry();
 }
@@ -372,10 +283,6 @@ void Client::reset_lock_generations() {
   }
 }
 
-core::LeasePhase Client::lease_phase() const {
-  return agent_ ? agent_->phase() : core::LeasePhase::kNoLease;
-}
-
 // ---------------------------------------------------------------------------
 // Gating & lookup
 
@@ -392,10 +299,7 @@ bool Client::gate(ErrorCode& why) const {
     why = ErrorCode::kQuiesced;
     return false;
   }
-  // Frangipani-style lease: validity is checked on every operation (a
-  // heartbeat-tick-only check would serve stale cache in the gap between
-  // true expiry and the next tick).
-  if (hb_sched_ && !hb_sched_->lease_valid(clock_.now())) {
+  if (!lease_->admits_ops()) {
     why = ErrorCode::kLeaseExpired;
     return false;
   }
@@ -802,7 +706,7 @@ void Client::do_unlock(OpRef op) {
   ++fs.mode_seq;
   if (downgrade_to == LockMode::kNone) {
     cache_.invalidate_file(file);
-    if (v_sched_) v_sched_->object_released(file);
+    lease_->lock_released(file);
   }
   transport_.send_request(protocol::UnlockReq{file, downgrade_to, fs.lock_gen, fs.lock_cookie},
                           [op = std::move(op)](const protocol::ReplyEvent& ev) {
@@ -841,11 +745,7 @@ void Client::fsync(Fd fd, StatusCb cb) {
 
 void Client::ensure_lock(FileId file, LockMode mode, OpRef op) {
   FileState& fs = state_for(file);
-  // Per-object (V-lease) strategy: the lock is only usable while its lease
-  // lives. Checked on EVERY operation, not only at scheduler ticks, so an
-  // expired object can never serve stale cache in the detection gap.
-  if (v_sched_ && fs.mode != LockMode::kNone &&
-      !v_sched_->object_valid(file, clock_.now())) {
+  if (fs.mode != LockMode::kNone && !lease_->lock_usable(file)) {
     cache_.invalidate_file(file);
     fs.mode = LockMode::kNone;
     ++fs.mode_seq;
@@ -958,7 +858,7 @@ void Client::apply_grant(FileId file, LockMode mode, std::uint32_t gen, std::uin
   if (mode_leq(fs.pending_mode, mode)) {
     fs.pending_mode = LockMode::kNone;
   }
-  if (v_sched_) v_sched_->object_acquired(file);
+  lease_->lock_acquired(file);
   lock_state_changed(file);
 
   // A demand that arrived ahead of this grant can be processed now.
@@ -1113,7 +1013,7 @@ void Client::finish_demand(FileId file) {
     if (target == LockMode::kNone) {
       // Relinquishing entirely: the cache contents are no longer protected.
       cache_.invalidate_file(file);
-      if (v_sched_) v_sched_->object_released(file);
+      lease_->lock_released(file);
     }
   }
   fs.revoking = false;

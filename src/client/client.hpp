@@ -4,14 +4,13 @@
 //   * metadata and locks from the server over the control network,
 //   * direct block I/O to shared SAN disks for file data,
 //   * a write-back BlockCache protected by data locks,
-//   * the four-phase ClientLeaseAgent (the paper's core protocol).
+//   * one core::ClientLease, built from ClientConfig::strategy: the
+//     four-phase ClientLeaseAgent (the paper's core protocol) or a
+//     comparison baseline. The client drives it through that interface
+//     only (core/lease_seam.hpp) and never asks which strategy it runs.
 //
-// The same class also hosts the comparison configurations the experiment
-// tables need:
-//   * LeaseStrategy::kVLeases / kFrangipani — per-object renewals or
-//     heartbeats instead of opportunistic single-lease renewal,
-//   * DataPath::kServerShipped — function-ship all data through the server
-//     (the traditional client/server file system of table T5).
+// DataPath::kServerShipped instead function-ships all data through the
+// server (the traditional client/server file system of table T5).
 //
 // All public calls are asynchronous: the simulation is event-driven, so a
 // call schedules work and the callback fires when it completes. Callbacks
@@ -31,8 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/heartbeat.hpp"
-#include "baselines/v_lease.hpp"
 #include "client/cache.hpp"
 #include "common/flat_map.hpp"
 #include "common/move_fn.hpp"
@@ -108,12 +105,15 @@ class Client {
   [[nodiscard]] bool accepting() const { return accepting_; }
   [[nodiscard]] bool crashed() const { return crashed_; }
   [[nodiscard]] std::size_t dirty_pages() const { return cache_.dirty_count(); }
-  [[nodiscard]] core::LeasePhase lease_phase() const;
+  [[nodiscard]] core::LeasePhase lease_phase() const { return lease_->phase(); }
   [[nodiscard]] metrics::Counters& counters() { return counters_; }
   [[nodiscard]] const metrics::Counters& counters() const { return counters_; }
   [[nodiscard]] BlockCache& cache() { return cache_; }
   [[nodiscard]] const BlockCache& cache() const { return cache_; }
-  [[nodiscard]] const core::ClientLeaseAgent* lease_agent() const { return agent_.get(); }
+  // Null unless the strategy is Storage Tank.
+  [[nodiscard]] const core::ClientLeaseAgent* lease_agent() const {
+    return dynamic_cast<const core::ClientLeaseAgent*>(lease_.get());
+  }
   [[nodiscard]] protocol::LockMode lock_mode(Fd fd) const;
   [[nodiscard]] const ClientConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }
@@ -215,7 +215,8 @@ class Client {
   [[nodiscard]] protocol::ClientTransport& transport() { return transport_; }
   // The lease agent's hooks; null unless the strategy is Storage Tank.
   [[nodiscard]] core::ClientLeaseAgent::Hooks* lease_hooks() {
-    return agent_ ? &agent_->hooks() : nullptr;
+    auto* agent = dynamic_cast<core::ClientLeaseAgent*>(lease_.get());
+    return agent != nullptr ? &agent->hooks() : nullptr;
   }
   // Every file this client holds state for, in ascending FileId: the order
   // of every walk whose order a caller can observe (sends, callbacks),
@@ -229,7 +230,6 @@ class Client {
  private:
   // Setup & lifecycle.
   void wire_transport();
-  void build_lease_machinery();
   void register_with_server();
   void schedule_register_retry();
   void handle_lease_expired();
@@ -320,10 +320,7 @@ class Client {
   // transport so the members before it need no alignment padding.
   obs::Recorder* rec_;
 
-  // Lease machinery (one of these by strategy; ST uses agent_).
-  std::unique_ptr<core::ClientLeaseAgent> agent_;
-  std::unique_ptr<baselines::VLeaseClientScheduler> v_sched_;
-  std::unique_ptr<baselines::HeartbeatClientScheduler> hb_sched_;
+  std::unique_ptr<core::ClientLease> lease_;
 
   bool started_{false};
   bool crashed_{false};

@@ -63,10 +63,10 @@ void ClientLeaseAgent::renew(sim::LocalTime t_c1) {
   arm_boundary_timer();
 }
 
-void ClientLeaseAgent::on_nack() {
+bool ClientLeaseAgent::on_nack() {
   ++nacks_seen_;
   if (phase_ == LeasePhase::kNoLease || phase_ == LeasePhase::kExpired) {
-    return;
+    return true;
   }
   nack_latched_ = true;
   if (static_cast<int>(phase_) < static_cast<int>(LeasePhase::kSuspect)) {
@@ -80,6 +80,26 @@ void ClientLeaseAgent::on_nack() {
     clock_->cancel(keepalive_timer_);
     keepalive_timer_ = 0;
   }
+  return true;
+}
+
+bool ClientLeaseAgent::on_registered(sim::LocalTime t_c1) {
+  if (lease_valid() && !nack_latched_) {
+    renew(t_c1);
+  } else {
+    // NACK-latched or expired: the successful registration opened a FRESH
+    // contract (new epoch at the server), so the old lease's quiesce
+    // discipline no longer applies. renew() would refuse while latched and
+    // the client would expire moments after resuming service, dropping
+    // writes accepted in the window. Anchor the new lease at the
+    // RegisterReq's first send (t_C1).
+    restart(t_c1);
+  }
+  // A retried RegisterReq can anchor so far back that the lease is already
+  // in ride-down; resuming service then would buffer dirty data inside the
+  // flush window and lose it at expiry. Stay quiesced — the keep-alive
+  // probe re-opens service on rescue.
+  return fs_ops_allowed();
 }
 
 void ClientLeaseAgent::deactivate() {

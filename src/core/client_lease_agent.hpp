@@ -18,57 +18,15 @@
 // global simulation time.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-
-#include "core/lease_config.hpp"
-#include "obs/recorder.hpp"
-#include "sim/clock.hpp"
+#include "core/lease_seam.hpp"
 
 namespace stank::core {
 
-enum class LeasePhase : std::uint8_t {
-  kNoLease = 0,  // never registered, or post-expiry awaiting re-register
-  kActive = 1,   // phase 1
-  kRenewal = 2,  // phase 2
-  kSuspect = 3,  // phase 3
-  kFlush = 4,    // phase 4
-  kExpired = 5,  // lease over; recovery (re-register) pending
-};
-
-[[nodiscard]] constexpr const char* to_string(LeasePhase p) {
-  switch (p) {
-    case LeasePhase::kNoLease: return "no-lease";
-    case LeasePhase::kActive: return "active";
-    case LeasePhase::kRenewal: return "renewal";
-    case LeasePhase::kSuspect: return "suspect";
-    case LeasePhase::kFlush: return "flush";
-    case LeasePhase::kExpired: return "expired";
-  }
-  return "?";
-}
-
-class ClientLeaseAgent {
+// The Storage Tank lease (Figure 4).
+class ClientLeaseAgent : public ClientLease {
  public:
-  struct Hooks {
-    // Phase 2: send one keep-alive NULL message (repeated every
-    // keepalive_retry until the phase ends or an ACK arrives).
-    std::function<void()> send_keepalive;
-    // Phase 3 entered: stop admitting new FS requests; drain in-flight ones.
-    std::function<void()> quiesce;
-    // Phase 4 entered: write all dirty cache contents to shared storage.
-    std::function<void()> flush;
-    // Lease expired: invalidate the cache, cede all locks, begin recovery.
-    std::function<void()> expired;
-    // Optional observer for traces/metrics.
-    std::function<void(LeasePhase from, LeasePhase to)> phase_changed;
-  };
-
   ClientLeaseAgent(sim::NodeClock& clock, LeaseConfig cfg, Hooks hooks);
-  ~ClientLeaseAgent();
-
-  ClientLeaseAgent(const ClientLeaseAgent&) = delete;
-  ClientLeaseAgent& operator=(const ClientLeaseAgent&) = delete;
+  ~ClientLeaseAgent() override;
 
   // Opportunistic renewal (section 3.1): an ACK arrived for a request whose
   // first transmission left at t_c1 (client clock). The new lease covers
@@ -77,10 +35,14 @@ class ClientLeaseAgent {
   // missed a message "forgoes sending messages to acquire a lease". An
   // un-latched suspect/flush (entered on timeout alone) IS renewable — the
   // ACK proves the server heard us at t_c1 and the safety bound carries.
-  void renew(sim::LocalTime t_c1);
+  void renew(sim::LocalTime t_c1) override;
 
   // The server NACKed one of our requests: jump directly to phase 3.
-  void on_nack();
+  bool on_nack() override;
+
+  // Registration: renew the lease, or open a fresh one when the old one is
+  // NACK-latched or over. Admits FS requests only in phases 1 and 2.
+  bool on_registered(sim::LocalTime t_c1) override;
 
   // Recovery finished (re-registered under a fresh epoch, first lease comes
   // from the RegisterReq's ACK at t_c1).
@@ -88,13 +50,16 @@ class ClientLeaseAgent {
 
   // Voluntary teardown (clean shutdown / crash simulation).
   void deactivate();
+  void stop() override { deactivate(); }
+  // The agent expired itself before the client tore down: nothing to stop.
+  void torn_down() override {}
 
-  [[nodiscard]] LeasePhase phase() const { return phase_; }
+  [[nodiscard]] LeasePhase phase() const override { return phase_; }
   // FS requests are admitted only in phases 1 and 2.
   [[nodiscard]] bool fs_ops_allowed() const {
     return phase_ == LeasePhase::kActive || phase_ == LeasePhase::kRenewal;
   }
-  [[nodiscard]] bool lease_valid() const {
+  [[nodiscard]] bool lease_valid() const override {
     return phase_ == LeasePhase::kActive || phase_ == LeasePhase::kRenewal ||
            phase_ == LeasePhase::kSuspect || phase_ == LeasePhase::kFlush;
   }
@@ -107,7 +72,6 @@ class ClientLeaseAgent {
   [[nodiscard]] std::uint64_t keepalives_sent() const { return keepalives_sent_; }
   [[nodiscard]] std::uint64_t expiries() const { return expiries_; }
   [[nodiscard]] std::uint64_t nacks_seen() const { return nacks_seen_; }
-  [[nodiscard]] bool nack_latched() const { return nack_latched_; }
 
   [[nodiscard]] const LeaseConfig& config() const { return cfg_; }
   // The owner may rewire a hook after construction, never while one runs.

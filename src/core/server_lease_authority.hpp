@@ -12,16 +12,9 @@
 // request except re-registration.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-
 #include "common/flat_map.hpp"
-#include "common/strong_id.hpp"
-#include "core/lease_config.hpp"
 #include "core/lease_math.hpp"
-#include "metrics/counters.hpp"
-#include "obs/recorder.hpp"
-#include "sim/clock.hpp"
+#include "core/lease_seam.hpp"
 
 namespace stank::core {
 
@@ -31,28 +24,20 @@ enum class ClientStanding : std::uint8_t {
   kFailed,      // locks stolen; awaiting re-registration
 };
 
-class ServerLeaseAuthority {
+// Uses the steal_locks hook only.
+class ServerLeaseAuthority : public ServerLease {
  public:
-  struct Hooks {
-    // Timer expired: the client's lease is provably over — steal its locks,
-    // fence it, redistribute.
-    std::function<void(NodeId)> steal_locks;
-  };
-
   ServerLeaseAuthority(sim::NodeClock& clock, LeaseConfig cfg, metrics::Counters& counters,
                        Hooks hooks);
-  ~ServerLeaseAuthority();
-
-  ServerLeaseAuthority(const ServerLeaseAuthority&) = delete;
-  ServerLeaseAuthority& operator=(const ServerLeaseAuthority&) = delete;
+  ~ServerLeaseAuthority() override;
 
   // A message requiring a client ACK exhausted its retries. Starts the
   // tau(1+eps) timer unless one is already running or the client is already
   // failed. This is the ONLY entry point that creates lease state.
-  void on_delivery_failure(NodeId client);
+  void on_delivery_failure(NodeId client) override;
 
   // The transport's ACK gate: false while suspect or failed.
-  [[nodiscard]] bool may_ack(NodeId client) const;
+  [[nodiscard]] bool may_ack(NodeId client) const override;
 
   [[nodiscard]] ClientStanding standing(NodeId client) const;
   [[nodiscard]] bool is_suspect(NodeId client) const {
@@ -66,11 +51,11 @@ class ServerLeaseAuthority {
   // nothing) while the timer still runs and early re-registration is
   // disabled. With allow_early_reregister, a suspect client's locks are
   // stolen immediately and registration proceeds.
-  [[nodiscard]] bool try_reregister(NodeId client);
+  [[nodiscard]] bool try_reregister(NodeId client) override;
 
   // Memory devoted to lease bookkeeping right now. The paper's claim is that
   // this is zero during failure-free operation.
-  [[nodiscard]] std::size_t state_bytes() const;
+  [[nodiscard]] std::size_t state_bytes() const override;
   [[nodiscard]] std::size_t suspect_count() const;
   [[nodiscard]] std::size_t failed_count() const;
 

@@ -32,21 +32,11 @@ Server::Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     allocators_.push_back(std::make_unique<BlockAllocator>(d, san_->disk(d).capacity()));
   }
 
-  switch (cfg_.strategy) {
-    case LeaseStrategy::kStorageTank:
-      authority_ = make_authority();
-      break;
-    case LeaseStrategy::kVLeases:
-      v_table_ = std::make_unique<baselines::VLeaseTable>(cfg_.lease.tau, counters_);
-      break;
-    case LeaseStrategy::kFrangipani:
-      hb_table_ = std::make_unique<baselines::HeartbeatTable>(cfg_.lease.tau, counters_);
-      break;
-  }
+  lease_ = make_lease();
 }
 
-std::unique_ptr<core::ServerLeaseAuthority> Server::make_authority() {
-  core::ServerLeaseAuthority::Hooks hooks;
+std::unique_ptr<core::ServerLease> Server::make_lease() {
+  core::ServerLease::Hooks hooks;
   hooks.steal_locks = [this](NodeId c) {
     if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
       fence_client(c, [this, c]() { do_steal(c); });
@@ -54,10 +44,15 @@ std::unique_ptr<core::ServerLeaseAuthority> Server::make_authority() {
       do_steal(c);
     }
   };
-  auto authority = std::make_unique<core::ServerLeaseAuthority>(clock_, cfg_.lease, counters_,
-                                                                std::move(hooks));
-  authority->set_recorder(rec_, cfg_.id);
-  return authority;
+  hooks.held_files = [this](NodeId c) { return locks_.files_of(c); };
+  return core::make_server_lease(cfg_.strategy, clock_, cfg_.lease, counters_, std::move(hooks),
+                                 rec_, cfg_.id);
+}
+
+const core::ServerLeaseAuthority& Server::authority() const {
+  const auto* authority = dynamic_cast<const core::ServerLeaseAuthority*>(lease_.get());
+  STANK_ASSERT_MSG(authority != nullptr, core::to_string(cfg_.strategy));
+  return *authority;
 }
 
 Server::~Server() {
@@ -75,7 +70,7 @@ void Server::start() {
   };
   transport_.may_ack = [this](NodeId c) {
     if (barred_.contains(c)) return false;
-    if (authority_ && !authority_->may_ack(c)) return false;
+    if (!lease_->may_ack(c)) return false;
     return true;
   };
   transport_.set_incarnation(incarnation_);
@@ -92,10 +87,6 @@ void Server::stop() {
     }
   }
   demand_timers_.clear();
-  for (auto& [node, timer] : recovery_timers_) {
-    clock_.cancel(timer);
-  }
-  recovery_timers_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -110,7 +101,7 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 
   // "The server can neither acknowledge the message, which would renew the
   // client lease, nor execute a transaction on the client's behalf." (3.3)
-  if (barred_.contains(client) || (authority_ && !authority_->may_ack(client))) {
+  if (barred_.contains(client) || !lease_->may_ack(client)) {
     if (cfg_.nack_suspect) {
       r.nack();
     }
@@ -164,14 +155,10 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
           // The paper's NULL message. For Storage Tank the server does
           // nothing lease-related here — the transport-level ACK is the
           // renewal. Frangipani's server must update its lease table.
-          if (hb_table_) {
-            hb_table_->renew(client, clock_.now());
-          }
+          lease_->on_keepalive(client);
           r.ack(protocol::OkReply{});
         } else if constexpr (std::is_same_v<T, protocol::RenewObjReq>) {
-          if (v_table_) {
-            v_table_->renew(client, req.file, clock_.now());
-          }
+          lease_->on_renew_object(client, req.file);
           r.ack(protocol::OkReply{});
         } else if constexpr (std::is_same_v<T, protocol::ReadDataReq>) {
           handle_read_data(client, req, r);
@@ -187,12 +174,8 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 }
 
 void Server::handle_register(NodeId client, ServerTransport::Responder r) {
-  if (authority_ && !authority_->try_reregister(client)) {
+  if (!lease_->try_reregister(client)) {
     // Conservative protocol: the timer must run out first.
-    r.nack();
-    return;
-  }
-  if (recovery_timers_.contains(client)) {
     r.nack();
     return;
   }
@@ -211,9 +194,7 @@ void Server::handle_register(NodeId client, ServerTransport::Responder r) {
   ++s.epoch;
   s.valid = true;
 
-  if (hb_table_) {
-    hb_table_->renew(client, clock_.now());
-  }
+  lease_->on_registered(client);
   unfence_client(client);
   ++counters_.transactions;
   if (rec_ != nullptr) {
@@ -278,9 +259,7 @@ void Server::handle_lock(NodeId client, const protocol::LockReq& req,
   // previous incarnation of the lock.
   const GrantState gs = issue_grant(client, req.file);
   cancel_demand_timer(client, req.file);
-  if (v_table_) {
-    v_table_->renew(client, req.file, clock_.now());
-  }
+  lease_->on_grant(client, req.file);
   r.ack(protocol::LockReply{true, req.mode, gs.gen, gs.cookie});
 }
 
@@ -304,8 +283,8 @@ void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
   }
   update_scratch_.clear();
   locks_.set_mode(client, req.file, req.downgrade_to, update_scratch_);
-  if (v_table_ && req.downgrade_to == protocol::LockMode::kNone) {
-    v_table_->drop(client, req.file);
+  if (req.downgrade_to == protocol::LockMode::kNone) {
+    lease_->on_release(client, req.file);
   }
   apply_update(update_scratch_);
   r.ack(protocol::OkReply{});
@@ -330,8 +309,8 @@ void Server::handle_demand_done(NodeId client, const protocol::DemandDoneReq& re
   }
   update_scratch_.clear();
   locks_.set_mode(client, req.file, req.new_mode, update_scratch_);
-  if (v_table_ && req.new_mode == protocol::LockMode::kNone) {
-    v_table_->drop(client, req.file);
+  if (req.new_mode == protocol::LockMode::kNone) {
+    lease_->on_release(client, req.file);
   }
   // Stop the compliance clock only once no demand remains outstanding
   // against this holder (a deeper demand may have been issued meanwhile).
@@ -403,9 +382,7 @@ void Server::handle_reassert(NodeId client, const protocol::ReassertLockReq& req
   }
   ++counters_.lock_grants;
   const GrantState gs = issue_grant(client, req.file);
-  if (v_table_) {
-    v_table_->renew(client, req.file, clock_.now());
-  }
+  lease_->on_grant(client, req.file);
   r.ack(protocol::LockReply{true, req.mode, gs.gen, gs.cookie});
 }
 
@@ -428,16 +405,8 @@ void Server::crash() {
   fenced_clients_.clear();
   fencing_.clear();
   grants_.clear();
-  if (authority_) {
-    // Rebuild the authority empty (its timers died with stop()).
-    authority_ = make_authority();
-  }
-  if (v_table_) {
-    v_table_ = std::make_unique<baselines::VLeaseTable>(cfg_.lease.tau, counters_);
-  }
-  if (hb_table_) {
-    hb_table_ = std::make_unique<baselines::HeartbeatTable>(cfg_.lease.tau, counters_);
-  }
+  // Lease state is volatile too; the old object cancels its timers as it goes.
+  lease_ = make_lease();
 }
 
 void Server::restart() {
@@ -688,9 +657,7 @@ void Server::deliver_grant(const LockManager::Grant& g) {
   ++counters_.lock_grants;
   const GrantState gs = issue_grant(g.client, g.file);
   cancel_demand_timer(g.client, g.file);
-  if (v_table_) {
-    v_table_->renew(g.client, g.file, clock_.now());
-  }
+  lease_->on_grant(g.client, g.file);
   const Session* session = sessions_.find(g.client);
   const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
   transport_.send_server_msg(g.client, epoch, protocol::LockGrant{g.file, g.mode, gs.gen, gs.cookie},
@@ -764,58 +731,9 @@ void Server::on_delivery_failure(NodeId client) {
       return;
     case RecoveryMode::kLeaseOnly:
     case RecoveryMode::kLeaseAndFence:
-      begin_recovery(client);
+      lease_->on_delivery_failure(client);  // idempotent
       return;
   }
-}
-
-void Server::begin_recovery(NodeId client) {
-  if (authority_) {
-    authority_->on_delivery_failure(client);  // idempotent
-    return;
-  }
-  // V / Frangipani: wait out the lease recorded in the server-side table,
-  // then re-check — a heartbeat or renewal may have arrived in the interim.
-  if (recovery_timers_.contains(client)) {
-    return;
-  }
-  sim::LocalTime steal_at;
-  const sim::LocalTime now = clock_.now();
-  if (hb_table_) {
-    steal_at = hb_table_->steal_time(client, now, cfg_.lease.epsilon);
-  } else if (v_table_) {
-    steal_at = now;
-    for (FileId f : locks_.files_of(client)) {
-      steal_at = std::max(steal_at, v_table_->steal_time(client, f, now, cfg_.lease.epsilon));
-    }
-  } else {
-    steal_at = now + core::server_wait(cfg_.lease.tau, cfg_.lease.epsilon);
-  }
-  ++counters_.lease_ops;
-  sim::LocalDuration delay = steal_at > now ? steal_at - now : sim::LocalDuration{1};
-  recovery_timers_[client] = clock_.schedule_after(delay, [this, client]() {
-    recovery_timers_.erase(client);
-    const sim::LocalTime t = clock_.now();
-    // Re-check: did the client legitimately renew while we waited?
-    if (hb_table_ && hb_table_->valid(client, t)) {
-      return;
-    }
-    if (v_table_) {
-      bool any_valid = false;
-      for (FileId f : locks_.files_of(client)) {
-        any_valid = any_valid || v_table_->valid(client, f, t);
-      }
-      if (any_valid) {
-        begin_recovery(client);  // re-arm at the extended expiry
-        return;
-      }
-    }
-    if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
-      fence_client(client, [this, client]() { do_steal(client); });
-    } else {
-      do_steal(client);
-    }
-  });
 }
 
 void Server::fence_client(NodeId client, std::function<void()> then) {
@@ -904,10 +822,6 @@ void Server::do_steal(NodeId client) {
   }
   transport_.cancel_server_msgs(client);
   cancel_demand_timers(client);
-  if (sim::TimerId* rt = recovery_timers_.find(client); rt != nullptr) {
-    clock_.cancel(*rt);
-    recovery_timers_.erase(client);
-  }
 
   affected_scratch_.clear();
   update_scratch_.clear();
@@ -922,12 +836,7 @@ void Server::do_steal(NodeId client) {
     rec_->record(engine_->now(), cfg_.id, obs::EventKind::kLockSteal, client.value(),
                  affected_scratch_.size());
   }
-  if (v_table_) {
-    v_table_->drop_client(client);
-  }
-  if (hb_table_) {
-    hb_table_->drop(client);
-  }
+  lease_->on_steal(client);
   apply_update(update_scratch_);
 }
 
@@ -946,12 +855,7 @@ std::uint32_t Server::session_epoch(NodeId client) const {
   return s == nullptr ? 0 : s->epoch;
 }
 
-std::size_t Server::lease_state_bytes() const {
-  if (authority_) return authority_->state_bytes();
-  if (v_table_) return v_table_->state_bytes();
-  if (hb_table_) return hb_table_->state_bytes();
-  return 0;
-}
+std::size_t Server::lease_state_bytes() const { return lease_->state_bytes(); }
 
 std::uint64_t Server::now_ns() const { return static_cast<std::uint64_t>(clock_.now().ns); }
 

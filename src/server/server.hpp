@@ -5,7 +5,8 @@
 // (clients do direct SAN I/O). Composes:
 //   * Metadata + BlockAllocator  — inodes, namespace, extent allocation
 //   * LockManager                — data-lock state machine
-//   * ServerLeaseAuthority       — the paper's passive lease protocol
+//   * core::ServerLease          — the lease strategy: the paper's passive
+//                                  ServerLeaseAuthority, or a baseline's table
 //   * ServerTransport            — ACK/NACK datagram sessions
 //
 // Recovery behaviour on a delivery failure is selectable so the experiment
@@ -23,10 +24,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/heartbeat.hpp"
 #include "common/flat_map.hpp"
 #include "common/small_vec.hpp"
-#include "baselines/v_lease.hpp"
 #include "core/server_lease_authority.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
@@ -101,7 +100,8 @@ class Server {
   [[nodiscard]] const metrics::Counters& counters() const { return counters_; }
   [[nodiscard]] LockManager& locks() { return locks_; }
   [[nodiscard]] Metadata& metadata() { return metadata_; }
-  [[nodiscard]] const core::ServerLeaseAuthority& authority() const { return *authority_; }
+  // The Storage Tank authority; aborts on a baseline server.
+  [[nodiscard]] const core::ServerLeaseAuthority& authority() const;
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
   // Bytes of lease bookkeeping currently held, whatever the strategy — the
@@ -171,7 +171,7 @@ class Server {
   void handle_write_data(NodeId client, const protocol::WriteDataReq&,
                          protocol::ServerTransport::Responder r);
 
-  [[nodiscard]] std::unique_ptr<core::ServerLeaseAuthority> make_authority();
+  [[nodiscard]] std::unique_ptr<core::ServerLease> make_lease();
 
   // Locking plumbing.
   void apply_update(const LockManager::Update& upd);
@@ -190,8 +190,7 @@ class Server {
   GrantState issue_grant(NodeId client, FileId file);
 
   // Recovery.
-  void on_delivery_failure(NodeId client);
-  void begin_recovery(NodeId client);  // applies cfg_.recovery
+  void on_delivery_failure(NodeId client);  // applies cfg_.recovery
   void fence_client(NodeId client, std::function<void()> then);
   // One fence attempt across all data disks; re-arms itself until every disk
   // acks, then runs `then` (the steal). See fence_client.
@@ -220,16 +219,10 @@ class Server {
   LockManager locks_;
   std::vector<std::unique_ptr<BlockAllocator>> allocators_;
 
-  // Lease machinery (by strategy).
-  std::unique_ptr<core::ServerLeaseAuthority> authority_;
-  std::unique_ptr<baselines::VLeaseTable> v_table_;
-  std::unique_ptr<baselines::HeartbeatTable> hb_table_;
+  std::unique_ptr<core::ServerLease> lease_;
   // Clients whose sessions were invalidated by a steal; they must
   // re-register before being served again.
   FlatSet<NodeId> barred_;
-  // Lease-expiry recovery timers for the V/Frangipani strategies (the
-  // Storage Tank authority manages its own).
-  FlatMap<NodeId, sim::TimerId> recovery_timers_;
   // Clients currently fenced at the data disks.
   FlatSet<NodeId> fenced_clients_;
   // Clients with a fence -> steal still in flight (some disk has not acked

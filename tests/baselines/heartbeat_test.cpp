@@ -7,9 +7,16 @@ namespace {
 
 const NodeId kC{100};
 
+// The tables' steal timers run on a clock; these tests pass times explicitly.
+struct TableClock {
+  sim::Engine engine;
+  sim::NodeClock clock{engine, sim::LocalClock(1.0)};
+};
+
 TEST(HeartbeatTable, RenewAndValidity) {
   metrics::Counters counters;
-  HeartbeatTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
   EXPECT_FALSE(t.valid(kC, sim::LocalTime{0}));
   t.renew(kC, sim::LocalTime{0});
   EXPECT_TRUE(t.valid(kC, sim::LocalTime{9'999'999'999}));
@@ -19,7 +26,8 @@ TEST(HeartbeatTable, RenewAndValidity) {
 
 TEST(HeartbeatTable, EveryHeartbeatIsServerWork) {
   metrics::Counters counters;
-  HeartbeatTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
   for (int i = 0; i < 100; ++i) {
     t.renew(kC, sim::LocalTime{i});
   }
@@ -28,7 +36,8 @@ TEST(HeartbeatTable, EveryHeartbeatIsServerWork) {
 
 TEST(HeartbeatTable, StateScalesWithClients) {
   metrics::Counters counters;
-  HeartbeatTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
   EXPECT_EQ(t.state_bytes(), 0u);
   t.renew(NodeId{100}, sim::LocalTime{0});
   const auto one = t.state_bytes();
@@ -40,7 +49,8 @@ TEST(HeartbeatTable, StateScalesWithClients) {
 
 TEST(HeartbeatTable, StealTimeFromRecordedExpiry) {
   metrics::Counters counters;
-  HeartbeatTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
   t.renew(kC, sim::LocalTime{0});
   EXPECT_EQ(t.steal_time(kC, sim::LocalTime{4'000'000'000}, 0.0).ns, 10'000'000'000);
   EXPECT_EQ(t.steal_time(NodeId{9}, sim::LocalTime{123}, 0.0).ns, 123);

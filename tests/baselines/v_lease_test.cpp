@@ -6,11 +6,18 @@ namespace stank::baselines {
 namespace {
 
 const NodeId kC{100};
+
+// The tables' steal timers run on a clock; these tests pass times explicitly.
+struct TableClock {
+  sim::Engine engine;
+  sim::NodeClock clock{engine, sim::LocalClock(1.0)};
+};
 const FileId kF{1}, kG{2};
 
 TEST(VLeaseTable, RenewAndValidity) {
   metrics::Counters counters;
-  VLeaseTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
   t.renew(kC, kF, sim::LocalTime{0});
   EXPECT_TRUE(t.valid(kC, kF, sim::LocalTime{9'999'999'999}));
   EXPECT_FALSE(t.valid(kC, kF, sim::LocalTime{10'000'000'000}));
@@ -20,7 +27,8 @@ TEST(VLeaseTable, RenewAndValidity) {
 
 TEST(VLeaseTable, StateScalesWithObjects) {
   metrics::Counters counters;
-  VLeaseTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
   EXPECT_EQ(t.state_bytes(), 0u);
   t.renew(kC, kF, sim::LocalTime{0});
   const auto one = t.state_bytes();
@@ -32,7 +40,8 @@ TEST(VLeaseTable, StateScalesWithObjects) {
 
 TEST(VLeaseTable, DropAndDropClient) {
   metrics::Counters counters;
-  VLeaseTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
   t.renew(kC, kF, sim::LocalTime{0});
   t.renew(kC, kG, sim::LocalTime{0});
   t.renew(NodeId{101}, kF, sim::LocalTime{0});
@@ -45,7 +54,8 @@ TEST(VLeaseTable, DropAndDropClient) {
 
 TEST(VLeaseTable, StealTimeScalesRemainingByEps) {
   metrics::Counters counters;
-  VLeaseTable t(sim::local_seconds(10), counters);
+  TableClock c;
+  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
   t.renew(kC, kF, sim::LocalTime{0});
   // At t=0 the full lease remains: wait 10 * 1.01.
   EXPECT_EQ(t.steal_time(kC, kF, sim::LocalTime{0}, 0.01).ns, 10'100'000'000);

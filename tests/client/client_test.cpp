@@ -229,18 +229,48 @@ TEST(Client, ReleaseWithDirtyDataFlushesFirst) {
   EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 1u);  // flushed before ceding
 }
 
+constexpr core::LeaseStrategy kStrategies[] = {core::LeaseStrategy::kStorageTank,
+                                               core::LeaseStrategy::kVLeases,
+                                               core::LeaseStrategy::kFrangipani};
+
+// Whatever the lease strategy: a crashed client also goes silent on the
+// lease channel, so no renewal, heartbeat or keep-alive outlives the crash.
 TEST(Client, CrashLosesVolatileState) {
-  Fixture f;
-  Fd fd = f.must_open(0, "/file");
-  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(64, 9)).is_ok());
-  f.c(0).crash();
-  EXPECT_TRUE(f.c(0).crashed());
-  EXPECT_EQ(f.c(0).cache().page_count(), 0u);
-  // API calls fail with kShutdown.
-  std::optional<Result<Bytes>> r;
-  f.c(0).read(fd, 0, 64, [&](Result<Bytes> res) { r = std::move(res); });
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->error(), ErrorCode::kShutdown);
+  for (core::LeaseStrategy strategy : kStrategies) {
+    SCOPED_TRACE(core::to_string(strategy));
+    Fixture f(2, strategy);
+    Fd fd = f.must_open(0, "/file");
+    ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(64, 9)).is_ok());
+    f.c(0).crash();
+    EXPECT_TRUE(f.c(0).crashed());
+    EXPECT_EQ(f.c(0).cache().page_count(), 0u);
+    // API calls fail with kShutdown.
+    std::optional<Result<Bytes>> r;
+    f.c(0).read(fd, 0, 64, [&](Result<Bytes> res) { r = std::move(res); });
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->error(), ErrorCode::kShutdown);
+    const std::uint64_t sent = f.c(0).counters().lease_only_msgs;
+    f.run_for(15.0);  // 3 tau
+    EXPECT_EQ(f.c(0).counters().lease_only_msgs, sent);
+  }
+}
+
+// The same after the lease (or, for V-leases, the object's lease) lapses:
+// the teardown leaves no lease machinery scheduled.
+TEST(Client, LapsedLeaseSendsNoLeaseOnlyMessages) {
+  for (core::LeaseStrategy strategy : kStrategies) {
+    SCOPED_TRACE(core::to_string(strategy));
+    Fixture f(1, strategy);
+    const Fd fd = f.must_open(0, "/file");
+    ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(64, 1)).is_ok());
+    ASSERT_EQ(f.c(0).lock_mode(fd), LockMode::kExclusive);
+    f.net.reachability().sever_pair(NodeId{100}, NodeId{1});
+    f.run_for(8.0);  // tau = 5 s
+    ASSERT_EQ(f.c(0).lock_mode(fd), LockMode::kNone);
+    const std::uint64_t sent = f.c(0).counters().lease_only_msgs;
+    f.run_for(15.0);  // 3 tau
+    EXPECT_EQ(f.c(0).counters().lease_only_msgs, sent);
+  }
 }
 
 TEST(Client, RestartReregistersWithFreshEpoch) {

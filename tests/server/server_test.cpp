@@ -488,5 +488,92 @@ TEST(Server, VLeaseServerTracksPerObjectLeases) {
   EXPECT_GT(f.server->counters().lease_ops, 0u);
 }
 
+// The baselines keep the leases they grant, so after a delivery failure the
+// server waits out the lease its table recorded, stretched by the clock
+// bound, and re-checks it before stealing. eps = 0.1 keeps the stretch wide.
+ServerConfig baseline_cfg(LeaseStrategy strategy) {
+  auto cfg = Fixture::make_cfg();
+  cfg.strategy = strategy;
+  cfg.lease.epsilon = 0.1;
+  return cfg;
+}
+
+TEST(Server, FrangipaniStealWaitsOutRecordedExpiryTimesOnePlusEps) {
+  Fixture f(baseline_cfg(LeaseStrategy::kFrangipani));
+  f.do_register();  // the table records expiry = registration + tau
+  auto file = f.server->preallocate("/f", 64).value();
+  f.call(protocol::LockReq{file, LockMode::kExclusive});
+  f.server->inject_delivery_failure(NodeId{100});
+  // The recorded expiry is just under 5 s away; waiting it out x1.1 puts the
+  // steal just under 5.5 s.
+  f.run_for(5.3);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kExclusive);
+  EXPECT_EQ(f.server->counters().lock_steals, 0u);
+  f.run_for(0.5);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kNone);
+  EXPECT_EQ(f.server->counters().lock_steals, 1u);
+  EXPECT_FALSE(f.server->session_valid(NodeId{100}));
+}
+
+TEST(Server, FrangipaniHeartbeatDuringWaitPreventsSteal) {
+  Fixture f(baseline_cfg(LeaseStrategy::kFrangipani));
+  f.do_register();
+  auto file = f.server->preallocate("/f", 64).value();
+  f.call(protocol::LockReq{file, LockMode::kExclusive});
+  f.server->inject_delivery_failure(NodeId{100});
+  f.run_for(2.0);
+  auto r = f.call(protocol::KeepAliveReq{});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, FrameKind::kAck);
+  f.run_for(10.0);  // past the wait and past the renewed lease's expiry
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kExclusive);
+  EXPECT_EQ(f.server->counters().lock_steals, 0u);
+  EXPECT_TRUE(f.server->session_valid(NodeId{100}));
+}
+
+TEST(Server, VLeaseRenewalDuringWaitRearmsTheSteal) {
+  Fixture f(baseline_cfg(LeaseStrategy::kVLeases));
+  f.do_register();
+  auto file = f.server->preallocate("/f", 64).value();
+  f.call(protocol::LockReq{file, LockMode::kExclusive});  // object lease: +5 s
+  f.server->inject_delivery_failure(NodeId{100});         // steal at ~5.5 s
+  f.run_for(2.0);
+  auto r = f.call(protocol::RenewObjReq{file});  // object lease now ends at ~7 s
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, FrameKind::kAck);
+  // The first wait ends at ~5.5 s, finds the renewal and waits again:
+  // 5.5 + (7 - 5.5) x 1.1 = ~7.15 s.
+  f.run_for(3.8);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kExclusive);
+  EXPECT_EQ(f.server->counters().lock_steals, 0u);
+  f.run_for(1.6);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kNone);
+  EXPECT_EQ(f.server->counters().lock_steals, 1u);
+}
+
+TEST(Server, CrashCancelsBaselineStealWait) {
+  for (LeaseStrategy strategy : {LeaseStrategy::kVLeases, LeaseStrategy::kFrangipani}) {
+    SCOPED_TRACE(core::to_string(strategy));
+    Fixture f(baseline_cfg(strategy));
+    f.do_register();
+    auto file = f.server->preallocate("/f", 64).value();
+    f.call(protocol::LockReq{file, LockMode::kExclusive});
+    f.server->inject_delivery_failure(NodeId{100});
+    f.run_for(1.0);
+    f.server->crash();
+    f.server->restart();
+    f.do_register();  // no wait survives the crash to refuse or revoke this
+    f.run_for(10.0);
+    EXPECT_EQ(f.server->counters().fences_issued, 0u);
+    EXPECT_TRUE(f.server->session_valid(NodeId{100}));
+    EXPECT_FALSE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));
+  }
+}
+
+TEST(ServerDeathTest, AuthorityOfBaselineServerAborts) {
+  Fixture f(baseline_cfg(LeaseStrategy::kVLeases));
+  EXPECT_DEATH((void)f.server->authority(), "v-leases");
+}
+
 }  // namespace
 }  // namespace stank::server

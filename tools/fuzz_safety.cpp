@@ -355,6 +355,7 @@ void replay_fields(Ep& ep, F&& field) {
   field("net_ge_good_to_bad", c.control_net.ge_good_to_bad);
   field("net_ge_bad_to_good", c.control_net.ge_bad_to_good);
   field("net_burst_loss", c.control_net.burst_loss);
+  field("net_delivery_bucket_ns", c.control_net.delivery_bucket.ns);
   field("recovery", c.recovery);
   field("demand_timeout_ns", c.demand_timeout.ns);
   field("byzantine", c.byzantine);  // client index, behavior mask, skew
@@ -403,6 +404,8 @@ std::optional<Episode> read_replay(const std::string& path) {
   std::ifstream f(path);
   if (!f) return std::nullopt;
   Episode ep;
+  // Files written before the bucket was recorded ran at generate()'s 1 ns.
+  ep.cfg.control_net.delivery_bucket = sim::Duration{1};
   // (line number, client index) of each attacker line, checked against
   // num_clients once the whole file is read.
   std::vector<std::pair<std::size_t, std::size_t>> attackers;
