@@ -276,7 +276,7 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
 
   // Shard-aware telemetry: the engine and fabric register their counters,
   // the registry freezes into per-shard banks, and the watchdog rides the
-  // engine's barrier snapshot hook (worker 0, everyone else parked) so
+  // engine's snapshot hook (worker 0, everyone else parked) so
   // arming adds zero engine events — the digest column proves it.
   obs::Counters ctr;
   obs::Recorder wd_rec;
@@ -284,18 +284,19 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
   if (telemetry) {
     sim::ShardedEngine::Telemetry tel;
     tel.counters = &ctr;
-    // ~410ms of sim time between snapshots at the 200us window (the
-    // ControlNet latency): even at N = 1,000 each imbalance sample averages
-    // hundreds of events per shard, so Poisson noise stays inside the band.
-    tel.snapshot_every_windows = 2048;
+    // ~410ms of sim time between snapshots at the 100us sub-window (half
+    // the ControlNet latency): even at N = 1,000 each imbalance sample
+    // averages hundreds of events per shard, so Poisson noise stays inside
+    // the band.
+    tel.snapshot_every_windows = 4096;
     watchdog = std::make_unique<obs::Watchdog>(wd_rec);
     obs::Watchdog* wd = watchdog.get();
     tel.on_snapshot = [wd](sim::SimTime at) { wd->evaluate(at); };
     engine.set_telemetry(std::move(tel));
     fabric->set_counters(&ctr);
     ctr.freeze(k);
-    // Probes read merged counters: legal between the snapshot barriers
-    // (every producer is parked) and after the run.
+    // Probes read merged counters: legal in the snapshot hook (every
+    // producer is parked) and after the run.
     const obs::Counters::Id id_hw = ctr.find("net.mailbox_hw");
     const obs::Counters::Id id_imb = ctr.find("engine.imbalance_permille");
     // A mailbox a million datagrams deep means a consumer shard stopped
@@ -481,9 +482,9 @@ int main() {
   const std::uint32_t threads_override = env_u32("STANK_SWARM_THREADS", 0xFFFFFFFFu);
   const std::vector<std::uint32_t> ks = env_u32_list("STANK_SWARM_KS", {1, 2, 4, 8});
 
-  std::printf("Sharded engine: N=%u clients, K servers/shards, conservative %lld us windows\n"
-              "(the ControlNet base latency: the cross-shard lookahead)\n",
-              sharded_n, static_cast<long long>(net::NetConfig{}.latency.ns / 1000));
+  std::printf("Sharded engine: N=%u clients, K servers/shards, conservative %lld us sub-windows\n"
+              "(half the ControlNet base latency, the cross-shard lookahead)\n",
+              sharded_n, static_cast<long long>(net::NetConfig{}.latency.ns / 2000));
   std::printf("Telemetry: %s (STANK_SWARM_TELEMETRY=0 to disable; must not change digests)\n\n",
               telemetry ? "counters + watchdog armed" : "dark");
   Table stbl({"K", "threads", "sim events", "wall (s)", "events/s", "speedup", "wire B/client",
@@ -558,7 +559,8 @@ int main() {
       "is the determinism witness: a fixed (seed, K) must print the same value on every\n"
       "run at every worker-thread count — armed or dark. imb is max/mean shard events\n"
       "between snapshots (1.00 = perfectly balanced); mbox hw is the deepest SPSC\n"
-      "mailbox; bar p50/p99 are barrier wait quantiles per crossing.\n");
+      "mailbox slot; bar p50/p99 are quantiles of the per-sub-window wait for other\n"
+      "shards' progress.\n");
   if (total_trips > 0) {
     std::printf("WATCHDOG: %llu invariant probe trip(s) during the sweep — inspect before\n"
                 "trusting these numbers.\n",

@@ -44,7 +44,6 @@ void HeartbeatClientScheduler::beat() {
     if (hooks_.expired) hooks_.expired();
     return;
   }
-  ++heartbeats_sent_;
   if (hooks_.send_heartbeat) hooks_.send_heartbeat();
   timer_ = clock_->schedule_after(tau_ * beat_frac_, [this]() {
     timer_ = 0;

@@ -102,7 +102,6 @@ class HeartbeatClientScheduler : public core::ClientLease {
   }
 
   [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
   // The owner may rewire a hook after construction, never while one runs.
   [[nodiscard]] Hooks& hooks() { return hooks_; }
 
@@ -116,7 +115,6 @@ class HeartbeatClientScheduler : public core::ClientLease {
   bool running_{false};
   sim::LocalTime lease_start_{};
   sim::TimerId timer_{0};
-  std::uint64_t heartbeats_sent_{0};
 };
 
 }  // namespace stank::baselines

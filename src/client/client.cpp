@@ -474,7 +474,6 @@ void Client::open(const std::string& path, bool create, OpenCb cb) {
         ++fs.open_count;
         const Fd fd = next_fd_++;
         fds_.insert(fd, rep->file);
-        ++ops_completed_;
         op->open_done(fd);
       });
 }
@@ -501,8 +500,7 @@ void Client::close(Fd fd, StatusCb cb) {
   OpRef op = start_op(OpKind::kClose, file);
   op->done = std::move(cb);
   transport_.send_request(protocol::CloseReq{file},
-                          [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
-                            ++ops_completed_;
+                          [op = std::move(op)](const protocol::ReplyEvent& ev) {
                             op->done(ev.outcome == protocol::ReplyOutcome::kAck
                                          ? Status::ok()
                                          : Status{ErrorCode::kTimeout});
@@ -536,7 +534,6 @@ void Client::getattr(Fd fd, AttrCb cb) {
           fs2.attr = rep->attr;
           fs2.extents = rep->extents;
           fs2.attr_known = true;
-          ++ops_completed_;
           op->attr_done(rep->attr);
           return;
         }
@@ -1134,7 +1131,6 @@ void Client::read_direct(FileState& fs, OpRef op) {
   const std::uint64_t offset = op->offset;
   const std::uint64_t end = std::min<std::uint64_t>(fs.attr.size, offset + op->size);
   if (end <= offset) {
-    ++ops_completed_;
     op->read_done(Bytes{});
     return;
   }
@@ -1199,7 +1195,6 @@ void Client::read_slice_done(Op& op, Status st) {
     op.read_done(op.status.error());
     return;
   }
-  ++ops_completed_;
   op.read_done(std::move(op.buf));
 }
 
@@ -1270,7 +1265,6 @@ void Client::write_filled(Op& op, const protocol::BlockSlice& s, storage::IoResu
 
 void Client::write_slice_done(Op& op, Status st) {
   if (!op.fan_in(st)) return;
-  if (op.status.is_ok()) ++ops_completed_;
   recycle_buf(std::move(op.buf));  // every slice has consumed its span
   op.done(op.status);
 }
@@ -1308,7 +1302,6 @@ void Client::read_shipped(FileState& fs, OpRef op) {
                     out.begin() + static_cast<std::ptrdiff_t>(pos - offset));
         pos += take;
       }
-      ++ops_completed_;
       op->read_done(std::move(out));
       return;
     }
@@ -1340,7 +1333,6 @@ void Client::read_shipped(FileState& fs, OpRef op) {
               cache_.put(file2, (offset2 + off) / bs, std::move(block), /*dirty=*/false);
             }
           }
-          ++ops_completed_;
           op->read_done(rep->data);
           return;
         }
@@ -1376,7 +1368,6 @@ void Client::write_shipped(FileState& fs, OpRef op) {
         }
         FileState& fs2 = state_for(op->file);
         fs2.attr.size = std::max(fs2.attr.size, end);
-        ++ops_completed_;
         op->done(Status::ok());
       });
 }

@@ -116,7 +116,6 @@ class Client {
   }
   [[nodiscard]] protocol::LockMode lock_mode(Fd fd) const;
   [[nodiscard]] const ClientConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }
   [[nodiscard]] std::uint64_t ops_rejected() const { return ops_rejected_; }
   [[nodiscard]] std::uint32_t server_incarnation() const { return server_incarnation_; }
 
@@ -339,7 +338,6 @@ class Client {
   FlatMap<Fd, FileId> fds_;
   FlatMap<FileId, std::unique_ptr<FileState>> files_;
 
-  std::uint64_t ops_completed_{0};
   std::uint64_t ops_rejected_{0};
   // Incarnation counter: bumped on crash so SAN completions from a previous
   // life are discarded instead of mutating the rebooted client.

@@ -159,10 +159,10 @@ class ControlNet {
   // shard's historical RNG order.
   void bind_shard(ShardedNet* owner, unsigned shard);
 
-  // Barrier-time insertion of a cross-shard datagram that already carries
-  // its sampled arrival time. Only ShardedNet::deliver calls this, on the
-  // destination shard's worker, strictly between windows; the item gets a
-  // fresh local sequence number so injection order (arrival time, source
+  // Insertion of a cross-shard datagram that already carries its sampled
+  // arrival time. Only ShardedNet calls this, on the destination shard's
+  // worker before a sub-window (or with no worker running); the item gets
+  // a fresh local sequence number so injection order (arrival time, source
   // shard, source sequence — pre-sorted by the caller) is preserved through
   // the drain's (arrival, seq) sort.
   void inject(NodeId from, NodeId to, sim::SimTime at, Bytes datagram);

@@ -16,7 +16,8 @@ ShardedNet::ShardedNet(sim::ShardedEngine& engine, sim::Rng root, NetConfig cfg)
     nets_.push_back(std::make_unique<ControlNet>(engine.shard(s), root.fork(s + 1), cfg));
     nets_.back()->bind_shard(this, s);
   }
-  mail_.resize(static_cast<std::size_t>(k) * k);
+  mail_.resize(static_cast<std::size_t>(k) * k * kSlots);
+  producer_.resize(k);
   merge_scratch_.resize(k);
   engine.set_exchange(this);
 }
@@ -25,8 +26,8 @@ ShardedNet::~ShardedNet() {
   engine_->set_exchange(nullptr);
   // Traffic can die in a mailbox if the run ends with datagrams in flight;
   // donate the buffers like ~ControlNet does for its queues.
-  for (auto& box : mail_) {
-    for (CrossItem& it : box.items) recycle_buf(std::move(it.bytes));
+  for (Mailbox& slot : mail_) {
+    for (CrossItem& it : slot.items) recycle_buf(std::move(it.bytes));
   }
 }
 
@@ -64,20 +65,35 @@ void ShardedNet::set_counters(obs::Counters* c) {
   mail_hw_ = c->add("net.mailbox_hw", obs::Counters::Merge::kMax);
 }
 
-void ShardedNet::deliver(unsigned dst_shard, sim::SimTime window_end) {
+void ShardedNet::open(unsigned shard, std::uint64_t sub, sim::SimTime start) {
+  Producer& p = producer_[shard];
+  p.slot = static_cast<unsigned>(sub % kSlots);
+  p.posted_min_ns = sim::Engine::kNever.ns;
+  if (sub >= 2) take_in(shard, static_cast<unsigned>((sub - 2) % kSlots), 1, start);
+}
+
+void ShardedNet::flush(sim::SimTime now) {
+  for (unsigned dst = 0; dst < shard_count(); ++dst) take_in(dst, 0, kSlots, now);
+}
+
+void ShardedNet::take_in(unsigned dst, unsigned first_slot, unsigned slots,
+                         sim::SimTime not_before) {
   const unsigned k = shard_count();
-  auto& scratch = merge_scratch_[dst_shard].items;
+  auto& scratch = merge_scratch_[dst].items;
   scratch.clear();
   for (unsigned src = 0; src < k; ++src) {
-    if (src == dst_shard) continue;
-    auto& box = mail_[src * k + dst_shard].items;
-    for (CrossItem& it : box) scratch.push_back(std::move(it));
-    box.clear();
+    if (src == dst) continue;
+    for (unsigned i = 0; i < slots; ++i) {
+      auto& items = box(src, dst, (first_slot + i) % kSlots).items;
+      for (CrossItem& it : items) scratch.push_back(std::move(it));
+      items.clear();
+    }
   }
   if (scratch.empty()) return;
-  // deliver() runs on dst_shard's owning worker, so the consumer-side count
-  // lands in the consumer's own bank — same ownership rule as post().
-  if (ctr_ != nullptr) ctr_->add_to(dst_shard, xshard_in_, scratch.size());
+  // take_in() runs on dst's owning worker (or with no worker running), so
+  // the consumer-side count lands in the consumer's own bank — same
+  // ownership rule as post().
+  if (ctr_ != nullptr) ctr_->add_to(dst, xshard_in_, scratch.size());
   // Deterministic cross-shard tie-break: co-timed arrivals drain in
   // (arrival time, source shard, source sequence) order regardless of
   // worker count. The injected items receive ascending local sequence
@@ -87,14 +103,14 @@ void ShardedNet::deliver(unsigned dst_shard, sim::SimTime window_end) {
     if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
     return a.seq < b.seq;
   });
-  ControlNet& net = *nets_[dst_shard];
+  ControlNet& net = *nets_[dst];
   for (CrossItem& it : scratch) {
-    // The conservative lookahead contract: an arrival may never land inside
-    // (or before) the window its datagram was sent in. It may land exactly
-    // on window_end (a zero-jitter send at the window's first instant): the
-    // destination has run window_end's own events, and this one joins them
-    // at the head of the next window.
-    STANK_ASSERT_MSG(it.at >= window_end, "cross-shard arrival inside its own window");
+    // The conservative lookahead contract: a datagram sent in sub-window m
+    // arrives at or after start(m) + L ≥ start(m+2), the sub-window that
+    // takes it in. It may land exactly on that edge (a zero-jitter send at
+    // start(m)): the destination has run the edge's own events, and this
+    // one joins them at the head of the sub-window.
+    STANK_ASSERT_MSG(it.at >= not_before, "cross-shard arrival before the sub-window taking it in");
     net.inject(it.from, it.to, it.at, std::move(it.bytes));
   }
   scratch.clear();

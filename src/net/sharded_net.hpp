@@ -1,6 +1,7 @@
 // The sharded control fabric: one ControlNet per shard of a ShardedEngine,
-// stitched together with per-(source shard, destination shard) SPSC
-// mailboxes exchanged at window barriers.
+// stitched together with per-(source shard, destination shard) mailbox
+// rings that the engine's sub-window protocol keeps single-producer and
+// single-consumer.
 //
 // Node ownership is static: every node is place()d on exactly one shard
 // before the run and attaches to that shard's ControlNet. A send whose
@@ -9,24 +10,30 @@
 // chain, loss, duplication, latency, jitter, reorder spike) on the sender's
 // shard at send time — so each shard's RNG stream is a pure function of that
 // shard's execution — and posts {arrival time, seq, from, to, bytes} into
-// the mailbox for the destination shard. Mailboxes are lock-free: each is
-// written by exactly one producer shard during the window and drained by
-// exactly one consumer shard at the barrier, with the barrier itself
-// providing the happens-before edge (see rt/barrier.hpp).
+// the destination's mailbox ring, in the slot of the sender's current
+// sub-window mod 4. The destination takes a slot in when it opens the
+// sub-window two later. Mailboxes are lock-free: the engine lets no shard
+// start sub-window m+2 before every shard has finished m, so while a
+// consumer drains slot m (opening m+2) every producer is between m+1 and
+// m+3 — four slots, never the one being drained — and the progress
+// counters order each slot's writes before its drain and its drain before
+// its next writes (see sim/sharded_engine.hpp).
 //
-// At the barrier, the destination shard merges all inbound mailboxes in
-// (arrival time, source shard, source sequence) order and injects them into
-// its ControlNet's per-destination delivery queues with fresh local sequence
-// numbers, so co-timed cross-shard arrivals drain in exactly that order —
-// deterministic across worker-thread counts. The fabric's lookahead is its
-// base one-way latency, and the engine takes that as its window, so the
-// conservative contract (no arrival lands inside the window it was sent in)
-// holds by construction; it is still asserted per datagram.
+// When a shard opens a sub-window it merges the slot from every source in
+// (arrival time, source shard, source sequence) order and injects the items
+// into its ControlNet's per-destination delivery queues with fresh local
+// sequence numbers, so co-timed cross-shard arrivals drain in exactly that
+// order — deterministic across worker-thread counts. The fabric's lookahead
+// is its base one-way latency and the engine's sub-window is half of it, so
+// the conservative contract (nothing arrives before the sub-window that
+// takes it in starts) holds by construction; it is still asserted per
+// datagram.
 //
 // With one shard the mailboxes are never touched and shard(0) behaves
 // exactly like a standalone ControlNet.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -64,11 +71,17 @@ class ShardedNet final : public sim::ShardExchange {
     return s != nullptr ? *s : fallback;
   }
 
-  // ShardExchange: drains every mailbox destined for dst_shard, merges in
-  // (arrival, source shard, source seq) order, injects into the shard net.
-  void deliver(unsigned dst_shard, sim::SimTime window_end) override;
+  // ShardExchange: takes in slot sub−2 of every ring destined for `shard`
+  // (merged in (arrival, source shard, source seq) order, injected into the
+  // shard net) and points the shard's own posts at slot sub.
+  void open(unsigned shard, std::uint64_t sub, sim::SimTime start) override;
+  [[nodiscard]] sim::SimTime earliest_posted(unsigned shard) const override {
+    return sim::SimTime{producer_[shard].posted_min_ns};
+  }
+  // ShardExchange: takes in every slot of every ring.
+  void flush(sim::SimTime now) override;
   // ShardExchange: every datagram takes at least the base latency (jitter,
-  // reorder spikes and bucketing only add), so that is the window.
+  // reorder spikes and bucketing only add), so that is the lookahead.
   [[nodiscard]] sim::Duration lookahead() const override { return nets_[0]->config().latency; }
 
   // Aggregate of the per-shard fabrics' counters.
@@ -101,23 +114,38 @@ class ShardedNet final : public sim::ShardExchange {
     NodeId to;
     Bytes bytes;
   };
-  // One SPSC mailbox, padded so two producers appending to adjacent
-  // mailboxes never contend on a cache line.
+  // One SPSC mailbox slot, padded so two producers appending to adjacent
+  // slots never contend on a cache line.
   struct alignas(64) Mailbox {
     std::vector<CrossItem> items;
   };
+  static constexpr unsigned kSlots = 4;
+  // A shard's producer-side state; written only by its owning worker.
+  struct alignas(64) Producer {
+    unsigned slot{0};  // current sub-window mod kSlots
+    std::int64_t posted_min_ns{sim::Engine::kNever.ns};
+  };
 
-  // Called by shard src's ControlNet during a window (hot path: one vector
-  // push_back, no locks, no atomics; the counter sites are plain stores
-  // into shard src's own bank behind one dark branch).
+  [[nodiscard]] Mailbox& box(unsigned src, unsigned dst, unsigned slot) {
+    return mail_[(src * shard_count() + dst) * kSlots + slot];
+  }
+  // Merges `slots` of every ring destined for dst and injects them; each
+  // item must arrive at or after `not_before`.
+  void take_in(unsigned dst, unsigned first_slot, unsigned slots, sim::SimTime not_before);
+
+  // Called by shard src's ControlNet during a sub-window (hot path: one
+  // vector push_back and a min, no locks, no atomics; the counter sites are
+  // plain stores into shard src's own bank behind one dark branch).
   void post(unsigned src, unsigned dst, CrossItem item) {
     const std::size_t nbytes = item.bytes.size();
-    auto& box = mail_[src * shard_count() + dst].items;
-    box.push_back(std::move(item));
+    Producer& p = producer_[src];
+    p.posted_min_ns = std::min(p.posted_min_ns, item.at.ns);
+    auto& items = box(src, dst, p.slot).items;
+    items.push_back(std::move(item));
     if (ctr_ != nullptr) {
       ctr_->add_to(src, xshard_to_[dst], 1);
       ctr_->add_to(src, xshard_bytes_, nbytes);
-      ctr_->gauge_max(src, mail_hw_, box.size());
+      ctr_->gauge_max(src, mail_hw_, items.size());
     }
   }
   // Attach-time placement check (see ControlNet::attach).
@@ -125,8 +153,9 @@ class ShardedNet final : public sim::ShardExchange {
 
   sim::ShardedEngine* engine_;
   std::vector<std::unique_ptr<ControlNet>> nets_;
-  std::vector<Mailbox> mail_;  // [src * K + dst]; diagonal unused
-  // Per-destination-shard merge scratch, reused across barriers.
+  std::vector<Mailbox> mail_;  // [(src * K + dst) * kSlots + slot]; diagonal unused
+  std::vector<Producer> producer_;
+  // Per-destination-shard merge scratch, reused across sub-windows.
   std::vector<Mailbox> merge_scratch_;
   FlatMap<NodeId, std::uint32_t> directory_;
 

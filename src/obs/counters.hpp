@@ -1,17 +1,18 @@
 // Shard-aware counter/gauge registry for the parallel runtime.
 //
 // The flight recorder (recorder.hpp) sees per-node protocol events; this
-// registry sees the parallel engine itself — barrier waits, mailbox depths,
-// window load, idle skips. Requirements that shaped it:
+// registry sees the parallel engine itself — progress waits, mailbox depths,
+// sub-window load, idle skips. Requirements that shaped it:
 //
 //   * Data-path cost: a plain u64 add into a shard-private, cache-line-
 //     aligned bank. Zero atomics, zero allocation, zero branches beyond the
 //     owner's single `if (ctr_ != nullptr)` dark gate.
 //   * Thread safety by construction, not by locking: shard s's bank is only
-//     ever written by the worker that owns shard s during a window. Reads
-//     from other threads happen exclusively at barrier-protected points
-//     (between the snapshot barrier pair, or after the parallel_for join),
-//     where the barrier's acq_rel rendezvous provides the happens-before.
+//     ever written by the worker that owns shard s during a sub-window.
+//     Reads from other threads happen exclusively at quiescent points (at
+//     an engine snapshot, with every other worker parked, or after the
+//     parallel_for join), where the engine's progress counters (release
+//     store, acquire load) or the join provide the happens-before.
 //   * Determinism: the registry observes; it never schedules engine events
 //     and never draws randomness, so an armed run executes the exact same
 //     event sequence as a dark one (the digest tests pin this).
@@ -22,7 +23,7 @@
 //
 // Histograms are kHistBuckets consecutive slots per bank holding log2-bucket
 // counts (bucket b counts values in [2^(b-1), 2^b), bucket 0 counts zero).
-// Good enough for p50/p99 of barrier wait times without a float in sight.
+// Good enough for p50/p99 of progress wait times without a float in sight.
 #pragma once
 
 #include <bit>
@@ -106,13 +107,13 @@ class Counters {
     bank(shard)[h.base + bucket_of(value)] += 1;
   }
 
-  // Bulk-folds externally bucketed counts (the barrier's per-worker
+  // Bulk-folds externally bucketed counts (the sharded engine's per-worker
   // WaitStats use the same log2 bucketing) into a histogram's bank.
   void add_hist_count(unsigned shard, HistId h, unsigned bucket, std::uint64_t n) {
     bank(shard)[h.base + bucket] += n;
   }
 
-  // -- control path (barrier-protected or post-join only) ------------------
+  // -- control path (snapshot or post-join only) ---------------------------
   [[nodiscard]] std::uint64_t value(unsigned shard, Id id) const {
     return bank(shard)[id.slot];
   }

@@ -6,7 +6,7 @@
 // dark determinism digest. Instead the owner calls evaluate() from a cadence
 // that already exists: Scenario hooks it into its 250ms lease-state sampling
 // timer (the lease-timer cadence the paper's failure detection runs on), and
-// bench_swarm calls it from the sharded engine's barrier snapshot hook,
+// bench_swarm calls it from the sharded engine's snapshot hook,
 // where every other worker is parked and all shard state is
 // happens-before-visible.
 //

@@ -726,7 +726,6 @@ void Server::on_delivery_failure(NodeId client) {
       do_steal(client);
       return;
     case RecoveryMode::kFenceOnly:
-      ++counters_.fences_issued;
       fence_client(client, [this, client]() { do_steal(client); });
       return;
     case RecoveryMode::kLeaseOnly:
@@ -842,8 +841,6 @@ void Server::do_steal(NodeId client) {
 
 // ---------------------------------------------------------------------------
 // Helpers
-
-bool Server::barred(NodeId client) const { return barred_.contains(client); }
 
 bool Server::session_valid(NodeId client) const {
   const Session* s = sessions_.find(client);

@@ -198,8 +198,6 @@ class Server {
   void unfence_client(NodeId client);
   void do_steal(NodeId client);
 
-  [[nodiscard]] bool barred(NodeId client) const;
-
   [[nodiscard]] std::uint64_t now_ns() const;
   [[nodiscard]] BlockAllocator* allocator_with_space(std::uint64_t blocks);
   Status grow_file(Inode& inode, std::uint64_t new_size);

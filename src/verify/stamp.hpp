@@ -42,9 +42,13 @@ inline constexpr std::size_t kStampBytes = 4 + 4 + 8 + 8 + 4;
   w.u64(s.block);
   w.u64(s.version);
   w.u32(s.writer.value());
+  // One resize and an index loop: a push_back per byte re-checks capacity
+  // on every filler byte of every write.
   std::uint8_t fill = static_cast<std::uint8_t>(s.version * 131 + s.block * 31 + 7);
-  while (b.size() < block_size) {
-    b.push_back(fill++);
+  const std::size_t head = b.size();
+  if (head < block_size) {
+    b.resize(block_size);
+    for (std::size_t i = head; i < block_size; ++i) b[i] = fill++;
   }
   return b;
 }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -140,7 +142,7 @@ TEST(ShardedNet, ArrivalExactlyAtWindowEndAfterIdleSkip) {
 
 // Five datagrams from three shards, all sent at t=0 with zero jitter, all
 // arriving at exactly t=200us. The contract: the receiver's shard-local
-// traffic drains first (its sequence numbers predate the barrier injection),
+// traffic drains first (its sequence numbers predate the injection),
 // then source shard 1's datagrams in send order, then source shard 2's.
 void run_co_timed(Fixture& f) {
   f.net.place(NodeId{11}, 0);
@@ -202,6 +204,144 @@ TEST(ShardedNet, TieBreakSurvivesTombstoneCompaction) {
   const std::vector<std::pair<std::uint32_t, std::uint8_t>> want = {
       {11u, 0}, {12u, 0}, {12u, 1}, {13u, 0}, {13u, 1}};
   EXPECT_EQ(f.received, want);
+}
+
+// Zero jitter, 1 ns buckets and a 200us latency: a three-shard ring started
+// at t=0 lands every hop exactly on a sub-window edge (the sub-window is
+// 100us), the instant the destination takes it in. Each hop must arrive at
+// exactly send + L, at every thread count, with no lookahead assert.
+TEST(ShardedNet, ZeroJitterPingPongLandsOnSubWindowEdges) {
+  for (unsigned threads : {1u, 2u, 3u}) {
+    NetConfig cfg = quiet_net();
+    cfg.delivery_bucket = sim::Duration{1};
+    Fixture f(3, threads, cfg);
+    // Per-node arrival logs: each handler runs only on its own shard.
+    std::vector<std::vector<std::int64_t>> at(3);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      f.net.place(NodeId{20 + i}, i);
+      f.net.shard(i).attach(NodeId{20 + i}, [&f, &at, i](NodeId, const Bytes& b) {
+        at[i].push_back(f.engine.shard(i).now().ns);
+        const std::uint8_t hop = b[0] + 1;
+        if (hop < 30) f.net.shard(i).send(NodeId{20 + i}, NodeId{20 + (i + 1) % 3}, Bytes{hop});
+      });
+    }
+    f.engine.shard(0).schedule_at(sim::SimTime{0}, [&]() {
+      f.net.shard(0).send(NodeId{20}, NodeId{21}, Bytes{0});
+    });
+    f.engine.run_until(sim::SimTime{} + sim::millis(10));
+    // Hop h (0-based) arrives at (h + 1) * 200us on node (h + 1) mod 3.
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      std::vector<std::int64_t> want;
+      for (std::int64_t h = 0; h < 30; ++h) {
+        if ((h + 1) % 3 == i) want.push_back((h + 1) * 200'000);
+      }
+      EXPECT_EQ(at[i], want) << "node " << 20 + i << " threads=" << threads;
+    }
+    EXPECT_EQ(f.net.stats().delivered, 30u);
+  }
+}
+
+// Reorder spikes of up to 5ms hold a datagram for as many as fifty
+// sub-windows. Every one must still arrive exactly once, no earlier than
+// send + L, and the whole receive log must not depend on the thread count.
+TEST(ShardedNet, ReorderSpikesSpanningManySubWindows) {
+  struct Rx {
+    std::int64_t at;
+    std::uint32_t from;
+    std::uint8_t id;
+  };
+  std::vector<std::vector<Rx>> runs;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    NetConfig cfg = quiet_net();
+    cfg.reorder_probability = 0.5;
+    cfg.reorder_spike = sim::millis(5);
+    cfg.delivery_bucket = sim::Duration{1};
+    Fixture f(4, threads, cfg);
+    std::vector<Rx> got;  // receiver lives on shard 0 only
+    f.net.place(NodeId{1}, 0);
+    f.net.shard(0).attach(NodeId{1}, [&](NodeId from, const Bytes& b) {
+      got.push_back(Rx{f.engine.shard(0).now().ns, from.value(), b[0]});
+    });
+    // Senders on shards 1..3 each send one datagram every 100us for 6ms;
+    // the payload is the send slot, so the send time is known.
+    for (std::uint32_t s = 1; s < 4; ++s) {
+      f.net.place(NodeId{10 + s}, s);
+      for (std::uint8_t slot = 0; slot < 60; ++slot) {
+        f.engine.shard(s).schedule_at(sim::SimTime{slot * 100'000LL}, [&f, s, slot]() {
+          f.net.shard(s).send(NodeId{10 + s}, NodeId{1}, Bytes{slot});
+        });
+      }
+    }
+    f.engine.run_until(sim::SimTime{} + sim::millis(20));
+    EXPECT_GT(f.net.stats().reordered, 30u);
+    ASSERT_EQ(got.size(), 180u) << "threads=" << threads;
+    std::int64_t max_hold = 0;
+    for (const Rx& r : got) {
+      const std::int64_t sent = r.id * 100'000LL;
+      EXPECT_GE(r.at, sent + 200'000);
+      EXPECT_LE(r.at, sent + 200'000 + 5'000'000);
+      max_hold = std::max(max_hold, r.at - sent);
+    }
+    EXPECT_GT(max_hold, 2'000'000) << "some spike should span over twenty sub-windows";
+    runs.push_back(std::move(got));
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[r][i].at, runs[0][i].at);
+      EXPECT_EQ(runs[r][i].from, runs[0][i].from);
+      EXPECT_EQ(runs[r][i].id, runs[0][i].id);
+    }
+  }
+}
+
+// A 24-node gossip over K shards: every receipt forwards to a node picked
+// from the payload, under jitter, duplication and reorder spikes, so
+// traffic crosses every shard pair at uneven times. For each K the per-node
+// receive logs must be identical at every worker-thread count.
+TEST(ShardedNet, ReceiveLogsIdenticalAcrossShardAndThreadCounts) {
+  constexpr std::uint32_t kNodes = 24;
+  using Entry = std::pair<std::int64_t, std::uint32_t>;  // (time, from << 8 | hop)
+  for (unsigned k : {2u, 3u, 4u, 8u}) {
+    std::vector<std::vector<std::vector<Entry>>> runs;
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+      NetConfig cfg;  // default latency, 50us jitter, 10us buckets
+      cfg.dup_probability = 0.05;
+      cfg.reorder_probability = 0.05;
+      cfg.reorder_spike = sim::millis(2);
+      Fixture f(k, threads, cfg);
+      std::vector<std::vector<Entry>> logs(kNodes);
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        const unsigned sh = i % k;
+        f.net.place(NodeId{100 + i}, sh);
+        f.net.shard(sh).attach(NodeId{100 + i}, [&f, &logs, i, sh](NodeId from,
+                                                                   const Bytes& b) {
+          const std::uint8_t hop = b[0];
+          logs[i].emplace_back(f.engine.shard(sh).now().ns, (from.value() << 8) | hop);
+          if (hop >= 40) return;
+          const std::uint32_t to = (i * 7 + hop * 5 + 3) % kNodes;
+          f.net.shard(sh).send(NodeId{100 + i}, NodeId{100 + to},
+                               Bytes{static_cast<std::uint8_t>(hop + 1)});
+        });
+      }
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        const unsigned sh = i % k;
+        f.engine.shard(sh).schedule_at(sim::SimTime{i * 13'000LL}, [&f, i, sh]() {
+          f.net.shard(sh).send(NodeId{100 + i}, NodeId{100 + (i + 5) % kNodes}, Bytes{0});
+        });
+      }
+      // Two calls: the second starts with datagrams still in flight.
+      f.engine.run_until(sim::SimTime{} + sim::millis(7));
+      f.engine.run_until(sim::SimTime{} + sim::millis(40));
+      std::size_t total = 0;
+      for (const auto& l : logs) total += l.size();
+      EXPECT_GT(total, kNodes * 40u) << "K=" << k << " threads=" << threads;
+      runs.push_back(std::move(logs));
+    }
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      EXPECT_EQ(runs[r], runs[0]) << "K=" << k << " thread run " << r;
+    }
+  }
 }
 
 TEST(ShardedNet, StatsAggregateAcrossShardFabrics) {

@@ -104,7 +104,7 @@ TEST(CountersRegistry, HistogramBucketingAndQuantiles) {
   EXPECT_EQ(c.hist_quantile(h, 0.99), Counters::bucket_mid(13));
   EXPECT_EQ(c.hist_quantile(h, 0.0), Counters::bucket_mid(7));
 
-  // Bulk fold (the barrier WaitStats path) adds into the same buckets.
+  // Bulk fold (the sharded engine's WaitStats path) adds into the same buckets.
   c.add_hist_count(0, h, 13, 5);
   EXPECT_EQ(c.hist_count(h), 105u);
 }

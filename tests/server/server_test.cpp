@@ -402,6 +402,23 @@ TEST(Server, NaiveStealActsImmediately) {
   EXPECT_FALSE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));  // no fence
 }
 
+// Fence-only recovery fences at once and steals once every disk acked: one
+// delivery failure is one fence, counted once.
+TEST(Server, FenceOnlyCountsOneFencePerFailure) {
+  auto cfg = Fixture::make_cfg();
+  cfg.recovery = RecoveryMode::kFenceOnly;
+  Fixture f(cfg);
+  f.do_register();
+  auto file = f.server->preallocate("/f", 64).value();
+  f.call(protocol::LockReq{file, LockMode::kExclusive});
+  f.server->inject_delivery_failure(NodeId{100});
+  f.run_for(0.01);
+  EXPECT_TRUE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kNone);
+  EXPECT_EQ(f.server->counters().lock_steals, 1u);
+  EXPECT_EQ(f.server->counters().fences_issued, 1u);
+}
+
 TEST(Server, NoRecoveryHonorsLocksForever) {
   auto cfg = Fixture::make_cfg();
   cfg.recovery = RecoveryMode::kNoRecovery;

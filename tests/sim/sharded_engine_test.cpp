@@ -1,8 +1,8 @@
-// ShardedEngine: K independent event queues advanced in conservative time
-// windows. These tests pin the determinism contract — K=1 reproduces the
+// ShardedEngine: K independent event queues advanced in conservative
+// sub-windows. These tests pin the determinism contract — K=1 reproduces the
 // serial engine exactly, and a fixed (schedule, K) executes identically at
-// every worker-thread count — plus the window mechanics (exchange callbacks
-// at barriers, idle-gap skipping, resumable horizons).
+// every worker-thread count — plus the sub-window mechanics (exchange opens
+// in order, idle-gap skipping, resumable horizons).
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -38,24 +38,35 @@ void build_schedule(Engine& eng, Log& log) {
   e->schedule_at(SimTime{5'000'000}, [&log, e]() { log.emplace_back(e->now().ns, 5); });
 }
 
-// Exchange double: declares a fixed lookahead (the engine's window) and
-// records every (dst_shard, window_end) delivery callback.
+// Exchange double: declares a fixed lookahead (twice the engine's
+// sub-window), posts nothing, and records every (shard, sub-window, start)
+// open() and every flush().
 class CountingExchange final : public ShardExchange {
  public:
   CountingExchange(unsigned shards, Duration lookahead)
-      : per_shard_(shards), lookahead_(lookahead) {}
-  void deliver(unsigned dst_shard, SimTime window_end) override {
-    // Called from the worker that owns dst_shard; per-shard vectors make
+      : opens_(shards), lookahead_(lookahead) {}
+  void open(unsigned shard, std::uint64_t sub, SimTime start) override {
+    // Called from the worker that owns the shard; per-shard vectors make
     // the recording race-free by construction, like the engine's own state.
-    per_shard_[dst_shard].push_back(window_end.ns);
+    opens_[shard].emplace_back(sub, start.ns);
   }
+  [[nodiscard]] SimTime earliest_posted(unsigned) const override { return Engine::kNever; }
+  void flush(SimTime now) override { flushes_.push_back(now.ns); }
   [[nodiscard]] Duration lookahead() const override { return lookahead_; }
-  [[nodiscard]] const std::vector<std::int64_t>& calls(unsigned s) const {
-    return per_shard_[s];
+  // Sub-window start times opened on shard s, in order.
+  [[nodiscard]] std::vector<std::int64_t> starts(unsigned s) const {
+    std::vector<std::int64_t> out;
+    for (const auto& [sub, start] : opens_[s]) out.push_back(start);
+    return out;
   }
+  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::int64_t>>& opens(unsigned s) const {
+    return opens_[s];
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& flushes() const { return flushes_; }
 
  private:
-  std::vector<std::vector<std::int64_t>> per_shard_;
+  std::vector<std::vector<std::pair<std::uint64_t, std::int64_t>>> opens_;
+  std::vector<std::int64_t> flushes_;
   Duration lookahead_;
 };
 
@@ -108,16 +119,23 @@ TEST(ShardedEngine, ThreadCountDoesNotChangeExecution) {
 
 TEST(ShardedEngine, IdleGapsAreSkippedWithoutLosingEvents) {
   // Two events five simulated seconds apart on different shards, under the
-  // ControlNet's 200us lookahead: without the deterministic idle-skip this is
-  // 30,000 windows of pure barrier traffic; with it, two (one per event, each
-  // followed by a skip). Correctness check: both fire, at their exact times,
-  // and every shard clock reaches the horizon.
+  // ControlNet's 200us lookahead (100us sub-windows): without the
+  // deterministic idle-skip this is 60,000 exchange rounds; with it, five —
+  // the event's sub-window and the one after it (the skip decision for n
+  // reads sub-window n−2), for each event, plus the one that ends on the
+  // horizon. Correctness check: both fire, at their exact times, and every
+  // shard clock reaches the horizon.
   ShardedEngine::Config cfg;
   cfg.shards = 2;
   cfg.threads = 2;
   ShardedEngine eng(cfg);
   CountingExchange ex(cfg.shards, micros(200));
   eng.set_exchange(&ex);
+  obs::Counters ctr;
+  ShardedEngine::Telemetry tel;
+  tel.counters = &ctr;
+  eng.set_telemetry(std::move(tel));
+  ctr.freeze(cfg.shards);
   Log log0;
   Log log1;
   eng.shard(0).schedule_at(SimTime{1'000}, [&]() { log0.emplace_back(eng.shard(0).now().ns, 1); });
@@ -131,7 +149,14 @@ TEST(ShardedEngine, IdleGapsAreSkippedWithoutLosingEvents) {
   EXPECT_EQ(log1[0].first, 5'000'000'000);
   EXPECT_EQ(eng.shard(0).now().ns, 6'000'000'000);
   EXPECT_EQ(eng.shard(1).now().ns, 6'000'000'000);
-  EXPECT_EQ(ex.calls(0), (std::vector<std::int64_t>{200'000, 5'000'200'000}));
+  const std::vector<std::int64_t> want = {0, 100'000, 5'000'000'000, 5'000'100'000,
+                                          5'999'900'000};
+  EXPECT_EQ(ex.starts(0), want);
+  EXPECT_EQ(ex.starts(1), want);
+  EXPECT_EQ(ex.flushes(), (std::vector<std::int64_t>{0}));
+  // Every 100us step of the 6 s is either run or skipped, never both.
+  EXPECT_EQ(ctr.merged(ctr.find("engine.windows")), 5u);
+  EXPECT_EQ(ctr.merged(ctr.find("engine.idle_windows")), 60'000u - 5u);
 }
 
 TEST(ShardedEngine, RunUntilIsResumable) {
@@ -162,28 +187,41 @@ TEST(ShardedEngine, ExchangeRunsOncePerShardPerWindowInOrder) {
   ShardedEngine eng(cfg);
   CountingExchange ex(cfg.shards, micros(10));
   eng.set_exchange(&ex);
-  // Keep one shard busy so windows actually execute.
+  // Keep one shard busy so sub-windows actually execute.
   for (int i = 0; i < 50; ++i) {
     eng.shard(0).schedule_at(SimTime{i * 1'000}, []() {});
   }
   eng.run_until(SimTime{100'000});
   for (unsigned s = 0; s < cfg.shards; ++s) {
-    const auto& calls = ex.calls(s);
-    ASSERT_FALSE(calls.empty());
-    for (std::size_t i = 1; i < calls.size(); ++i) {
-      EXPECT_LT(calls[i - 1], calls[i]) << "window ends must be strictly increasing";
+    const auto& opens = ex.opens(s);
+    ASSERT_FALSE(opens.empty());
+    for (std::size_t i = 0; i < opens.size(); ++i) {
+      EXPECT_EQ(opens[i].first, i) << "sub-windows open once each, in order";
+      if (i > 0) {
+        EXPECT_LT(opens[i - 1].second, opens[i].second)
+            << "sub-window starts must be strictly increasing";
+      }
     }
-    // Every shard sees the same barrier schedule.
-    EXPECT_EQ(calls, ex.calls(0));
+    // Every shard sees the same sub-window schedule.
+    EXPECT_EQ(opens, ex.opens(0));
   }
+  // Events every 1us up to 49us, 5us sub-windows: the busy stretch runs on
+  // the 5us grid up to the sub-window holding the last event (45us) and the
+  // one after it; then the skip, which reads sub-window n−2, jumps to the
+  // one that ends on the horizon.
+  std::vector<std::int64_t> want;
+  for (std::int64_t t = 0; t <= 50'000; t += 5'000) want.push_back(t);
+  want.push_back(95'000);
+  EXPECT_EQ(ex.starts(0), want);
+  EXPECT_EQ(ex.flushes(), (std::vector<std::int64_t>{0}));
   eng.set_exchange(nullptr);
 }
 
 // Armed telemetry books every executed event against the shard that ran it,
-// one shard included (its window loop books its own events): merged
+// one shard included (its sub-window loop books its own events): merged
 // "engine.events" must equal events_executed() exactly, per-shard values must
-// sum to it, and the snapshot hook must fire on worker 0 with all shards
-// barrier-parked (we can only observe that it fires with a consistent
+// sum to it, and the snapshot hook must fire on worker 0 with every other
+// worker parked (we can only observe that it fires with a consistent
 // counter view).
 TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
   for (unsigned shards : {1u, 4u}) {
@@ -192,8 +230,8 @@ TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
       cfg.shards = shards;
       cfg.threads = threads;
       ShardedEngine eng(cfg);
-      // The 8-window snapshot cadence needs windows much shorter than the
-      // 1ms chain: a 10us lookahead gives about a hundred.
+      // The 8-sub-window snapshot cadence needs sub-windows much shorter
+      // than the 1ms chain: a 10us lookahead gives about two hundred.
       CountingExchange ex(cfg.shards, micros(10));
       eng.set_exchange(&ex);
 
@@ -233,7 +271,7 @@ TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
       if (shards > 1) {
         EXPECT_GT(ctr.value(0, ev), ctr.value(1, ev)) << "chain shard must dominate";
       }
-      EXPECT_GT(snapshots, 0) << "snapshot hook should fire on the 8-window cadence";
+      EXPECT_GT(snapshots, 0) << "snapshot hook should fire on the 8-sub-window cadence";
 
       const obs::Counters::Id win = ctr.find("engine.windows");
       ASSERT_TRUE(win.valid());
@@ -243,8 +281,8 @@ TEST(ShardedEngine, TelemetryCountersMatchEventsExecuted) {
 }
 
 // Without an exchange the shards cannot interact, so nothing bounds the
-// window: each run_until is exactly one window (one barrier round), however
-// far apart its events lie.
+// sub-window: each run_until is exactly one, however far apart its events
+// lie.
 TEST(ShardedEngine, NoExchangeRunsOneWindowPerRunUntil) {
   ShardedEngine::Config cfg;
   cfg.shards = 4;

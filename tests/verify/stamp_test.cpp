@@ -37,6 +37,44 @@ TEST(Stamp, FillerIsDeterministic) {
   EXPECT_NE(make_stamped_block(256, s), make_stamped_block(256, s2));
 }
 
+// The byte-at-a-time construction the block builder replaced: little-endian
+// header, then a filler byte sequence counting up (mod 256) from a seed
+// derived from the stamp's version and block.
+Bytes reference_block(std::uint32_t block_size, const Stamp& s) {
+  Bytes b;
+  ByteWriter w(b);
+  w.u32(kStampMagic);
+  w.u32(s.file.value());
+  w.u64(s.block);
+  w.u64(s.version);
+  w.u32(s.writer.value());
+  std::uint8_t fill = static_cast<std::uint8_t>(s.version * 131 + s.block * 31 + 7);
+  while (b.size() < block_size) b.push_back(fill++);
+  return b;
+}
+
+TEST(Stamp, BlockBytesMatchTheByteAtATimeLoop) {
+  const Stamp stamps[] = {
+      {FileId{1}, 0, 1, NodeId{100}},
+      {FileId{7}, 42, 9001, NodeId{103}},
+      {FileId{0xFFFFFFFFu}, ~0ULL, 0x0123456789ABCDEFULL, NodeId{0xFFFFFFFEu}},
+  };
+  for (const Stamp& s : stamps) {
+    for (std::uint32_t bs : {static_cast<std::uint32_t>(kStampBytes), 256u, 4096u}) {
+      const Bytes b = make_stamped_block(bs, s);
+      EXPECT_EQ(b, reference_block(bs, s)) << "block_size=" << bs << " version=" << s.version;
+    }
+  }
+  // Spot-check the layout itself: magic "STNK" little-endian, then the first
+  // filler byte, 1 * 131 + 0 * 31 + 7 = 138, counting up from there.
+  const Bytes b = make_stamped_block(256, stamps[0]);
+  EXPECT_EQ(b[0], 0x4B);
+  EXPECT_EQ(b[3], 0x53);
+  EXPECT_EQ(b[kStampBytes], 138);
+  EXPECT_EQ(b[kStampBytes + 1], 139);
+  EXPECT_EQ(b[255], static_cast<std::uint8_t>(138 + 255 - kStampBytes));
+}
+
 TEST(Stamp, CorruptedMagicRejected) {
   Stamp s{FileId{1}, 0, 1, NodeId{100}};
   Bytes b = make_stamped_block(64, s);
