@@ -15,6 +15,9 @@ ByzantineClient::ByzantineClient(sim::Engine& engine, net::ControlNet& net,
       spec_(spec),
       rng_state_(id().value() * 2654435761u + 12345u) {
   if (rng_state_ == 0) rng_state_ = 1;
+  // Phase 4's admission rule is an honest client's obligation: an attacker
+  // keeps dirtying its cache through the flush whatever its spec.
+  dirty_through_flush();
   protocol::ClientTransport& t = transport();
   if (spec_.lie_send_time) {
     // Renew from a shifted anchor: a positive skew makes this client believe

@@ -286,6 +286,10 @@ void Client::reset_lock_generations() {
 // ---------------------------------------------------------------------------
 // Gating & lookup
 
+bool Client::lease_flushing() const {
+  return flush_stops_dirtying_ && lease_->phase() >= core::LeasePhase::kFlush;
+}
+
 bool Client::gate(ErrorCode& why) const {
   if (crashed_) {
     why = ErrorCode::kShutdown;
@@ -617,6 +621,12 @@ void Client::write_locked(OpRef op, Status st) {
 void Client::write_sized(OpRef op, Status st) {
   if (!st.is_ok()) {
     op->done(st);
+    return;
+  }
+  // Fig. 4: phase 3 drains in-flight ops and phase 4 flushes the cache; a
+  // page dirtied after the flush began would be dropped unwritten at expiry.
+  if (lease_flushing()) {
+    op->done(Status{ErrorCode::kLeaseExpired});
     return;
   }
   // The size round crossed the control net; the exclusive lock may have been
@@ -1246,6 +1256,11 @@ void Client::write_filled(Op& op, const protocol::BlockSlice& s, storage::IoResu
   }
   if (!res.status.is_ok()) {
     write_slice_done(op, res.status);
+    return;
+  }
+  if (lease_flushing()) {
+    recycle_buf(std::move(res.data));
+    write_slice_done(op, Status{ErrorCode::kLeaseExpired});
     return;
   }
   // Demands wait on writes_in_flight, but a lease ride-down does not: if the

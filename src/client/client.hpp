@@ -225,6 +225,9 @@ class Client {
   [[nodiscard]] const std::vector<protocol::Extent>* known_extents(FileId file) const;
   // Called by handle_lease_expired() past its already-torn-down guard.
   virtual void before_lease_teardown() {}
+  // From a constructor: keep buffering writes through lease phase 4 instead
+  // of failing every continuation that would dirty the cache there.
+  void dirty_through_flush() { flush_stops_dirtying_ = false; }
 
  private:
   // Setup & lifecycle.
@@ -242,6 +245,8 @@ class Client {
 
   // Request plumbing.
   [[nodiscard]] bool gate(ErrorCode& why) const;
+  // Lease phase 4 has begun: nothing may dirty the cache any more.
+  [[nodiscard]] bool lease_flushing() const;
   FileState* state_of(Fd fd);
   // One probe; null if the file is not known.
   [[nodiscard]] FileState* find_file(FileId file);
@@ -326,6 +331,7 @@ class Client {
   bool registered_{false};
   bool accepting_{false};
   bool register_inflight_{false};
+  bool flush_stops_dirtying_{true};
   sim::TimerId register_timer_{0};
   // Last server incarnation seen in a RegisterReply (0 = never registered).
   std::uint32_t server_incarnation_{0};

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,9 +27,12 @@ struct Fixture {
   std::vector<std::unique_ptr<Client>> clients;
   static constexpr std::uint32_t kBs = 64;
 
+  // `tweak` adjusts the server's and every client's config before they start.
+  using Tweak = std::function<void(server::ServerConfig&, ClientConfig&)>;
+
   explicit Fixture(int num_clients = 2,
                    core::LeaseStrategy strategy = core::LeaseStrategy::kStorageTank,
-                   obs::Recorder* rec = nullptr)
+                   obs::Recorder* rec = nullptr, const Tweak& tweak = nullptr)
       : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2), {}) {
     if (rec != nullptr) rec->bind_engine(engine);
     san.add_disk(DiskId{1}, 4096, kBs);
@@ -40,11 +44,13 @@ struct Fixture {
     scfg.data_disks = {DiskId{1}};
     scfg.strategy = strategy;
     scfg.demand_timeout = sim::local_seconds(3);
+    ClientConfig base;
+    if (tweak) tweak(scfg, base);
     server = std::make_unique<server::Server>(engine, net, san, sim::LocalClock(1.0), scfg);
     server->start();
 
     for (int i = 0; i < num_clients; ++i) {
-      ClientConfig ccfg;
+      ClientConfig ccfg = base;
       ccfg.id = NodeId{100 + static_cast<std::uint32_t>(i)};
       ccfg.server = NodeId{1};
       ccfg.lease = scfg.lease;
@@ -521,6 +527,138 @@ TEST(Client, PendingLockSurvivesPerFileTableGrowth) {
   auto r = f.must_read(0, fd, 0, Fixture::kBs);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), Bytes(Fixture::kBs, 0x3C));
+}
+
+// Fig. 4: phase 3 drains in-flight ops and phase 4 flushes the cache, so
+// nothing may dirty the cache once phase 4 has begun: a page dirtied there
+// is dropped unwritten at expiry. Each test below resumes a write inside
+// phase 4 and expects kLeaseExpired with no new dirty page.
+
+// Steps the engine in 10 ms slices until `done` holds (at most `limit_s`).
+template <typename Pred>
+void step_until(Fixture& f, Pred done, double limit_s = 8.0) {
+  for (double t = 0; t < limit_s && !done(); t += 0.01) f.run_for(0.01);
+}
+
+void lock_exclusive(Fixture& f, int ci, Fd fd) {
+  std::optional<Status> st;
+  f.c(ci).lock(fd, LockMode::kExclusive, [&](Status s) { st = s; });
+  f.run_for(0.05);
+  ASSERT_TRUE(st.has_value() && st->is_ok());
+}
+
+// (a) The write's SetSizeReq crawls to the server; its ACK lands in phase 4.
+TEST(ClientPhase4, SizeRoundAckFailsTheWrite) {
+  Fixture f(1, core::LeaseStrategy::kStorageTank, nullptr, [](auto&, ClientConfig& c) {
+    c.transport.retransmit_timeout = sim::local_seconds(10);  // one transmission
+  });
+  const Fd fd = f.must_open(0, "/file");
+  lock_exclusive(f, 0, fd);
+  const net::NetConfig fast = f.net.config();
+  net::NetConfig slow = fast;
+  slow.latency = sim::millis(4300);
+  slow.jitter = sim::Duration{0};
+  f.net.set_config(slow);  // keep-alives and the SetSizeReq all crawl
+
+  std::optional<Status> st;
+  core::LeasePhase phase{};
+  f.c(0).write(fd, 0, Bytes(Fixture::kBs, 7), [&](Status s) {
+    st = s;
+    phase = f.c(0).lease_phase();
+  });
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kFlush; });
+  ASSERT_EQ(f.c(0).lease_phase(), core::LeasePhase::kFlush);
+  ASSERT_FALSE(st.has_value());
+  const std::size_t dirty = f.c(0).dirty_pages();
+  f.net.set_config(fast);  // the server's reply comes straight back
+  step_until(f, [&] { return st.has_value(); }, 1.0);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(phase, core::LeasePhase::kFlush);
+  EXPECT_EQ(st->error(), ErrorCode::kLeaseExpired);
+  EXPECT_EQ(f.c(0).dirty_pages(), dirty);
+}
+
+// (b) A partial write of an uncached block: its read-modify-write fill
+// completes in phase 4.
+TEST(ClientPhase4, FillCompletionFailsTheWrite) {
+  Fixture f(1);
+  const Fd fd = f.must_open(0, "/file");
+  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(2 * Fixture::kBs, 1)).is_ok());
+  std::optional<Status> released;
+  f.c(0).release(fd, LockMode::kNone, [&](Status s) { released = s; });  // flush, drop the pages
+  f.run_for(0.2);
+  ASSERT_TRUE(released.has_value() && released->is_ok());
+  lock_exclusive(f, 0, fd);
+  ASSERT_EQ(f.c(0).cache().page_count(), 0u);
+
+  storage::SanConfig slow_san;
+  slow_san.initiator_delay[NodeId{100}] = sim::millis(4400);
+  f.san.set_config(slow_san);
+  f.net.reachability().sever_pair(NodeId{100}, NodeId{1});  // the lease runs down
+  std::optional<Status> st;
+  core::LeasePhase phase{};
+  f.c(0).write(fd, 8, Bytes(8, 9), [&](Status s) {
+    st = s;
+    phase = f.c(0).lease_phase();
+  });
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kFlush; });
+  ASSERT_FALSE(st.has_value());
+  const std::size_t dirty = f.c(0).dirty_pages();
+  step_until(f, [&] { return st.has_value(); }, 1.0);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(phase, core::LeasePhase::kFlush);
+  EXPECT_EQ(st->error(), ErrorCode::kLeaseExpired);
+  EXPECT_EQ(f.c(0).dirty_pages(), dirty);
+}
+
+// (c) A write queued behind another client's exclusive lock resumes when the
+// LockGrant arrives, in phase 4: the holder's revocation flush crawls.
+TEST(ClientPhase4, LockGrantResumingAQueuedWriteFailsIt) {
+  Fixture f(2, core::LeaseStrategy::kStorageTank, nullptr, [](server::ServerConfig& s, auto&) {
+    s.demand_timeout = sim::local_seconds(10);  // the slow flush is no failure
+  });
+  const Fd held = f.must_open(1, "/a");
+  ASSERT_TRUE(f.must_write(1, held, 0, Bytes(Fixture::kBs, 0x3C)).is_ok());
+  const Fd fd = f.must_open(0, "/a");
+  storage::SanConfig slow_san;
+  slow_san.initiator_delay[NodeId{101}] = sim::millis(4400);
+  f.san.set_config(slow_san);
+
+  std::optional<Status> st;
+  core::LeasePhase phase{};
+  f.c(0).write(fd, 0, Bytes(Fixture::kBs, 0x5A), [&](Status s) {
+    st = s;
+    phase = f.c(0).lease_phase();
+  });
+  f.run_for(0.05);  // the LockReq is queued at the server and ACKed
+  ASSERT_FALSE(st.has_value());
+  // Nothing more from n100 reaches the server; the grant still reaches it.
+  f.net.reachability().sever(NodeId{100}, NodeId{1});
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kFlush; });
+  ASSERT_FALSE(st.has_value());
+  const std::size_t dirty = f.c(0).dirty_pages();
+  step_until(f, [&] { return st.has_value(); }, 1.0);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(phase, core::LeasePhase::kFlush);
+  EXPECT_EQ(st->error(), ErrorCode::kLeaseExpired);
+  EXPECT_EQ(f.c(0).dirty_pages(), dirty);
+}
+
+// (d) The rule is the phase, not a latch: once a keep-alive ACK rescues the
+// lease back to phase 1, a new write is admitted and buffered again.
+TEST(ClientPhase4, RescuedLeaseAdmitsWritesAgain) {
+  Fixture f(1);
+  const Fd fd = f.must_open(0, "/file");
+  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(Fixture::kBs, 1)).is_ok());
+  f.net.reachability().sever_pair(NodeId{100}, NodeId{1});
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kFlush; });
+  ASSERT_EQ(f.c(0).lease_phase(), core::LeasePhase::kFlush);
+  f.net.reachability().restore_pair(NodeId{100}, NodeId{1});
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kActive; }, 1.0);
+  ASSERT_EQ(f.c(0).lease_phase(), core::LeasePhase::kActive);
+  const std::size_t dirty = f.c(0).dirty_pages();
+  EXPECT_TRUE(f.must_write(0, fd, 0, Bytes(Fixture::kBs, 2)).is_ok());
+  EXPECT_EQ(f.c(0).dirty_pages(), dirty + 1);
 }
 
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {
