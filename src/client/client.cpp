@@ -14,14 +14,24 @@ using protocol::LockMode;
 
 namespace {
 
-bool mode_leq(LockMode a, LockMode b) {
-  return static_cast<int>(a) <= static_cast<int>(b);
-}
-
-LockMode mode_max(LockMode a, LockMode b) { return mode_leq(a, b) ? b : a; }
-
 // How often a deregistered client retries RegisterReq.
 constexpr sim::LocalDuration kReregisterRetry = sim::local_millis(700);
+
+// The reply's body as a T, or null if the request failed or got another body.
+template <typename T>
+const T* reply_as(const protocol::ReplyEvent& ev) {
+  return ev.outcome == protocol::ReplyOutcome::kAck ? std::get_if<T>(&ev.body) : nullptr;
+}
+
+// The error a failed reply reports: the server's ErrReply code, or the
+// transport's verdict when no reply came.
+ErrorCode reply_error(const protocol::ReplyEvent& ev) {
+  if (ev.outcome != protocol::ReplyOutcome::kAck) {
+    return ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked : ErrorCode::kTimeout;
+  }
+  const auto* err = std::get_if<protocol::ErrReply>(&ev.body);
+  return err != nullptr ? err->code : ErrorCode::kInvalidArgument;
+}
 
 // On-stack slice list: steady-state ops span a handful of blocks, so the
 // inline capacity makes slicing allocation-free.
@@ -59,12 +69,8 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     if (on_phase_change) on_phase_change(from, to);
   };
   auto object_expired = [this](FileId file) {
-    cache_.invalidate_file(file);
-    if (FileState* fs = find_file(file)) {
-      fs->mode = LockMode::kNone;
-      ++fs->mode_seq;
-      fs->pending_mode = LockMode::kNone;
-    }
+    // No cached page outlives its file's state, so a file never seen has none.
+    if (FileState* fs = find_file(file)) perform(file, fs->lock.object_expired());
     fail_lock_waits(file, ErrorCode::kLeaseExpired);
   };
   lease_ = core::make_client_lease(cfg_.strategy, transport_, clock_, cfg_.lease,
@@ -143,34 +149,31 @@ void Client::register_with_server() {
   register_inflight_ = true;
   transport_.send_request(protocol::RegisterReq{}, [this](const protocol::ReplyEvent& ev) {
     register_inflight_ = false;
-    if (ev.outcome == protocol::ReplyOutcome::kAck) {
-      if (const auto* rep = std::get_if<protocol::RegisterReply>(&ev.body)) {
-        transport_.set_session(rep->epoch, rep->incarnation);
-        const bool server_restarted =
-            server_incarnation_ != 0 && rep->incarnation != server_incarnation_;
-        // ANY re-registration means the server had no session for us — it
-        // restarted, or it declared us failed and stole our locks. Either
-        // way every lock we think we hold must be re-verified (section 6):
-        // reassert_locks() confirms each with the server and drops the ones
-        // it refuses. Re-registering and silently keeping the old lock
-        // table would serve stale cache under locks granted elsewhere.
-        const bool re_registration = server_incarnation_ != 0;
-        const bool can_reassert = re_registration && lease_->lease_valid();
-        server_incarnation_ = rep->incarnation;
-        registered_ = true;
-        accepting_ = lease_->on_registered(ev.first_send);
-        if (can_reassert) {
-          reassert_locks();
-        } else if (re_registration) {
-          // Lease not even valid: too late to reassert safely — drop
-          // everything. A new incarnation also numbers generations from
-          // scratch.
-          invalidate_everything();
-          if (server_restarted) reset_lock_generations();
-        }
-        if (on_registered) on_registered();
-        return;
+    if (const auto* rep = reply_as<protocol::RegisterReply>(ev)) {
+      transport_.set_session(rep->epoch, rep->incarnation);
+      const bool server_restarted =
+          server_incarnation_ != 0 && rep->incarnation != server_incarnation_;
+      // ANY re-registration means the server had no session for us — it
+      // restarted, or it declared us failed and stole our locks. Either
+      // way every lock we think we hold must be re-verified (section 6):
+      // reassert_locks() confirms each with the server and drops the ones
+      // it refuses. Re-registering and silently keeping the old lock
+      // table would serve stale cache under locks granted elsewhere.
+      const bool re_registration = server_incarnation_ != 0;
+      const bool can_reassert = re_registration && lease_->lease_valid();
+      server_incarnation_ = rep->incarnation;
+      registered_ = true;
+      accepting_ = lease_->on_registered(ev.first_send);
+      if (can_reassert) {
+        reassert_locks();
+      } else if (re_registration) {
+        // Lease not even valid: too late to reassert safely — drop
+        // everything. A new incarnation also numbers generations from
+        // scratch.
+        invalidate_everything(server_restarted);
       }
+      if (on_registered) on_registered();
+      return;
     }
     schedule_register_retry();
   });
@@ -202,47 +205,30 @@ void Client::reassert_locks() {
   // The new incarnation numbers lock generations from scratch — for EVERY
   // file, not only the ones we reassert, or a stale pre-crash generation
   // would make us discard the new incarnation's grants and demands.
-  for (auto& [file, fs] : files_) {
-    fs->lock_gen = 0;
-    fs->lock_cookie = 0;
-    fs->pending_mode = LockMode::kNone;
-    fs->revoking = false;
-    fs->revoke_target = LockMode::kNone;
-    fs->deferred_demand.reset();
-  }
   // Ascending FileId: the send order assigns the msg ids.
   for (const FileId file : known_files()) {
-    const LockMode mode = find_file(file)->mode;
-    if (mode == LockMode::kNone) continue;
+    FileLock& lock = find_file(file)->lock;
+    if (!lock.reassert()) continue;
     transport_.send_request(
-        protocol::ReassertLockReq{file, mode},
-        [this, file_id = file](const protocol::ReplyEvent& ev) {
-          FileState* fs = find_file(file_id);
+        protocol::ReassertLockReq{file, lock.mode()},
+        [this, file](const protocol::ReplyEvent& ev) {
+          FileState* fs = find_file(file);
           if (fs == nullptr) return;
-          if (ev.outcome == protocol::ReplyOutcome::kAck) {
-            if (const auto* rep = std::get_if<protocol::LockReply>(&ev.body)) {
-              if (rep->granted) {
-                fs->lock_gen = rep->gen;
-                fs->lock_cookie = rep->cookie;
-                if (rec_ != nullptr) {
-                  rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
-                               file_id.value(), 1);
-                }
-                return;
-              }
-            }
+          const auto* rep = reply_as<protocol::LockReply>(ev);
+          const bool granted = rep != nullptr && rep->granted;
+          if (rec_ != nullptr) {
+            rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
+                         file.value(), granted ? 1 : 0);
+          }
+          if (granted) {
+            fs->lock.reassert_granted(rep->gen, rep->cookie);
+            return;
           }
           // Reassertion refused or lost: the lock (and cache) for this file
           // are gone. Dirty pages here are unprotected — drop them; the
           // checker charges this to the server-crash scenario, exactly the
           // data-loss window reassertion is meant to close.
-          if (rec_ != nullptr) {
-            rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
-                         file_id.value(), 0);
-          }
-          cache_.invalidate_file(file_id);
-          fs->mode = LockMode::kNone;
-          ++fs->mode_seq;
+          perform(file, fs->lock.reassert_refused());
         });
   }
 }
@@ -257,29 +243,18 @@ void Client::handle_lease_expired() {
   transport_.abandon_pending();
   abort_size_rounds(ErrorCode::kLeaseExpired);
   fail_all_lock_waits(ErrorCode::kLeaseExpired);
-  invalidate_everything();
+  invalidate_everything(false);
   lease_->torn_down();
   register_with_server();
   schedule_register_retry();
 }
 
-void Client::invalidate_everything() {
+void Client::invalidate_everything(bool new_incarnation) {
   cache_.invalidate_all();
   for (auto& [file, fs] : files_) {
-    fs->mode = LockMode::kNone;
-    ++fs->mode_seq;
-    fs->pending_mode = LockMode::kNone;
-    fs->revoking = false;
-    fs->revoke_target = LockMode::kNone;
-    fs->deferred_demand.reset();
+    fs->lock.lease_expired();
+    if (new_incarnation) fs->lock.new_incarnation();
     fs->attr_known = false;
-  }
-}
-
-void Client::reset_lock_generations() {
-  for (auto& [file, fs] : files_) {
-    fs->lock_gen = 0;
-    fs->lock_cookie = 0;
   }
 }
 
@@ -290,29 +265,25 @@ bool Client::lease_flushing() const {
   return flush_stops_dirtying_ && lease_->phase() >= core::LeasePhase::kFlush;
 }
 
-bool Client::gate(ErrorCode& why) const {
-  if (crashed_) {
-    why = ErrorCode::kShutdown;
-    return false;
-  }
-  if (!registered_) {
-    why = ErrorCode::kLeaseExpired;
-    return false;
-  }
-  if (!accepting_) {
-    why = ErrorCode::kQuiesced;
-    return false;
-  }
-  if (!lease_->admits_ops()) {
-    why = ErrorCode::kLeaseExpired;
-    return false;
-  }
-  return true;
+ErrorCode Client::gate() const {
+  if (crashed_) return ErrorCode::kShutdown;
+  if (!registered_) return ErrorCode::kLeaseExpired;
+  if (!accepting_) return ErrorCode::kQuiesced;
+  if (!lease_->admits_ops()) return ErrorCode::kLeaseExpired;
+  return ErrorCode::kOk;
 }
 
-Client::FileState* Client::state_of(Fd fd) {
+template <typename Cb>
+Client::FileState* Client::admit(Fd fd, Cb& cb) {
+  if (const ErrorCode why = gate(); why != ErrorCode::kOk) {
+    ++ops_rejected_;
+    cb(why);
+    return nullptr;
+  }
   const FileId* file = fds_.find(fd);
-  return file == nullptr ? nullptr : find_file(*file);
+  FileState* fs = file == nullptr ? nullptr : find_file(*file);
+  if (fs == nullptr) cb(ErrorCode::kBadHandle);
+  return fs;
 }
 
 Client::FileState* Client::find_file(FileId file) {
@@ -349,7 +320,7 @@ const std::vector<protocol::Extent>* Client::known_extents(FileId file) const {
 protocol::LockMode Client::lock_mode(Fd fd) const {
   const FileId* file = fds_.find(fd);
   const FileState* fs = file == nullptr ? nullptr : find_file(*file);
-  return fs == nullptr ? LockMode::kNone : fs->mode;
+  return fs == nullptr ? LockMode::kNone : fs->lock.mode();
 }
 
 // ---------------------------------------------------------------------------
@@ -447,8 +418,7 @@ Client::OpRef Client::start_op(OpKind kind, FileId file) {
 // Public file API
 
 void Client::open(const std::string& path, bool create, OpenCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
+  if (const ErrorCode why = gate(); why != ErrorCode::kOk) {
     ++ops_rejected_;
     cb(why);
     return;
@@ -457,18 +427,9 @@ void Client::open(const std::string& path, bool create, OpenCb cb) {
   op->open_done = std::move(cb);
   transport_.send_request(
       protocol::OpenReq{path, create}, [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          op->open_done(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                    : ErrorCode::kTimeout);
-          return;
-        }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          op->open_done(err->code);
-          return;
-        }
-        const auto* rep = std::get_if<protocol::OpenReply>(&ev.body);
+        const auto* rep = reply_as<protocol::OpenReply>(ev);
         if (rep == nullptr) {
-          op->open_done(ErrorCode::kInvalidArgument);
+          op->open_done(reply_error(ev));
           return;
         }
         FileState& fs = state_for(rep->file);
@@ -483,17 +444,8 @@ void Client::open(const std::string& path, bool create, OpenCb cb) {
 }
 
 void Client::close(Fd fd, StatusCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   const FileId file = fs->file;
   if (fs->open_count > 0) {
     --fs->open_count;
@@ -512,55 +464,29 @@ void Client::close(Fd fd, StatusCb cb) {
 }
 
 void Client::getattr(Fd fd, AttrCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   const FileId file = fs->file;
   OpRef op = start_op(OpKind::kGetattr, file);
   op->attr_done = std::move(cb);
   transport_.send_request(
       protocol::GetAttrReq{file}, [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          op->attr_done(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                    : ErrorCode::kTimeout);
+        const auto* rep = reply_as<protocol::AttrReply>(ev);
+        if (rep == nullptr) {
+          op->attr_done(reply_error(ev));
           return;
         }
-        if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          FileState& fs2 = state_for(op->file);
-          fs2.attr = rep->attr;
-          fs2.extents = rep->extents;
-          fs2.attr_known = true;
-          op->attr_done(rep->attr);
-          return;
-        }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          op->attr_done(err->code);
-          return;
-        }
-        op->attr_done(ErrorCode::kInvalidArgument);
+        FileState& fs2 = state_for(op->file);
+        fs2.attr = rep->attr;
+        fs2.extents = rep->extents;
+        fs2.attr_known = true;
+        op->attr_done(rep->attr);
       });
 }
 
 void Client::read(Fd fd, std::uint64_t offset, std::uint32_t len, ReadCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   OpRef op = start_op(OpKind::kRead, fs->file);
   op->offset = offset;
   op->size = len;
@@ -582,17 +508,8 @@ void Client::read_locked(OpRef op, Status st) {
 }
 
 void Client::write(Fd fd, std::uint64_t offset, Bytes data, StatusCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   OpRef op = start_op(OpKind::kWrite, fs->file);
   op->offset = offset;
   op->size = data.size();
@@ -613,70 +530,46 @@ void Client::write_locked(OpRef op, Status st) {
     return;
   }
   FileState& fs = state_for(op->file);
-  op->mode_seq = fs.mode_seq;
+  op->mode_seq = fs.lock.seq();
   const std::uint64_t end = op->offset + op->size;
   ensure_size(fs, end, std::move(op));
 }
 
 void Client::write_sized(OpRef op, Status st) {
+  // The size round crossed the control net: the lease may have entered
+  // phase 4, and the exclusive lock may have been revoked (demand, lease
+  // ride-down) and even re-granted under it. Buffering now would dirty the
+  // cache after the last flush, or under a serialization this write was not
+  // issued in — fail and let the caller retry afresh.
+  FileState* fs = find_file(op->file);
+  if (st.is_ok()) {
+    st = fs == nullptr ? Status{ErrorCode::kLockConflict}
+                       : fs->lock.may_dirty(op->mode_seq, lease_flushing(), false);
+  }
   if (!st.is_ok()) {
     op->done(st);
-    return;
-  }
-  // Fig. 4: phase 3 drains in-flight ops and phase 4 flushes the cache; a
-  // page dirtied after the flush began would be dropped unwritten at expiry.
-  if (lease_flushing()) {
-    op->done(Status{ErrorCode::kLeaseExpired});
-    return;
-  }
-  // The size round crossed the control net; the exclusive lock may have been
-  // revoked (demand, lease ride-down) and even re-granted under it.
-  // Buffering now would dirty the cache under a serialization this write was
-  // not issued in — fail and let the caller retry afresh.
-  FileState* fs = find_file(op->file);
-  if (fs == nullptr || fs->mode_seq != op->mode_seq || fs->mode != LockMode::kExclusive ||
-      fs->revoking) {
-    op->done(Status{ErrorCode::kLockConflict});
     return;
   }
   write_direct(*fs, std::move(op));
 }
 
 void Client::lock(Fd fd, protocol::LockMode mode, StatusCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   OpRef op = start_op(OpKind::kLock, fs->file);
   op->done = std::move(cb);
   ensure_lock(fs->file, mode, std::move(op));
 }
 
 void Client::release(Fd fd, protocol::LockMode downgrade_to, StatusCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   const FileId file = fs->file;
-  if (fs->revoking) {
+  if (fs->lock.revoking()) {
     cb(ErrorCode::kLockConflict);  // a server demand is already downgrading us
     return;
   }
-  if (mode_leq(fs->mode, downgrade_to)) {
+  if (fs->lock.mode() <= downgrade_to) {
     cb(Status::ok());
     return;
   }
@@ -684,7 +577,7 @@ void Client::release(Fd fd, protocol::LockMode downgrade_to, StatusCb cb) {
   OpRef op = start_op(OpKind::kUnlock, file);
   op->mode = downgrade_to;
   op->done = std::move(cb);
-  if (fs->mode == LockMode::kExclusive && cache_.has_dirty(file)) {
+  if (fs->lock.mode() == LockMode::kExclusive && cache_.has_dirty(file)) {
     flush_file(file, [this, op = std::move(op)](Status st) mutable {
       if (!st.is_ok()) {
         // Keep the lock — dirty data must not be orphaned — but tell the
@@ -701,31 +594,24 @@ void Client::release(Fd fd, protocol::LockMode downgrade_to, StatusCb cb) {
 }
 
 void Client::do_unlock(OpRef op) {
-  FileState* fsp = find_file(op->file);
-  if (fsp == nullptr) {
+  FileState* fs = find_file(op->file);
+  if (fs == nullptr) {
     op->done(Status{ErrorCode::kShutdown});
     return;
   }
-  FileState& fs = *fsp;
-  const FileId file = fs.file;
-  const LockMode downgrade_to = op->mode;
-  fs.mode = downgrade_to;
-  ++fs.mode_seq;
-  if (downgrade_to == LockMode::kNone) {
-    cache_.invalidate_file(file);
-    lease_->lock_released(file);
-  }
-  transport_.send_request(protocol::UnlockReq{file, downgrade_to, fs.lock_gen, fs.lock_cookie},
-                          [op = std::move(op)](const protocol::ReplyEvent& ev) {
-                            op->done(ev.outcome == protocol::ReplyOutcome::kAck
-                                         ? Status::ok()
-                                         : Status{ErrorCode::kTimeout});
-                          });
+  const FileId file = fs->file;
+  const LockMode to = op->mode;
+  perform(file, fs->lock.downgrade(to));
+  transport_.send_request(
+      protocol::UnlockReq{file, to, fs->lock.gen(), fs->lock.cookie()},
+      [op = std::move(op)](const protocol::ReplyEvent& ev) {
+        op->done(ev.outcome == protocol::ReplyOutcome::kAck ? Status::ok()
+                                                            : Status{ErrorCode::kTimeout});
+      });
 }
 
 void Client::sync_all(StatusCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
+  if (const ErrorCode why = gate(); why != ErrorCode::kOk) {
     cb(why);
     return;
   }
@@ -733,17 +619,8 @@ void Client::sync_all(StatusCb cb) {
 }
 
 void Client::fsync(Fd fd, StatusCb cb) {
-  ErrorCode why;
-  if (!gate(why)) {
-    ++ops_rejected_;
-    cb(why);
-    return;
-  }
-  FileState* fs = state_of(fd);
-  if (fs == nullptr) {
-    cb(ErrorCode::kBadHandle);
-    return;
-  }
+  FileState* fs = admit(fd, cb);
+  if (fs == nullptr) return;
   flush_file(fs->file, std::move(cb));
 }
 
@@ -752,16 +629,10 @@ void Client::fsync(Fd fd, StatusCb cb) {
 
 void Client::ensure_lock(FileId file, LockMode mode, OpRef op) {
   FileState& fs = state_for(file);
-  if (fs.mode != LockMode::kNone && !lease_->lock_usable(file)) {
-    cache_.invalidate_file(file);
-    fs.mode = LockMode::kNone;
-    ++fs.mode_seq;
+  if (fs.lock.mode() != LockMode::kNone && !lease_->lock_usable(file)) {
+    perform(file, fs.lock.unusable());
   }
-  // An exclusive request must not overtake an in-progress revocation: a page
-  // dirtied between the revocation flush and the downgrade would survive
-  // under an insufficient lock.
-  const bool blocked_by_revoke = fs.revoking && mode == LockMode::kExclusive;
-  if (mode_leq(mode, fs.mode) && !blocked_by_revoke) {
+  if (fs.lock.admits(mode)) {
     proceed(std::move(op), Status::ok());
     return;
   }
@@ -796,89 +667,54 @@ void Client::proceed(OpRef op, Status st) {
   }
 }
 
-void Client::pump_lock_requests(FileId file) {
-  FileState* fsp = find_file(file);
-  if (fsp == nullptr) return;
-  FileState& fs = *fsp;
-  if (fs.revoking) return;  // re-pumped when the demand completes
-
-  if (fs.lock_waits.empty()) return;
-  LockMode want = LockMode::kNone;
-  for (const auto& w : fs.lock_waits) {
-    want = mode_max(want, w.mode);
+void Client::perform(FileId file, FileLock::Io io) {
+  if ((io & FileLock::kInvalidate) != 0) cache_.invalidate_file(file);
+  if ((io & FileLock::kReleased) != 0) lease_->lock_released(file);
+  if ((io & FileLock::kAcquired) != 0) lease_->lock_acquired(file);
+  if ((io & FileLock::kDemandDone) != 0) {
+    const FileLock& lock = find_file(file)->lock;
+    transport_.send_request(protocol::DemandDoneReq{file, lock.mode(), lock.gen(), lock.cookie()},
+                            [](const protocol::ReplyEvent&) {});
   }
-  if (mode_leq(want, fs.mode)) {
+  if ((io & FileLock::kSettle) != 0) lock_state_changed(file);
+  if ((io & FileLock::kRedemand) != 0) perform(file, state_for(file).lock.redemand());
+  if ((io & FileLock::kRevoke) != 0) process_demand(file);
+  if ((io & FileLock::kPump) != 0) pump_lock_requests(file);
+}
+
+void Client::pump_lock_requests(FileId file) {
+  FileState* fs = find_file(file);
+  // A revocation in progress re-pumps when it completes.
+  if (fs == nullptr || fs->lock.revoking() || fs->lock_waits.empty()) return;
+  LockMode want = LockMode::kNone;
+  for (const auto& w : fs->lock_waits) {
+    want = std::max(want, w.mode);
+  }
+  if (want <= fs->lock.mode()) {
     lock_state_changed(file);
     return;
   }
-  if (mode_leq(want, fs.pending_mode)) {
-    return;  // a sufficient request is already in flight
-  }
-  fs.pending_mode = want;
+  if (!fs->lock.request(want)) return;  // a sufficient request is already in flight
   transport_.send_request(
       protocol::LockReq{file, want}, [this, file](const protocol::ReplyEvent& ev) {
-        FileState* fs2p = find_file(file);
-        if (fs2p == nullptr) {
-          return;  // state discarded (crash) while in flight
-        }
-        FileState& fs2 = *fs2p;
-        if (ev.outcome == protocol::ReplyOutcome::kAck) {
-          if (const auto* rep = std::get_if<protocol::LockReply>(&ev.body)) {
-            if (rep->granted) {
-              fs2.pending_mode = LockMode::kNone;
-              apply_grant(file, rep->mode, rep->gen, rep->cookie);
-            }
-            // Queued: pending_mode stays set; a LockGrant will arrive.
-            return;
-          }
-          if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-            fs2.pending_mode = LockMode::kNone;
-            if (err->code == ErrorCode::kRetryLater || err->code == ErrorCode::kStaleSession) {
-              // Post-restart grace period (or session refresh in flight):
-              // keep the waiters and retry shortly.
-              clock_.schedule_after(sim::local_millis(300),
-                                    [this, file]() { pump_lock_requests(file); });
-              return;
-            }
-            fail_lock_waits(file, err->code);
-            return;
-          }
-          fs2.pending_mode = LockMode::kNone;
-          fail_lock_waits(file, ErrorCode::kInvalidArgument);
+        FileState* fs2 = find_file(file);
+        if (fs2 == nullptr) return;  // state discarded (crash) while in flight
+        const auto* rep = reply_as<protocol::LockReply>(ev);
+        if (rep != nullptr && !rep->granted) return;  // queued: a LockGrant will follow
+        fs2->lock.request_done();
+        if (rep != nullptr) {
+          perform(file, fs2->lock.grant(rep->mode, rep->gen, rep->cookie));
           return;
         }
-        fs2.pending_mode = LockMode::kNone;
-        fail_lock_waits(file, ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                          : ErrorCode::kTimeout);
+        const ErrorCode code = reply_error(ev);
+        if (code == ErrorCode::kRetryLater || code == ErrorCode::kStaleSession) {
+          // Post-restart grace period (or session refresh in flight): keep
+          // the waiters and retry shortly.
+          clock_.schedule_after(sim::local_millis(300), [this, file]() { pump_lock_requests(file); });
+          return;
+        }
+        fail_lock_waits(file, code);
       });
-}
-
-void Client::apply_grant(FileId file, LockMode mode, std::uint32_t gen, std::uint64_t cookie) {
-  FileState& fs = state_for(file);
-  if (gen <= fs.lock_gen) {
-    return;  // stale or duplicate grant
-  }
-  fs.lock_gen = gen;
-  fs.lock_cookie = cookie;
-  fs.mode = mode;
-  ++fs.mode_seq;
-  if (mode_leq(fs.pending_mode, mode)) {
-    fs.pending_mode = LockMode::kNone;
-  }
-  lease_->lock_acquired(file);
-  lock_state_changed(file);
-
-  // A demand that arrived ahead of this grant can be processed now.
-  if (fs.deferred_demand) {
-    if (fs.deferred_demand->gen < fs.lock_gen) {
-      fs.deferred_demand.reset();
-    } else if (fs.deferred_demand->gen == fs.lock_gen) {
-      const protocol::LockDemand d = *fs.deferred_demand;
-      fs.deferred_demand.reset();
-      handle_demand(d);
-    }
-  }
-  pump_lock_requests(file);
 }
 
 void Client::lock_state_changed(FileId file) {
@@ -890,7 +726,7 @@ void Client::lock_state_changed(FileId file) {
   SmallVec<LockWait, 2> ready;
   auto& waits = fs.lock_waits;
   for (auto* it = waits.begin(); it != waits.end();) {
-    if (mode_leq(it->mode, fs.mode)) {
+    if (it->mode <= fs.lock.mode()) {
       ready.push_back(std::move(*it));
       it = waits.erase(it);
     } else {
@@ -933,67 +769,32 @@ void Client::handle_server_msg(const protocol::ServerBody& body) {
       [&](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, protocol::LockDemand>) {
-          handle_demand(msg);
+          perform(msg.file, state_for(msg.file).lock.demand(msg.max_mode, msg.gen));
         } else if constexpr (std::is_same_v<T, protocol::LockGrant>) {
-          apply_grant(msg.file, msg.mode, msg.gen, msg.cookie);
+          perform(msg.file, state_for(msg.file).lock.grant(msg.mode, msg.gen, msg.cookie));
         }
       },
       body);
 }
 
-void Client::handle_demand(const protocol::LockDemand& d) {
-  FileState& fs = state_for(d.file);
-  if (d.gen < fs.lock_gen) {
-    return;  // demand against a superseded incarnation: a newer grant exists
-  }
-  if (d.gen > fs.lock_gen) {
-    // The grant establishing this incarnation has not reached us yet
-    // (datagram reordering): defer until it does.
-    if (!fs.deferred_demand || fs.deferred_demand->gen < d.gen) {
-      fs.deferred_demand = d;
-    }
-    return;
-  }
-
-  if (fs.revoking) {
-    // A deeper demand for the same incarnation: fold into the active one.
-    if (mode_leq(d.max_mode, fs.revoke_target)) {
-      fs.revoke_target = d.max_mode;
-    }
-    return;
-  }
-  if (mode_leq(fs.mode, d.max_mode)) {
-    // Already compliant (duplicate demand): confirm.
-    transport_.send_request(protocol::DemandDoneReq{d.file, fs.mode, d.gen, fs.lock_cookie},
-                            [](const protocol::ReplyEvent&) {});
-    return;
-  }
-
-  fs.revoking = true;
-  fs.revoke_target = d.max_mode;
-  process_demand(d.file);
-}
-
 void Client::process_demand(FileId file) {
-  FileState* fsp = find_file(file);
-  if (fsp == nullptr) return;
-  FileState& fs = *fsp;
-  if (!fs.revoking) return;  // resolved meanwhile (e.g. lease expiry)
+  FileState* fs = find_file(file);
+  if (fs == nullptr || !fs->lock.revoking()) return;  // resolved meanwhile (e.g. lease expiry)
 
-  if (fs.writes_in_flight > 0) {
+  if (fs->writes_in_flight > 0) {
     // Let in-flight cache mutations land before the revocation flush.
     clock_.schedule_after(sim::local_millis(1), [this, file]() { process_demand(file); });
     return;
   }
 
-  if (fs.mode == LockMode::kExclusive && cache_.has_dirty(file)) {
+  if (fs->lock.mode() == LockMode::kExclusive && cache_.has_dirty(file)) {
     // Dirty data protected by this lock must reach the disk before the lock
     // is ceded (the consistency guarantee fencing alone cannot provide).
     flush_file(file, [this, file](Status st) {
       FileState* fs2 = find_file(file);
-      if (fs2 == nullptr || !fs2->revoking) return;
+      if (fs2 == nullptr || !fs2->lock.revoking()) return;
       if (st.is_ok()) {
-        finish_demand(file);
+        perform(file, fs2->lock.demand_done());
       } else {
         // Cannot flush (SAN fault / fenced). Keep the lock and retry; the
         // server's demand timeout will engage the lease protocol if this
@@ -1004,29 +805,7 @@ void Client::process_demand(FileId file) {
     });
     return;
   }
-  finish_demand(file);
-}
-
-void Client::finish_demand(FileId file) {
-  FileState* fsp = find_file(file);
-  if (fsp == nullptr) return;
-  FileState& fs = *fsp;
-  if (!fs.revoking) return;
-  const LockMode target = fs.revoke_target;
-  const std::uint32_t gen = fs.lock_gen;
-  if (!mode_leq(fs.mode, target)) {
-    fs.mode = target;
-    ++fs.mode_seq;
-    if (target == LockMode::kNone) {
-      // Relinquishing entirely: the cache contents are no longer protected.
-      cache_.invalidate_file(file);
-      lease_->lock_released(file);
-    }
-  }
-  fs.revoking = false;
-  transport_.send_request(protocol::DemandDoneReq{file, fs.mode, gen, fs.lock_cookie},
-                          [](const protocol::ReplyEvent&) {});
-  pump_lock_requests(file);
+  perform(file, fs->lock.demand_done());
 }
 
 // ---------------------------------------------------------------------------
@@ -1048,62 +827,42 @@ void Client::ensure_size(FileState& fs, std::uint64_t min_size, OpRef op) {
 }
 
 void Client::pump_size_round(FileId file) {
-  FileState* fsp = find_file(file);
-  if (fsp == nullptr) return;
-  FileState& fs = *fsp;
-  if (fs.size_waiters.empty()) {
-    fs.size_round_inflight = false;
-    return;
-  }
-  fs.size_round_inflight = true;
+  FileState* fs = find_file(file);
+  if (fs == nullptr) return;
+  fs->size_round_inflight = !fs->size_waiters.empty();
+  if (!fs->size_round_inflight) return;
   std::uint64_t want = 0;
-  for (const auto& w : fs.size_waiters) {
+  for (const auto& w : fs->size_waiters) {
     want = std::max(want, w.min_size);
   }
   transport_.send_request(
       protocol::SetSizeReq{file, want, /*truncate=*/false},
       [this, file](const protocol::ReplyEvent& ev) {
-        FileState* fs2p = find_file(file);
-        if (fs2p == nullptr) return;
-        FileState& fs2 = *fs2p;
-        fs2.size_round_inflight = false;
-
-        Status st = Status::ok();
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          st = Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                  : ErrorCode::kTimeout};
-        } else if (const auto* rep = std::get_if<protocol::AttrReply>(&ev.body)) {
-          fs2.attr = rep->attr;
-          fs2.extents = rep->extents;
-          fs2.attr_known = true;
-        } else if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          st = Status{err->code};
-        } else {
-          st = Status{ErrorCode::kInvalidArgument};
-        }
-
-        if (!st.is_ok()) {
-          auto waiters = std::move(fs2.size_waiters);
-          fs2.size_waiters.clear();
+        FileState* fs2 = find_file(file);
+        if (fs2 == nullptr) return;
+        fs2->size_round_inflight = false;
+        const auto* rep = reply_as<protocol::AttrReply>(ev);
+        if (rep == nullptr) {
+          const Status st = reply_error(ev);
+          auto waiters = std::move(fs2->size_waiters);
+          fs2->size_waiters.clear();
           for (auto& w : waiters) {
             write_sized(std::move(w.op), st);
           }
           pump_size_round(file);  // arrivals queued by the callbacks
           return;
         }
+        fs2->attr = rep->attr;
+        fs2->extents = rep->extents;
+        fs2->attr_known = true;
         // Serve the satisfied prefix strictly in arrival order; a waiter
         // queued mid-flight may need a bigger size and starts a new round.
-        while (true) {
-          FileState* fs3p = find_file(file);
-          if (fs3p == nullptr) return;
-          FileState& fs3 = *fs3p;
-          if (fs3.size_waiters.empty() || !fs3.attr_known ||
-              fs3.attr.size < fs3.size_waiters.front().min_size) {
-            break;
-          }
-          OpRef w = std::move(fs3.size_waiters.front().op);
-          fs3.size_waiters.erase(fs3.size_waiters.begin());
+        while (fs2 != nullptr && !fs2->size_waiters.empty() && fs2->attr_known &&
+               fs2->attr.size >= fs2->size_waiters.front().min_size) {
+          OpRef w = std::move(fs2->size_waiters.front().op);
+          fs2->size_waiters.erase(fs2->size_waiters.begin());
           write_sized(std::move(w), Status::ok());
+          fs2 = find_file(file);  // the write's callback may have re-entered
         }
         pump_size_round(file);
       });
@@ -1159,7 +918,7 @@ void Client::read_direct(FileState& fs, OpRef op) {
   // protected the fetch is STILL held, same incarnation — otherwise a fetch
   // completing after a demand invalidated this file would pollute the cache
   // with an unprotected (and soon stale) page.
-  op->lock_gen = fs.lock_gen;
+  op->lock_gen = fs.lock.gen();
   for (const auto& s : slices) {
     if (BlockCache::Page* page = cache_.find(file, s.file_block)) {
       std::copy_n(page->data.begin() + s.offset_in_block, s.len,
@@ -1187,10 +946,9 @@ void Client::read_fetched(Op& op, const protocol::BlockSlice& s, storage::IoResu
   std::copy_n(res.data.begin() + s.offset_in_block, s.len,
               op.buf.begin() + static_cast<std::ptrdiff_t>(s.buf_offset));
   const FileState* fs = find_file(op.file);
-  const bool lock_intact =
-      fs != nullptr && fs->lock_gen == op.lock_gen && fs->mode != LockMode::kNone;
   // Also never clobber a page that appeared (dirty) while we fetched.
-  if (lock_intact && cache_.peek(op.file, s.file_block) == nullptr) {
+  if (fs != nullptr && fs->lock.may_cache_clean(op.lock_gen) &&
+      cache_.peek(op.file, s.file_block) == nullptr) {
     cache_.put(op.file, s.file_block, std::move(res.data), /*dirty=*/false);
   } else {
     recycle_buf(std::move(res.data));
@@ -1258,17 +1016,14 @@ void Client::write_filled(Op& op, const protocol::BlockSlice& s, storage::IoResu
     write_slice_done(op, res.status);
     return;
   }
-  if (lease_flushing()) {
-    recycle_buf(std::move(res.data));
-    write_slice_done(op, Status{ErrorCode::kLeaseExpired});
-    return;
-  }
   // Demands wait on writes_in_flight, but a lease ride-down does not: if the
-  // lock changed while the fill was in flight, the dirty put would outlive
-  // its serialization. (write_sized checked mode_seq just before the fill.)
-  if (fs == nullptr || fs->mode_seq != op.mode_seq || fs->mode != LockMode::kExclusive) {
+  // lock changed while the fill was in flight, or phase 4 began, the dirty
+  // put would outlive its serialization or the last flush.
+  const Status st = fs == nullptr ? Status{ErrorCode::kLockConflict}
+                                  : fs->lock.may_dirty(op.mode_seq, lease_flushing(), true);
+  if (!st.is_ok()) {
     recycle_buf(std::move(res.data));
-    write_slice_done(op, Status{ErrorCode::kLockConflict});
+    write_slice_done(op, st);
     return;
   }
   Bytes block = std::move(res.data);
@@ -1326,36 +1081,28 @@ void Client::read_shipped(FileState& fs, OpRef op) {
   transport_.send_request(
       protocol::ReadDataReq{file, offset, len},
       [this, op = std::move(op)](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          op->read_done(ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                    : ErrorCode::kTimeout);
+        const auto* rep = reply_as<protocol::DataReply>(ev);
+        if (rep == nullptr) {
+          op->read_done(reply_error(ev));
           return;
         }
-        if (const auto* rep = std::get_if<protocol::DataReply>(&ev.body)) {
-          const FileId file2 = op->file;
-          const std::uint64_t offset2 = op->offset;
-          FileState& fs2 = state_for(file2);
-          // The server clamped by its own size; what came back proves the
-          // file extends at least this far.
-          fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset2 + rep->data.size());
-          // Cache fully covered blocks for future hits.
-          const std::uint32_t bs = cfg_.block_size;
-          if (offset2 % bs == 0) {
-            for (std::uint64_t off = 0; off + bs <= rep->data.size(); off += bs) {
-              Bytes block = take_buf();
-              block.assign(rep->data.begin() + static_cast<std::ptrdiff_t>(off),
-                           rep->data.begin() + static_cast<std::ptrdiff_t>(off + bs));
-              cache_.put(file2, (offset2 + off) / bs, std::move(block), /*dirty=*/false);
-            }
+        const FileId file2 = op->file;
+        const std::uint64_t offset2 = op->offset;
+        FileState& fs2 = state_for(file2);
+        // The server clamped by its own size; what came back proves the
+        // file extends at least this far.
+        fs2.attr.size = std::max<std::uint64_t>(fs2.attr.size, offset2 + rep->data.size());
+        // Cache fully covered blocks for future hits.
+        const std::uint32_t bs = cfg_.block_size;
+        if (offset2 % bs == 0) {
+          for (std::uint64_t off = 0; off + bs <= rep->data.size(); off += bs) {
+            Bytes block = take_buf();
+            block.assign(rep->data.begin() + static_cast<std::ptrdiff_t>(off),
+                         rep->data.begin() + static_cast<std::ptrdiff_t>(off + bs));
+            cache_.put(file2, (offset2 + off) / bs, std::move(block), /*dirty=*/false);
           }
-          op->read_done(rep->data);
-          return;
         }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          op->read_done(err->code);
-          return;
-        }
-        op->read_done(ErrorCode::kInvalidArgument);
+        op->read_done(rep->data);
       });
 }
 
@@ -1372,13 +1119,9 @@ void Client::write_shipped(FileState& fs, OpRef op) {
   protocol::WriteDataReq req{file, op->offset, std::move(op->buf)};
   transport_.send_request(
       std::move(req), [this, op = std::move(op), end](const protocol::ReplyEvent& ev) {
-        if (ev.outcome != protocol::ReplyOutcome::kAck) {
-          op->done(Status{ev.outcome == protocol::ReplyOutcome::kNack ? ErrorCode::kNacked
-                                                                      : ErrorCode::kTimeout});
-          return;
-        }
-        if (const auto* err = std::get_if<protocol::ErrReply>(&ev.body)) {
-          op->done(Status{err->code});
+        if (ev.outcome != protocol::ReplyOutcome::kAck ||
+            std::holds_alternative<protocol::ErrReply>(ev.body)) {
+          op->done(reply_error(ev));
           return;
         }
         FileState& fs2 = state_for(op->file);

@@ -25,12 +25,12 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "client/cache.hpp"
+#include "client/file_lock.hpp"
 #include "common/flat_map.hpp"
 #include "common/move_fn.hpp"
 #include "common/small_vec.hpp"
@@ -167,27 +167,7 @@ class Client {
     FileId file;
     protocol::FileAttr attr;
     std::vector<protocol::Extent> extents;
-    protocol::LockMode mode{protocol::LockMode::kNone};
-    // Generation of the grant `mode` came from (see protocol/messages.hpp).
-    std::uint32_t lock_gen{0};
-    // Per-grant secret issued with that grant; echoed in UnlockReq /
-    // DemandDoneReq so releases prove receipt of the grant they renounce.
-    std::uint64_t lock_cookie{0};
-    // Bumped on every transition of `mode`. Generations identify steals, not
-    // transfers, so async ops capture this instead to detect that the lock
-    // they were issued under survived an intervening control-net round.
-    std::uint64_t mode_seq{0};
-    // Strongest mode requested from the server and not yet resolved.
-    protocol::LockMode pending_mode{protocol::LockMode::kNone};
-    // A lock demand is being processed (flush in progress): new exclusive
-    // acquisitions are deferred until it completes so no page can become
-    // dirty between the revocation flush and the downgrade.
-    bool revoking{false};
-    // Strongest mode the active demand allows us to retain.
-    protocol::LockMode revoke_target{protocol::LockMode::kNone};
-    // Demand received for a generation we have not seen granted yet
-    // (reordered delivery): processed once the grant arrives.
-    std::optional<protocol::LockDemand> deferred_demand;
+    FileLock lock;
     // Asynchronous cache mutations in flight (read-modify-write fills);
     // demand processing waits for zero before flushing.
     std::uint32_t writes_in_flight{0};
@@ -235,19 +215,23 @@ class Client {
   void register_with_server();
   void schedule_register_retry();
   void handle_lease_expired();
-  void invalidate_everything();
+  // Drops every lock and cached page; a new server incarnation also voids
+  // every grant.
+  void invalidate_everything(bool new_incarnation);
   // The server restarted (new incarnation): re-register while the lease is
   // still valid, then reassert every held lock so the cache survives
   // (paper section 6).
   void handle_stale_session();
   void reassert_locks();
-  void reset_lock_generations();
 
   // Request plumbing.
-  [[nodiscard]] bool gate(ErrorCode& why) const;
+  // Why a call may not start now (kShutdown, kLeaseExpired, kQuiesced), or kOk.
+  [[nodiscard]] ErrorCode gate() const;
+  // gate() plus the fd lookup for a file call: null after answering `cb`.
+  template <typename Cb>
+  FileState* admit(Fd fd, Cb& cb);
   // Lease phase 4 has begun: nothing may dirty the cache any more.
   [[nodiscard]] bool lease_flushing() const;
-  FileState* state_of(Fd fd);
   // One probe; null if the file is not known.
   [[nodiscard]] FileState* find_file(FileId file);
   [[nodiscard]] const FileState* find_file(FileId file) const;
@@ -270,20 +254,16 @@ class Client {
   // required flush has already completed). The release() fast path reaches
   // here directly.
   void do_unlock(OpRef op);
+  // Performs the I/O a FileLock transition of `file` returned.
+  void perform(FileId file, FileLock::Io io);
   // Sends a LockReq for the strongest still-unsatisfied wait, unless one is
   // already pending or a revocation is in progress.
   void pump_lock_requests(FileId file);
-  // Applies a grant (from a LockReply or a LockGrant) if its generation is
-  // newer than what we hold.
-  void apply_grant(FileId file, protocol::LockMode mode, std::uint32_t gen,
-                   std::uint64_t cookie);
   void lock_state_changed(FileId file);
   void fail_lock_waits(FileId file, ErrorCode code);
   void fail_all_lock_waits(ErrorCode code);
   void handle_server_msg(const protocol::ServerBody& body);
-  void handle_demand(const protocol::LockDemand& d);
   void process_demand(FileId file);  // runs the active demand when quiescent
-  void finish_demand(FileId file);
 
   // Data path.
   void ensure_size(FileState& fs, std::uint64_t min_size, OpRef op);
