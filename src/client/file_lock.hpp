@@ -78,6 +78,7 @@ class FileLock {
   // The revocation flush is done (or was not needed): cede.
   Io demand_done();
   // release(): cede to `to` (any flush is done); the client sends UnlockReq.
+  // Applied as given, as release() always has: not checked against mode().
   Io downgrade(LockMode to);
   // The lease no longer covers the lock: found at use (unusable), or pushed
   // by a per-object lease, which also drops the request in flight.
@@ -88,6 +89,8 @@ class FileLock {
   // ReassertLockReq for mode() must go out.
   void new_incarnation();
   bool reassert();
+  // Sets the generation even if a fresh grant overtook the reply, as the
+  // client always has.
   void reassert_granted(std::uint32_t gen, std::uint64_t cookie);
   Io reassert_refused();
   // The client lease expired: every lock is gone (the cache with it).
