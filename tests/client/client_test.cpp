@@ -679,5 +679,98 @@ TEST(Client, FrangipaniStrategyHeartbeats) {
   EXPECT_TRUE(f.c(0).registered());
 }
 
+// A server cluster (paper Figure 1; section 3: "a client must have a valid
+// lease on all servers with which it holds locks"): one machine runs one
+// Client per server, client 100+k for server k+1 on its own disk, all on the
+// machine's one clock. Each Client is exactly one (client, server) lease.
+struct ClusterFixture {
+  sim::Engine engine;
+  net::ControlNet net;
+  storage::SanFabric san;
+  std::vector<std::unique_ptr<server::Server>> servers;
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<Fd> fds;
+  static constexpr std::uint32_t kBs = 64;
+
+  ClusterFixture() : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2), {}) {
+    const sim::LocalClock machine_clock(1.0);
+    for (std::uint32_t k = 0; k < 2; ++k) {
+      const DiskId disk{k + 1};
+      san.add_disk(disk, 4096, kBs);
+      server::ServerConfig scfg;
+      scfg.id = NodeId{k + 1};
+      scfg.lease.tau = sim::local_seconds(5);
+      scfg.block_size = kBs;
+      scfg.data_disks = {disk};
+      servers.push_back(
+          std::make_unique<server::Server>(engine, net, san, sim::LocalClock(1.0), scfg));
+      servers.back()->start();
+      ClientConfig ccfg;
+      ccfg.id = NodeId{100 + k};
+      ccfg.server = scfg.id;
+      ccfg.lease.tau = sim::local_seconds(5);
+      ccfg.block_size = kBs;
+      clients.push_back(std::make_unique<Client>(engine, net, san, machine_clock, ccfg));
+      clients.back()->start();
+    }
+    run_for(0.5);
+    for (std::uint32_t k = 0; k < 2; ++k) {
+      EXPECT_TRUE(servers[k]->session_valid(NodeId{100 + k}));
+      std::optional<Result<Fd>> r;
+      clients[k]->open("/m/f" + std::to_string(k), true, [&](Result<Fd> res) { r = res; });
+      run_for(0.1);
+      EXPECT_TRUE(r && r->ok());
+      fds.push_back(r && r->ok() ? r->value() : 0);
+    }
+  }
+
+  void run_for(double s) { engine.run_until(engine.now() + sim::seconds_d(s)); }
+};
+
+TEST(ClientCluster, PerServerLeasesAreIndependent) {
+  ClusterFixture f;
+  for (std::size_t k = 0; k < 2; ++k) {
+    f.clients[k]->write(f.fds[k], 0, Bytes(ClusterFixture::kBs, static_cast<std::uint8_t>(k + 1)),
+                        [](Status) {});
+  }
+  f.run_for(0.2);
+
+  // Partition the machine from SERVER 1 only.
+  f.net.reachability().sever_pair(NodeId{100}, NodeId{1});
+  f.run_for(8.0);  // past tau: client 100's lease expired...
+  EXPECT_EQ(f.clients[0]->lease_phase(), core::LeasePhase::kExpired);
+  // ...but client 101's lease is alive and its files remain fully usable.
+  EXPECT_EQ(f.clients[1]->lease_phase(), core::LeasePhase::kActive);
+  std::optional<Result<Bytes>> r;
+  f.clients[1]->read(f.fds[1], 0, ClusterFixture::kBs,
+                     [&](Result<Bytes> res) { r = std::move(res); });
+  f.run_for(0.2);
+  ASSERT_TRUE(r && r->ok());
+  EXPECT_EQ(r->value(), Bytes(ClusterFixture::kBs, 2));
+
+  // Ops on the partitioned server's file fail; the other server is unaware.
+  std::optional<Result<Bytes>> r0;
+  f.clients[0]->read(f.fds[0], 0, ClusterFixture::kBs,
+                     [&](Result<Bytes> res) { r0 = std::move(res); });
+  f.run_for(0.2);
+  ASSERT_TRUE(r0.has_value());
+  EXPECT_FALSE(r0->ok());
+  EXPECT_TRUE(f.servers[1]->session_valid(NodeId{101}));
+}
+
+TEST(ClientCluster, PartitionedServersDirtyDataStillFlushes) {
+  ClusterFixture f;
+  f.clients[0]->write(f.fds[0], 0, Bytes(ClusterFixture::kBs, 7), [](Status) {});
+  f.run_for(0.2);
+  ASSERT_EQ(f.clients[0]->dirty_pages(), 1u);
+
+  f.net.reachability().sever_pair(NodeId{100}, NodeId{1});
+  f.run_for(8.0);
+  // Phase 4 flushed client 100's dirty page over the (healthy) SAN before
+  // expiry.
+  EXPECT_EQ(f.clients[0]->dirty_pages(), 0u);
+  EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 1u);
+}
+
 }  // namespace
 }  // namespace stank::client
