@@ -246,7 +246,7 @@ class FlatMap {
   std::uint32_t shift_{0};
 };
 
-// Keys-only view over FlatMap, for the server's barred/fenced sets.
+// Keys-only view over FlatMap, for the server's barred and fencing sets.
 template <typename Key, typename Hash = std::hash<Key>>
 class FlatSet {
  public:

@@ -47,12 +47,6 @@ struct LeaseConfig {
   // How often a phase-2 client re-sends its keep-alive NULL message.
   sim::LocalDuration keepalive_retry{sim::local_millis(500)};
 
-  // Ablation switch: accept a RegisterReq from a client whose lease timer is
-  // still running, stealing its locks immediately. Trusts the client's
-  // claim that its own lease has expired; the paper's conservative protocol
-  // always waits out the full tau(1+eps).
-  bool allow_early_reregister{false};
-
   void validate() const {
     STANK_ASSERT(tau.ns > 0);
     STANK_ASSERT(epsilon >= 0.0);

@@ -73,29 +73,12 @@ bool ServerLeaseAuthority::try_reregister(NodeId client) {
   }
   ++counters_->lease_ops;
   if (e->standing == ClientStanding::kSuspect) {
-    if (!cfg_.allow_early_reregister) {
-      return false;  // conservative: wait out the full tau(1+eps)
-    }
-    // Ablation path: the client asserts its lease expired; steal now and
-    // accept.
-    clock_->cancel(e->timer);
-    e->timer = 0;
-    e->standing = ClientStanding::kFailed;
-    e->failed_at = clock_->now();
-    if (rec_ != nullptr) {
-      rec_->record(clock_->engine().now(), self_, obs::EventKind::kStandingChange,
-                   client.value(), static_cast<std::uint64_t>(ClientStanding::kFailed));
-    }
-    if (hooks_.steal_locks) {
-      hooks_.steal_locks(client);
-    }
+    return false;  // wait out the full tau(1+eps)
   }
   if (rec_ != nullptr) {
-    if (e->standing == ClientStanding::kFailed) {
-      // Steal-to-reassert recovery: how long the client's data sat fenced
-      // before it came back.
-      rec_->span(obs::SpanKind::kStealRecovery, (clock_->now() - e->failed_at).millis());
-    }
+    // Steal-to-reassert recovery: how long the client's data sat fenced
+    // before it came back.
+    rec_->span(obs::SpanKind::kStealRecovery, (clock_->now() - e->failed_at).millis());
     rec_->record(clock_->engine().now(), self_, obs::EventKind::kStandingChange, client.value(),
                  static_cast<std::uint64_t>(ClientStanding::kGood));
   }

@@ -48,9 +48,8 @@ class ServerLeaseAuthority : public ServerLease {
   }
 
   // Re-registration: clears the failed state. Returns false (and does
-  // nothing) while the timer still runs and early re-registration is
-  // disabled. With allow_early_reregister, a suspect client's locks are
-  // stolen immediately and registration proceeds.
+  // nothing) while the timer still runs: a suspect client always waits out
+  // the full tau(1+eps), since only then has its lease provably expired.
   [[nodiscard]] bool try_reregister(NodeId client) override;
 
   // Memory devoted to lease bookkeeping right now. The paper's claim is that

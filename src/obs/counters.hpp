@@ -93,7 +93,6 @@ class Counters {
 
   [[nodiscard]] bool frozen() const { return base_ != nullptr; }
   [[nodiscard]] unsigned shard_count() const { return shards_; }
-  [[nodiscard]] std::size_t def_count() const { return defs_.size(); }
 
   // -- data path (shard-owner thread only) ---------------------------------
   void add_to(unsigned shard, Id id, std::uint64_t v = 1) { bank(shard)[id.slot] += v; }
@@ -162,14 +161,6 @@ class Counters {
   // Zeroes every slot; banks and definitions survive. Control path.
   void reset() {
     for (auto& v : raw_) v = 0;
-  }
-
-  // fn(name, merge, id, is_hist) per definition, registration order.
-  template <typename Fn>
-  void visit_defs(Fn&& fn) const {
-    for (const Def& d : defs_) {
-      fn(d.name, d.merge, Id{d.slot}, d.slots == kHistBuckets);
-    }
   }
 
   // Appends one series point per (scalar definition, shard) to the

@@ -249,11 +249,6 @@ std::vector<std::pair<NodeId, LockMode>> LockManager::holders(FileId file) const
   return out;
 }
 
-bool LockManager::has_waiters(FileId file) const {
-  const FileLocks* fl = files_.find(file);
-  return fl != nullptr && !fl->waiters.empty();
-}
-
 std::size_t LockManager::waiter_count(FileId file) const {
   const FileLocks* fl = files_.find(file);
   return fl == nullptr ? 0 : fl->waiters.size();

@@ -125,7 +125,6 @@ class LockManager {
   // demand is outstanding against it.
   [[nodiscard]] std::optional<LockMode> demanded_mode(NodeId client, FileId file) const;
   [[nodiscard]] std::vector<std::pair<NodeId, LockMode>> holders(FileId file) const;
-  [[nodiscard]] bool has_waiters(FileId file) const;
   [[nodiscard]] std::size_t waiter_count(FileId file) const;
   // Total queued (not yet granted) requests across every file, maintained
   // incrementally — O(1), so the invariant watchdog can probe for lock

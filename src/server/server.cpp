@@ -402,7 +402,6 @@ void Server::crash() {
   locks_.set_recorder(rec_);
   sessions_.clear();
   barred_.clear();
-  fenced_clients_.clear();
   fencing_.clear();
   grants_.clear();
   // Lease state is volatile too; the old object cancels its timers as it goes.
@@ -737,7 +736,6 @@ void Server::on_delivery_failure(NodeId client) {
 
 void Server::fence_client(NodeId client, std::function<void()> then) {
   ++counters_.fences_issued;
-  fenced_clients_.insert(client);
   fencing_.insert(client);
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kFence);
@@ -788,13 +786,12 @@ void Server::unfence_client(NodeId client) {
       cfg_.recovery != RecoveryMode::kLeaseAndFence) {
     return;
   }
-  // Sent unconditionally within those modes: after a server crash the fenced
-  // set is forgotten, but fences persist at the disks; re-registration must
-  // clear them. The unfence installs the client's NEW registration key —
+  // Sent unconditionally within those modes: the server keeps no list of
+  // whom it fenced (a crash would forget it anyway), but fences persist at
+  // the disks; re-registration must clear them. The unfence installs the client's NEW registration key —
   // (incarnation << 32) | epoch, since epoch numbers alone repeat across
   // server reboots — so commands any earlier session left crawling through
   // the SAN stay locked out forever.
-  fenced_clients_.erase(client);
   const Session* session = sessions_.find(client);
   const std::uint64_t key =
       session == nullptr

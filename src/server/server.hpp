@@ -221,8 +221,6 @@ class Server {
   // Clients whose sessions were invalidated by a steal; they must
   // re-register before being served again.
   FlatSet<NodeId> barred_;
-  // Clients currently fenced at the data disks.
-  FlatSet<NodeId> fenced_clients_;
   // Clients with a fence -> steal still in flight (some disk has not acked
   // its fence). Registration is refused for them: a new session admitted now
   // would have its locks swept by the pending do_steal().

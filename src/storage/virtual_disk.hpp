@@ -43,13 +43,6 @@ class VirtualDisk {
     auto it = keys_.find(initiator);
     return it != keys_.end() && !it->second.has_value();
   }
-  [[nodiscard]] std::size_t fenced_count() const {
-    std::size_t n = 0;
-    for (const auto& [node, key] : keys_) {
-      if (!key.has_value()) ++n;
-    }
-    return n;
-  }
 
   // Omniscient access for the verifier and tests only: reads the current
   // content of a block without going through the SAN. Returns an empty

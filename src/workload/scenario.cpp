@@ -14,6 +14,8 @@ namespace {
 
 constexpr std::uint32_t kServerNode = 1;
 constexpr std::uint32_t kClientBase = 100;
+// The one SAN disk: the server's only data disk.
+constexpr DiskId kDisk{1};
 
 std::string file_path(std::size_t i) { return "/data/f" + std::to_string(i); }
 
@@ -86,12 +88,7 @@ void Scenario::build() {
   san_->on_io = [this](const storage::IoRequest& rq, const storage::IoResult& rs,
                        sim::SimTime t) { history_.on_disk_io(rq, rs, t, cfg_.block_size); };
 
-  std::vector<DiskId> disks;
-  for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-    const DiskId id{d + 1};
-    san_->add_disk(id, cfg_.disk_blocks, cfg_.block_size);
-    disks.push_back(id);
-  }
+  san_->add_disk(kDisk, cfg_.disk_blocks, cfg_.block_size);
 
   // Clock rates: any two nodes must be mutually rate-synchronized within
   // epsilon, so individual rates live in [1/sqrt(1+eps), sqrt(1+eps)].
@@ -114,7 +111,7 @@ void Scenario::build() {
   scfg.strategy = cfg_.strategy;
   scfg.transport = cfg_.transport;
   scfg.block_size = cfg_.block_size;
-  scfg.data_disks = disks;
+  scfg.data_disks = {kDisk};
   scfg.recovery_grace = cfg_.recovery_grace;
   if (cfg_.demand_timeout.ns > 0) {
     scfg.demand_timeout = cfg_.demand_timeout;
@@ -440,14 +437,10 @@ void Scenario::apply_failure(const FailureEvent& ev) {
       net_->reachability().restore_pair(node, server_node());
       break;
     case FailureKind::kSanIsolate:
-      for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().sever(node, DiskId{d + 1});
-      }
+      san_->reachability().sever(node, kDisk);
       break;
     case FailureKind::kSanHeal:
-      for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().restore(node, DiskId{d + 1});
-      }
+      san_->reachability().restore(node, kDisk);
       break;
     case FailureKind::kCrash:
       clients_[ci]->crash();
@@ -475,14 +468,10 @@ void Scenario::apply_failure(const FailureEvent& ev) {
     case FailureKind::kSanIsolateServer:
       // The server loses its SAN path: fence admin commands cannot reach the
       // disks and a fence->steal must hold until the path heals.
-      for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().sever(server_node(), DiskId{d + 1});
-      }
+      san_->reachability().sever(server_node(), kDisk);
       break;
     case FailureKind::kSanHealServer:
-      for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-        san_->reachability().restore(server_node(), DiskId{d + 1});
-      }
+      san_->reachability().restore(server_node(), kDisk);
       break;
   }
 }
@@ -574,13 +563,11 @@ ScenarioResult Scenario::finish() {
   for (auto& cl : clients_) {
     r.clients += cl->counters();
   }
-  for (std::uint32_t d = 0; d < cfg_.num_disks; ++d) {
-    const auto& disk = san_->disk(DiskId{d + 1});
-    for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
-      const NodeId node = client_node(ci);
-      if (const auto n = disk.fenced_rejections(node); n > 0) {
-        r.fence_rejects_by_initiator[node] += n;
-      }
+  const auto& disk = san_->disk(kDisk);
+  for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
+    const NodeId node = client_node(ci);
+    if (const auto n = disk.fenced_rejections(node); n > 0) {
+      r.fence_rejects_by_initiator[node] += n;
     }
   }
   r.net = net_->stats();

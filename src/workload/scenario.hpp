@@ -44,7 +44,6 @@ struct ScenarioConfig {
   protocol::TransportConfig transport;
   std::uint32_t block_size{256};
   std::uint64_t disk_blocks{1u << 16};
-  std::uint32_t num_disks{1};
   FailurePlan failures;
   // Post-restart grace period forwarded to the server; 0 = its safe default
   // tau(1+eps).

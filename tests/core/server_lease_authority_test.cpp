@@ -7,11 +7,10 @@
 namespace stank::core {
 namespace {
 
-LeaseConfig cfg(std::int64_t tau_s = 10, double eps = 0.01, bool early = false) {
+LeaseConfig cfg(std::int64_t tau_s = 10, double eps = 0.01) {
   LeaseConfig c;
   c.tau = sim::local_seconds(tau_s);
   c.epsilon = eps;
-  c.allow_early_reregister = early;
   return c;
 }
 
@@ -111,16 +110,6 @@ TEST(LeaseAuthority, ConservativeReregisterRefusedWhileSuspect) {
   EXPECT_TRUE(f.authority.try_reregister(NodeId{100}));
   EXPECT_EQ(f.authority.standing(NodeId{100}), ClientStanding::kGood);
   EXPECT_EQ(f.authority.state_bytes(), 0u);  // back to zero state
-}
-
-TEST(LeaseAuthority, EarlyReregisterStealsImmediately) {
-  Fixture f(cfg(10, 0.01, /*early=*/true));
-  f.authority.on_delivery_failure(NodeId{100});
-  EXPECT_TRUE(f.authority.try_reregister(NodeId{100}));
-  EXPECT_EQ(f.stolen.size(), 1u);  // stolen at re-register, not at timer
-  EXPECT_EQ(f.authority.standing(NodeId{100}), ClientStanding::kGood);
-  f.run_to(100.0);
-  EXPECT_EQ(f.stolen.size(), 1u);  // timer was cancelled
 }
 
 TEST(LeaseAuthority, ReregisterOfGoodClientIsNoop) {

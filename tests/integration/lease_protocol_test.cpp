@@ -2,6 +2,7 @@
 // stack — the scenarios of the paper's sections 2 and 3 as executable facts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "verify/stamp.hpp"
@@ -198,49 +199,65 @@ TEST(LeaseProtocol, TransientPartitionNackFlow) {
   EXPECT_TRUE(violations.empty());
 }
 
-// Ablation (DESIGN.md section 6): allow_early_reregister trusts a
-// re-registering client's claim that its own lease has expired and steals
-// immediately, instead of waiting out the rest of tau(1+eps).
-TEST(LeaseProtocol, EarlyReregisterShortensRecovery) {
-  auto recovery_time = [](bool early, double& registered_at) {
-    auto cfg = base_cfg();
-    cfg.lease.tau = sim::local_seconds(8);
-    cfg.lease.allow_early_reregister = early;
-    Scenario sc(cfg);
-    sc.setup();
-    sc.run_until_s(1.0);
-    auto& c0 = sc.client(0);
-    c0.lock(sc.fd(0, 0), protocol::LockMode::kExclusive, [](Status) {});
-    sc.run_until_s(2.0);
+// The server trusts no client's claim that its lease has expired: a suspect
+// client's RegisterReq is NACKed until the server's own tau(1+eps) timer
+// fires and the steal has run, however early the client asks.
+TEST(LeaseProtocol, ReregisterNackedUntilServerWaitEnds) {
+  auto cfg = base_cfg();
+  cfg.lease.tau = sim::local_seconds(8);
+  Scenario sc(cfg);
+  sc.setup();
+  sc.run_until_s(1.0);
+  auto& c0 = sc.client(0);
+  c0.lock(sc.fd(0, 0), protocol::LockMode::kExclusive, [](Status) {});
+  sc.run_until_s(2.0);
 
-    // Transient partition long enough for the server to mark c0 suspect.
-    sc.control_net().reachability().sever_pair(c0.id(), sc.server_node());
-    sc.engine().schedule_at(sim::SimTime{} + sim::seconds_d(3.0), [&]() {
-      sc.client(1).lock(sc.fd(1, 0), protocol::LockMode::kExclusive, [](Status) {});
-    });
-    sc.engine().schedule_at(sim::SimTime{} + sim::seconds_d(6.0),
-                            [&]() { sc.control_net().reachability().heal(); });
-    // c0 gets NACKed, rides phases to expiry (~10s), then re-registers. The
-    // conservative server still NACKs the registration until its own timer
-    // (~15s) runs out; the early variant accepts at once.
-    sc.run_until_s(30.0);
-    EXPECT_EQ(verify::ConsistencyChecker(sc.history()).check_all().size(), 0u);
-    ASSERT_EQ(sc.recorder().dropped_events(), 0u);
-    registered_at = -1;
-    sc.recorder().visit_node(c0.id(), [&](const obs::Event& e) {
-      if (e.kind == obs::EventKind::kRegister && e.a == 2) registered_at = e.at.seconds();
-    });
-  };
+  // Transient partition long enough for the server to mark c0 suspect.
+  sc.control_net().reachability().sever_pair(c0.id(), sc.server_node());
+  sc.engine().schedule_at(sim::SimTime{} + sim::seconds_d(3.0), [&]() {
+    sc.client(1).lock(sc.fd(1, 0), protocol::LockMode::kExclusive, [](Status) {});
+  });
+  sc.engine().schedule_at(sim::SimTime{} + sim::seconds_d(6.0),
+                          [&]() { sc.control_net().reachability().heal(); });
+  // c0 gets NACKed, rides its phases to expiry (~10 s) and re-registers
+  // while the server's timer still runs.
+  sc.run_until_s(30.0);
+  EXPECT_EQ(verify::ConsistencyChecker(sc.history()).check_all().size(), 0u);
+  ASSERT_EQ(sc.recorder().dropped_events(), 0u);
 
-  double conservative = -1;
-  double early = -1;
-  recovery_time(false, conservative);
-  recovery_time(true, early);
-  ASSERT_GT(conservative, 0.0);
-  ASSERT_GT(early, 0.0);
-  // The early variant readmits the client noticeably sooner, safely (the
-  // client only re-registers after ITS lease truly expired).
-  EXPECT_LT(early + 1.0, conservative);
+  double armed_at = -1;
+  double stolen_at = -1;
+  sc.recorder().visit_node(sc.server_node(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kStealTimerArm && e.a == c0.id().value()) {
+      armed_at = e.at.seconds();
+    }
+    if (e.kind == obs::EventKind::kStandingChange && e.a == c0.id().value() &&
+        e.b == static_cast<std::uint64_t>(core::ClientStanding::kFailed)) {
+      stolen_at = e.at.seconds();
+    }
+  });
+  const std::uint64_t register_kind = protocol::RequestBody{protocol::RegisterReq{}}.index();
+  std::vector<std::uint64_t> register_msgs;
+  std::size_t nacked_before_steal = 0;
+  double registered_at = -1;
+  sc.recorder().visit_node(c0.id(), [&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kReqSend && e.b == register_kind) register_msgs.push_back(e.a);
+    if (e.kind == obs::EventKind::kNackRecv && e.at.seconds() < stolen_at &&
+        std::find(register_msgs.begin(), register_msgs.end(), e.a) != register_msgs.end()) {
+      ++nacked_before_steal;
+    }
+    if (e.kind == obs::EventKind::kRegister && e.a == 2) registered_at = e.at.seconds();
+  });
+  ASSERT_GT(armed_at, 0.0);
+  ASSERT_GT(stolen_at, 0.0);
+  ASSERT_GT(registered_at, 0.0);
+  // The server waited out tau(1+eps) on its own clock, at least tau in true
+  // time since its rate is within sqrt(1+eps) of 1...
+  EXPECT_GE(stolen_at - armed_at, 8.0);
+  // ...NACKing the registrations c0 sent before then, and admitted it only
+  // after the steal.
+  EXPECT_GT(nacked_before_steal, 0u);
+  EXPECT_GE(registered_at, stolen_at);
 }
 
 TEST(LeaseProtocol, ServerStaysPassiveThroughItAll) {
