@@ -207,30 +207,44 @@ void Client::reassert_locks() {
   // would make us discard the new incarnation's grants and demands.
   // Ascending FileId: the send order assigns the msg ids.
   for (const FileId file : known_files()) {
-    FileLock& lock = find_file(file)->lock;
-    if (!lock.reassert()) continue;
-    transport_.send_request(
-        protocol::ReassertLockReq{file, lock.mode()},
-        [this, file](const protocol::ReplyEvent& ev) {
-          FileState* fs = find_file(file);
-          if (fs == nullptr) return;
-          const auto* rep = reply_as<protocol::LockReply>(ev);
-          const bool granted = rep != nullptr && rep->granted;
-          if (rec_ != nullptr) {
-            rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
-                         file.value(), granted ? 1 : 0);
-          }
-          if (granted) {
-            fs->lock.reassert_granted(rep->gen, rep->cookie);
-            return;
-          }
-          // Reassertion refused or lost: the lock (and cache) for this file
-          // are gone. Dirty pages here are unprotected — drop them; the
-          // checker charges this to the server-crash scenario, exactly the
-          // data-loss window reassertion is meant to close.
-          perform(file, fs->lock.reassert_refused());
-        });
+    if (find_file(file)->lock.reassert()) send_reassert(file);
   }
+}
+
+void Client::send_reassert(FileId file) {
+  transport_.send_request(
+      protocol::ReassertLockReq{file, find_file(file)->lock.mode()},
+      [this, file](const protocol::ReplyEvent& ev) {
+        FileState* fs = find_file(file);
+        if (fs == nullptr) return;
+        const auto* rep = reply_as<protocol::LockReply>(ev);
+        const bool granted = rep != nullptr && rep->granted;
+        if (rec_ != nullptr) {
+          rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kLockReassert,
+                       file.value(), granted ? 1 : 0);
+        }
+        if (granted) {
+          perform(file, fs->lock.reassert_granted(rep->gen, rep->cookie));
+          return;
+        }
+        if (ev.outcome == protocol::ReplyOutcome::kAck &&
+            reply_error(ev) != ErrorCode::kStaleSession) {
+          // Refused: the lock (and cache) for this file are gone. Dirty
+          // pages here are unprotected — drop them; the checker charges
+          // this to the server-crash scenario, exactly the data-loss window
+          // reassertion is meant to close.
+          perform(file, fs->lock.reassert_refused());
+          return;
+        }
+        // No answer: the server is unreachable, not refusing. Keep the lock
+        // and the dirty pages, which the lease still protects. Ask again
+        // while it is valid; a NACK or an expiring lease leaves them to the
+        // phase-4 flush, and a new incarnation to the next reassert_locks().
+        if (ev.outcome == protocol::ReplyOutcome::kTimeout && fs->lock.reasserting() &&
+            registered_ && lease_->lease_valid()) {
+          send_reassert(file);
+        }
+      });
 }
 
 void Client::handle_lease_expired() {
@@ -684,8 +698,10 @@ void Client::perform(FileId file, FileLock::Io io) {
 
 void Client::pump_lock_requests(FileId file) {
   FileState* fs = find_file(file);
-  // A revocation in progress re-pumps when it completes.
-  if (fs == nullptr || fs->lock.revoking() || fs->lock_waits.empty()) return;
+  // A revocation or reassertion in progress re-pumps when it completes.
+  if (fs == nullptr || fs->lock.revoking() || fs->lock.reasserting() || fs->lock_waits.empty()) {
+    return;
+  }
   LockMode want = LockMode::kNone;
   for (const auto& w : fs->lock_waits) {
     want = std::max(want, w.mode);

@@ -223,6 +223,7 @@ class Client {
   // (paper section 6).
   void handle_stale_session();
   void reassert_locks();
+  void send_reassert(FileId file);
 
   // Request plumbing.
   // Why a call may not start now (kShutdown, kLeaseExpired, kQuiesced), or kOk.

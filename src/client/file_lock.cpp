@@ -11,12 +11,12 @@ FileLock::State FileLock::state() const {
 }
 
 bool FileLock::admits(LockMode want) const {
-  return want <= mode_ && !(revoking_ && want == LockMode::kExclusive);
+  return want <= mode_ && !reasserting_ && !(revoking_ && want == LockMode::kExclusive);
 }
 
 Status FileLock::may_dirty(std::uint64_t seq, bool flushing, bool in_flight) const {
   if (flushing) return ErrorCode::kLeaseExpired;
-  if (seq != seq_ || mode_ != LockMode::kExclusive || (revoking_ && !in_flight)) {
+  if (seq != seq_ || mode_ != LockMode::kExclusive || reasserting_ || (revoking_ && !in_flight)) {
     return ErrorCode::kLockConflict;
   }
   return Status::ok();
@@ -103,15 +103,16 @@ bool FileLock::reassert() {
   return reasserting_;
 }
 
-void FileLock::reassert_granted(std::uint32_t gen, std::uint64_t cookie) {
+FileLock::Io FileLock::reassert_granted(std::uint32_t gen, std::uint64_t cookie) {
   gen_ = gen;
   cookie_ = cookie;
   reasserting_ = false;
+  return kSettle | kPump;
 }
 
 FileLock::Io FileLock::reassert_refused() {
   reasserting_ = false;
-  return unusable();
+  return unusable() | kPump;  // the waiters held meanwhile ask afresh
 }
 
 void FileLock::lease_expired() {

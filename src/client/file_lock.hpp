@@ -40,6 +40,7 @@ class FileLock {
   [[nodiscard]] State state() const;
   [[nodiscard]] LockMode mode() const { return mode_; }
   [[nodiscard]] bool revoking() const { return revoking_; }
+  [[nodiscard]] bool reasserting() const { return reasserting_; }
   // Generation of the grant mode() came from, and its per-grant secret,
   // echoed in UnlockReq / DemandDoneReq (see protocol/messages.hpp).
   [[nodiscard]] std::uint32_t gen() const { return gen_; }
@@ -50,13 +51,15 @@ class FileLock {
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
   // An op needing `want` may proceed now. An exclusive one must not overtake
   // a revocation: a page dirtied between its flush and the downgrade would
-  // survive under an insufficient lock.
+  // survive under an insufficient lock. None may run on a lock the restarted
+  // server has not confirmed yet.
   [[nodiscard]] bool admits(LockMode want) const;
   // The one admission check for anything that dirties the cache. Nothing may
   // once the lease's phase 4 has begun (`flushing`, kLeaseExpired): that
   // flush is the last one. Otherwise only under the exclusive lock of
-  // transition `seq` (kLockConflict); a revocation drains a read-modify-write
-  // fill already `in_flight` but admits no new write.
+  // transition `seq`, confirmed by the server (kLockConflict); a revocation
+  // drains a read-modify-write fill already `in_flight` but admits no new
+  // write.
   [[nodiscard]] Status may_dirty(std::uint64_t seq, bool flushing, bool in_flight) const;
   // A page fetched under grant `gen` may enter the cache clean.
   [[nodiscard]] bool may_cache_clean(std::uint32_t gen) const {
@@ -86,12 +89,16 @@ class FileLock {
   Io object_expired();
   // The server lost our session: grants, cookies and every exchange in
   // flight belong to its old life. reassert() also returns whether a
-  // ReassertLockReq for mode() must go out.
+  // ReassertLockReq for mode() must go out; until it is answered, mode() and
+  // the file's dirty pages are kept but admit nothing.
   void new_incarnation();
   bool reassert();
   // Sets the generation even if a fresh grant overtook the reply, as the
-  // client always has.
-  void reassert_granted(std::uint32_t gen, std::uint64_t cookie);
+  // client always has, and resumes the waiters held meanwhile.
+  Io reassert_granted(std::uint32_t gen, std::uint64_t cookie);
+  // Only an explicit refusal ends a reassertion. A lost reply leaves it
+  // standing: the lease that protects the dirty pages is still valid, and
+  // its phase 4 flushes them if the server never answers.
   Io reassert_refused();
   // The client lease expired: every lock is gone (the cache with it).
   void lease_expired();

@@ -661,6 +661,43 @@ TEST(ClientPhase4, RescuedLeaseAdmitsWritesAgain) {
   EXPECT_EQ(f.c(0).dirty_pages(), dirty + 1);
 }
 
+// Paper section 6: a lost ReassertLockReq reply means the server is
+// unreachable, not that it refused. The lock and the dirty page stay, held
+// by the lease, and its phase 4 writes the page to the SAN before expiry.
+TEST(Client, LostReassertReplyLeavesTheDirtyPageToPhase4) {
+  obs::Recorder rec;
+  Fixture f(1, core::LeaseStrategy::kStorageTank, &rec);
+  const Fd fd = f.must_open(0, "/file");
+  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(Fixture::kBs, 0x5A)).is_ok());
+  ASSERT_EQ(f.c(0).dirty_pages(), 1u);
+
+  f.server->crash();
+  f.server->restart();
+  // The re-registration is ACKed; every exchange after it is lost, the
+  // ReassertLockReq it sends included.
+  f.c(0).on_registered = [&f] { f.net.reachability().sever_pair(NodeId{100}, NodeId{1}); };
+  f.c(0).getattr(fd, [](Result<protocol::FileAttr>) {});
+  auto reasserts_lost = [&rec, &f] {
+    std::size_t n = 0;
+    rec.visit_node(f.c(0).id(), [&n](const obs::Event& e) {
+      n += e.kind == obs::EventKind::kLockReassert && e.b == 0 ? 1 : 0;
+    });
+    return n;
+  };
+  step_until(f, [&] { return reasserts_lost() > 0; }, 3.0);
+  ASSERT_EQ(reasserts_lost(), 1u);
+  ASSERT_EQ(f.c(0).server_incarnation(), 2u);
+  EXPECT_EQ(f.c(0).dirty_pages(), 1u);
+  EXPECT_EQ(f.c(0).lock_mode(fd), LockMode::kExclusive);
+  EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 0u);
+
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kExpired; });
+  ASSERT_EQ(f.c(0).lease_phase(), core::LeasePhase::kExpired);
+  EXPECT_GE(reasserts_lost(), 2u);  // resent while the lease was valid
+  EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 1u);
+  EXPECT_EQ(f.c(0).dirty_pages(), 0u);
+}
+
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {
   Fixture f(1, core::LeaseStrategy::kVLeases);
   Fd fd = f.must_open(0, "/file");

@@ -1,5 +1,5 @@
-// FileLock in isolation: every (state, event) pair, the deferred demand, and
-// the two admission queries.
+// FileLock in isolation: every (state, event) pair, the admission queries in
+// every state, the deferred demand, and the queries' edge cases.
 #include "client/file_lock.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,8 @@ constexpr LockMode kX = LockMode::kExclusive;
 constexpr Io kGranted = FileLock::kAcquired | FileLock::kSettle | FileLock::kPump;
 constexpr Io kDropped = FileLock::kInvalidate | FileLock::kReleased;
 constexpr Io kInv = FileLock::kInvalidate;
+constexpr Io kResume = FileLock::kSettle | FileLock::kPump;
+constexpr Io kRefused = FileLock::kInvalidate | FileLock::kPump;
 
 // One record in each state, reached through events from a fresh one. Every
 // holder was granted at generation 1 (a reasserting one has generation 0).
@@ -55,12 +57,18 @@ std::map<std::string, Event> events() {
   e["unusable"] = [](FileLock& l) { return l.unusable(); };
   e["object_expired"] = [](FileLock& l) { return l.object_expired(); };
   e["reassert"] = [](FileLock& l) { return static_cast<int>(l.reassert()); };
-  e["reassert_granted"] = [](FileLock& l) { return l.reassert_granted(7, 77), 0; };
+  e["reassert_granted"] = [](FileLock& l) { return l.reassert_granted(7, 77); };
   e["reassert_refused"] = [](FileLock& l) { return l.reassert_refused(); };
   e["lease_expired"] = [](FileLock& l) { return l.lease_expired(), 0; };
   e["new_incarnation"] = [](FileLock& l) { return l.new_incarnation(), 0; };
   e["request_x"] = [](FileLock& l) { return static_cast<int>(l.request(kX)); };
   e["request_done"] = [](FileLock& l) { return l.request_done(), 0; };
+  // The admission queries, as events that change nothing.
+  e["admits_s"] = [](FileLock& l) { return static_cast<int>(l.admits(kS)); };
+  e["admits_x"] = [](FileLock& l) { return static_cast<int>(l.admits(kX)); };
+  e["may_dirty"] = [](FileLock& l) {
+    return static_cast<int>(l.may_dirty(l.seq(), false, false).is_ok());
+  };
   return e;
 }
 
@@ -71,7 +79,7 @@ struct Expect {
   bool unchanged;  // a no-op: the record compares equal to the start
 };
 
-// The full table. demand_old needs a generation below the record's, so the
+// The full table, admission queries included. demand_old needs a generation below the record's, so the
 // three records at generation 0 have no such row.
 const std::map<std::pair<std::string, std::string>, Expect>& table() {
   static const std::map<std::pair<std::string, std::string>, Expect> t = {
@@ -84,12 +92,15 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"none", "unusable"}, {State::kNone, kN, kInv, false}},
       {{"none", "object_expired"}, {State::kNone, kN, kInv, false}},
       {{"none", "reassert"}, {State::kNone, kN, 0, true}},
-      {{"none", "reassert_granted"}, {State::kNone, kN, 0, false}},
-      {{"none", "reassert_refused"}, {State::kNone, kN, kInv, false}},
+      {{"none", "reassert_granted"}, {State::kNone, kN, kResume, false}},
+      {{"none", "reassert_refused"}, {State::kNone, kN, kRefused, false}},
       {{"none", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"none", "new_incarnation"}, {State::kNone, kN, 0, true}},
       {{"none", "request_x"}, {State::kAcquiring, kN, 1, false}},
       {{"none", "request_done"}, {State::kNone, kN, 0, true}},
+      {{"none", "admits_s"}, {State::kNone, kN, 0, true}},
+      {{"none", "admits_x"}, {State::kNone, kN, 0, true}},
+      {{"none", "may_dirty"}, {State::kNone, kN, 0, true}},
 
       {{"acquiring", "grant_fresh"}, {State::kHeld, kX, kGranted, false}},
       {{"acquiring", "grant_stale"}, {State::kAcquiring, kN, 0, true}},
@@ -100,12 +111,15 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"acquiring", "unusable"}, {State::kAcquiring, kN, kInv, false}},
       {{"acquiring", "object_expired"}, {State::kNone, kN, kInv, false}},
       {{"acquiring", "reassert"}, {State::kNone, kN, 0, false}},
-      {{"acquiring", "reassert_granted"}, {State::kAcquiring, kN, 0, false}},
-      {{"acquiring", "reassert_refused"}, {State::kAcquiring, kN, kInv, false}},
+      {{"acquiring", "reassert_granted"}, {State::kAcquiring, kN, kResume, false}},
+      {{"acquiring", "reassert_refused"}, {State::kAcquiring, kN, kRefused, false}},
       {{"acquiring", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"acquiring", "new_incarnation"}, {State::kNone, kN, 0, false}},
       {{"acquiring", "request_x"}, {State::kAcquiring, kN, 0, true}},
       {{"acquiring", "request_done"}, {State::kNone, kN, 0, false}},
+      {{"acquiring", "admits_s"}, {State::kAcquiring, kN, 0, true}},
+      {{"acquiring", "admits_x"}, {State::kAcquiring, kN, 0, true}},
+      {{"acquiring", "may_dirty"}, {State::kAcquiring, kN, 0, true}},
 
       {{"held_s", "grant_fresh"}, {State::kHeld, kX, kGranted, false}},
       {{"held_s", "grant_stale"}, {State::kHeld, kS, 0, true}},
@@ -117,12 +131,15 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"held_s", "unusable"}, {State::kNone, kN, kInv, false}},
       {{"held_s", "object_expired"}, {State::kNone, kN, kInv, false}},
       {{"held_s", "reassert"}, {State::kReasserting, kS, 1, false}},
-      {{"held_s", "reassert_granted"}, {State::kHeld, kS, 0, false}},
-      {{"held_s", "reassert_refused"}, {State::kNone, kN, kInv, false}},
+      {{"held_s", "reassert_granted"}, {State::kHeld, kS, kResume, false}},
+      {{"held_s", "reassert_refused"}, {State::kNone, kN, kRefused, false}},
       {{"held_s", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"held_s", "new_incarnation"}, {State::kHeld, kS, 0, false}},
       {{"held_s", "request_x"}, {State::kUpgrading, kS, 1, false}},
       {{"held_s", "request_done"}, {State::kHeld, kS, 0, true}},
+      {{"held_s", "admits_s"}, {State::kHeld, kS, 1, true}},
+      {{"held_s", "admits_x"}, {State::kHeld, kS, 0, true}},
+      {{"held_s", "may_dirty"}, {State::kHeld, kS, 0, true}},
 
       {{"held_x", "grant_fresh"}, {State::kHeld, kX, kGranted, false}},
       {{"held_x", "grant_stale"}, {State::kHeld, kX, 0, true}},
@@ -134,12 +151,15 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"held_x", "unusable"}, {State::kNone, kN, kInv, false}},
       {{"held_x", "object_expired"}, {State::kNone, kN, kInv, false}},
       {{"held_x", "reassert"}, {State::kReasserting, kX, 1, false}},
-      {{"held_x", "reassert_granted"}, {State::kHeld, kX, 0, false}},
-      {{"held_x", "reassert_refused"}, {State::kNone, kN, kInv, false}},
+      {{"held_x", "reassert_granted"}, {State::kHeld, kX, kResume, false}},
+      {{"held_x", "reassert_refused"}, {State::kNone, kN, kRefused, false}},
       {{"held_x", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"held_x", "new_incarnation"}, {State::kHeld, kX, 0, false}},
       {{"held_x", "request_x"}, {State::kHeld, kX, 0, true}},
       {{"held_x", "request_done"}, {State::kHeld, kX, 0, true}},
+      {{"held_x", "admits_s"}, {State::kHeld, kX, 1, true}},
+      {{"held_x", "admits_x"}, {State::kHeld, kX, 1, true}},
+      {{"held_x", "may_dirty"}, {State::kHeld, kX, 1, true}},
 
       {{"upgrading", "grant_fresh"}, {State::kHeld, kX, kGranted, false}},
       {{"upgrading", "grant_stale"}, {State::kUpgrading, kS, 0, true}},
@@ -151,12 +171,15 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"upgrading", "unusable"}, {State::kAcquiring, kN, kInv, false}},
       {{"upgrading", "object_expired"}, {State::kNone, kN, kInv, false}},
       {{"upgrading", "reassert"}, {State::kReasserting, kS, 1, false}},
-      {{"upgrading", "reassert_granted"}, {State::kUpgrading, kS, 0, false}},
-      {{"upgrading", "reassert_refused"}, {State::kAcquiring, kN, kInv, false}},
+      {{"upgrading", "reassert_granted"}, {State::kUpgrading, kS, kResume, false}},
+      {{"upgrading", "reassert_refused"}, {State::kAcquiring, kN, kRefused, false}},
       {{"upgrading", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"upgrading", "new_incarnation"}, {State::kHeld, kS, 0, false}},
       {{"upgrading", "request_x"}, {State::kUpgrading, kS, 0, true}},
       {{"upgrading", "request_done"}, {State::kHeld, kS, 0, false}},
+      {{"upgrading", "admits_s"}, {State::kUpgrading, kS, 1, true}},
+      {{"upgrading", "admits_x"}, {State::kUpgrading, kS, 0, true}},
+      {{"upgrading", "may_dirty"}, {State::kUpgrading, kS, 0, true}},
 
       // A revocation outlives a fresh grant, a downgrade and a lost lock; it
       // ends only in demand_done() or a reset.
@@ -171,13 +194,19 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"revoking", "unusable"}, {State::kRevoking, kN, kInv, false}},
       {{"revoking", "object_expired"}, {State::kRevoking, kN, kInv, false}},
       {{"revoking", "reassert"}, {State::kReasserting, kX, 1, false}},
-      {{"revoking", "reassert_granted"}, {State::kRevoking, kX, 0, false}},
-      {{"revoking", "reassert_refused"}, {State::kRevoking, kN, kInv, false}},
+      {{"revoking", "reassert_granted"}, {State::kRevoking, kX, kResume, false}},
+      {{"revoking", "reassert_refused"}, {State::kRevoking, kN, kRefused, false}},
       {{"revoking", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"revoking", "new_incarnation"}, {State::kHeld, kX, 0, false}},
       {{"revoking", "request_x"}, {State::kRevoking, kX, 0, true}},
       {{"revoking", "request_done"}, {State::kRevoking, kX, 0, true}},
+      {{"revoking", "admits_s"}, {State::kRevoking, kX, 1, true}},
+      {{"revoking", "admits_x"}, {State::kRevoking, kX, 0, true}},
+      {{"revoking", "may_dirty"}, {State::kRevoking, kX, 0, true}},
 
+      // A reassertion keeps mode() (and the dirty pages) but admits nothing
+      // until the server grants it; the grant resumes the held waiters. A
+      // lost reply is no event: only an explicit refusal drops the lock.
       {{"reasserting", "grant_fresh"}, {State::kHeld, kX, kGranted, false}},
       {{"reasserting", "grant_stale"}, {State::kReasserting, kX, 0, true}},
       {{"reasserting", "demand_current"}, {State::kRevoking, kX, FileLock::kRevoke, false}},
@@ -187,12 +216,15 @@ const std::map<std::pair<std::string, std::string>, Expect>& table() {
       {{"reasserting", "unusable"}, {State::kReasserting, kN, kInv, false}},
       {{"reasserting", "object_expired"}, {State::kReasserting, kN, kInv, false}},
       {{"reasserting", "reassert"}, {State::kReasserting, kX, 1, true}},
-      {{"reasserting", "reassert_granted"}, {State::kHeld, kX, 0, false}},
-      {{"reasserting", "reassert_refused"}, {State::kNone, kN, kInv, false}},
+      {{"reasserting", "reassert_granted"}, {State::kHeld, kX, kResume, false}},
+      {{"reasserting", "reassert_refused"}, {State::kNone, kN, kRefused, false}},
       {{"reasserting", "lease_expired"}, {State::kNone, kN, 0, false}},
       {{"reasserting", "new_incarnation"}, {State::kHeld, kX, 0, false}},
       {{"reasserting", "request_x"}, {State::kReasserting, kX, 0, true}},
       {{"reasserting", "request_done"}, {State::kReasserting, kX, 0, true}},
+      {{"reasserting", "admits_s"}, {State::kReasserting, kX, 0, true}},
+      {{"reasserting", "admits_x"}, {State::kReasserting, kX, 0, true}},
+      {{"reasserting", "may_dirty"}, {State::kReasserting, kX, 0, true}},
   };
   return t;
 }
