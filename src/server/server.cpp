@@ -788,10 +788,10 @@ void Server::unfence_client(NodeId client) {
   }
   // Sent unconditionally within those modes: the server keeps no list of
   // whom it fenced (a crash would forget it anyway), but fences persist at
-  // the disks; re-registration must clear them. The unfence installs the client's NEW registration key —
-  // (incarnation << 32) | epoch, since epoch numbers alone repeat across
-  // server reboots — so commands any earlier session left crawling through
-  // the SAN stay locked out forever.
+  // the disks; re-registration must clear them. The unfence installs the
+  // client's NEW registration key — (incarnation << 32) | epoch, since
+  // epoch numbers alone repeat across server reboots — so commands any
+  // earlier session left crawling through the SAN stay locked out forever.
   const Session* session = sessions_.find(client);
   const std::uint64_t key =
       session == nullptr

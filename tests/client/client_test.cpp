@@ -752,7 +752,6 @@ struct ClusterFixture {
     }
     run_for(0.5);
     for (std::uint32_t k = 0; k < 2; ++k) {
-      EXPECT_TRUE(servers[k]->session_valid(NodeId{100 + k}));
       std::optional<Result<Fd>> r;
       clients[k]->open("/m/f" + std::to_string(k), true, [&](Result<Fd> res) { r = res; });
       run_for(0.1);
@@ -763,6 +762,61 @@ struct ClusterFixture {
 
   void run_for(double s) { engine.run_until(engine.now() + sim::seconds_d(s)); }
 };
+
+TEST(ClientCluster, RegistersWithEveryServer) {
+  ClusterFixture f;
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    EXPECT_TRUE(f.clients[k]->registered());
+    EXPECT_TRUE(f.servers[k]->session_valid(NodeId{100 + k}));
+    EXPECT_FALSE(f.servers[1 - k]->session_valid(NodeId{100 + k}));
+  }
+}
+
+TEST(ClientCluster, OpenWriteReadOnEachServer) {
+  ClusterFixture f;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const Bytes data(ClusterFixture::kBs, static_cast<std::uint8_t>(k + 1));
+    std::optional<Status> wst;
+    f.clients[k]->write(f.fds[k], 0, data, [&](Status st) { wst = st; });
+    f.run_for(0.2);
+    ASSERT_TRUE(wst && wst->is_ok());
+    std::optional<Result<Bytes>> r;
+    f.clients[k]->read(f.fds[k], 0, ClusterFixture::kBs,
+                       [&](Result<Bytes> res) { r = std::move(res); });
+    f.run_for(0.2);
+    ASSERT_TRUE(r && r->ok());
+    EXPECT_EQ(r->value(), data);
+  }
+}
+
+TEST(ClientCluster, SyncAllOnEachClientFlushesItsServersDisk) {
+  ClusterFixture f;
+  for (std::size_t k = 0; k < 2; ++k) {
+    f.clients[k]->write(f.fds[k], 0, Bytes(ClusterFixture::kBs, 1), [](Status) {});
+  }
+  f.run_for(0.2);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    ASSERT_EQ(f.clients[k]->dirty_pages(), 1u);
+    std::optional<Status> st;
+    f.clients[k]->sync_all([&](Status s) { st = s; });
+    f.run_for(0.2);
+    ASSERT_TRUE(st && st->is_ok());
+    EXPECT_EQ(f.clients[k]->dirty_pages(), 0u);
+    EXPECT_EQ(f.san.disk(DiskId{k + 1}).writes_served(), 1u);
+  }
+}
+
+TEST(ClientCluster, CrashAndRestartReregistersEverywhere) {
+  ClusterFixture f;
+  for (auto& c : f.clients) c->crash();
+  f.run_for(0.5);
+  for (auto& c : f.clients) c->restart();
+  f.run_for(1.0);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    EXPECT_TRUE(f.clients[k]->registered());
+    EXPECT_EQ(f.servers[k]->session_epoch(NodeId{100 + k}), 2u);
+  }
+}
 
 TEST(ClientCluster, PerServerLeasesAreIndependent) {
   ClusterFixture f;
