@@ -81,6 +81,9 @@ Client::~Client() {
   if (register_timer_ != 0) {
     clock_.cancel(register_timer_);
   }
+  if (reassert_timer_ != 0) {
+    clock_.cancel(reassert_timer_);
+  }
 }
 
 void Client::wire_transport() {
@@ -119,6 +122,10 @@ void Client::crash() {
   if (register_timer_ != 0) {
     clock_.cancel(register_timer_);
     register_timer_ = 0;
+  }
+  if (reassert_timer_ != 0) {
+    clock_.cancel(reassert_timer_);
+    reassert_timer_ = 0;
   }
   register_inflight_ = false;
   registered_ = false;
@@ -165,7 +172,7 @@ void Client::register_with_server() {
       registered_ = true;
       accepting_ = lease_->on_registered(ev.first_send);
       if (can_reassert) {
-        reassert_locks();
+        reassert_locks(std::exchange(pre_restart_flush_, std::nullopt));
       } else if (re_registration) {
         // Lease not even valid: too late to reassert safely — drop
         // everything. A new incarnation also numbers generations from
@@ -194,20 +201,46 @@ void Client::handle_stale_session() {
   registered_ = false;
   // Keep the cache, the lock table and the lease: the failure is at the
   // SERVER; our contract (and dirty data) remain valid while the lease
-  // lives. Outstanding requests will fail; the workload retries.
+  // lives. Outstanding requests will fail; the workload retries. The
+  // RegisterReq's ACK renews the lease before its reply is handled, so note
+  // now when the lease from before the restart flushes.
+  pre_restart_flush_ = lease_->flush_time();
   transport_.abandon_pending();
   abort_size_rounds(ErrorCode::kStaleSession);
   register_with_server();
   schedule_register_retry();
 }
 
-void Client::reassert_locks() {
+void Client::reassert_locks(std::optional<sim::LocalTime> flush_at) {
   // The new incarnation numbers lock generations from scratch — for EVERY
   // file, not only the ones we reassert, or a stale pre-crash generation
   // would make us discard the new incarnation's grants and demands.
   // Ascending FileId: the send order assigns the msg ids.
+  bool any = false;
   for (const FileId file : known_files()) {
-    if (find_file(file)->lock.reassert()) send_reassert(file);
+    if (find_file(file)->lock.reassert()) {
+      send_reassert(file);
+      any = true;
+    }
+  }
+  if (reassert_timer_ != 0) {
+    clock_.cancel(reassert_timer_);
+    reassert_timer_ = 0;
+  }
+  // Without a phase 4 to flush in, nothing covers an unconfirmed lock: a
+  // lost reply ends its reassertion at once.
+  if (!any || !flush_at) return;
+  const sim::LocalDuration wait = *flush_at - clock_.now();
+  reassert_timer_ = clock_.schedule_after(std::max(wait, sim::LocalDuration{1}), [this]() {
+    reassert_timer_ = 0;
+    flush_reasserting();
+  });
+}
+
+void Client::flush_reasserting() {
+  for (const FileId file : known_files()) {
+    FileState* fs = find_file(file);
+    if (fs->lock.reasserting() && cache_.has_dirty(file)) write_dirty(*fs, [](Status) {});
   }
 }
 
@@ -236,12 +269,15 @@ void Client::send_reassert(FileId file) {
           perform(file, fs->lock.reassert_refused());
           return;
         }
-        // No answer: the server is unreachable, not refusing. Keep the lock
-        // and the dirty pages, which the lease still protects. Ask again
-        // while it is valid; a NACK or an expiring lease leaves them to the
-        // phase-4 flush, and a new incarnation to the next reassert_locks().
-        if (ev.outcome == protocol::ReplyOutcome::kTimeout && fs->lock.reasserting() &&
-            registered_ && lease_->lease_valid()) {
+        // No answer: the server is unreachable, not refusing. Until the
+        // pre-restart lease's phase 4, keep the lock and the dirty pages and
+        // ask again. flush_reasserting() then writes the pages, and a reply
+        // lost after that ends the reassertion as a refusal does. A stale
+        // session leaves the lock to the next reassert_locks().
+        if (ev.outcome != protocol::ReplyOutcome::kTimeout || !fs->lock.reasserting()) return;
+        if (reassert_timer_ == 0) {
+          perform(file, fs->lock.reassert_refused());
+        } else if (registered_) {
           send_reassert(file);
         }
       });
@@ -1155,6 +1191,15 @@ void Client::flush_file(FileId file, StatusCb cb) {
     cb(Status::ok());
     return;
   }
+  if (fs->lock.reasserting()) {
+    cb(Status{ErrorCode::kLockConflict});
+    return;
+  }
+  write_dirty(*fs, std::move(cb));
+}
+
+void Client::write_dirty(FileState& fs, StatusCb cb) {
+  const FileId file = fs.file;
   OpRef op = start_op(OpKind::kFlush, file);
   op->done = std::move(cb);
   cache_.dirty_blocks(file, op->blocks);
@@ -1162,7 +1207,7 @@ void Client::flush_file(FileId file, StatusCb cb) {
   for (const std::uint64_t fb : op->blocks) {
     const BlockCache::Page* page = cache_.peek(file, fb);
     STANK_ASSERT(page != nullptr);
-    write_block_through(*fs, op, fb, page->data);
+    write_block_through(fs, op, fb, page->data);
   }
 }
 
@@ -1210,6 +1255,10 @@ void Client::flush_all(StatusCb cb) {
     FileState* fs = find_file(file);
     if (fs == nullptr) {
       flush_block_done(*op, Status{ErrorCode::kIoError});
+      continue;
+    }
+    if (fs->lock.reasserting()) {
+      flush_block_done(*op, Status{ErrorCode::kLockConflict});
       continue;
     }
     const BlockCache::Page* page = cache_.peek(file, fb);

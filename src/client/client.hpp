@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -220,10 +221,14 @@ class Client {
   void invalidate_everything(bool new_incarnation);
   // The server restarted (new incarnation): re-register while the lease is
   // still valid, then reassert every held lock so the cache survives
-  // (paper section 6).
+  // (paper section 6). `flush_at` is when the lease from before the restart
+  // enters phase 4.
   void handle_stale_session();
-  void reassert_locks();
+  void reassert_locks(std::optional<sim::LocalTime> flush_at);
   void send_reassert(FileId file);
+  // That phase 4 has come: write the dirty pages of every lock still
+  // unconfirmed.
+  void flush_reasserting();
 
   // Request plumbing.
   // Why a call may not start now (kShutdown, kLeaseExpired, kQuiesced), or kOk.
@@ -287,9 +292,11 @@ class Client {
   void read_shipped(FileState& fs, OpRef op);
   void write_shipped(FileState& fs, OpRef op);
 
-  // Flushing.
+  // Flushing. Neither writes a file whose lock is still being reasserted
+  // (kLockConflict): only flush_reasserting() may.
   void flush_file(FileId file, StatusCb cb);
   void flush_all(StatusCb cb);
+  void write_dirty(FileState& fs, StatusCb cb);
   // Writes one dirty page of a flush op to the SAN.
   void write_block_through(FileState& fs, const OpRef& op, std::uint64_t fb, const Bytes& data);
   void flush_block_done(Op& op, Status st);
@@ -314,6 +321,15 @@ class Client {
   bool register_inflight_{false};
   bool flush_stops_dirtying_{true};
   sim::TimerId register_timer_{0};
+  // A lock the restarted server has not confirmed keeps its dirty pages only
+  // under the lease from before the restart. That lease's last renewal was
+  // sent before the crash, so it ends inside the server's grace period; the
+  // lease that re-registration renews does not. reassert_timer_ runs until
+  // that lease's phase 4 (pre_restart_flush_, noted when the session went
+  // stale), then writes those pages; a reply lost after that ends the
+  // reassertion as a refusal does.
+  std::optional<sim::LocalTime> pre_restart_flush_;
+  sim::TimerId reassert_timer_{0};
   // Last server incarnation seen in a RegisterReply (0 = never registered).
   std::uint32_t server_incarnation_{0};
 

@@ -96,9 +96,9 @@ class FileLock {
   // Sets the generation even if a fresh grant overtook the reply, as the
   // client always has, and resumes the waiters held meanwhile.
   Io reassert_granted(std::uint32_t gen, std::uint64_t cookie);
-  // Only an explicit refusal ends a reassertion. A lost reply leaves it
-  // standing: the lease that protects the dirty pages is still valid, and
-  // its phase 4 flushes them if the server never answers.
+  // A refusal ends a reassertion. A lost reply leaves it standing until the
+  // lease from before the restart has flushed the file's dirty pages in its
+  // phase 4; the client treats one lost after that as a refusal.
   Io reassert_refused();
   // The client lease expired: every lock is gone (the cache with it).
   void lease_expired();

@@ -64,6 +64,11 @@ class ClientLeaseAgent : public ClientLease {
            phase_ == LeasePhase::kSuspect || phase_ == LeasePhase::kFlush;
   }
 
+  [[nodiscard]] std::optional<sim::LocalTime> flush_time() const override {
+    if (!lease_valid()) return std::nullopt;
+    return boundary(cfg_.phase4_frac);
+  }
+
   [[nodiscard]] sim::LocalTime lease_start() const { return lease_start_; }
   [[nodiscard]] sim::LocalTime lease_expiry() const { return lease_start_ + cfg_.tau; }
 

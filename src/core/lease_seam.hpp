@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/strong_id.hpp"
@@ -71,6 +72,9 @@ class ClientLease {
   virtual bool on_nack() { return false; }
   // Server pushes are accepted, and locks reasserted, only while true.
   [[nodiscard]] virtual bool lease_valid() const { return true; }
+  // When the current lease's phase 4 begins, on the client's clock; none for
+  // a strategy without one.
+  [[nodiscard]] virtual std::optional<sim::LocalTime> flush_time() const { return std::nullopt; }
   // A RegisterReq first sent at t_c1 was ACKed; returns whether FS requests
   // may be admitted.
   virtual bool on_registered(sim::LocalTime t_c1) = 0;

@@ -663,7 +663,8 @@ TEST(ClientPhase4, RescuedLeaseAdmitsWritesAgain) {
 
 // Paper section 6: a lost ReassertLockReq reply means the server is
 // unreachable, not that it refused. The lock and the dirty page stay, held
-// by the lease, and its phase 4 writes the page to the SAN before expiry.
+// by the lease from before the restart, and its phase 4 writes the page to
+// the SAN.
 TEST(Client, LostReassertReplyLeavesTheDirtyPageToPhase4) {
   obs::Recorder rec;
   Fixture f(1, core::LeaseStrategy::kStorageTank, &rec);
@@ -693,9 +694,70 @@ TEST(Client, LostReassertReplyLeavesTheDirtyPageToPhase4) {
 
   step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kExpired; });
   ASSERT_EQ(f.c(0).lease_phase(), core::LeasePhase::kExpired);
-  EXPECT_GE(reasserts_lost(), 2u);  // resent while the lease was valid
+  EXPECT_GE(reasserts_lost(), 2u);  // resent until that phase 4
   EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 1u);
   EXPECT_EQ(f.c(0).dirty_pages(), 0u);
+}
+
+// The lease that re-registration renews outlives the restarted server's
+// grace period, so it may not cover a lock the server never confirmed. Only
+// the lease from before the restart may: its last renewal was sent before the
+// crash. Here client 100 learns of the restart 0.5 tau late and its
+// ReassertLockReq is lost. It must flush in the old lease's phase 4, before
+// grace ends. Client 101 takes the lock after grace, and a late flush from
+// 100 would overwrite 101's write.
+TEST(Client, UnconfirmedReassertFlushesUnderThePreRestartLease) {
+  Fixture f(3);
+  const Fd fd = f.must_open(0, "/file");
+  ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(Fixture::kBs, 0x5A)).is_ok());
+  ASSERT_EQ(f.c(0).dirty_pages(), 1u);
+
+  const NodeId a{100};
+  const NodeId srv{1};
+  const sim::SimTime restarted = f.engine.now();
+  f.server->crash();
+  f.server->restart();
+  f.net.reachability().sever_pair(a, srv);
+  f.run_for(2.6);  // past 0.5 tau
+  f.c(0).on_registered = [&f, a, srv] { f.net.reachability().sever_pair(a, srv); };
+  f.net.reachability().restore_pair(a, srv);
+  step_until(f, [&] { return f.c(0).server_incarnation() == 2; }, 1.0);
+  ASSERT_EQ(f.c(0).server_incarnation(), 2u);
+  ASSERT_GE((f.engine.now() - restarted).seconds(), 2.5);
+  EXPECT_EQ(f.c(0).dirty_pages(), 1u);
+  // No other flush writes a file whose lock is unconfirmed.
+  std::optional<Status> fsynced;
+  std::optional<Status> synced_all;
+  f.c(0).fsync(fd, [&](Status s) { fsynced = s; });
+  f.c(0).sync_all([&](Status s) { synced_all = s; });
+  f.run_for(0.1);
+  ASSERT_TRUE(fsynced.has_value() && synced_all.has_value());
+  EXPECT_EQ(fsynced->error(), ErrorCode::kLockConflict);
+  EXPECT_EQ(synced_all->error(), ErrorCode::kLockConflict);
+  EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 0u);
+
+  // Grace ends at restart + tau(1 + eps); the page is on disk before that.
+  f.engine.run_until(restarted + sim::seconds_d(5.0));
+  EXPECT_EQ(f.c(0).dirty_pages(), 0u);
+  EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 1u);
+
+  f.engine.run_until(restarted + sim::seconds_d(5.2));
+  const Fd fd_b = f.must_open(1, "/file", false);
+  const Bytes mine(Fixture::kBs, 0xB0);
+  ASSERT_TRUE(f.must_write(1, fd_b, 0, mine).is_ok());
+  std::optional<Status> synced;
+  f.c(1).fsync(fd_b, [&](Status s) { synced = s; });
+  f.run_for(0.2);
+  ASSERT_TRUE(synced.has_value() && synced->is_ok());
+
+  // Past client 100's renewed lease: nothing it held is left to write.
+  f.run_for(5.0);
+  EXPECT_EQ(f.c(0).dirty_pages(), 0u);
+  EXPECT_EQ(f.san.disk(DiskId{1}).writes_served(), 2u);
+  const Fd fd_c = f.must_open(2, "/file", false);
+  const Result<Bytes> seen = f.must_read(2, fd_c, 0, Fixture::kBs);
+  ASSERT_TRUE(seen.ok());
+  EXPECT_EQ(seen.value(), mine);
 }
 
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {

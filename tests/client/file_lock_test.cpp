@@ -79,8 +79,8 @@ struct Expect {
   bool unchanged;  // a no-op: the record compares equal to the start
 };
 
-// The full table, admission queries included. demand_old needs a generation below the record's, so the
-// three records at generation 0 have no such row.
+// The full table, admission queries included. demand_old needs a generation
+// below the record's, so the three records at generation 0 have no such row.
 const std::map<std::pair<std::string, std::string>, Expect>& table() {
   static const std::map<std::pair<std::string, std::string>, Expect> t = {
       {{"none", "grant_fresh"}, {State::kHeld, kX, kGranted, false}},
