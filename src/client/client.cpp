@@ -54,7 +54,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
   }
   wire_transport();
   core::ClientLease::Hooks hooks;
-  hooks.quiesce = [this]() { accepting_ = false; };
+  hooks.quiesce = [this]() { session_.admit(false); };
   hooks.flush = [this]() { flush_all([](Status) {}); };
   hooks.expired = [this]() { handle_lease_expired(); };
   hooks.phase_changed = [this](core::LeasePhase from, core::LeasePhase to) {
@@ -62,9 +62,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
         (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
       // A keep-alive probe rescued an un-NACKed ride-down: the lease is
       // valid again and quiesce is over.
-      if (registered_ && !crashed_) {
-        accepting_ = true;
-      }
+      session_.admit(true);
     }
     if (on_phase_change) on_phase_change(from, to);
   };
@@ -96,26 +94,21 @@ void Client::wire_transport() {
   transport_.on_stale_session = [this]() { handle_stale_session(); };
   transport_.on_server_msg = [this](const protocol::ServerBody& body) { handle_server_msg(body); };
   transport_.accept_server_msg = [this](std::uint32_t epoch) {
-    if (crashed_ || !registered_) return false;
-    if (epoch != transport_.epoch()) return false;
-    if (!lease_->lease_valid()) return false;
-    return true;
+    return session_.registered() && epoch == transport_.epoch() && lease_->lease_valid();
   };
 }
 
 void Client::start() {
-  STANK_ASSERT(!started_);
-  started_ = true;
+  STANK_ASSERT_MSG(session_.start(), "start() is only valid once");
   transport_.start();
   register_with_server();
 }
 
 void Client::crash() {
-  if (crashed_) return;
+  if (!session_.crash()) return;
   if (rec_ != nullptr) {
     rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kCrash);
   }
-  crashed_ = true;
   ++gen_;
   transport_.stop();
   lease_->stop();
@@ -127,9 +120,6 @@ void Client::crash() {
     clock_.cancel(reassert_timer_);
     reassert_timer_ = 0;
   }
-  register_inflight_ = false;
-  registered_ = false;
-  accepting_ = false;
   // Volatile state is gone. Callbacks of in-flight operations are dropped —
   // a crashed machine answers nobody.
   cache_.invalidate_all();
@@ -138,11 +128,10 @@ void Client::crash() {
 }
 
 void Client::restart() {
-  STANK_ASSERT_MSG(crashed_, "restart() is only valid after crash()");
+  STANK_ASSERT_MSG(session_.restart(), "restart() is only valid after crash()");
   if (rec_ != nullptr) {
     rec_->record(clock_.engine().now(), cfg_.id, obs::EventKind::kRestart, gen_);
   }
-  crashed_ = false;
   transport_.set_epoch(0);
   transport_.start();
   register_with_server();
@@ -152,10 +141,7 @@ void Client::restart() {
 // Registration & lease lifecycle
 
 void Client::register_with_server() {
-  if (crashed_ || registered_ || register_inflight_) return;
-  register_inflight_ = true;
   transport_.send_request(protocol::RegisterReq{}, [this](const protocol::ReplyEvent& ev) {
-    register_inflight_ = false;
     if (const auto* rep = reply_as<protocol::RegisterReply>(ev)) {
       transport_.set_session(rep->epoch, rep->incarnation);
       const bool server_restarted =
@@ -169,8 +155,10 @@ void Client::register_with_server() {
       const bool re_registration = server_incarnation_ != 0;
       const bool can_reassert = re_registration && lease_->lease_valid();
       server_incarnation_ = rep->incarnation;
-      registered_ = true;
-      accepting_ = lease_->on_registered(ev.first_send);
+      // Registered before the lease renews: a renewal anchored so far back
+      // that the lease expires at once tears this session down again.
+      session_.register_acked();
+      session_.admit(lease_->on_registered(ev.first_send));
       if (can_reassert) {
         reassert_locks(std::exchange(pre_restart_flush_, std::nullopt));
       } else if (re_registration) {
@@ -182,23 +170,21 @@ void Client::register_with_server() {
       if (on_registered) on_registered();
       return;
     }
+    session_.register_failed();
     schedule_register_retry();
   });
 }
 
 void Client::schedule_register_retry() {
-  if (crashed_ || registered_ || register_timer_ != 0) return;
+  if (register_timer_ != 0) return;
   register_timer_ = clock_.schedule_after(kReregisterRetry, [this]() {
     register_timer_ = 0;
-    register_with_server();
+    if (session_.retry()) register_with_server();
   });
 }
 
 void Client::handle_stale_session() {
-  if (crashed_ || !registered_) {
-    return;  // a registration is already on its way
-  }
-  registered_ = false;
+  if (!session_.stale()) return;  // not registered: a registration is on its way
   // Keep the cache, the lock table and the lease: the failure is at the
   // SERVER; our contract (and dirty data) remain valid while the lease
   // lives. Outstanding requests will fail; the workload retries. The
@@ -277,19 +263,16 @@ void Client::send_reassert(FileId file) {
         if (ev.outcome != protocol::ReplyOutcome::kTimeout || !fs->lock.reasserting()) return;
         if (reassert_timer_ == 0) {
           perform(file, fs->lock.reassert_refused());
-        } else if (registered_) {
+        } else if (session_.registered()) {
           send_reassert(file);
         }
       });
 }
 
 void Client::handle_lease_expired() {
-  if (!registered_ && !accepting_) {
-    return;  // already torn down
-  }
+  if (!session_.expire()) return;  // no lease to tear down
   before_lease_teardown();
-  registered_ = false;
-  accepting_ = false;
+  // A RegisterReq in flight is abandoned too: the one sent below replaces it.
   transport_.abandon_pending();
   abort_size_rounds(ErrorCode::kLeaseExpired);
   fail_all_lock_waits(ErrorCode::kLeaseExpired);
@@ -316,11 +299,8 @@ bool Client::lease_flushing() const {
 }
 
 ErrorCode Client::gate() const {
-  if (crashed_) return ErrorCode::kShutdown;
-  if (!registered_) return ErrorCode::kLeaseExpired;
-  if (!accepting_) return ErrorCode::kQuiesced;
-  if (!lease_->admits_ops()) return ErrorCode::kLeaseExpired;
-  return ErrorCode::kOk;
+  if (const ErrorCode why = session_.gate(); why != ErrorCode::kOk) return why;
+  return lease_->admits_ops() ? ErrorCode::kOk : ErrorCode::kLeaseExpired;
 }
 
 template <typename Cb>

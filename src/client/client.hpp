@@ -14,10 +14,17 @@
 //
 // All public calls are asynchronous: the simulation is event-driven, so a
 // call schedules work and the callback fires when it completes. Callbacks
-// fire at most once: exactly once unless the client crashes, its lease
-// expires, or a stale session abandons the request first. Callbacks are
-// move-only; each call's state lives in one pooled record (DESIGN.md §11), so
-// the per-op path allocates nothing once warm.
+// fire at most once, and exactly once unless a session event (client::Session,
+// DESIGN.md §7) cuts the call short:
+//   * a crash answers nobody;
+//   * a lease expiry, re-registering after a server restart included,
+//     answers every call waiting for a lock or a size round kLeaseExpired
+//     and drops, unanswered, every call whose request it abandons in flight;
+//   * a stale session (the server restarted) drops every call whose request
+//     it abandons in flight, answers writes waiting for a size round
+//     kStaleSession, and keeps lock waits queued.
+// Callbacks are move-only; each call's state lives in one pooled record
+// (DESIGN.md §11), so the per-op path allocates nothing once warm.
 //
 // Honest only: it keeps every protocol obligation. The untrusted client of
 // DESIGN.md §13 subclasses it through the protected seams below.
@@ -32,6 +39,7 @@
 
 #include "client/cache.hpp"
 #include "client/file_lock.hpp"
+#include "client/session.hpp"
 #include "common/flat_map.hpp"
 #include "common/move_fn.hpp"
 #include "common/small_vec.hpp"
@@ -102,9 +110,9 @@ class Client {
 
   // --- Introspection ------------------------------------------------------
   [[nodiscard]] NodeId id() const { return cfg_.id; }
-  [[nodiscard]] bool registered() const { return registered_; }
-  [[nodiscard]] bool accepting() const { return accepting_; }
-  [[nodiscard]] bool crashed() const { return crashed_; }
+  [[nodiscard]] bool registered() const { return session_.registered(); }
+  [[nodiscard]] bool accepting() const { return session_.accepting(); }
+  [[nodiscard]] bool crashed() const { return session_.crashed(); }
   [[nodiscard]] std::size_t dirty_pages() const { return cache_.dirty_count(); }
   [[nodiscard]] core::LeasePhase lease_phase() const { return lease_->phase(); }
   [[nodiscard]] metrics::Counters& counters() { return counters_; }
@@ -204,7 +212,7 @@ class Client {
   [[nodiscard]] std::vector<FileId> known_files() const;
   // A known file's last-known extents; null if the file is not known.
   [[nodiscard]] const std::vector<protocol::Extent>* known_extents(FileId file) const;
-  // Called by handle_lease_expired() past its already-torn-down guard.
+  // Called by handle_lease_expired() when there is a lease to tear down.
   virtual void before_lease_teardown() {}
   // From a constructor: keep buffering writes through lease phase 4 instead
   // of failing every continuation that would dirty the cache there.
@@ -213,7 +221,9 @@ class Client {
  private:
   // Setup & lifecycle.
   void wire_transport();
+  // Sends a RegisterReq; the session has just entered a registering state.
   void register_with_server();
+  // Arms the retry timer unless it is already running.
   void schedule_register_retry();
   void handle_lease_expired();
   // Drops every lock and cached page; a new server incarnation also voids
@@ -314,11 +324,7 @@ class Client {
 
   std::unique_ptr<core::ClientLease> lease_;
 
-  bool started_{false};
-  bool crashed_{false};
-  bool registered_{false};
-  bool accepting_{false};
-  bool register_inflight_{false};
+  Session session_;
   bool flush_stops_dirtying_{true};
   sim::TimerId register_timer_{0};
   // A lock the restarted server has not confirmed keeps its dirty pages only

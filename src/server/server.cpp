@@ -39,7 +39,7 @@ std::unique_ptr<core::ServerLease> Server::make_lease() {
   core::ServerLease::Hooks hooks;
   hooks.steal_locks = [this](NodeId c) {
     if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
-      fence_client(c, [this, c]() { do_steal(c); });
+      fence_client(c);
     } else {
       do_steal(c);
     }
@@ -69,9 +69,8 @@ void Server::start() {
     handle_request(client, epoch, body, r);
   };
   transport_.may_ack = [this](NodeId c) {
-    if (barred_.contains(c)) return false;
-    if (!lease_->may_ack(c)) return false;
-    return true;
+    const Session* s = clients_.find(c);
+    return (s == nullptr || s->state() != Session::State::kBarred) && lease_->may_ack(c);
   };
   transport_.set_incarnation(incarnation_);
   transport_.start();
@@ -101,7 +100,9 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 
   // "The server can neither acknowledge the message, which would renew the
   // client lease, nor execute a transaction on the client's behalf." (3.3)
-  if (barred_.contains(client) || !lease_->may_ack(client)) {
+  const Session* session = clients_.find(client);
+  if ((session != nullptr && session->state() == Session::State::kBarred) ||
+      !lease_->may_ack(client)) {
     if (cfg_.nack_suspect) {
       r.nack();
     }
@@ -109,8 +110,7 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
     return;
   }
 
-  const Session* session = sessions_.find(client);
-  if (session == nullptr) {
+  if (session == nullptr || session->epoch() == 0) {
     // No session at all. After a restart that is the normal state for every
     // pre-crash client: tell it to re-register and reassert (section 6)
     // rather than NACKing it into cache invalidation.
@@ -121,7 +121,7 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
     }
     return;
   }
-  if (!session->valid || session->epoch != epoch) {
+  if (session->epoch() != epoch) {
     // Stale epoch within a known session: the client is out of sync.
     r.nack();
     return;
@@ -179,7 +179,8 @@ void Server::handle_register(NodeId client, ServerTransport::Responder r) {
     r.nack();
     return;
   }
-  if (fencing_.contains(client)) {
+  Session& session = clients_[client];
+  if (!session.reregister()) {
     // A fence -> steal for this client is still in flight (a disk has not
     // acked its fence yet). Admitting a new session now would let the
     // pending do_steal() land on the FRESH session's locks — the client
@@ -188,19 +189,14 @@ void Server::handle_register(NodeId client, ServerTransport::Responder r) {
     r.nack();
     return;
   }
-  barred_.erase(client);
-
-  Session& s = sessions_[client];
-  ++s.epoch;
-  s.valid = true;
-
+  const std::uint32_t epoch = session.epoch();
   lease_->on_registered(client);
-  unfence_client(client);
+  unfence_client(client, epoch);
   ++counters_.transactions;
   if (rec_ != nullptr) {
-    rec_->record(engine_->now(), client, obs::EventKind::kRegister, s.epoch);
+    rec_->record(engine_->now(), client, obs::EventKind::kRegister, epoch);
   }
-  r.ack(protocol::RegisterReply{s.epoch, incarnation_});
+  r.ack(protocol::RegisterReply{epoch, incarnation_});
 }
 
 void Server::handle_open(NodeId client, const protocol::OpenReq& req,
@@ -400,9 +396,7 @@ void Server::crash() {
   // counter live on the server's private persistent storage.
   locks_ = LockManager{};
   locks_.set_recorder(rec_);
-  sessions_.clear();
-  barred_.clear();
-  fencing_.clear();
+  clients_.clear();
   grants_.clear();
   // Lease state is volatile too; the old object cancels its timers as it goes.
   lease_ = make_lease();
@@ -594,10 +588,8 @@ void Server::apply_update(const LockManager::Update& upd) {
 void Server::issue_demand(const LockManager::Demand& d) {
   ++counters_.lock_demands;
   const std::uint32_t gen = grant_state(d.holder, d.file).gen;
-  const Session* session = sessions_.find(d.holder);
-  const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
   transport_.send_server_msg(
-      d.holder, epoch, protocol::LockDemand{d.file, d.max_mode, gen},
+      d.holder, session_epoch(d.holder), protocol::LockDemand{d.file, d.max_mode, gen},
       [this, d, gen](bool delivered) {
         if (!delivered) {
           on_delivery_failure(d.holder);
@@ -657,9 +649,8 @@ void Server::deliver_grant(const LockManager::Grant& g) {
   const GrantState gs = issue_grant(g.client, g.file);
   cancel_demand_timer(g.client, g.file);
   lease_->on_grant(g.client, g.file);
-  const Session* session = sessions_.find(g.client);
-  const std::uint32_t epoch = session == nullptr ? 0 : session->epoch;
-  transport_.send_server_msg(g.client, epoch, protocol::LockGrant{g.file, g.mode, gs.gen, gs.cookie},
+  transport_.send_server_msg(g.client, session_epoch(g.client),
+                             protocol::LockGrant{g.file, g.mode, gs.gen, gs.cookie},
                              [this, g](bool delivered) {
                                if (!delivered) {
                                  on_delivery_failure(g.client);
@@ -715,8 +706,8 @@ Result<FileId> Server::preallocate(const std::string& path, std::uint64_t size) 
 }
 
 void Server::on_delivery_failure(NodeId client) {
-  if (barred_.contains(client)) {
-    return;  // already stolen; nothing left to protect
+  if (const Session* s = clients_.find(client); s != nullptr && s->recovering()) {
+    return;  // fencing, or already stolen: recovery needs no second start
   }
   switch (cfg_.recovery) {
     case RecoveryMode::kNoRecovery:
@@ -725,7 +716,7 @@ void Server::on_delivery_failure(NodeId client) {
       do_steal(client);
       return;
     case RecoveryMode::kFenceOnly:
-      fence_client(client, [this, client]() { do_steal(client); });
+      fence_client(client);
       return;
     case RecoveryMode::kLeaseOnly:
     case RecoveryMode::kLeaseAndFence:
@@ -734,22 +725,21 @@ void Server::on_delivery_failure(NodeId client) {
   }
 }
 
-void Server::fence_client(NodeId client, std::function<void()> then) {
+void Server::fence_client(NodeId client) {
+  if (!clients_[client].fence()) return;
   ++counters_.fences_issued;
-  fencing_.insert(client);
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kFence);
   }
-  fence_round(client, std::move(then));
+  fence_round(client);
 }
 
-void Server::fence_round(NodeId client, std::function<void()> then) {
+void Server::fence_round(NodeId client) {
   auto fan = std::make_shared<FanIn>();
   fan->expected = cfg_.data_disks.size();
-  fan->done = [this, client, then = std::move(then)](Status st) mutable {
+  fan->done = [this, client](Status st) {
     if (st.is_ok()) {
-      fencing_.erase(client);
-      if (then) then();
+      do_steal(client);
       return;
     }
     // A disk that did not acknowledge the fence is NOT fenced. Stealing the
@@ -761,16 +751,16 @@ void Server::fence_round(NodeId client, std::function<void()> then) {
     // locks is sacrificed for safety, never the other way around.
     ++counters_.fence_retries;
     const std::uint32_t inc = incarnation_;
-    clock_.schedule_after(sim::local_millis(100),
-                          [this, client, inc, then = std::move(then)]() mutable {
-                            // A crash/restart dropped the whole fence context
-                            // (a new incarnation re-fences from scratch).
-                            if (!started_ || incarnation_ != inc ||
-                                !fencing_.contains(client)) {
-                              return;
-                            }
-                            fence_round(client, std::move(then));
-                          });
+    clock_.schedule_after(sim::local_millis(100), [this, client, inc]() {
+      // A crash/restart dropped the whole fence context (a new incarnation
+      // re-fences from scratch).
+      const Session* s = clients_.find(client);
+      if (!started_ || incarnation_ != inc || s == nullptr ||
+          s->state() != Session::State::kFencing) {
+        return;
+      }
+      fence_round(client);
+    });
   };
   for (DiskId d : cfg_.data_disks) {
     san_->submit_admin(storage::AdminRequest{cfg_.id, d, storage::AdminOp::kFence, client},
@@ -778,7 +768,7 @@ void Server::fence_round(NodeId client, std::function<void()> then) {
   }
 }
 
-void Server::unfence_client(NodeId client) {
+void Server::unfence_client(NodeId client, std::uint32_t epoch) {
   // Only fencing recovery modes ever touch the disks' fence state (the
   // lease-only baseline must not get fencing semantics through the back
   // door).
@@ -792,11 +782,7 @@ void Server::unfence_client(NodeId client) {
   // client's NEW registration key — (incarnation << 32) | epoch, since
   // epoch numbers alone repeat across server reboots — so commands any
   // earlier session left crawling through the SAN stay locked out forever.
-  const Session* session = sessions_.find(client);
-  const std::uint64_t key =
-      session == nullptr
-          ? 0
-          : (static_cast<std::uint64_t>(incarnation_) << 32) | session->epoch;
+  const std::uint64_t key = (static_cast<std::uint64_t>(incarnation_) << 32) | epoch;
   if (rec_ != nullptr) {
     rec_->record(engine_->now(), client, obs::EventKind::kUnfence, key);
   }
@@ -808,14 +794,7 @@ void Server::unfence_client(NodeId client) {
 }
 
 void Server::do_steal(NodeId client) {
-  fencing_.erase(client);
-  if (barred_.contains(client)) {
-    return;
-  }
-  barred_.insert(client);
-  if (Session* session = sessions_.find(client); session != nullptr) {
-    session->valid = false;
-  }
+  if (!clients_[client].steal()) return;
   transport_.cancel_server_msgs(client);
   cancel_demand_timers(client);
 
@@ -840,13 +819,13 @@ void Server::do_steal(NodeId client) {
 // Helpers
 
 bool Server::session_valid(NodeId client) const {
-  const Session* s = sessions_.find(client);
-  return s != nullptr && s->valid;
+  const Session* s = clients_.find(client);
+  return s != nullptr && s->valid();
 }
 
 std::uint32_t Server::session_epoch(NodeId client) const {
-  const Session* s = sessions_.find(client);
-  return s == nullptr ? 0 : s->epoch;
+  const Session* s = clients_.find(client);
+  return s == nullptr ? 0 : s->epoch();
 }
 
 std::size_t Server::lease_state_bytes() const { return lease_->state_bytes(); }

@@ -34,6 +34,7 @@
 #include "server/block_alloc.hpp"
 #include "server/lock_manager.hpp"
 #include "server/metadata.hpp"
+#include "server/session.hpp"
 #include "storage/san.hpp"
 
 namespace stank::server {
@@ -130,10 +131,6 @@ class Server {
   Result<FileId> preallocate(const std::string& path, std::uint64_t size);
 
  private:
-  struct Session {
-    std::uint32_t epoch{0};
-    bool valid{false};
-  };
   struct DemandKey {
     NodeId holder;
     FileId file;
@@ -191,11 +188,14 @@ class Server {
 
   // Recovery.
   void on_delivery_failure(NodeId client);  // applies cfg_.recovery
-  void fence_client(NodeId client, std::function<void()> then);
+  // Fences the client at every data disk, then steals its locks; nothing if
+  // its recovery is already under way.
+  void fence_client(NodeId client);
   // One fence attempt across all data disks; re-arms itself until every disk
-  // acks, then runs `then` (the steal). See fence_client.
-  void fence_round(NodeId client, std::function<void()> then);
-  void unfence_client(NodeId client);
+  // acks, then steals. See fence_client.
+  void fence_round(NodeId client);
+  // Installs the registration key of the client's session `epoch`.
+  void unfence_client(NodeId client, std::uint32_t epoch);
   void do_steal(NodeId client);
 
   [[nodiscard]] std::uint64_t now_ns() const;
@@ -218,15 +218,8 @@ class Server {
   std::vector<std::unique_ptr<BlockAllocator>> allocators_;
 
   std::unique_ptr<core::ServerLease> lease_;
-  // Clients whose sessions were invalidated by a steal; they must
-  // re-register before being served again.
-  FlatSet<NodeId> barred_;
-  // Clients with a fence -> steal still in flight (some disk has not acked
-  // its fence). Registration is refused for them: a new session admitted now
-  // would have its locks swept by the pending do_steal().
-  FlatSet<NodeId> fencing_;
-
-  FlatMap<NodeId, Session> sessions_;
+  // One session record per client heard from this incarnation.
+  FlatMap<NodeId, Session> clients_;
   // Persistent across crashes (kept on the server's private storage).
   std::uint32_t incarnation_{1};
   sim::LocalTime grace_until_{};

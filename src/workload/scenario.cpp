@@ -155,39 +155,38 @@ void Scenario::build() {
 
   if (rec_ != nullptr) {
     net_->set_recorder(rec_);
-    // Time-series probes, snapshotted on the lease-state sampling timer.
-    sampler_ = std::make_unique<obs::Sampler>(*rec_);
-    sampler_->add_probe("lease_state_bytes",
-                        [this]() { return static_cast<double>(server_->lease_state_bytes()); });
-    sampler_->add_probe("held_files",
-                        [this]() { return static_cast<double>(server_->locks().held_files()); });
-    if (cfg_.strategy == core::LeaseStrategy::kStorageTank) {
-      sampler_->add_probe("suspect_clients", [this]() {
-        return static_cast<double>(server_->authority().suspect_count());
-      });
-    }
-    sampler_->add_delta_probe(
-        "net_sent", [this]() { return static_cast<double>(net_->stats().sent); });
-    sampler_->add_delta_probe(
-        "net_delivered", [this]() { return static_cast<double>(net_->stats().delivered); });
-    sampler_->add_delta_probe("net_dropped", [this]() {
-      const net::NetStats& s = net_->stats();
-      return static_cast<double>(s.dropped_partition + s.dropped_random + s.dropped_burst +
-                                 s.dropped_detached);
-    });
-
-    // Invariant watchdog, evaluated on the same lease-timer cadence as the
-    // sampler (sample_lease_state). It never schedules engine events of its
-    // own, so arming it cannot perturb the event sequence.
+    // Time series and invariant bands, evaluated on the lease-state sampling
+    // timer (sample_lease_state). The watchdog never schedules engine events
+    // of its own, so arming it cannot perturb the event sequence. Probes are
+    // added in the order of the recorded series.
     watchdog_ = std::make_unique<obs::Watchdog>(*rec_);
     const auto n = static_cast<double>(cfg_.workload.num_clients);
+    watchdog_->add_series("lease_state_bytes",
+                          [this]() { return static_cast<double>(server_->lease_state_bytes()); });
+    watchdog_->add_series("held_files",
+                          [this]() { return static_cast<double>(server_->locks().held_files()); });
     if (cfg_.strategy == core::LeaseStrategy::kStorageTank) {
       // More than half the population simultaneously suspect means the
       // failure detector is melting down, not detecting failures.
       watchdog_->add_probe(
           "suspect_clients",
           [this]() { return static_cast<double>(server_->authority().suspect_count()); },
-          0.0, std::max(1.0, n / 2.0));
+          0.0, std::max(1.0, n / 2.0), /*sampled=*/true);
+    }
+    watchdog_->add_series(
+        "net_sent", [this]() { return static_cast<double>(net_->stats().sent); }, /*delta=*/true);
+    watchdog_->add_series(
+        "net_delivered", [this]() { return static_cast<double>(net_->stats().delivered); },
+        /*delta=*/true);
+    watchdog_->add_series(
+        "net_dropped",
+        [this]() {
+          const net::NetStats& s = net_->stats();
+          return static_cast<double>(s.dropped_partition + s.dropped_random + s.dropped_burst +
+                                     s.dropped_detached);
+        },
+        /*delta=*/true);
+    if (cfg_.strategy == core::LeaseStrategy::kStorageTank) {
       // Lease-phase residency drift: clients stuck in the disruption phases
       // (suspect/flush/expired) outside an injected failure episode.
       watchdog_->add_probe(
@@ -478,9 +477,6 @@ void Scenario::apply_failure(const FailureEvent& ev) {
 
 void Scenario::sample_lease_state() {
   max_lease_bytes_ = std::max(max_lease_bytes_, server_->lease_state_bytes());
-  if (sampler_) {
-    sampler_->snapshot(now_s());
-  }
   if (watchdog_) {
     watchdog_->evaluate(engine_.now());
   }

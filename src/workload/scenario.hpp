@@ -20,7 +20,6 @@
 #include "metrics/histogram.hpp"
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
-#include "obs/sampler.hpp"
 #include "obs/watchdog.hpp"
 #include "server/server.hpp"
 #include "sim/engine.hpp"
@@ -151,7 +150,7 @@ class Scenario {
   // The typed flight recorder (always present; only fed when
   // cfg.enable_trace attached it to the nodes).
   [[nodiscard]] obs::Recorder& recorder() { return recorder_; }
-  // Null unless cfg.enable_trace armed it alongside the sampler.
+  // Null unless cfg.enable_trace armed it.
   [[nodiscard]] obs::Watchdog* watchdog() { return watchdog_.get(); }
   [[nodiscard]] verify::HistoryRecorder& history() { return history_; }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
@@ -203,7 +202,6 @@ class Scenario {
   // &recorder_ when cfg_.enable_trace, else null; the same gate the nodes
   // use, so latency spans and failure notes cost one branch untraced.
   obs::Recorder* rec_{nullptr};
-  std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<obs::Watchdog> watchdog_;
   verify::HistoryRecorder history_;
 

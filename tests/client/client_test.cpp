@@ -760,6 +760,44 @@ TEST(Client, UnconfirmedReassertFlushesUnderThePreRestartLease) {
   EXPECT_EQ(seen.value(), mine);
 }
 
+// A client re-registering after a server restart still holds its lease, and
+// that lease expires like any other. Client 101 holds /file and cannot flush
+// it (its SAN path is cut), so client 100's lock(kExclusive) waits. The server
+// restarts; client 100 learns of it and, cut off from the server from that
+// moment, rides its lease down. Expiry must answer the wait, as it does
+// without a restart, and the client registers again once the link heals.
+TEST(Client, LeaseExpiryWhileReregisteringAnswersLockWaits) {
+  Fixture f(2);
+  const NodeId a{100};
+  const NodeId srv{1};
+  const Fd fd_b = f.must_open(1, "/file");
+  ASSERT_TRUE(f.must_write(1, fd_b, 0, Bytes(Fixture::kBs, 0xB0)).is_ok());
+  f.san.reachability().sever(NodeId{101}, DiskId{1});
+  const Fd fd_a = f.must_open(0, "/file", false);
+  std::optional<Status> waited;
+  f.c(0).lock(fd_a, LockMode::kExclusive, [&](Status s) { waited = s; });
+  f.run_for(0.1);
+  ASSERT_FALSE(waited.has_value());
+
+  f.server->crash();
+  f.server->restart();
+  // One event at a time: the RegisterReq leaves in the event that learns of
+  // the restart, and the cut drops it on arrival.
+  const sim::SimTime deadline = f.engine.now() + sim::seconds(5);
+  while (f.c(0).registered() && f.engine.now() < deadline && f.engine.step()) {
+  }
+  ASSERT_FALSE(f.c(0).registered());
+  f.net.reachability().sever_pair(a, srv);
+  step_until(f, [&] { return f.c(0).lease_phase() == core::LeasePhase::kExpired; });
+  ASSERT_EQ(f.c(0).lease_phase(), core::LeasePhase::kExpired);
+  ASSERT_TRUE(waited.has_value());
+  EXPECT_EQ(waited->error(), ErrorCode::kLeaseExpired);
+
+  f.net.reachability().restore_pair(a, srv);
+  step_until(f, [&] { return f.c(0).registered(); }, 3.0);
+  EXPECT_TRUE(f.c(0).registered());
+}
+
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {
   Fixture f(1, core::LeaseStrategy::kVLeases);
   Fd fd = f.must_open(0, "/file");

@@ -190,7 +190,7 @@ TEST_F(Fig4Export, ChromeExportCarriesTheRideDown) {
               std::string::npos)
         << "missing slice for phase " << phase;
   }
-  // The sampler's series became counter tracks.
+  // The sampled series became counter tracks.
   EXPECT_NE(json.find(R"("ph":"C")"), std::string::npos);
   EXPECT_NE(json.find("lease_state_bytes"), std::string::npos);
 }

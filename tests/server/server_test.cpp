@@ -419,6 +419,33 @@ TEST(Server, FenceOnlyCountsOneFencePerFailure) {
   EXPECT_EQ(f.server->counters().fences_issued, 1u);
 }
 
+// A fence that cannot complete (the server's SAN path is cut) is one
+// recovery under way: a second delivery failure for the same client joins it
+// instead of starting a second fence chain.
+TEST(Server, SecondDeliveryFailureDuringFenceIssuesOneFence) {
+  auto cfg = Fixture::make_cfg();
+  cfg.recovery = RecoveryMode::kFenceOnly;
+  Fixture f(cfg);
+  f.do_register();
+  auto file = f.server->preallocate("/f", 64).value();
+  f.call(protocol::LockReq{file, LockMode::kExclusive});
+  f.san.reachability().sever(NodeId{1}, DiskId{1});
+  f.server->inject_delivery_failure(NodeId{100});
+  f.run_for(0.05);
+  f.server->inject_delivery_failure(NodeId{100});
+  f.run_for(0.5);
+  EXPECT_EQ(f.server->counters().fences_issued, 1u);
+  EXPECT_EQ(f.server->counters().lock_steals, 0u);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kExclusive);
+
+  f.san.reachability().restore(NodeId{1}, DiskId{1});
+  f.run_for(0.5);
+  EXPECT_TRUE(f.san.disk(DiskId{1}).is_fenced(NodeId{100}));
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kNone);
+  EXPECT_EQ(f.server->counters().lock_steals, 1u);
+  EXPECT_EQ(f.server->counters().fences_issued, 1u);
+}
+
 TEST(Server, NoRecoveryHonorsLocksForever) {
   auto cfg = Fixture::make_cfg();
   cfg.recovery = RecoveryMode::kNoRecovery;
