@@ -31,7 +31,7 @@ struct NackOutcome {
 NackOutcome run_direct(bool nack_enabled) {
   sim::Engine engine;
   net::ControlNet cnet(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
+  storage::SanFabric san(engine, sim::Rng(2));
   san.add_disk(DiskId{1}, 4096, 256);
 
   server::ServerConfig scfg;

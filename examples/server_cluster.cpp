@@ -23,7 +23,7 @@ using namespace stank;
 int main() {
   sim::Engine engine;
   net::ControlNet net(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
+  storage::SanFabric san(engine, sim::Rng(2));
   const sim::LocalClock machine_clock(1.0);
 
   // Three servers, each with its own disk, and the machine's Client k for

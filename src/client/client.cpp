@@ -203,12 +203,20 @@ void Client::reassert_locks(std::optional<sim::LocalTime> flush_at) {
   // would make us discard the new incarnation's grants and demands.
   // Ascending FileId: the send order assigns the msg ids.
   bool any = false;
+  // A LockReq the old server queued (or one in flight to it) died with its
+  // lock table, and reassert() forgets it: those files ask again. Until the
+  // grace period ends the server answers kRetryLater, and the pump retries.
+  // A held lock's waiters pump once its reassertion is answered.
+  std::vector<FileId> asking;
   for (const FileId file : known_files()) {
-    if (find_file(file)->lock.reassert()) {
+    FileLock& lock = find_file(file)->lock;
+    if (lock.state() == FileLock::State::kAcquiring) asking.push_back(file);
+    if (lock.reassert()) {
       send_reassert(file);
       any = true;
     }
   }
+  for (const FileId file : asking) pump_lock_requests(file);
   if (reassert_timer_ != 0) {
     clock_.cancel(reassert_timer_);
     reassert_timer_ = 0;

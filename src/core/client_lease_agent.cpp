@@ -125,9 +125,9 @@ void ClientLeaseAgent::arm_boundary_timer() {
   } else if (now < boundary(cfg_.phase3_frac)) {
     target = LeasePhase::kRenewal;
     next = boundary(cfg_.phase3_frac);
-  } else if (now < boundary(cfg_.phase4_frac)) {
+  } else if (now < boundary(LeaseConfig::kPhase4Frac)) {
     target = LeasePhase::kSuspect;
-    next = boundary(cfg_.phase4_frac);
+    next = boundary(LeaseConfig::kPhase4Frac);
   } else if (now < lease_expiry()) {
     target = LeasePhase::kFlush;
     next = lease_expiry();
@@ -139,7 +139,7 @@ void ClientLeaseAgent::arm_boundary_timer() {
   // A latched NACK pins the client at phase 3 or beyond.
   if (nack_latched_ && static_cast<int>(target) < static_cast<int>(LeasePhase::kSuspect)) {
     target = LeasePhase::kSuspect;
-    next = boundary(cfg_.phase4_frac);
+    next = boundary(LeaseConfig::kPhase4Frac);
     if (next <= now) {
       next = now + sim::LocalDuration{1};
     }
@@ -237,7 +237,7 @@ void ClientLeaseAgent::keepalive_tick() {
   if (hooks_.send_keepalive) {
     hooks_.send_keepalive();
   }
-  keepalive_timer_ = clock_->schedule_after(cfg_.keepalive_retry, [this]() {
+  keepalive_timer_ = clock_->schedule_after(LeaseConfig::kKeepaliveRetry, [this]() {
     keepalive_timer_ = 0;
     keepalive_tick();
   });

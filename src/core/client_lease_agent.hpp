@@ -66,7 +66,7 @@ class ClientLeaseAgent : public ClientLease {
 
   [[nodiscard]] std::optional<sim::LocalTime> flush_time() const override {
     if (!lease_valid()) return std::nullopt;
-    return boundary(cfg_.phase4_frac);
+    return boundary(LeaseConfig::kPhase4Frac);
   }
 
   [[nodiscard]] sim::LocalTime lease_start() const { return lease_start_; }

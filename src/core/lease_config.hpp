@@ -38,21 +38,20 @@ struct LeaseConfig {
   // Phase boundaries as fractions of tau (Figure 4).
   //  [0, phase2_frac)            phase 1: lease valid, passive renewal
   //  [phase2_frac, phase3_frac)  phase 2: active keep-alive renewal
-  //  [phase3_frac, phase4_frac)  phase 3: suspect — quiesce FS activity
-  //  [phase4_frac, 1)            phase 4: expected failure — flush dirty data
+  //  [phase3_frac, kPhase4Frac)  phase 3: suspect — quiesce FS activity
+  //  [kPhase4Frac, 1)            phase 4: expected failure — flush dirty data
   double phase2_frac{0.50};
   double phase3_frac{0.75};
-  double phase4_frac{0.85};
+  static constexpr double kPhase4Frac = 0.85;
 
   // How often a phase-2 client re-sends its keep-alive NULL message.
-  sim::LocalDuration keepalive_retry{sim::local_millis(500)};
+  static constexpr sim::LocalDuration kKeepaliveRetry = sim::local_millis(500);
 
   void validate() const {
     STANK_ASSERT(tau.ns > 0);
     STANK_ASSERT(epsilon >= 0.0);
     STANK_ASSERT(phase2_frac > 0.0 && phase2_frac < phase3_frac);
-    STANK_ASSERT(phase3_frac < phase4_frac && phase4_frac < 1.0);
-    STANK_ASSERT(keepalive_retry.ns > 0);
+    STANK_ASSERT(phase3_frac < kPhase4Frac);
   }
 };
 

@@ -49,7 +49,7 @@ class ClientLease {
   // What a lease may ask of its client; the factory fills send_keepalive.
   struct Hooks {
     // Phase 2: send one keep-alive NULL message (repeated every
-    // keepalive_retry until the phase ends or an ACK arrives).
+    // LeaseConfig::kKeepaliveRetry until the phase ends or an ACK arrives).
     std::function<void()> send_keepalive;
     // Phase 3 entered: stop admitting new FS requests; drain in-flight ones.
     std::function<void()> quiesce;

@@ -46,10 +46,8 @@ void wr_str(std::ostream& os, const std::string& s) {
 
 }  // namespace
 
-Recorder::Recorder(RecorderConfig cfg) : cfg_(cfg) { STANK_ASSERT(cfg_.ring_capacity > 0); }
-
-void Recorder::Ring::push(const Event& e, std::size_t cap) {
-  if (buf.size() < cap) {
+void Recorder::Ring::push(const Event& e) {
+  if (buf.size() < kRingCapacity) {
     buf.push_back(e);
     return;
   }
@@ -67,7 +65,7 @@ void Recorder::record(sim::SimTime at, NodeId node, EventKind kind, std::uint64_
   e.aux = aux;
   e.a = a;
   e.b = b;
-  rings_[node].push(e, cfg_.ring_capacity);
+  rings_[node].push(e);
 }
 
 void Recorder::record_now(NodeId node, EventKind kind, std::uint64_t a, std::uint64_t b,

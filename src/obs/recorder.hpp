@@ -6,8 +6,8 @@
 // instrumentation site is `if (rec_) rec_->record(...)` — one predictable
 // branch when detached, a struct store into a preallocated ring when
 // attached. Rings are bounded: a long run keeps the most recent
-// `ring_capacity` events per node (the flight-recorder property) and counts
-// what it overwrote.
+// `Recorder::kRingCapacity` events per node (the flight-recorder property)
+// and counts what it overwrote.
 #pragma once
 
 #include <array>
@@ -48,16 +48,14 @@ struct Series {
   std::vector<SeriesPoint> points;
 };
 
-struct RecorderConfig {
+class Recorder {
+ public:
   // Max typed events retained per node; older events are overwritten and
   // counted as dropped. 16Ki events x 32 B = 512 KiB per node at the cap;
   // rings grow geometrically so small runs stay small.
-  std::size_t ring_capacity{1u << 14};
-};
+  static constexpr std::size_t kRingCapacity = std::size_t{1} << 14;
 
-class Recorder {
- public:
-  explicit Recorder(RecorderConfig cfg = {});
+  Recorder() = default;
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -116,15 +114,14 @@ class Recorder {
 
  private:
   struct Ring {
-    std::vector<Event> buf;   // grows to cfg.ring_capacity, then wraps
+    std::vector<Event> buf;   // grows to kRingCapacity, then wraps
     std::size_t head{0};      // index of the oldest event once wrapped
     std::uint64_t dropped{0};
 
-    void push(const Event& e, std::size_t cap);
+    void push(const Event& e);
   };
 
   const sim::Engine* engine_{nullptr};
-  RecorderConfig cfg_;
   FlatMap<NodeId, Ring> rings_;
   std::array<metrics::Histogram, kSpanKindCount> spans_;
   std::vector<Series> series_;

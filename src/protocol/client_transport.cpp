@@ -112,7 +112,7 @@ void ClientTransport::arm_retry(MsgId id) {
     if (found == nullptr) {
       return;  // already answered
     }
-    if (found->transmissions > cfg_.max_retries) {
+    if (found->transmissions > kMaxRetries) {
       // Delivery failure: report timeout and give up.
       Pending p2 = std::move(*found);
       pending_.swap_erase(found);
@@ -265,13 +265,13 @@ void ClientTransport::note_server_msg(const Frame& f) {
   // Dedup = bounded window + monotone low-water mark, reset per epoch.
   // Server msg ids are assigned monotonically at the sender, so an id at or
   // below the highest id ever evicted from the window is a duplicate even
-  // after >reply_cache_size intervening messages pushed it out of the set —
+  // after >reply_cache_size intervening messages pushed it out of the window —
   // the hole a bounded window alone leaves open to late duplicates. (A
   // genuinely fresh message could only be misjudged if reordering let
   // reply_cache_size newer server msgs overtake it, far beyond any real
   // spike; and the server's retry-then-suspect path bounds the damage to a
   // delivery failure, never a safety violation.)
-  if (f.msg_id.value() <= seen_low_water_ || seen_server_msgs_.contains(f.msg_id)) {
+  if (f.msg_id.value() <= seen_low_water_ || seen_.find(f.msg_id) != nullptr) {
     // Duplicate (within the window or beyond it): ACKed again, not
     // re-delivered.
     if (rec_ != nullptr) {
@@ -283,23 +283,7 @@ void ClientTransport::note_server_msg(const Frame& f) {
   if (rec_ != nullptr) {
     rec_->record(clock_->engine().now(), self_, obs::EventKind::kServerMsgRecv, f.msg_id.value());
   }
-  if (cfg_.reply_cache_size == 0) {
-    // Degenerate window: every id is evicted the instant it is seen, so the
-    // low-water mark alone carries the dedup.
-    seen_low_water_ = std::max(seen_low_water_, f.msg_id.value());
-  } else if (seen_order_.size() < cfg_.reply_cache_size) {
-    seen_server_msgs_.insert(f.msg_id);
-    seen_order_.push_back(f.msg_id);
-  } else {
-    // Window full: recycle the oldest ring slot in place. Steady state makes
-    // zero allocations here — the ring and the set both sit at their caps.
-    MsgId& oldest = seen_order_[seen_pos_];
-    seen_low_water_ = std::max(seen_low_water_, oldest.value());
-    seen_server_msgs_.erase(oldest);
-    seen_server_msgs_.insert(f.msg_id);
-    oldest = f.msg_id;
-    seen_pos_ = (seen_pos_ + 1) % seen_order_.size();
-  }
+  seen_low_water_ = std::max(seen_low_water_, seen_.admit(f.msg_id, cfg_.reply_cache_size));
 
   if (on_server_msg) {
     on_server_msg(std::get<ServerBody>(f.body));

@@ -16,12 +16,12 @@
 #include <functional>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/small_vec.hpp"
 #include "metrics/counters.hpp"
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
 #include "protocol/codec.hpp"
+#include "protocol/id_window.hpp"
 #include "protocol/transport.hpp"
 #include "sim/clock.hpp"
 
@@ -76,9 +76,7 @@ class ClientTransport {
       // New session epoch: the server-msg dedup window is keyed per epoch.
       // The new incarnation's id sequence is unrelated to the old one, so
       // both the window and its low-water mark start over.
-      seen_server_msgs_.clear();
-      seen_order_.clear();
-      seen_pos_ = 0;
+      seen_.clear();
       seen_low_water_ = 0;
     }
     // Always a new session: epoch NUMBERS collide across server
@@ -148,12 +146,11 @@ class ClientTransport {
   // re-ACKing (the ACK may have been lost). The window is bounded
   // (reply_cache_size); ids evicted from it are covered by the monotone
   // low-water mark below, so a duplicate delayed past the window is still
-  // suppressed. Both reset when the epoch changes. The FIFO order lives in a
-  // fixed-capacity ring (a deque would hold a ~500-byte chunk block per
-  // client just to remember 8 ids) and the membership set in a flat table.
-  FlatSet<MsgId> seen_server_msgs_;
-  std::vector<MsgId> seen_order_;
-  std::size_t seen_pos_{0};
+  // suppressed. Both reset when the epoch changes.
+  struct Seen {
+    MsgId id;
+  };
+  IdWindow<Seen> seen_;
   std::uint64_t seen_low_water_{0};
 };
 

@@ -1,6 +1,5 @@
 #include "protocol/server_transport.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -33,30 +32,6 @@ void ServerTransport::stop() {
     clock_->cancel(m.timer);
   }
   out_msgs_.clear();
-}
-
-ServerTransport::Cached* ServerTransport::Session::find(MsgId id) {
-  if (id.value() > max_id) return nullptr;
-  // Newest first: the reply being stored, or the request being
-  // retransmitted, is almost always a recent one. Slots [0, oldest) are
-  // newer than [oldest, size).
-  for (std::size_t i = oldest; i-- > 0;) {
-    if (ring[i].id == id) return &ring[i];
-  }
-  for (std::size_t i = ring.size(); i-- > oldest;) {
-    if (ring[i].id == id) return &ring[i];
-  }
-  return nullptr;
-}
-
-void ServerTransport::Session::admit(MsgId id, std::size_t limit) {
-  max_id = std::max(max_id, id.value());
-  if (ring.size() < limit) {
-    ring.push_back(Cached{id, {}});
-    return;
-  }
-  ring[oldest] = Cached{id, {}};  // also frees the evicted reply's payload
-  if (++oldest == ring.size()) oldest = 0;
 }
 
 void ServerTransport::handle_datagram(const Bytes& datagram) {
@@ -250,7 +225,7 @@ void ServerTransport::transmit_server_msg(MsgId id) {
     if (pending == nullptr) {
       return;  // ACKed meanwhile
     }
-    if (pending->transmissions > cfg_.max_retries) {
+    if (pending->transmissions > kMaxRetries) {
       OutMsg m2 = std::move(*pending);
       out_msgs_.erase(id);
       if (rec_ != nullptr) {

@@ -21,6 +21,7 @@
 #include "net/control_net.hpp"
 #include "obs/recorder.hpp"
 #include "protocol/codec.hpp"
+#include "protocol/id_window.hpp"
 #include "protocol/transport.hpp"
 #include "sim/clock.hpp"
 
@@ -92,27 +93,13 @@ class ServerTransport {
   struct Cached {
     enum class State : std::uint8_t { kExecuting, kAck, kNack };
     MsgId id;
-    ReplyBody body;  // meaningful for kAck only
+    ReplyBody body{};  // meaningful for kAck only
     std::uint32_t incarnation{0};
     State state{State::kExecuting};
   };
-  // A session's reply cache is one FIFO ring holding the last
-  // reply_cache_size distinct request ids in arrival order. It grows on
-  // demand, so a session that has seen three requests holds three entries;
-  // once full, every further request recycles the oldest slot in place and
-  // the steady-state server path makes zero allocations per request.
-  struct Session {
-    std::vector<Cached> ring;
-    std::uint32_t oldest{0};  // next slot to recycle once the ring is full
-    // Highest id ever admitted: a request above it was never seen, so the
-    // common case (a fresh request) misses without scanning the ring.
-    std::uint64_t max_id{0};
-
-    [[nodiscard]] Cached* find(MsgId id);
-    // Admits a new id as executing, evicting the oldest once `limit` (> 0)
-    // ids are held.
-    void admit(MsgId id, std::size_t limit);
-  };
+  // A session's reply cache: the last reply_cache_size distinct request ids
+  // in arrival order, each admitted as executing.
+  using Session = IdWindow<Cached>;
   struct OutMsg {
     NodeId client;
     Frame frame;

@@ -9,14 +9,15 @@
 
 namespace stank::protocol {
 
+// Total transmissions = 1 + kMaxRetries before a delivery failure is
+// reported, on both sides. The paper: "if a server attempts to send a message
+// that requires an ACK ... and the client does not respond, the server
+// assumes the client to be failed."
+inline constexpr int kMaxRetries = 3;
+
 struct TransportConfig {
   // Retransmit period, measured on the sender's own clock.
   sim::LocalDuration retransmit_timeout{sim::local_millis(500)};
-  // Total transmissions = 1 + max_retries before a delivery failure is
-  // reported. The paper: "if a server attempts to send a message that
-  // requires an ACK ... and the client does not respond, the server assumes
-  // the client to be failed."
-  int max_retries{3};
   // Reply-cache capacity per client session (at-most-once dedup window).
   std::size_t reply_cache_size{128};
 };

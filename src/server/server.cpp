@@ -174,21 +174,26 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 }
 
 void Server::handle_register(NodeId client, ServerTransport::Responder r) {
+  // A fence -> steal for this client is still in flight (a disk has not
+  // acked its fence yet). Admitting a new session now would let the pending
+  // do_steal() land on the FRESH session's locks — the client would write
+  // under locks the server just handed to someone else. Make it retry
+  // registration until the steal completes, and refuse before the lease is
+  // asked: its try_reregister() would clear the failed standing, and with it
+  // the ACK gate, while the steal is still pending.
+  if (const Session* s = clients_.find(client);
+      s != nullptr && s->state() == Session::State::kFencing) {
+    r.nack();
+    return;
+  }
   if (!lease_->try_reregister(client)) {
     // Conservative protocol: the timer must run out first.
     r.nack();
     return;
   }
   Session& session = clients_[client];
-  if (!session.reregister()) {
-    // A fence -> steal for this client is still in flight (a disk has not
-    // acked its fence yet). Admitting a new session now would let the
-    // pending do_steal() land on the FRESH session's locks — the client
-    // would write under locks the server just handed to someone else. Make
-    // it retry registration until the steal completes.
-    r.nack();
-    return;
-  }
+  const bool admitted = session.reregister();
+  STANK_ASSERT(admitted);
   const std::uint32_t epoch = session.epoch();
   lease_->on_registered(client);
   unfence_client(client, epoch);

@@ -29,8 +29,9 @@ class Session {
 
   // --- Events --------------------------------------------------------------
   // A RegisterReq the lease admitted. Refused while fencing: the steal still
-  // pending would sweep the new session's locks. Otherwise the client is
-  // active under a fresh epoch.
+  // pending would sweep the new session's locks (the server checks that
+  // before it asks the lease). Otherwise the client is active under a fresh
+  // epoch.
   bool reregister() {
     if (state_ == State::kFencing) return false;
     state_ = State::kActive;

@@ -7,8 +7,7 @@
 
 namespace stank::storage {
 
-SanFabric::SanFabric(sim::Engine& engine, sim::Rng rng, SanConfig cfg)
-    : engine_(&engine), rng_(rng), cfg_(std::move(cfg)) {}
+SanFabric::SanFabric(sim::Engine& engine, sim::Rng rng) : engine_(&engine), rng_(rng) {}
 
 VirtualDisk& SanFabric::add_disk(DiskId id, BlockAddr capacity_blocks, std::uint32_t block_size) {
   auto [it, inserted] =
@@ -30,12 +29,9 @@ const VirtualDisk& SanFabric::disk(DiskId id) const {
 }
 
 sim::Duration SanFabric::service_delay(NodeId initiator) {
-  sim::Duration d = cfg_.latency;
-  if (cfg_.jitter.ns > 0) {
-    d += sim::Duration{rng_.uniform_int(0, cfg_.jitter.ns)};
-  }
-  auto it = cfg_.initiator_delay.find(initiator);
-  if (it != cfg_.initiator_delay.end()) {
+  sim::Duration d = kLatency + sim::Duration{rng_.uniform_int(0, kJitter.ns)};
+  auto it = initiator_delay_.find(initiator);
+  if (it != initiator_delay_.end()) {
     d += it->second;
   }
   return d;
@@ -67,14 +63,12 @@ void SanFabric::submit(IoRequest req, IoCallback cb) {
   STANK_ASSERT(cb != nullptr);
   ++stats_.ios_submitted;
 
-  const bool partitioned = !reach_.can_reach(req.initiator, req.disk);
-  if (partitioned || (cfg_.drop_probability > 0.0 && rng_.bernoulli(cfg_.drop_probability))) {
-    // Partitioned (command lost before reaching the disk) or dropped: the
-    // initiator observes a timeout, not an instant failure.
-    if (partitioned) ++stats_.ios_failed_partition;
+  if (!reach_.can_reach(req.initiator, req.disk)) {
+    // Partitioned: the command is lost before it reaches the disk.
+    ++stats_.ios_failed_partition;
     recycle_buf(std::move(req.data));
     const std::uint32_t slot = park(IoRequest{}, std::move(cb));
-    engine_->schedule_after(cfg_.error_timeout, [this, slot]() { fail_lost(slot); });
+    engine_->schedule_after(kErrorTimeout, [this, slot]() { fail_lost(slot); });
     return;
   }
 
@@ -120,7 +114,7 @@ void SanFabric::submit_admin(AdminRequest req, AdminCallback cb) {
   ++stats_.admin_ops;
 
   if (!reach_.can_reach(req.requester, req.disk)) {
-    engine_->schedule_after(cfg_.error_timeout,
+    engine_->schedule_after(kErrorTimeout,
                             [cb = std::move(cb)]() { cb(Status{ErrorCode::kIoError}); });
     return;
   }

@@ -19,16 +19,6 @@
 
 namespace stank::storage {
 
-struct SanConfig {
-  sim::Duration latency{sim::micros(500)};  // submit-to-completion base service time
-  sim::Duration jitter{sim::micros(100)};
-  double drop_probability{0.0};  // lost command: completes with kIoError after timeout
-  sim::Duration error_timeout{sim::millis(50)};
-  // Per-initiator extra service delay; models the paper's "slow computer"
-  // whose late commands fencing must stop.
-  std::unordered_map<NodeId, sim::Duration> initiator_delay;
-};
-
 struct SanStats {
   std::uint64_t ios_submitted{0};
   std::uint64_t ios_completed{0};
@@ -40,16 +30,23 @@ struct SanStats {
 
 class SanFabric {
  public:
-  SanFabric(sim::Engine& engine, sim::Rng rng, SanConfig cfg = {});
+  // Submit-to-completion service time: kLatency plus up to kJitter drawn
+  // per command. A command that cannot reach its disk fails with kIoError
+  // after kErrorTimeout: the initiator observes a timeout, not an instant
+  // failure.
+  static constexpr sim::Duration kLatency = sim::micros(500);
+  static constexpr sim::Duration kJitter = sim::micros(100);
+  static constexpr sim::Duration kErrorTimeout = sim::millis(50);
+
+  SanFabric(sim::Engine& engine, sim::Rng rng);
 
   // The fabric owns its disks.
   VirtualDisk& add_disk(DiskId id, BlockAddr capacity_blocks, std::uint32_t block_size);
   [[nodiscard]] VirtualDisk& disk(DiskId id);
   [[nodiscard]] const VirtualDisk& disk(DiskId id) const;
 
-  // Submits block I/O; the callback always fires (with kIoError on loss,
-  // kFenced on rejection, kIoError on partition) unless the fabric is
-  // destroyed first.
+  // Submits block I/O; the callback always fires (kFenced on rejection,
+  // kIoError on partition) unless the fabric is destroyed first.
   void submit(IoRequest req, IoCallback cb);
 
   // Admin command from a server to a disk: travels the SAN like any other
@@ -65,8 +62,12 @@ class SanFabric {
   std::function<void(const IoRequest&, const IoResult&, sim::SimTime)> on_io;
 
   [[nodiscard]] const SanStats& stats() const { return stats_; }
-  void set_config(SanConfig cfg) { cfg_ = std::move(cfg); }
-  [[nodiscard]] SanConfig& config() { return cfg_; }
+
+  // Extra service delay for every later command of one initiator; models
+  // the paper's "slow computer" whose late commands fencing must stop.
+  void set_initiator_delay(NodeId initiator, sim::Duration delay) {
+    initiator_delay_[initiator] = delay;
+  }
 
  private:
   // One submitted I/O between submit() and its completion event. Slots are
@@ -88,7 +89,7 @@ class SanFabric {
 
   sim::Engine* engine_;
   sim::Rng rng_;
-  SanConfig cfg_;
+  std::unordered_map<NodeId, sim::Duration> initiator_delay_;
   net::Reachability<NodeId, DiskId> reach_;
   std::unordered_map<DiskId, std::unique_ptr<VirtualDisk>> disks_;
   SanStats stats_;

@@ -84,7 +84,7 @@ void Scenario::build() {
     rec_->bind_engine(engine_);
   }
   net_ = std::make_unique<net::ControlNet>(engine_, rng_.fork(1), cfg_.control_net);
-  san_ = std::make_unique<storage::SanFabric>(engine_, rng_.fork(2), cfg_.san);
+  san_ = std::make_unique<storage::SanFabric>(engine_, rng_.fork(2));
   san_->on_io = [this](const storage::IoRequest& rq, const storage::IoResult& rs,
                        sim::SimTime t) { history_.on_disk_io(rq, rs, t, cfg_.block_size); };
 
@@ -452,7 +452,7 @@ void Scenario::apply_failure(const FailureEvent& ev) {
       }
       break;
     case FailureKind::kSlowSan:
-      san_->config().initiator_delay[node] = sim::seconds_d(ev.param_s);
+      san_->set_initiator_delay(node, sim::seconds_d(ev.param_s));
       break;
     case FailureKind::kServerCrash:
       server_->crash();

@@ -39,7 +39,6 @@ struct ScenarioConfig {
   core::LeaseStrategy strategy{core::LeaseStrategy::kStorageTank};
   client::DataPath data_path{client::DataPath::kDirectSan};
   net::NetConfig control_net;
-  storage::SanConfig san;
   protocol::TransportConfig transport;
   std::uint32_t block_size{256};
   std::uint64_t disk_blocks{1u << 16};

@@ -33,7 +33,7 @@ struct Fixture {
   explicit Fixture(int num_clients = 2,
                    core::LeaseStrategy strategy = core::LeaseStrategy::kStorageTank,
                    obs::Recorder* rec = nullptr, const Tweak& tweak = nullptr)
-      : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2), {}) {
+      : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2)) {
     if (rec != nullptr) rec->bind_engine(engine);
     san.add_disk(DiskId{1}, 4096, kBs);
 
@@ -380,7 +380,7 @@ TEST(Client, IdleClientPreservesCacheViaKeepAlives) {
 TEST(Client, DestroyedClientLeavesNothingScheduled) {
   sim::Engine engine;
   net::ControlNet net(engine, sim::Rng(1), {});
-  storage::SanFabric san(engine, sim::Rng(2), {});
+  storage::SanFabric san(engine, sim::Rng(2));
   san.add_disk(DiskId{1}, 4096, 64);
   ClientConfig ccfg;
   ccfg.id = NodeId{100};
@@ -408,8 +408,8 @@ TEST(Client, OpsInFlightAcrossCrashRestartAndDestruction) {
   constexpr std::uint32_t kBs = Fixture::kBs;
   const Fd fd = f.must_open(0, "/inflight");
   ASSERT_TRUE(f.must_write(0, fd, 0, Bytes(4 * kBs, 7)).is_ok());
-  f.san.config().latency = sim::millis(300);
-  f.san.config().jitter = sim::Duration{0};
+  const NodeId self{100};
+  f.san.set_initiator_delay(self, sim::millis(300));
 
   // Crash with an fsync's four block writes and a read-modify-write fill
   // (a partial write past the cached blocks) parked in the SAN.
@@ -423,7 +423,7 @@ TEST(Client, OpsInFlightAcrossCrashRestartAndDestruction) {
   EXPECT_EQ(fired, 0);
 
   // The restarted client reuses the pool.
-  f.san.config().latency = sim::micros(500);
+  f.san.set_initiator_delay(self, sim::Duration{0});
   f.c(0).restart();
   f.run_for(0.5);
   ASSERT_TRUE(f.c(0).registered());
@@ -434,7 +434,7 @@ TEST(Client, OpsInFlightAcrossCrashRestartAndDestruction) {
   ASSERT_TRUE(f.must_write(0, fd2, kBs, Bytes(kBs, 5)).is_ok());
 
   // Destroy the client with a block fetch parked in the SAN.
-  f.san.config().latency = sim::millis(300);
+  f.san.set_initiator_delay(self, sim::millis(300));
   f.c(0).read(fd2, 2 * kBs, kBs, [&](Result<Bytes>) { ++fired; });
   f.run_for(0.05);
   ASSERT_EQ(f.san.stats().ios_submitted, f.san.stats().ios_completed + 1);
@@ -591,9 +591,7 @@ TEST(ClientPhase4, FillCompletionFailsTheWrite) {
   lock_exclusive(f, 0, fd);
   ASSERT_EQ(f.c(0).cache().page_count(), 0u);
 
-  storage::SanConfig slow_san;
-  slow_san.initiator_delay[NodeId{100}] = sim::millis(4400);
-  f.san.set_config(slow_san);
+  f.san.set_initiator_delay(NodeId{100}, sim::millis(4400));
   f.net.reachability().sever_pair(NodeId{100}, NodeId{1});  // the lease runs down
   std::optional<Status> st;
   core::LeasePhase phase{};
@@ -620,9 +618,7 @@ TEST(ClientPhase4, LockGrantResumingAQueuedWriteFailsIt) {
   const Fd held = f.must_open(1, "/a");
   ASSERT_TRUE(f.must_write(1, held, 0, Bytes(Fixture::kBs, 0x3C)).is_ok());
   const Fd fd = f.must_open(0, "/a");
-  storage::SanConfig slow_san;
-  slow_san.initiator_delay[NodeId{101}] = sim::millis(4400);
-  f.san.set_config(slow_san);
+  f.san.set_initiator_delay(NodeId{101}, sim::millis(4400));
 
   std::optional<Status> st;
   core::LeasePhase phase{};
@@ -798,6 +794,37 @@ TEST(Client, LeaseExpiryWhileReregisteringAnswersLockWaits) {
   EXPECT_TRUE(f.c(0).registered());
 }
 
+// The same lock wait without the cut: the lease survives the restart, and
+// the client reasserts nothing for the file (it holds no lock on it). The
+// queued LockReq died with the old server's lock table, so re-registration
+// asks again; the grace period answers kRetryLater until fresh grants
+// resume. Then the holder, cut from the disk, cannot flush for the demand:
+// the wait is answered once the demand times out (3 s) and the holder's
+// lease has run out (tau(1+eps)), by a steal and a grant.
+TEST(Client, LockWaitQueuedBeforeServerRestartIsAnsweredAfterGrace) {
+  Fixture f(2);
+  const Fd fd_b = f.must_open(1, "/file");
+  ASSERT_TRUE(f.must_write(1, fd_b, 0, Bytes(Fixture::kBs, 0xB0)).is_ok());
+  f.san.reachability().sever(NodeId{101}, DiskId{1});
+  const Fd fd_a = f.must_open(0, "/file", false);
+  std::optional<Status> waited;
+  f.c(0).lock(fd_a, LockMode::kExclusive, [&](Status s) { waited = s; });
+  f.run_for(0.1);
+  ASSERT_FALSE(waited.has_value());
+
+  f.server->crash();
+  f.server->restart();
+  const sim::SimTime restarted = f.engine.now();
+  const double tau_eps = 5.0 * (1 + core::LeaseConfig{}.epsilon);
+  step_until(f, [&] { return waited.has_value(); }, 30.0);
+  ASSERT_TRUE(waited.has_value());
+  EXPECT_TRUE(waited->is_ok());
+  EXPECT_EQ(f.c(0).lock_mode(fd_a), LockMode::kExclusive);
+  EXPECT_EQ(f.server->counters().lock_steals, 1u);
+  // Grace, a pump retry, the demand timeout and the holder's lease, plus 1 s.
+  EXPECT_LT(f.engine.now() - restarted, sim::seconds_d(tau_eps + 0.3 + 3.0 + tau_eps + 1.0));
+}
+
 TEST(Client, VLeaseStrategySendsPerObjectRenewals) {
   Fixture f(1, core::LeaseStrategy::kVLeases);
   Fd fd = f.must_open(0, "/file");
@@ -829,7 +856,7 @@ struct ClusterFixture {
   std::vector<Fd> fds;
   static constexpr std::uint32_t kBs = 64;
 
-  ClusterFixture() : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2), {}) {
+  ClusterFixture() : net(engine, sim::Rng(1), {}), san(engine, sim::Rng(2)) {
     const sim::LocalClock machine_clock(1.0);
     for (std::uint32_t k = 0; k < 2; ++k) {
       const DiskId disk{k + 1};

@@ -7,12 +7,12 @@
 namespace stank::core {
 namespace {
 
-// Default config: tau = 10s, phases at 5s / 7.5s / 8.5s.
+// Default config: tau = 10s, phases at 5s / 7.5s / 8.5s; keep-alives every
+// LeaseConfig::kKeepaliveRetry.
 LeaseConfig cfg(std::int64_t tau_s = 10) {
   LeaseConfig c;
   c.tau = sim::local_seconds(tau_s);
   c.epsilon = 1e-4;
-  c.keepalive_retry = sim::local_millis(500);
   return c;
 }
 
@@ -77,6 +77,7 @@ TEST(LeaseAgent, WalksAllFourPhasesWithoutRenewal) {
 }
 
 TEST(LeaseAgent, KeepAlivesRepeatDuringPhase2) {
+  static_assert(LeaseConfig::kKeepaliveRetry.ns == 500'000'000);
   Fixture f;
   f.agent.restart(sim::LocalTime{0});
   f.run_to(7.4);  // phase 2 spans [5.0, 7.5): ticks at 5.0, 5.5, ... 7.0

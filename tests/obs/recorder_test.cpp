@@ -41,17 +41,18 @@ TEST(Recorder, RecordAndVisitNodeInOrder) {
 }
 
 TEST(Recorder, RingWrapsKeepingMostRecentAndCountsDropped) {
-  Recorder rec(RecorderConfig{8});
-  for (std::int64_t i = 0; i < 20; ++i) {
+  constexpr std::size_t kCap = Recorder::kRingCapacity;
+  Recorder rec;
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(kCap + 12); ++i) {
     rec.record(sim::SimTime{i}, NodeId{1}, EventKind::kReqSend,
                static_cast<std::uint64_t>(i));
   }
-  EXPECT_EQ(rec.total_events(), 8u);
+  EXPECT_EQ(rec.total_events(), kCap);
   EXPECT_EQ(rec.dropped_events(), 12u);
   const auto kept = collect_node(rec, NodeId{1});
-  ASSERT_EQ(kept.size(), 8u);
-  // The flight-recorder property: the LAST 8 events survive, oldest-first.
-  for (std::size_t i = 0; i < 8; ++i) {
+  ASSERT_EQ(kept.size(), kCap);
+  // The flight-recorder property: the LAST kCap events survive, oldest-first.
+  for (std::size_t i = 0; i < kCap; ++i) {
     EXPECT_EQ(kept[i].a, 12u + i);
     EXPECT_EQ(kept[i].at.ns, static_cast<std::int64_t>(12 + i));
   }
@@ -114,8 +115,9 @@ TEST(Recorder, RecordNowStampsBoundEngineTime) {
 }
 
 TEST(Recorder, SaveLoadRoundTripsEverything) {
-  Recorder rec(RecorderConfig{8});
-  for (std::int64_t i = 0; i < 12; ++i) {  // wraps: load must see normalized ring
+  Recorder rec;
+  // Wraps: load must see the normalized ring.
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(Recorder::kRingCapacity + 4); ++i) {
     rec.record(sim::SimTime{i}, NodeId{1}, EventKind::kReqSend,
                static_cast<std::uint64_t>(i));
   }

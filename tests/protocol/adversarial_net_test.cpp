@@ -43,7 +43,7 @@ struct ClientSide {
       : net(engine, sim::Rng(seed), aggressive_net()),
         clock(engine, sim::LocalClock(1.0)),
         transport(net, clock, NodeId{100}, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(50), 6, 16}) {
+                  TransportConfig{sim::local_millis(50), 16}) {
     net.attach(NodeId{1}, [this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
@@ -110,7 +110,7 @@ struct ServerSide {
       : net(engine, sim::Rng(seed), aggressive_net()),
         clock(engine, sim::LocalClock(1.0)),
         transport(net, clock, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(50), 6, 16}) {
+                  TransportConfig{sim::local_millis(50), 16}) {
     net.attach(NodeId{100}, [this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());

@@ -26,7 +26,7 @@ struct Fixture {
       : net(engine, sim::Rng(1), net::NetConfig{sim::micros(100), sim::Duration{0}, 0.0}),
         client_clock(engine, sim::LocalClock(1.0)),
         transport(net, client_clock, NodeId{100}, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(100), 2, 16}) {
+                  TransportConfig{sim::local_millis(100), 16}) {
     net.attach(NodeId{1}, [this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
@@ -80,10 +80,11 @@ TEST(ClientTransport, RetransmitsUntilAnswered) {
   });
   f.engine.run();
   EXPECT_TRUE(done);
-  // 1 initial + 2 retries.
-  EXPECT_EQ(f.server_rx.size(), 3u);
-  EXPECT_EQ(f.counters.requests_sent, 3u);
-  EXPECT_EQ(f.counters.retransmissions, 2u);
+  // 1 initial + kMaxRetries retries.
+  constexpr std::size_t kSends = 1 + kMaxRetries;
+  EXPECT_EQ(f.server_rx.size(), kSends);
+  EXPECT_EQ(f.counters.requests_sent, kSends);
+  EXPECT_EQ(f.counters.retransmissions, kSends - 1);
 }
 
 TEST(ClientTransport, RetransmissionsShareMsgId) {

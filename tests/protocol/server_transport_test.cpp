@@ -25,7 +25,7 @@ struct Fixture {
       : net(engine, sim::Rng(1), net::NetConfig{sim::micros(100), sim::Duration{0}, 0.0}),
         server_clock(engine, sim::LocalClock(1.0)),
         transport(net, server_clock, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(100), 2, reply_cache_size}) {
+                  TransportConfig{sim::local_millis(100), reply_cache_size}) {
     net.attach(NodeId{100}, [this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
@@ -148,8 +148,9 @@ TEST(ServerTransport, ServerMsgRetriesThenReportsDeliveryFailure) {
   f.engine.run();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_FALSE(*delivered);  // the paper's "delivery error"
-  EXPECT_EQ(f.client_rx.size(), 3u);  // 1 + 2 retries
-  EXPECT_EQ(f.counters.retransmissions, 2u);
+  constexpr std::size_t kSends = 1 + kMaxRetries;
+  EXPECT_EQ(f.client_rx.size(), kSends);
+  EXPECT_EQ(f.counters.retransmissions, kSends - 1);
 }
 
 TEST(ServerTransport, DuplicateClientAckIgnored) {

@@ -25,7 +25,7 @@ struct Fixture {
   bool auto_ack_server_msgs{true};
 
   explicit Fixture(ServerConfig cfg = make_cfg()) : net(engine, sim::Rng(1), {}),
-                                                    san(engine, sim::Rng(2), {}) {
+                                                    san(engine, sim::Rng(2)) {
     san.add_disk(DiskId{1}, 1024, 64);
     server = std::make_unique<Server>(engine, net, san, sim::LocalClock(1.0), cfg);
     server->start();
@@ -387,6 +387,42 @@ TEST(Server, RegisterNackedWhileTimerRuns) {
   auto r = f.call(protocol::RegisterReq{});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->kind, FrameKind::kNack);  // conservative protocol
+}
+
+// A RegisterReq that arrives while the client is being fenced is refused
+// before the lease authority is asked: the client stays failed, so the ACK
+// gate stays shut and a request under its old epoch is NACKed until the
+// steal lands.
+TEST(Server, RegisterDuringFenceKeepsTheClientFailed) {
+  Fixture f;
+  f.do_register();
+  const std::uint32_t old_epoch = f.epoch;
+  auto file = f.server->preallocate("/f", 64).value();
+  f.call(protocol::LockReq{file, LockMode::kExclusive});
+  f.san.reachability().sever(NodeId{1}, DiskId{1});  // the fence keeps retrying
+  f.server->inject_delivery_failure(NodeId{100});
+  f.run_for(6.0);  // past tau(1+eps) = 5.05 s: failed, fencing
+  ASSERT_TRUE(f.server->authority().is_failed(NodeId{100}));
+  ASSERT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kExclusive);
+
+  auto reg = f.call(protocol::RegisterReq{});
+  ASSERT_TRUE(reg.has_value());
+  EXPECT_EQ(reg->kind, FrameKind::kNack);
+  EXPECT_TRUE(f.server->authority().is_failed(NodeId{100}));
+  auto old = f.call(protocol::KeepAliveReq{}, NodeId{100}, old_epoch);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->kind, FrameKind::kNack);
+
+  f.san.reachability().restore(NodeId{1}, DiskId{1});
+  f.run_for(0.5);
+  EXPECT_EQ(f.server->locks().mode_of(NodeId{100}, file), LockMode::kNone);
+  EXPECT_EQ(f.server->counters().lock_steals, 1u);
+  old = f.call(protocol::KeepAliveReq{}, NodeId{100}, old_epoch);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->kind, FrameKind::kNack);
+  f.do_register();
+  EXPECT_EQ(f.epoch, old_epoch + 1);
+  EXPECT_FALSE(f.server->authority().is_failed(NodeId{100}));
 }
 
 TEST(Server, NaiveStealActsImmediately) {

@@ -11,10 +11,14 @@ struct Fixture {
   sim::Engine engine;
   SanFabric san;
 
-  explicit Fixture(SanConfig cfg = SanConfig{sim::micros(500), sim::Duration{0}, 0.0,
-                                             sim::millis(50), {}})
-      : san(engine, sim::Rng(1), cfg) {
-    san.add_disk(DiskId{1}, 256, 64);
+  Fixture() : san(engine, sim::Rng(kSeed)) { san.add_disk(DiskId{1}, 256, 64); }
+
+  static constexpr std::uint64_t kSeed = 1;
+  // The fabric's service time for its first command: kLatency plus the
+  // jitter its generator draws first.
+  static std::int64_t first_service_ns() {
+    sim::Rng rng(kSeed);
+    return SanFabric::kLatency.ns + rng.uniform_int(0, SanFabric::kJitter.ns);
   }
 
   IoResult run_io(IoRequest req) {
@@ -57,7 +61,7 @@ TEST(SanFabric, CompletesIoAfterServiceTime) {
   });
   f.engine.run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(completion_ns, 500'000);
+  EXPECT_EQ(completion_ns, Fixture::first_service_ns());
 }
 
 TEST(SanFabric, WriteVisibleToSubsequentRead) {
@@ -79,7 +83,7 @@ TEST(SanFabric, PartitionFailsWithTimeoutDelay) {
   });
   f.engine.run();
   EXPECT_EQ(st.error(), ErrorCode::kIoError);
-  EXPECT_EQ(at, 50'000'000);  // the error_timeout, not instantaneous
+  EXPECT_EQ(at, 50'000'000);  // the kErrorTimeout, not instantaneous
   EXPECT_EQ(f.san.stats().ios_failed_partition, 1u);
 }
 
@@ -132,13 +136,12 @@ TEST(SanFabric, AdminUnfence) {
 }
 
 TEST(SanFabric, SlowInitiatorDelayApplied) {
-  SanConfig cfg{sim::micros(500), sim::Duration{0}, 0.0, sim::millis(50), {}};
-  cfg.initiator_delay[NodeId{100}] = sim::millis(20);
-  Fixture f(cfg);
+  Fixture f;
+  f.san.set_initiator_delay(NodeId{100}, sim::millis(20));
   std::int64_t at = 0;
   f.san.submit(mk_write(0, 1), [&](IoResult) { at = f.engine.now().ns; });
   f.engine.run();
-  EXPECT_EQ(at, 20'500'000);
+  EXPECT_EQ(at, 20'000'000 + Fixture::first_service_ns());
 }
 
 TEST(SanFabric, ObservationTapSeesSuccessfulWrites) {

@@ -246,8 +246,8 @@ EpisodeResult run_episode(const workload::ScenarioConfig& cfg, std::ostream* tra
     if (const std::uint64_t lost = sc.recorder().dropped_events(); lost > 0) {
       std::printf(
           "WARNING: trace ring overwrote %llu event(s) during this replay; the retained\n"
-          "         window may start after the root cause. Re-run with a larger\n"
-          "         RecorderConfig::ring_capacity before trusting the timeline.\n",
+          "         window may start after the root cause. Rebuild with a larger\n"
+          "         Recorder::kRingCapacity before trusting the timeline.\n",
           static_cast<unsigned long long>(lost));
     }
     if (r.watchdog_trips > 0) {
