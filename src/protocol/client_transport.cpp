@@ -68,13 +68,6 @@ void ClientTransport::transmit(MsgId id) {
   STANK_ASSERT(found != nullptr);
   Pending& p = *found;
 
-  Frame f;
-  f.kind = FrameKind::kRequest;
-  f.sender = self_;
-  f.msg_id = id;
-  f.epoch = p.epoch;
-  f.body = p.body;
-
   ++counters_->requests_sent;
   if (p.transmissions > 0) {
     ++counters_->retransmissions;
@@ -92,7 +85,9 @@ void ClientTransport::transmit(MsgId id) {
     }
   }
   ++p.transmissions;
-  send_frame(server_, f);
+  Bytes buf = net::ControlNet::take_buf();
+  encode_request_into(self_, id, p.epoch, p.body, buf);
+  net_->send(self_, server_, std::move(buf));
   arm_retry(id);
 }
 
@@ -131,12 +126,12 @@ void ClientTransport::arm_retry(MsgId id) {
 }
 
 void ClientTransport::handle_datagram(const Bytes& datagram) {
-  auto frame = decode(datagram);
-  if (!frame) {
+  RxFrame rx;
+  Frame& f = rx.frame();
+  if (!decode_into(datagram, f)) {
     ++counters_->frames_rejected;
     return;
   }
-  const Frame& f = *frame;
 
   switch (f.kind) {
     case FrameKind::kAck: {
@@ -184,7 +179,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       }
       ReplyEvent ev;
       ev.outcome = ReplyOutcome::kAck;
-      ev.body = std::get<ReplyBody>(f.body);
+      ev.body = std::move(std::get<ReplyBody>(f.body));
       ev.first_send = p.first_send;
       p.handler(ev);
       return;

@@ -112,12 +112,18 @@ void get(ByteReader& r, T& v) {
 }
 
 template <typename W>
+void put_header(W& w, FrameKind kind, NodeId sender, MsgId msg_id, std::uint32_t epoch,
+                std::uint32_t incarnation) {
+  put(w, kind);
+  put(w, sender);
+  put(w, msg_id);
+  put(w, epoch);
+  put(w, incarnation);
+}
+
+template <typename W>
 void put_frame(W& w, const Frame& f) {
-  put(w, f.kind);
-  put(w, f.sender);
-  put(w, f.msg_id);
-  put(w, f.epoch);
-  put(w, f.incarnation);
+  put_header(w, f.kind, f.sender, f.msg_id, f.epoch, f.incarnation);
   switch (f.kind) {
     case FrameKind::kRequest:
       put(w, std::get<RequestBody>(f.body));
@@ -134,6 +140,18 @@ void put_frame(W& w, const Frame& f) {
   }
 }
 
+// Runs `write` on a counting writer, reserves exactly that many bytes in
+// `out` (cleared first), then runs it on the real writer.
+template <typename F>
+void write_exact(Bytes& out, F&& write) {
+  SizeCounter c;
+  write(c);
+  out.clear();
+  out.reserve(c.size());
+  ByteWriter w(out);
+  write(w);
+}
+
 }  // namespace
 
 std::size_t encoded_size(const Frame& frame) {
@@ -143,10 +161,15 @@ std::size_t encoded_size(const Frame& frame) {
 }
 
 void encode_into(const Frame& frame, Bytes& out) {
-  out.clear();
-  out.reserve(encoded_size(frame));
-  ByteWriter w(out);
-  put_frame(w, frame);
+  write_exact(out, [&](auto& w) { put_frame(w, frame); });
+}
+
+void encode_request_into(NodeId sender, MsgId msg_id, std::uint32_t epoch,
+                         const RequestBody& body, Bytes& out) {
+  write_exact(out, [&](auto& w) {
+    put_header(w, FrameKind::kRequest, sender, msg_id, epoch, 0);
+    put(w, body);
+  });
 }
 
 Bytes encode(const Frame& frame) {
@@ -155,12 +178,11 @@ Bytes encode(const Frame& frame) {
   return out;
 }
 
-std::optional<Frame> decode(const Bytes& datagram) {
+bool decode_into(const Bytes& datagram, Frame& f) {
   ByteReader r(datagram);
-  Frame f;
   const std::uint8_t kind = r.u8();
   if (kind < 1 || kind > 5) {
-    return std::nullopt;
+    return false;
   }
   f.kind = static_cast<FrameKind>(kind);
   get(r, f.sender);
@@ -179,11 +201,15 @@ std::optional<Frame> decode(const Bytes& datagram) {
       break;
     case FrameKind::kNack:
     case FrameKind::kClientAck:
+      f.body.emplace<std::monostate>();
       break;
   }
-  if (!r.ok() || !r.at_end()) {
-    return std::nullopt;
-  }
+  return r.ok() && r.at_end();
+}
+
+std::optional<Frame> decode(const Bytes& datagram) {
+  Frame f;
+  if (!decode_into(datagram, f)) return std::nullopt;
   return f;
 }
 

@@ -23,7 +23,17 @@ namespace stank::protocol {
 // scratch buffer and move it into the net, so a send costs one allocation.
 void encode_into(const Frame& frame, Bytes& out);
 
+// encode_into for a kRequest frame, straight from its header fields and a
+// body the caller keeps: a retransmission encodes without copying the body.
+void encode_request_into(NodeId sender, MsgId msg_id, std::uint32_t epoch,
+                         const RequestBody& body, Bytes& out);
+
 [[nodiscard]] Bytes encode(const Frame& frame);
+
+// Decodes over a caller-owned frame, so a transport reuses one frame for
+// every datagram. Returns false on a malformed datagram; `frame` then holds
+// unspecified values.
+[[nodiscard]] bool decode_into(const Bytes& datagram, Frame& frame);
 [[nodiscard]] std::optional<Frame> decode(const Bytes& datagram);
 
 }  // namespace stank::protocol

@@ -4,13 +4,17 @@
 // request's reply; the client keeps one for the server's pushed messages,
 // ids only.
 //
-// One FIFO ring that grows on demand, so a session that has seen three ids
-// holds three entries; once full, every further id recycles the oldest slot
-// in place, and the steady-state path makes zero allocations.
+// One FIFO ring. A window that has admitted one id holds one entry: every
+// client's epoch-0 server session sees only its first RegisterReq. The
+// second id reserves all `limit` slots at once, so a live session makes one
+// allocation instead of a doubling chain whose freed blocks stay resident.
+// Once full, every further id recycles the oldest slot in place, and the
+// steady-state path makes zero allocations.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/strong_id.hpp"
@@ -45,6 +49,7 @@ class IdWindow {
     if (limit == 0) return id.value();
     max_id_ = std::max(max_id_, id.value());
     if (ring_.size() < limit) {
+      if (ring_.size() == 1) ring_.reserve(limit);
       ring_.push_back(Entry{id});
       return 0;
     }
@@ -54,6 +59,11 @@ class IdWindow {
     if (++oldest_ == ring_.size()) oldest_ = 0;
     return evicted;
   }
+
+  // Slots the ring has room for, and the entries it holds (in no
+  // particular order).
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::span<const Entry> entries() const { return ring_; }
 
   // Forgets every id; the ring keeps its capacity.
   void clear() {

@@ -1,5 +1,6 @@
 #include "protocol/server_transport.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -35,26 +36,27 @@ void ServerTransport::stop() {
 }
 
 void ServerTransport::handle_datagram(const Bytes& datagram) {
-  auto frame = decode(datagram);
-  if (!frame) {
+  RxFrame rx;
+  Frame& frame = rx.frame();
+  if (!decode_into(datagram, frame)) {
     ++counters_->frames_rejected;
     return;
   }
-  switch (frame->kind) {
+  switch (frame.kind) {
     case FrameKind::kRequest:
-      handle_request(*frame);
+      handle_request(frame);
       return;
     case FrameKind::kClientAck: {
-      OutMsg* found = out_msgs_.find(frame->msg_id);
+      OutMsg* found = out_msgs_.find(frame.msg_id);
       if (found == nullptr) {
         return;  // duplicate ACK
       }
       OutMsg m = std::move(*found);
       clock_->cancel(m.timer);
-      out_msgs_.erase(frame->msg_id);
+      out_msgs_.erase(frame.msg_id);
       if (rec_ != nullptr) {
         rec_->record(clock_->engine().now(), self_, obs::EventKind::kServerMsgAcked,
-                     frame->msg_id.value(), m.client.value());
+                     frame.msg_id.value(), m.client.value());
       }
       if (m.done) {
         m.done(true);
@@ -88,7 +90,7 @@ void ServerTransport::handle_request(const Frame& f) {
           if (may_ack && !may_ack(f.sender)) {
             reply.kind = FrameKind::kNack;
           } else {
-            reply.body = c->body;
+            reply.body = unstash(c->reply);
           }
         }
         ++counters_->reply_cache_hits;
@@ -150,11 +152,55 @@ void ServerTransport::respond(NodeId client, MsgId id, std::uint32_t epoch, bool
     c->incarnation = f.incarnation;
     if (positive) {
       c->state = Cached::State::kAck;
-      c->body = std::move(std::get<ReplyBody>(f.body));
+      c->reply = stash(std::move(std::get<ReplyBody>(f.body)));
     } else {
       c->state = Cached::State::kNack;
     }
   }
+}
+
+ServerTransport::StoredReply ServerTransport::stash(ReplyBody&& body) {
+  return std::visit(
+      [&body](auto& alt) -> StoredReply {
+        if constexpr (std::is_constructible_v<StoredReply, decltype(alt)>) {
+          return std::move(alt);
+        } else {
+          return std::make_unique<ReplyBody>(std::move(body));
+        }
+      },
+      body);
+}
+
+ReplyBody ServerTransport::unstash(const StoredReply& reply) {
+  return std::visit(
+      [](const auto& alt) -> ReplyBody {
+        if constexpr (std::is_same_v<std::decay_t<decltype(alt)>, Boxed>) {
+          return *alt;
+        } else {
+          return alt;
+        }
+      },
+      reply);
+}
+
+std::size_t ServerTransport::reply_cache_bytes() const {
+  std::size_t bytes = sessions_.capacity() * (sizeof(decltype(sessions_)::Slot) + 1);
+  for (const auto& [key, session] : sessions_) {
+    bytes += session.capacity() * sizeof(Cached);
+    for (const Cached& c : session.entries()) {
+      const auto* boxed = std::get_if<Boxed>(&c.reply);
+      if (boxed == nullptr) continue;
+      bytes += sizeof(ReplyBody);
+      if (const auto* open = std::get_if<OpenReply>(boxed->get())) {
+        bytes += open->extents.capacity() * sizeof(Extent);
+      } else if (const auto* attr = std::get_if<AttrReply>(boxed->get())) {
+        bytes += attr->extents.capacity() * sizeof(Extent);
+      } else if (const auto* data = std::get_if<DataReply>(boxed->get())) {
+        bytes += data->data.capacity();
+      }
+    }
+  }
+  return bytes;
 }
 
 void ServerTransport::send_reply_frame(NodeId client, const Frame& f) {

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -86,17 +88,29 @@ class ServerTransport {
   // Attaches (or detaches, with nullptr) the flight recorder.
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
+  // Heap bytes the reply cache holds: the session table's block, each
+  // session's ring at its capacity, and the boxed reply bodies with their
+  // payloads.
+  [[nodiscard]] std::size_t reply_cache_bytes() const;
+
  private:
+  // A cached reply body. The four fixed-size replies, almost every one a
+  // server sends, sit inline; the three that carry a vector are boxed.
+  using Boxed = std::unique_ptr<ReplyBody>;
+  using StoredReply = std::variant<OkReply, ErrReply, LockReply, RegisterReply, Boxed>;
   // One request id's entry in a session's reply cache. The reply is stored
   // as its body, not as a Frame: a replay rebuilds the frame from the
-  // retransmitted request's id and epoch plus the incarnation stored here.
+  // retransmitted request's id and epoch plus the incarnation stored here,
+  // and the ReplyBody from `reply`.
   struct Cached {
     enum class State : std::uint8_t { kExecuting, kAck, kNack };
     MsgId id;
-    ReplyBody body{};  // meaningful for kAck only
+    StoredReply reply{};  // meaningful for kAck only
     std::uint32_t incarnation{0};
     State state{State::kExecuting};
   };
+  // Every ring slot of every live session is one of these.
+  static_assert(sizeof(Cached) <= 40);
   // A session's reply cache: the last reply_cache_size distinct request ids
   // in arrival order, each admitted as executing.
   using Session = IdWindow<Cached>;
@@ -107,6 +121,9 @@ class ServerTransport {
     sim::TimerId timer{0};
     DeliveryFn done;
   };
+
+  [[nodiscard]] static StoredReply stash(ReplyBody&& body);
+  [[nodiscard]] static ReplyBody unstash(const StoredReply& reply);
 
   void handle_datagram(const Bytes& datagram);
   void handle_request(const Frame& f);
@@ -130,7 +147,7 @@ class ServerTransport {
 
   // Sessions keyed by packed (client, epoch): one flat table instead of a
   // map-of-maps, so a million-client server pays one probe per request and
-  // a 48-byte slot per session plus the entries its ring holds. Sessions of
+  // a 48-byte slot per session plus the ring its window holds. Sessions of
   // superseded epochs are kept: dropping one would let a late duplicate of
   // its RegisterReq execute again and bump the client's epoch.
   FlatMap<std::uint64_t, Session> sessions_;

@@ -3,6 +3,7 @@
 
 #include <functional>
 
+#include "common/assert.hpp"
 #include "common/move_fn.hpp"
 #include "protocol/messages.hpp"
 #include "sim/time.hpp"
@@ -34,6 +35,38 @@ struct ReplyEvent {
   // conservative choice that keeps t_C1 <= t_S2 for whichever copy the
   // server actually acknowledged.
   sim::LocalTime first_send{};
+};
+
+// The frame a transport decodes a received datagram over, reused from one
+// datagram to the next. There is one per thread rather than one per
+// transport: a Frame is 96 B on x86-64, and a swarm has a transport per
+// client.
+// Holding it asserts that no receive path on this thread already holds it,
+// since a nested delivery would clobber the frame the outer one is still
+// reading. Nothing nests: the net delivers only from its drain events, and
+// a byzantine client injects its replays from its own timer.
+class RxFrame {
+ public:
+  RxFrame() : slot_(slot()) {
+    STANK_ASSERT_MSG(!slot_.busy, "handle_datagram re-entered");
+    slot_.busy = true;
+  }
+  ~RxFrame() { slot_.busy = false; }
+  RxFrame(const RxFrame&) = delete;
+  RxFrame& operator=(const RxFrame&) = delete;
+
+  [[nodiscard]] Frame& frame() { return slot_.frame; }
+
+ private:
+  struct Slot {
+    Frame frame;
+    bool busy{false};
+  };
+  static Slot& slot() {
+    thread_local Slot s;
+    return s;
+  }
+  Slot& slot_;
 };
 
 // Move-only, so captures are never copied. Reply continuations capture a

@@ -108,6 +108,8 @@ class Server {
   // Bytes of lease bookkeeping currently held, whatever the strategy — the
   // paper's T2 claim is that this is 0 for Storage Tank in normal operation.
   [[nodiscard]] std::size_t lease_state_bytes() const;
+  // Heap bytes of the transport's at-most-once reply cache.
+  [[nodiscard]] std::size_t reply_cache_bytes() const { return transport_.reply_cache_bytes(); }
 
   [[nodiscard]] bool session_valid(NodeId client) const;
   [[nodiscard]] std::uint32_t session_epoch(NodeId client) const;

@@ -436,6 +436,20 @@ TEST(ClientTransport, DedupLowWaterSurvivesCacheEviction) {
   EXPECT_EQ(f.counters.client_acks_sent, 21u);  // but re-ACKed
 }
 
+// Received datagrams are decoded over one frame per thread, so a delivery
+// nested inside another would clobber it: that must abort, not misread.
+TEST(ClientTransportDeathTest, ReenteredReceiveAborts) {
+  Fixture f;
+  Frame demand;
+  demand.kind = FrameKind::kServerMsg;
+  demand.sender = NodeId{1};
+  demand.msg_id = MsgId{1};
+  demand.body = ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}};
+  const Bytes dg = encode(demand);
+  f.transport.on_server_msg = [&](const ServerBody&) { f.transport.inject_datagram(dg); };
+  EXPECT_DEATH(f.transport.inject_datagram(dg), "re-entered");
+}
+
 // And the low-water mark resets per epoch: the new incarnation's id sequence
 // starts over, so id 3 under a NEW epoch is fresh, not a duplicate.
 TEST(ClientTransport, DedupLowWaterResetsOnNewEpoch) {

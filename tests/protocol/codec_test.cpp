@@ -94,6 +94,42 @@ TEST(Codec, EncodeIntoReusesAndClearsTheBuffer) {
   ASSERT_TRUE(decode(buf).has_value());
 }
 
+TEST(Codec, EncodeRequestIntoMatchesEncode) {
+  const RequestBody bodies[] = {OpenReq{"/a/path", true}, LockReq{FileId{9}, LockMode::kShared},
+                                WriteDataReq{FileId{3}, 128, Bytes{1, 2, 3}}, KeepAliveReq{}};
+  for (const RequestBody& body : bodies) {
+    Bytes out{0xff};
+    encode_request_into(NodeId{100}, MsgId{42}, 3, body, out);
+    EXPECT_EQ(out, encode(mk_request(body)));
+    EXPECT_EQ(out.capacity(), out.size());
+  }
+}
+
+// A transport decodes every datagram over one frame. Whatever that frame
+// held before, the result must equal a fresh decode of the same bytes.
+TEST(Codec, DecodeIntoAReusedFrameMatchesAFreshDecode) {
+  const Frame frames[] = {
+      mk_request(WriteDataReq{FileId{3}, 128, Bytes{1, 2, 3, 4, 5, 6, 7, 8}}),
+      mk_request(WriteDataReq{FileId{4}, 0, Bytes{9}}),
+      mk_request(OpenReq{"/a/longer/path/than/the/next", true}),
+      mk_request(OpenReq{"/b", false}),
+      mk_request(LockReq{FileId{9}, LockMode::kExclusive}),
+      mk_reply(ReplyBody{OpenReply{FileId{4}, FileAttr{10, 20, 2},
+                                   {Extent{DiskId{1}, 0, 8}, Extent{DiskId{2}, 8, 8}}}}),
+      mk_reply(ReplyBody{OpenReply{FileId{5}, FileAttr{1, 2, 3}, {Extent{DiskId{3}, 4, 5}}}}),
+      mk_reply(ReplyBody{OkReply{}}, FrameKind::kNack),
+      mk_reply(ReplyBody{DataReply{Bytes{4, 5}}}),
+  };
+  Frame reused;
+  for (const Frame& f : frames) {
+    const Bytes bytes = encode(f);
+    ASSERT_TRUE(decode_into(bytes, reused));
+    EXPECT_EQ(encode(reused), bytes);
+    EXPECT_EQ(reused.body.index(), f.body.index());
+  }
+  EXPECT_FALSE(decode_into(Bytes{0xde, 0xad}, reused));
+}
+
 TEST(Codec, LockReqRoundTrip) {
   Frame f = mk_request(LockReq{FileId{9}, LockMode::kExclusive});
   auto d = decode(encode(f));

@@ -18,6 +18,7 @@ struct Fixture {
   metrics::Counters counters;
   ServerTransport transport;
   std::vector<Frame> client_rx;
+  std::vector<Bytes> client_rx_bytes;  // the same datagrams, undecoded
   bool client_auto_acks{true};
   int handler_calls{0};
 
@@ -30,6 +31,7 @@ struct Fixture {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
       client_rx.push_back(*f);
+      client_rx_bytes.push_back(dg);
       if (f->kind == FrameKind::kServerMsg && client_auto_acks) {
         Frame ack;
         ack.kind = FrameKind::kClientAck;
@@ -249,6 +251,60 @@ TEST(ServerTransport, ReplyCacheHoldsTheLastIdsInArrivalOrder) {
   f.client_send(KeepAliveReq{}, 13);
   f.engine.run();
   EXPECT_EQ(f.handler_calls, 22);
+}
+
+// The cache keeps the fixed-size replies inline and boxes the ones that
+// carry a vector; either way a replay must put the first ACK's very bytes
+// back on the wire, and a closed ACK gate must still turn it into a NACK.
+TEST(ServerTransport, ReplayIsByteIdenticalForEveryReplyKind) {
+  const std::vector<ReplyBody> replies = {
+      OkReply{},
+      ErrReply{ErrorCode::kStaleSession},
+      OpenReply{FileId{7}, FileAttr{8192, 42, 3},
+                {Extent{DiskId{1}, 16, 2}, Extent{DiskId{2}, 64, 1}}},
+      LockReply{true, LockMode::kExclusive, 5, 0xC00C1Eu},
+      AttrReply{FileAttr{4096, 9, 1}, {Extent{DiskId{1}, 0, 1}}},
+      RegisterReply{3, 2},
+      DataReply{Bytes{1, 2, 3, 4, 5}},
+  };
+  ASSERT_EQ(replies.size(), std::variant_size_v<ReplyBody>);
+  for (std::size_t i = 0; i < replies.size(); ++i) ASSERT_EQ(replies[i].index(), i);
+
+  Fixture f;  // cache size 8: every id below stays cached
+  bool gate_open = true;
+  f.transport.may_ack = [&](NodeId) { return gate_open; };
+  f.transport.on_request = [&](NodeId, std::uint32_t, const RequestBody&,
+                               ServerTransport::Responder r) {
+    r.ack(replies[static_cast<std::size_t>(f.handler_calls++)]);
+  };
+  f.transport.set_incarnation(4);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const std::uint64_t id = 10 + i;
+    f.client_send(KeepAliveReq{}, id);
+    f.engine.run();
+    f.client_send(KeepAliveReq{}, id);  // retransmission
+    f.engine.run();
+    ASSERT_EQ(f.client_rx_bytes.size(), 2 * (i + 1));
+    Frame ack;
+    ack.kind = FrameKind::kAck;
+    ack.sender = NodeId{1};
+    ack.msg_id = MsgId{id};
+    ack.epoch = 1;
+    ack.incarnation = 4;
+    ack.body = replies[i];
+    EXPECT_EQ(f.client_rx_bytes[2 * i], encode(ack)) << "reply kind " << i;
+    EXPECT_EQ(f.client_rx_bytes[2 * i + 1], f.client_rx_bytes[2 * i]) << "reply kind " << i;
+  }
+  EXPECT_EQ(f.handler_calls, static_cast<int>(replies.size()));
+  EXPECT_EQ(f.counters.reply_cache_hits, replies.size());
+
+  gate_open = false;  // lease timer started
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    f.client_send(KeepAliveReq{}, 10 + i);
+    f.engine.run();
+    EXPECT_EQ(f.client_rx.back().kind, FrameKind::kNack) << "reply kind " << i;
+  }
+  EXPECT_EQ(f.handler_calls, static_cast<int>(replies.size()));
 }
 
 TEST(ServerTransport, CachedNackReplayedWithoutReExecuting) {
