@@ -127,10 +127,10 @@ Metric bench_datagram_path() {
   net::ControlNet cnet(e, sim::Rng(7), {});
   const NodeId a{1}, b{2};
   std::uint64_t received = 0;
-  cnet.attach(a, [&](NodeId, const Bytes&) {});
-  cnet.attach(b, [&](NodeId, const Bytes& dg) {
-    received += dg.size() != 0;
-  });
+  net::FnReceiver rx_a([](NodeId, const Bytes&) {});
+  net::FnReceiver rx_b([&](NodeId, const Bytes& dg) { received += dg.size() != 0; });
+  cnet.attach(a, rx_a);
+  cnet.attach(b, rx_b);
 
   protocol::Frame f;
   f.kind = protocol::FrameKind::kRequest;

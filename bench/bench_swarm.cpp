@@ -43,6 +43,7 @@
 #include "alloc_hooks.hpp"
 #include "bench_util.hpp"
 #include "client/client.hpp"
+#include "common/byte_pool.hpp"
 #include "common/table.hpp"
 #include "net/sharded_net.hpp"
 #include "obs/counters.hpp"
@@ -73,7 +74,7 @@ constexpr double kMeanGapS = 2.0;
 constexpr double kExclusiveProb = 0.05;
 // Gate on every sharded point: bench_swarm exits 1 above this. See the
 // resident-bytes bound in DESIGN.md §12 for how it was set.
-constexpr double kResidentBytesPerClientBound = 4000.0;
+constexpr double kResidentBytesPerClientBound = 3300.0;
 constexpr double kWarmS = 3.0;     // registration + opens finish well before this
 constexpr double kMeasureS = 8.0;  // measured steady window
 
@@ -266,6 +267,14 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 
 ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t threads,
                                bool telemetry) {
+  // Every point starts from empty thread-local pools (datagram buffers,
+  // engine slot chunks and heaps, client op records): a pool that earlier
+  // points warmed would serve this one's growth from memory counted before
+  // live0, and its resident bytes would depend on the points before it.
+  // Worker threads die with each run, so only this thread's pools persist.
+  stank::release_buf_pool();
+  sim::Engine::release_pools();
+  client::Client::release_op_pool();
   sim::ShardedEngine::Config ecfg;
   ecfg.shards = k;
   ecfg.threads = threads;

@@ -27,22 +27,33 @@ void send_lease_only(protocol::ClientTransport& transport, protocol::RequestBody
       /*lease_only=*/true);
 }
 
+// The Storage Tank lease over a client transport. The keep-alive is the NULL
+// message: no file-system or lock content, it exists to be ACKed (which
+// renews through the transport's owner, like any other ACK).
+class StorageTankLease final : public ClientLeaseAgent {
+ public:
+  StorageTankLease(protocol::ClientTransport& transport, sim::NodeClock& clock,
+                   const LeaseConfig& cfg, ClientLease::Owner& owner)
+      : ClientLeaseAgent(clock, cfg, owner), transport_(&transport) {}
+
+ private:
+  void send_keepalive() override {
+    send_lease_only(*transport_, protocol::KeepAliveReq{}, [](sim::LocalTime) {});
+  }
+
+  protocol::ClientTransport* transport_;
+};
+
 }  // namespace
 
 std::unique_ptr<ClientLease> make_client_lease(LeaseStrategy strategy,
                                                protocol::ClientTransport& transport,
                                                sim::NodeClock& clock, const LeaseConfig& cfg,
-                                               ClientLease::Hooks hooks,
-                                               std::function<void(FileId)> object_expired,
-                                               obs::Recorder* rec, NodeId self) {
+                                               ClientLease::Owner& owner, obs::Recorder* rec,
+                                               NodeId self) {
   switch (strategy) {
     case LeaseStrategy::kStorageTank: {
-      // The NULL message: no file-system or lock content, exists to be ACKed
-      // (which renews through the transport's on_ack).
-      hooks.send_keepalive = [&transport]() {
-        send_lease_only(transport, protocol::KeepAliveReq{}, [](sim::LocalTime) {});
-      };
-      auto agent = std::make_unique<ClientLeaseAgent>(clock, cfg, std::move(hooks));
+      auto agent = std::make_unique<StorageTankLease>(transport, clock, cfg, owner);
       agent->set_recorder(rec, self);
       return agent;
     }
@@ -53,7 +64,7 @@ std::unique_ptr<ClientLease> make_client_lease(LeaseStrategy strategy,
         send_lease_only(transport, protocol::RenewObjReq{file},
                         [s, file](sim::LocalTime t) { s->renewed(file, t); });
       };
-      sched->hooks().object_expired = std::move(object_expired);
+      sched->hooks().object_expired = [&owner](FileId file) { owner.lease_object_expired(file); };
       return sched;
     }
     case LeaseStrategy::kFrangipani: {
@@ -63,7 +74,7 @@ std::unique_ptr<ClientLease> make_client_lease(LeaseStrategy strategy,
         send_lease_only(transport, protocol::KeepAliveReq{},
                         [s](sim::LocalTime t) { s->on_ack(t); });
       };
-      sched->hooks().expired = std::move(hooks.expired);
+      sched->hooks().expired = [&owner]() { owner.handle_lease_expired(); };
       return sched;
     }
   }

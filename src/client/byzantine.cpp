@@ -18,43 +18,50 @@ ByzantineClient::ByzantineClient(sim::Engine& engine, net::ControlNet& net,
   // Phase 4's admission rule is an honest client's obligation: an attacker
   // keeps dirtying its cache through the flush whatever its spec.
   dirty_through_flush();
-  protocol::ClientTransport& t = transport();
-  if (spec_.lie_send_time) {
-    // Renew from a shifted anchor: a positive skew makes this client believe
-    // its lease outlives the server's tau(1+eps) suspect math.
-    t.on_ack = [honest = std::move(t.on_ack),
-                skew = sim::local_seconds_d(spec_.send_time_skew_s)](sim::LocalTime first_send) {
-      honest(first_send + skew);
-    };
+}
+
+void ByzantineClient::on_ack(sim::LocalTime first_send) {
+  // lie_send_time renews from a shifted anchor: a positive skew makes this
+  // client believe its lease outlives the server's tau(1+eps) suspect math.
+  Client::on_ack(spec_.lie_send_time ? first_send + sim::local_seconds_d(spec_.send_time_skew_s)
+                                     : first_send);
+}
+
+void ByzantineClient::on_nack() {
+  if (!spec_.defy_quiesce) Client::on_nack();  // else a NACK never happened
+}
+
+void ByzantineClient::handle_server_msg(const protocol::ServerBody& body) {
+  // ack_without_release: the transport still ACKs the demand, but the client
+  // never flushes, downgrades, or answers: the revocation must time out
+  // instead.
+  if (spec_.ack_without_release && std::holds_alternative<protocol::LockDemand>(body)) return;
+  Client::handle_server_msg(body);
+}
+
+void ByzantineClient::wiretap_server_msg(const Bytes& datagram) {
+  if (!spec_.replay_old_session) return;
+  // Tag with the session the capture happened in; once the session changes
+  // these become dead-session datagrams — the replay material.
+  CapturedDatagram c{transport().epoch(), transport().incarnation(), datagram};
+  if (captured_.size() < 16) {
+    captured_.push_back(std::move(c));
+  } else {
+    captured_[captured_next_] = std::move(c);
+    captured_next_ = (captured_next_ + 1) % captured_.size();
   }
-  if (spec_.defy_quiesce) t.on_nack = nullptr;  // a NACK never happened
-  if (core::ClientLeaseAgent::Hooks* hooks = lease_hooks()) {
-    // defy_quiesce keeps serving local processes through phase 3.
-    if (spec_.defy_quiesce) hooks->quiesce = nullptr;
-    // The paper's "slow computer" weaponized: sit on the dirty data through
-    // phase 4 so it is still buffered at expiry (before_lease_teardown).
-    if (spec_.write_after_expiry) hooks->flush = nullptr;
-  }
-  if (spec_.ack_without_release) {
-    // The transport still ACKs the demand, but the client never flushes,
-    // downgrades, or answers: the revocation must time out instead.
-    t.on_server_msg = [honest = std::move(t.on_server_msg)](const protocol::ServerBody& body) {
-      if (!std::holds_alternative<protocol::LockDemand>(body)) honest(body);
-    };
-  }
-  if (spec_.replay_old_session) {
-    t.wiretap_server_msg = [this](const Bytes& datagram) {
-      // Tag with the session the capture happened in; once the session
-      // changes these become dead-session datagrams — the replay material.
-      CapturedDatagram c{transport().epoch(), transport().incarnation(), datagram};
-      if (captured_.size() < 16) {
-        captured_.push_back(std::move(c));
-      } else {
-        captured_[captured_next_] = std::move(c);
-        captured_next_ = (captured_next_ + 1) % captured_.size();
-      }
-    };
-  }
+}
+
+void ByzantineClient::lease_quiesce() {
+  // defy_quiesce keeps serving local processes through phase 3.
+  if (!spec_.defy_quiesce) Client::lease_quiesce();
+}
+
+void ByzantineClient::lease_flush() {
+  // write_after_expiry is the paper's "slow computer" weaponized: sit on the
+  // dirty data through phase 4 so it is still buffered at expiry
+  // (before_lease_teardown).
+  if (!spec_.write_after_expiry) Client::lease_flush();
 }
 
 // A crashed machine loses even its misbehavior: snapshots and captured

@@ -77,8 +77,8 @@ struct ByzantineSpec {
 };
 
 // A real Client with a few screws removed: each behavior subverts one
-// obligation, by wrapping or dropping the honest transport or lease-agent hook
-// that keeps it (in the constructor) or by a timed attack of its own.
+// obligation, by overriding the transport- or lease-owner method that keeps
+// it (skipping or bending the honest call) or by a timed attack of its own.
 class ByzantineClient final : public Client {
  public:
   ByzantineClient(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
@@ -112,6 +112,15 @@ class ByzantineClient final : public Client {
     std::uint32_t incarnation{0};
     Bytes bytes;
   };
+
+  // The owner methods a behavior perturbs; each calls the honest one unless
+  // its behavior is on.
+  void on_ack(sim::LocalTime first_send) override;
+  void on_nack() override;
+  void handle_server_msg(const protocol::ServerBody& body) override;
+  void wiretap_server_msg(const Bytes& datagram) override;
+  void lease_quiesce() override;
+  void lease_flush() override;
 
   void before_lease_teardown() override {
     if (spec_.write_after_expiry) snapshot_rogue_writes();

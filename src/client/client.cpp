@@ -44,7 +44,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     : san_(&san),
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
-      transport_(net, clock_, cfg_.id, cfg_.server, counters_, cfg_.transport),
+      transport_(net, clock_, cfg_.id, cfg_.server, counters_, *this, cfg_.transport),
       cache_(cfg_.block_size),
       rec_(rec) {
   cfg_.lease.validate();
@@ -52,27 +52,8 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     rec_->bind_engine(engine);
     transport_.set_recorder(rec_);
   }
-  wire_transport();
-  core::ClientLease::Hooks hooks;
-  hooks.quiesce = [this]() { session_.admit(false); };
-  hooks.flush = [this]() { flush_all([](Status) {}); };
-  hooks.expired = [this]() { handle_lease_expired(); };
-  hooks.phase_changed = [this](core::LeasePhase from, core::LeasePhase to) {
-    if (static_cast<int>(from) >= static_cast<int>(core::LeasePhase::kSuspect) &&
-        (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
-      // A keep-alive probe rescued an un-NACKed ride-down: the lease is
-      // valid again and quiesce is over.
-      session_.admit(true);
-    }
-    if (on_phase_change) on_phase_change(from, to);
-  };
-  auto object_expired = [this](FileId file) {
-    // No cached page outlives its file's state, so a file never seen has none.
-    if (FileState* fs = find_file(file)) perform(file, fs->lock.object_expired());
-    fail_lock_waits(file, ErrorCode::kLeaseExpired);
-  };
-  lease_ = core::make_client_lease(cfg_.strategy, transport_, clock_, cfg_.lease,
-                                   std::move(hooks), object_expired, rec_, cfg_.id);
+  lease_ = core::make_client_lease(cfg_.strategy, transport_, clock_, cfg_.lease, *this, rec_,
+                                   cfg_.id);
 }
 
 Client::~Client() {
@@ -84,18 +65,38 @@ Client::~Client() {
   }
 }
 
-void Client::wire_transport() {
-  transport_.on_ack = [this](sim::LocalTime first_send) { lease_->renew(first_send); };
-  transport_.on_nack = [this]() {
-    // Section 3.3: the client knows it missed a message and rides down from
-    // phase 3. A strategy with no ride-down has lost the session: recover now.
-    if (!lease_->on_nack()) handle_lease_expired();
-  };
-  transport_.on_stale_session = [this]() { handle_stale_session(); };
-  transport_.on_server_msg = [this](const protocol::ServerBody& body) { handle_server_msg(body); };
-  transport_.accept_server_msg = [this](std::uint32_t epoch) {
-    return session_.registered() && epoch == transport_.epoch() && lease_->lease_valid();
-  };
+void Client::on_ack(sim::LocalTime first_send) { lease_->renew(first_send); }
+
+void Client::on_nack() {
+  // Section 3.3: the client knows it missed a message and rides down from
+  // phase 3. A strategy with no ride-down has lost the session: recover now.
+  if (!lease_->on_nack()) handle_lease_expired();
+}
+
+bool Client::accept_server_msg(std::uint32_t epoch) {
+  return session_.registered() && epoch == transport_.epoch() && lease_->lease_valid();
+}
+
+void Client::lease_quiesce() { session_.admit(false); }
+
+void Client::lease_flush() {
+  flush_all([](Status) {});
+}
+
+void Client::lease_phase_changed(core::LeasePhase from, core::LeasePhase to) {
+  if (static_cast<int>(from) >= static_cast<int>(core::LeasePhase::kSuspect) &&
+      (to == core::LeasePhase::kActive || to == core::LeasePhase::kRenewal)) {
+    // A keep-alive probe rescued an un-NACKed ride-down: the lease is valid
+    // again and quiesce is over.
+    session_.admit(true);
+  }
+  if (on_phase_change) on_phase_change(from, to);
+}
+
+void Client::lease_object_expired(FileId file) {
+  // No cached page outlives its file's state, so a file never seen has none.
+  if (FileState* fs = find_file(file)) perform(file, fs->lock.object_expired());
+  fail_lock_waits(file, ErrorCode::kLeaseExpired);
 }
 
 void Client::start() {
@@ -204,7 +205,7 @@ void Client::reassert_locks(std::optional<sim::LocalTime> flush_at) {
   // Ascending FileId: the send order assigns the msg ids.
   bool any = false;
   // A LockReq the old server queued (or one in flight to it) died with its
-  // lock table, and reassert() forgets it: those files ask again. Until the
+  // lock table, and reassert() drops it: those files ask again. Until the
   // grace period ends the server answers kRetryLater, and the pump retries.
   // A held lock's waiters pump once its reassertion is answered.
   std::vector<FileId> asking;
@@ -412,6 +413,8 @@ std::vector<std::unique_ptr<Client::Op>>& Client::op_pool() {
   thread_local std::vector<std::unique_ptr<Op>> pool;
   return pool;
 }
+
+void Client::release_op_pool() { std::vector<std::unique_ptr<Op>>().swap(op_pool()); }
 
 Client::OpRef::OpRef(Op* op) : op_(op) { ++op_->refs; }
 

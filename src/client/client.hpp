@@ -26,6 +26,9 @@
 // Callbacks are move-only; each call's state lives in one pooled record
 // (DESIGN.md §11), so the per-op path allocates nothing once warm.
 //
+// The client is its transport's and its lease's Owner: each calls back into
+// it through a virtual method, with no per-client table of callbacks.
+//
 // Honest only: it keeps every protocol obligation. The untrusted client of
 // DESIGN.md §13 subclasses it through the protected seams below.
 #pragma once
@@ -70,7 +73,7 @@ struct ClientConfig {
 
 using Fd = std::uint32_t;
 
-class Client {
+class Client : private protocol::ClientTransport::Owner, private core::ClientLease::Owner {
  public:
   using StatusCb = MoveFn<void(Status)>;
   using ReadCb = MoveFn<void(Result<Bytes>)>;
@@ -127,6 +130,9 @@ class Client {
   [[nodiscard]] const ClientConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t ops_rejected() const { return ops_rejected_; }
   [[nodiscard]] std::uint32_t server_incarnation() const { return server_incarnation_; }
+  // Frees the op records this thread's clients pooled, so a measurement
+  // starts from an empty cache.
+  static void release_op_pool();
 
   // Observers for benches/tests.
   std::function<void(core::LeasePhase, core::LeasePhase)> on_phase_change;
@@ -198,14 +204,20 @@ class Client {
 
  protected:
   // Seams for a subclass that changes what this client does (the adversary,
-  // DESIGN.md §13). Wrap a hook only from a constructor, before start().
+  // DESIGN.md §13): it overrides the owner methods below, calling this
+  // class's version for the behavior it keeps.
+  // An ACK of a current-session request renews the lease from first_send.
+  void on_ack(sim::LocalTime first_send) override;
+  // A NACK starts the phase-3 ride-down, or tears the session down.
+  void on_nack() override;
+  void handle_server_msg(const protocol::ServerBody& body) override;
+  // Lease phase 3: admit no new call.
+  void lease_quiesce() override;
+  // Lease phase 4: write every dirty page.
+  void lease_flush() override;
+
   [[nodiscard]] sim::NodeClock& clock() { return clock_; }
   [[nodiscard]] protocol::ClientTransport& transport() { return transport_; }
-  // The lease agent's hooks; null unless the strategy is Storage Tank.
-  [[nodiscard]] core::ClientLeaseAgent::Hooks* lease_hooks() {
-    auto* agent = dynamic_cast<core::ClientLeaseAgent*>(lease_.get());
-    return agent != nullptr ? &agent->hooks() : nullptr;
-  }
   // Every file this client holds state for, in ascending FileId: the order
   // of every walk whose order a caller can observe (sends, callbacks),
   // which the per-file table's own iteration order is not.
@@ -219,13 +231,17 @@ class Client {
   void dirty_through_flush() { flush_stops_dirtying_ = false; }
 
  private:
+  // The rest of the transport's and the lease's Owner.
+  [[nodiscard]] bool accept_server_msg(std::uint32_t epoch) override;
+  void lease_phase_changed(core::LeasePhase from, core::LeasePhase to) override;
+  void lease_object_expired(FileId file) override;
+
   // Setup & lifecycle.
-  void wire_transport();
   // Sends a RegisterReq; the session has just entered a registering state.
   void register_with_server();
   // Arms the retry timer unless it is already running.
   void schedule_register_retry();
-  void handle_lease_expired();
+  void handle_lease_expired() override;
   // Drops every lock and cached page; a new server incarnation also voids
   // every grant.
   void invalidate_everything(bool new_incarnation);
@@ -233,7 +249,7 @@ class Client {
   // still valid, then reassert every held lock so the cache survives
   // (paper section 6). `flush_at` is when the lease from before the restart
   // enters phase 4.
-  void handle_stale_session();
+  void handle_stale_session() override;
   void reassert_locks(std::optional<sim::LocalTime> flush_at);
   void send_reassert(FileId file);
   // That phase 4 has come: write the dirty pages of every lock still
@@ -278,7 +294,6 @@ class Client {
   void lock_state_changed(FileId file);
   void fail_lock_waits(FileId file, ErrorCode code);
   void fail_all_lock_waits(ErrorCode code);
-  void handle_server_msg(const protocol::ServerBody& body);
   void process_demand(FileId file);  // runs the active demand when quiescent
 
   // Data path.

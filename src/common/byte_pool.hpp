@@ -44,6 +44,11 @@ inline std::vector<Bytes>& buf_pool() {
   return b;
 }
 
+// Frees every buffer pooled on this thread. For measurements that must not
+// depend on what ran before them on the thread (bench_swarm's resident
+// bytes per client).
+inline void release_buf_pool() { std::vector<Bytes>().swap(pool_detail::buf_pool()); }
+
 // Donates a buffer's capacity back to the pool (no-op for buffers that never
 // allocated, or when the pool is full).
 inline void recycle_buf(Bytes&& b) {

@@ -9,7 +9,10 @@
 // path. MoveFn<R(Args...)> keeps a configurable inline buffer (default 64
 // bytes — a this-pointer plus a few ids and a moved callback), is move-only
 // so captures are never copied, and falls back to the heap transparently for
-// oversized callables.
+// oversized callables. The buffer is pointer-aligned, which every capture
+// of pointers, ids and containers needs; a callable aligned more strictly
+// takes the heap path too. So MoveFn<F, 48> is 56 bytes, and an engine
+// slot with its generation and free-list link fills one 64-byte line.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +38,7 @@ class MoveFn<R(Args...), InlineSize> {
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   MoveFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
+    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(void*) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
@@ -130,7 +133,7 @@ class MoveFn<R(Args...), InlineSize> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(void*) unsigned char buf_[kInlineSize];
   const Ops* ops_{nullptr};
 };
 

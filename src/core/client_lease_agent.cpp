@@ -4,8 +4,8 @@
 
 namespace stank::core {
 
-ClientLeaseAgent::ClientLeaseAgent(sim::NodeClock& clock, LeaseConfig cfg, Hooks hooks)
-    : clock_(&clock), cfg_(cfg), hooks_(std::move(hooks)) {
+ClientLeaseAgent::ClientLeaseAgent(sim::NodeClock& clock, LeaseConfig cfg, Owner& owner)
+    : clock_(&clock), cfg_(cfg), owner_(&owner) {
   cfg_.validate();
 }
 
@@ -108,9 +108,7 @@ void ClientLeaseAgent::deactivate() {
   phase_ = LeasePhase::kNoLease;
   if (old != phase_) {
     note_phase(old, phase_);
-    if (hooks_.phase_changed) {
-      hooks_.phase_changed(old, phase_);
-    }
+    owner_->lease_phase_changed(old, phase_);
   }
 }
 
@@ -167,9 +165,7 @@ void ClientLeaseAgent::enter(LeasePhase p) {
   const LeasePhase old = phase_;
   phase_ = p;
   note_phase(old, p);
-  if (hooks_.phase_changed) {
-    hooks_.phase_changed(old, p);
-  }
+  owner_->lease_phase_changed(old, p);
 
   // Keep-alives run from phase 2 until the ride-down is latched: a suspect
   // or flushing client that has NOT been NACKed keeps trying to renew, and a
@@ -187,16 +183,16 @@ void ClientLeaseAgent::enter(LeasePhase p) {
       keepalive_tick();
       break;
     case LeasePhase::kSuspect:
-      if (hooks_.quiesce) hooks_.quiesce();
+      owner_->lease_quiesce();
       if (!nack_latched_) keepalive_tick();
       break;
     case LeasePhase::kFlush:
-      if (hooks_.flush) hooks_.flush();
+      owner_->lease_flush();
       if (!nack_latched_) keepalive_tick();
       break;
     case LeasePhase::kExpired:
       ++expiries_;
-      if (hooks_.expired) hooks_.expired();
+      owner_->handle_lease_expired();
       break;
   }
 }
@@ -234,9 +230,7 @@ void ClientLeaseAgent::keepalive_tick() {
   if (rec_ != nullptr) {
     rec_->record(clock_->engine().now(), self_, obs::EventKind::kKeepaliveSend);
   }
-  if (hooks_.send_keepalive) {
-    hooks_.send_keepalive();
-  }
+  send_keepalive();
   keepalive_timer_ = clock_->schedule_after(LeaseConfig::kKeepaliveRetry, [this]() {
     keepalive_timer_ = 0;
     keepalive_tick();

@@ -15,7 +15,10 @@
 // regardless of which phase the ACK lands in).
 //
 // All times are measured on the client's own clock; the agent never sees
-// global simulation time.
+// global simulation time. The agent reports to its client through a
+// ClientLease::Owner; the keep-alive message is send_keepalive(), which the
+// strategy factory (baselines/lease_factory.cpp) implements over the
+// client's transport, since core does not know the protocol layer.
 #pragma once
 
 #include "core/lease_seam.hpp"
@@ -25,7 +28,7 @@ namespace stank::core {
 // The Storage Tank lease (Figure 4).
 class ClientLeaseAgent : public ClientLease {
  public:
-  ClientLeaseAgent(sim::NodeClock& clock, LeaseConfig cfg, Hooks hooks);
+  ClientLeaseAgent(sim::NodeClock& clock, LeaseConfig cfg, Owner& owner);
   ~ClientLeaseAgent() override;
 
   // Opportunistic renewal (section 3.1): an ACK arrived for a request whose
@@ -79,8 +82,6 @@ class ClientLeaseAgent : public ClientLease {
   [[nodiscard]] std::uint64_t nacks_seen() const { return nacks_seen_; }
 
   [[nodiscard]] const LeaseConfig& config() const { return cfg_; }
-  // The owner may rewire a hook after construction, never while one runs.
-  [[nodiscard]] Hooks& hooks() { return hooks_; }
 
   // Attaches the flight recorder. The agent does not otherwise know which
   // node it serves, so the owner names it here. Phase transitions become
@@ -92,6 +93,11 @@ class ClientLeaseAgent : public ClientLease {
       phase_since_ = clock_->engine().now();
     }
   }
+
+ protected:
+  // Phase 2: send one keep-alive NULL message (repeated every
+  // LeaseConfig::kKeepaliveRetry until the phase ends or an ACK arrives).
+  virtual void send_keepalive() = 0;
 
  private:
   void enter(LeasePhase p);
@@ -106,7 +112,7 @@ class ClientLeaseAgent : public ClientLease {
 
   sim::NodeClock* clock_;
   LeaseConfig cfg_;
-  Hooks hooks_;
+  Owner* owner_;
   obs::Recorder* rec_{nullptr};
   NodeId self_{};
   sim::SimTime phase_since_{};  // residency-span anchor while rec_ attached
@@ -123,5 +129,7 @@ class ClientLeaseAgent : public ClientLease {
   std::uint64_t expiries_{0};
   std::uint64_t nacks_seen_{0};
 };
+// Every Storage Tank client holds one; see ClientTransport's size pin.
+static_assert(sizeof(ClientLeaseAgent) <= 152);
 
 }  // namespace stank::core

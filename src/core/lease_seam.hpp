@@ -2,7 +2,9 @@
 // ServerLease, built from the configured LeaseStrategy by the factories
 // below, and neither asks which strategy it runs. Storage Tank's protocol is
 // ClientLeaseAgent + ServerLeaseAuthority; the V-lease and Frangipani
-// comparisons implement the same interfaces in baselines/.
+// comparisons implement the same interfaces in baselines/. A client lease
+// reports to its client through one ClientLease::Owner, a pointer per
+// client rather than a table of callbacks.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +48,24 @@ enum class LeasePhase : std::uint8_t {
 
 class ClientLease {
  public:
-  // What a lease may ask of its client; the factory fills send_keepalive.
-  struct Hooks {
-    // Phase 2: send one keep-alive NULL message (repeated every
-    // LeaseConfig::kKeepaliveRetry until the phase ends or an ACK arrives).
-    std::function<void()> send_keepalive;
+  // What a lease may ask of its client (client::Client). Each strategy calls
+  // the methods its protocol has; the lease-only messages it sends itself.
+  class Owner {
+   public:
     // Phase 3 entered: stop admitting new FS requests; drain in-flight ones.
-    std::function<void()> quiesce;
+    virtual void lease_quiesce() = 0;
     // Phase 4 entered: write all dirty cache contents to shared storage.
-    std::function<void()> flush;
+    virtual void lease_flush() = 0;
     // Lease expired: invalidate the cache, cede all locks, begin recovery.
-    std::function<void()> expired;
-    // Optional observer for traces/metrics.
-    std::function<void(LeasePhase from, LeasePhase to)> phase_changed;
+    virtual void handle_lease_expired() = 0;
+    // A per-object lease expired: that object's lock and cached pages are
+    // invalid.
+    virtual void lease_object_expired(FileId file) = 0;
+    // Observer for traces/metrics.
+    virtual void lease_phase_changed(LeasePhase from, LeasePhase to) = 0;
+
+   protected:
+    ~Owner() = default;
   };
 
   ClientLease() = default;
@@ -123,15 +130,14 @@ class ServerLease {
 };
 
 // Defined in baselines/lease_factory.cpp, the one module that knows every
-// strategy. `object_expired` serves per-object leases: that object's lock
-// and cached pages are invalid. `self` names the node to the recorder, which
-// may be null.
+// strategy. The lease sends its lease-only messages on `transport` and
+// reports to `owner`; both must outlive it. `self` names the node to the
+// recorder, which may be null.
 std::unique_ptr<ClientLease> make_client_lease(LeaseStrategy strategy,
                                                protocol::ClientTransport& transport,
                                                sim::NodeClock& clock, const LeaseConfig& cfg,
-                                               ClientLease::Hooks hooks,
-                                               std::function<void(FileId)> object_expired,
-                                               obs::Recorder* rec, NodeId self);
+                                               ClientLease::Owner& owner, obs::Recorder* rec,
+                                               NodeId self);
 std::unique_ptr<ServerLease> make_server_lease(LeaseStrategy strategy, sim::NodeClock& clock,
                                                const LeaseConfig& cfg,
                                                metrics::Counters& counters,

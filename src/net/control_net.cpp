@@ -58,13 +58,12 @@ void ControlNet::bind_shard(ShardedNet* owner, unsigned shard) {
   shard_ = shard;
 }
 
-void ControlNet::attach(NodeId node, Handler handler) {
-  STANK_ASSERT(handler != nullptr);
+void ControlNet::attach(NodeId node, Receiver& receiver) {
   if (sharded_ != nullptr) sharded_->note_attach(node, shard_);
-  handlers_[node] = std::move(handler);
+  receivers_[node] = &receiver;
 }
 
-void ControlNet::detach(NodeId node) { handlers_.erase(node); }
+void ControlNet::detach(NodeId node) { receivers_.erase(node); }
 
 void ControlNet::send(NodeId from, NodeId to, Bytes datagram) {
   ++stats_.sent;
@@ -185,17 +184,17 @@ void ControlNet::deliver(Item& item, NodeId to) {
     recycle_buf(std::move(item.bytes));
     return;
   }
-  // Re-found per packet: a handler can detach nodes (crash handling) or
-  // attach new ones, and any attach can rehash the table.
-  Handler* h = handlers_.find(to);
-  if (h == nullptr) {
+  // Re-found per packet: a receiver can detach nodes (crash handling) or
+  // attach new ones.
+  Receiver* const* r = receivers_.find(to);
+  if (r == nullptr) {
     ++stats_.dropped_detached;
     note_drop(item.from, to, obs::DropCause::kDetached);
     recycle_buf(std::move(item.bytes));
     return;
   }
   ++stats_.delivered;
-  (*h)(item.from, item.bytes);
+  (*r)->receive(item.from, item.bytes);
   recycle_buf(std::move(item.bytes));
 }
 
@@ -207,16 +206,12 @@ void ControlNet::drain(NodeId to) {
 
   // Request/response traffic drains one packet at a time; deliver it without
   // touching the scratch batch. (The queue itself must be emptied first: the
-  // handler can send to this destination and rehash queues_.)
+  // receiver can send to this destination and rehash queues_.)
   if (q->items.size() == 1 && q->items.begin()->at.ns <= now_ns) {
     Item item = std::move(*q->items.begin());
     q->items.clear();
     deliver(item, to);
-    q = queues_.find(to);
-    if (q == nullptr || q->items.empty()) return;
-    std::int64_t min_slot = kNotArmed;
-    for (const Item& it : q->items) min_slot = std::min(min_slot, bucket_of(it.at));
-    if (min_slot < q->armed_ns) arm(*q, to, min_slot);
+    settle(to);
     return;
   }
 
@@ -250,11 +245,21 @@ void ControlNet::drain(NodeId to) {
   }
   drain_scratch_.clear();
 
-  // Re-arm for the earliest remaining bucket. Handlers may have sent (and
-  // armed) new traffic — even to this destination — and any insert can
-  // rehash queues_, so re-find before touching the queue again.
-  q = queues_.find(to);
-  if (q == nullptr || q->items.empty()) return;
+  settle(to);
+}
+
+void ControlNet::settle(NodeId to) {
+  // Receivers may have sent (and armed) new traffic — even to this
+  // destination — and any insert can rehash queues_, so re-find the queue.
+  DestQueue* q = queues_.find(to);
+  if (q == nullptr) return;
+  if (q->items.empty()) {
+    // Nothing queued means nothing armed: the drain disarmed the queue, and
+    // a send to it since would have queued an item. A spilled queue stays,
+    // so its buffer is reused instead of reallocated.
+    if (q->items.is_inline()) queues_.erase(to);
+    return;
+  }
   std::int64_t min_slot = kNotArmed;
   for (const Item& item : q->items) {
     min_slot = std::min(min_slot, bucket_of(item.at));

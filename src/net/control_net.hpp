@@ -34,8 +34,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -105,24 +105,42 @@ struct NetStats {
   [[nodiscard]] std::string summary() const;
 };
 
+// An attached node's receive path; both protocol transports implement it.
+class Receiver {
+ public:
+  // The buffer belongs to the net, which recycles it into the thread-local
+  // pool after receive() returns; a receiver that wants to keep the payload
+  // moves out of the reference.
+  virtual void receive(NodeId from, Bytes& datagram) = 0;
+
+ protected:
+  ~Receiver() = default;
+};
+
+// A Receiver that forwards to a callable: the probe nodes of tests and
+// benches, which have no transport.
+template <typename F>
+class FnReceiver final : public Receiver {
+ public:
+  explicit FnReceiver(F f) : f_(std::move(f)) {}
+  void receive(NodeId from, Bytes& datagram) override { f_(from, datagram); }
+
+ private:
+  F f_;
+};
+
 class ControlNet {
  public:
-  // Receives the datagram by mutable reference: the buffer belongs to the
-  // net, which recycles it into the thread-local pool after the handler
-  // returns. Handlers that only inspect it can still bind `const Bytes&`;
-  // a handler that wants to keep the payload moves out of the reference.
-  using Handler = std::function<void(NodeId from, Bytes& datagram)>;
-
   ControlNet(sim::Engine& engine, sim::Rng rng, NetConfig cfg = {});
   ~ControlNet();
   ControlNet(const ControlNet&) = delete;
   ControlNet& operator=(const ControlNet&) = delete;
 
-  // Registers a node's receive handler. A node that detaches (crash) loses
-  // all in-flight traffic addressed to it.
-  void attach(NodeId node, Handler handler);
+  // Registers a node's receiver, which must outlive the attachment. A node
+  // that detaches (crash) loses all in-flight traffic addressed to it.
+  void attach(NodeId node, Receiver& receiver);
   void detach(NodeId node);
-  [[nodiscard]] bool attached(NodeId node) const { return handlers_.contains(node); }
+  [[nodiscard]] bool attached(NodeId node) const { return receivers_.contains(node); }
 
   // Fire-and-forget datagram send; loss is silent, exactly like UDP.
   void send(NodeId from, NodeId to, Bytes datagram);
@@ -138,6 +156,9 @@ class ControlNet {
   [[nodiscard]] Reachability<NodeId>& reachability() { return reach_; }
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
+  // Destinations holding a delivery queue right now: those with datagrams
+  // in flight towards them, plus those whose queue once spilled to the heap.
+  [[nodiscard]] std::size_t dest_queues() const { return queues_.size(); }
 
   void set_config(NetConfig cfg) { cfg_ = cfg; }
   [[nodiscard]] const NetConfig& config() const { return cfg_; }
@@ -181,9 +202,11 @@ class ControlNet {
   // timer. armed_ns is the bucket edge the timer fires at (kNotArmed when
   // no timer is pending); keeping exactly one timer per destination, always
   // for the earliest bucket, is the whole batching win. A client mostly has
-  // one datagram in flight towards it, so one item lives inline; a busier
-  // destination (a server) spills to the heap once and keeps that buffer,
-  // since draining clears the items without releasing it.
+  // one datagram in flight towards it, so one item lives inline, and the
+  // drain that empties an inline queue erases it: only destinations with
+  // traffic in flight hold an entry. A busier destination (a server) spills
+  // to the heap once and keeps its entry and that buffer, so its steady
+  // state allocates nothing.
   static constexpr std::size_t kInlineItems = 1;
   struct DestQueue {
     SmallVec<Item, kInlineItems> items;
@@ -195,6 +218,9 @@ class ControlNet {
   void enqueue_copy(NodeId from, NodeId to, Bytes datagram);
   void deliver(Item& item, NodeId to);
   void drain(NodeId to);
+  // After a drain: erases the queue if it is empty and inline, else re-arms
+  // it for its earliest remaining bucket.
+  void settle(NodeId to);
   void arm(DestQueue& q, NodeId to, std::int64_t slot_ns);
   [[nodiscard]] std::int64_t bucket_of(sim::SimTime at) const {
     const std::int64_t b = cfg_.delivery_bucket.ns;
@@ -211,7 +237,7 @@ class ControlNet {
   unsigned shard_{0};
   obs::Recorder* rec_{nullptr};
   Reachability<NodeId> reach_;
-  FlatMap<NodeId, Handler> handlers_;
+  FlatMap<NodeId, Receiver*> receivers_;
   FlatMap<NodeId, DestQueue> queues_;
   std::vector<Item> drain_scratch_;  // reused batch buffer, never shrunk
   std::uint64_t next_item_seq_{0};

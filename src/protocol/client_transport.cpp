@@ -8,8 +8,15 @@
 namespace stank::protocol {
 
 ClientTransport::ClientTransport(net::ControlNet& net, sim::NodeClock& clock, NodeId self,
-                                 NodeId server, metrics::Counters& counters, TransportConfig cfg)
-    : net_(&net), clock_(&clock), self_(self), server_(server), counters_(&counters), cfg_(cfg) {}
+                                 NodeId server, metrics::Counters& counters, Owner& owner,
+                                 TransportConfig cfg)
+    : net_(&net),
+      clock_(&clock),
+      self_(self),
+      server_(server),
+      counters_(&counters),
+      owner_(&owner),
+      cfg_(cfg) {}
 
 ClientTransport::~ClientTransport() {
   if (started_) {
@@ -20,7 +27,7 @@ ClientTransport::~ClientTransport() {
 void ClientTransport::start() {
   STANK_ASSERT(!started_);
   started_ = true;
-  net_->attach(self_, [this](NodeId, const Bytes& dg) { handle_datagram(dg); });
+  net_->attach(self_, *this);
 }
 
 void ClientTransport::stop() {
@@ -169,13 +176,11 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       // renewing on it would act on a contract that no longer exists.
       const bool current_session = p.session_gen == session_gen_;
       if (stale_session) {
-        if (current_session && on_stale_session) {
-          on_stale_session();
-        }
-      } else if (current_session && on_ack) {
+        if (current_session) owner_->handle_stale_session();
+      } else if (current_session) {
         // Opportunistic lease renewal fires before the handler so the
         // handler observes a renewed lease.
-        on_ack(p.first_send);
+        owner_->on_ack(p.first_send);
       }
       ReplyEvent ev;
       ev.outcome = ReplyOutcome::kAck;
@@ -208,9 +213,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       // of our current-epoch requests it answers — but only if the request
       // really belongs to the current registration (epoch numbers repeat
       // across incarnations; session_gen does not).
-      if (p.session_gen == session_gen_ && on_nack) {
-        on_nack();
-      }
+      if (p.session_gen == session_gen_) owner_->on_nack();
       ReplyEvent ev;
       ev.outcome = ReplyOutcome::kNack;
       ev.first_send = p.first_send;
@@ -218,9 +221,7 @@ void ClientTransport::handle_datagram(const Bytes& datagram) {
       return;
     }
     case FrameKind::kServerMsg: {
-      if (wiretap_server_msg) {
-        wiretap_server_msg(datagram);
-      }
+      owner_->wiretap_server_msg(datagram);
       note_server_msg(f);
       return;
     }
@@ -241,7 +242,7 @@ void ClientTransport::note_server_msg(const Frame& f) {
     // that no longer exists.
     return;
   }
-  if (accept_server_msg && !accept_server_msg(f.epoch)) {
+  if (!owner_->accept_server_msg(f.epoch)) {
     // Going silent is deliberate: the server's retransmissions will exhaust
     // and it will start the lease timeout for us.
     return;
@@ -280,9 +281,7 @@ void ClientTransport::note_server_msg(const Frame& f) {
   }
   seen_low_water_ = std::max(seen_low_water_, seen_.admit(f.msg_id, cfg_.reply_cache_size));
 
-  if (on_server_msg) {
-    on_server_msg(std::get<ServerBody>(f.body));
-  }
+  owner_->handle_server_msg(std::get<ServerBody>(f.body));
 }
 
 }  // namespace stank::protocol

@@ -2,18 +2,20 @@
 // retransmission, at-most-once ids, and delivery of server-initiated
 // messages (which it transport-ACKs).
 //
-// Lease integration points (used by core::ClientLeaseAgent):
-//  * on_ack fires for every ACK of a client-initiated request, carrying the
+// The transport reports to one Owner (client::Client), called at fixed
+// points of the receive path. The lease integration points:
+//  * on_ack fires for every ACK of a current-session request, carrying the
 //    request's first-transmission local time — the opportunistic renewal of
 //    section 3.1.
 //  * on_nack fires when the server negatively acknowledges — the client has
 //    missed a message and must treat its cache as suspect (section 3.3).
-//  * deliver_server_msgs gates whether incoming server messages are ACKed at
+//  * accept_server_msg gates whether incoming server messages are ACKed at
 //    all; a client that knows its lease lapsed must go silent so the server
 //    path converges on steal + fence.
+// An owner interface rather than a table of callbacks: the transport holds
+// one pointer, and a million-client swarm holds a million transports.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/small_vec.hpp"
@@ -27,10 +29,37 @@
 
 namespace stank::protocol {
 
-class ClientTransport {
+class ClientTransport final : private net::Receiver {
  public:
+  // What the transport asks of the node it serves.
+  class Owner {
+   public:
+    // A current-session request first sent at first_send was ACKed. Fires
+    // before the request's handler, so the handler observes a renewed lease.
+    virtual void on_ack(sim::LocalTime first_send) = 0;
+    // The server NACKed a current-session request.
+    virtual void on_nack() = 0;
+    // A current-session reply carried ErrReply{kStaleSession}: the server
+    // restarted and lost this session (re-register + reassert, section 6).
+    // Fires instead of on_ack.
+    virtual void handle_stale_session() = 0;
+    // Consulted before ACKing/delivering a server-initiated message. Return
+    // false to drop it silently (e.g. stale epoch, expired lease).
+    virtual bool accept_server_msg(std::uint32_t epoch) = 0;
+    // A server-initiated message, ACKed and not seen before.
+    virtual void handle_server_msg(const ServerBody& body) = 0;
+    // Observes the raw bytes of every decodable server-initiated datagram,
+    // BEFORE any gating. This models an on-path recorder: the byzantine
+    // client uses it to capture grants/demands for later replay via
+    // inject_datagram(). An honest owner ignores it.
+    virtual void wiretap_server_msg(const Bytes& /*datagram*/) {}
+
+   protected:
+    ~Owner() = default;
+  };
+
   ClientTransport(net::ControlNet& net, sim::NodeClock& clock, NodeId self, NodeId server,
-                  metrics::Counters& counters, TransportConfig cfg = {});
+                  metrics::Counters& counters, Owner& owner, TransportConfig cfg = {});
   ~ClientTransport();
 
   ClientTransport(const ClientTransport&) = delete;
@@ -49,22 +78,6 @@ class ClientTransport {
   // lease expires and all outstanding state is invalid anyway.
   void abandon_pending();
   [[nodiscard]] std::size_t pending_requests() const { return pending_.size(); }
-
-  // Hooks (owner wires these before start()).
-  std::function<void(sim::LocalTime first_send)> on_ack;
-  std::function<void()> on_nack;
-  // Fired when any reply carries ErrReply{kStaleSession}: the server
-  // restarted and lost this session (re-register + reassert, section 6).
-  std::function<void()> on_stale_session;
-  std::function<void(const ServerBody&)> on_server_msg;
-  // Consulted before ACKing/delivering a server-initiated message; default
-  // accepts. Return false to drop silently (e.g. stale epoch, expired lease).
-  std::function<bool(std::uint32_t epoch)> accept_server_msg;
-  // Observes the raw bytes of every decodable server-initiated datagram,
-  // BEFORE any gating. This models an on-path recorder: the byzantine-client
-  // harness uses it to capture grants/demands for later replay via
-  // inject_datagram(). Null in honest operation.
-  std::function<void(const Bytes&)> wiretap_server_msg;
 
   // Feeds a raw datagram through the receive path as if the network had just
   // delivered it from the server. Adversarial-replay hook: everything the
@@ -110,6 +123,7 @@ class ClientTransport {
     bool lease_only{false};
   };
 
+  void receive(NodeId /*from*/, Bytes& datagram) override { handle_datagram(datagram); }
   [[nodiscard]] Pending* find_pending(MsgId id);
   void transmit(MsgId id);
   void arm_retry(MsgId id);
@@ -122,6 +136,7 @@ class ClientTransport {
   NodeId self_;
   NodeId server_;
   metrics::Counters* counters_;
+  Owner* owner_;
   obs::Recorder* rec_{nullptr};
   TransportConfig cfg_;
   std::uint32_t epoch_{0};
@@ -153,5 +168,8 @@ class ClientTransport {
   IdWindow<Seen> seen_;
   std::uint64_t seen_low_water_{0};
 };
+// Every client holds one: a million-client swarm holds a million. Shrinking
+// it is free; growing it should be a decision (DESIGN.md §12, Footprint).
+static_assert(sizeof(ClientTransport) <= 480);
 
 }  // namespace stank::protocol

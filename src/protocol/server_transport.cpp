@@ -9,8 +9,8 @@
 namespace stank::protocol {
 
 ServerTransport::ServerTransport(net::ControlNet& net, sim::NodeClock& clock, NodeId self,
-                                 metrics::Counters& counters, TransportConfig cfg)
-    : net_(&net), clock_(&clock), self_(self), counters_(&counters), cfg_(cfg) {}
+                                 metrics::Counters& counters, Owner& owner, TransportConfig cfg)
+    : net_(&net), clock_(&clock), self_(self), counters_(&counters), owner_(&owner), cfg_(cfg) {}
 
 ServerTransport::~ServerTransport() {
   if (started_) {
@@ -20,9 +20,8 @@ ServerTransport::~ServerTransport() {
 
 void ServerTransport::start() {
   STANK_ASSERT(!started_);
-  STANK_ASSERT_MSG(on_request != nullptr, "wire on_request before start()");
   started_ = true;
-  net_->attach(self_, [this](NodeId, const Bytes& dg) { handle_datagram(dg); });
+  net_->attach(self_, *this);
 }
 
 void ServerTransport::stop() {
@@ -87,7 +86,7 @@ void ServerTransport::handle_request(const Frame& f) {
         reply.epoch = f.epoch;
         reply.incarnation = c->incarnation;
         if (reply.kind == FrameKind::kAck) {
-          if (may_ack && !may_ack(f.sender)) {
+          if (!owner_->may_ack(f.sender)) {
             reply.kind = FrameKind::kNack;
           } else {
             reply.body = unstash(c->reply);
@@ -112,7 +111,7 @@ void ServerTransport::handle_request(const Frame& f) {
                  static_cast<std::uint16_t>(std::get<RequestBody>(f.body).index()));
   }
   Responder r(this, f.sender, f.msg_id, f.epoch);
-  on_request(f.sender, f.epoch, std::get<RequestBody>(f.body), r);
+  owner_->handle_request(f.sender, f.epoch, std::get<RequestBody>(f.body), r);
 }
 
 void ServerTransport::Responder::ack(ReplyBody body) const {
@@ -132,7 +131,7 @@ void ServerTransport::respond(NodeId client, MsgId id, std::uint32_t epoch, bool
   f.incarnation = incarnation_;
   // The ACK gate is enforced HERE, unconditionally, so no server-logic bug
   // can leak a lease-renewing ACK to a client being timed out.
-  if (positive && may_ack && !may_ack(client)) {
+  if (positive && !owner_->may_ack(client)) {
     positive = false;
   }
   if (positive) {

@@ -5,15 +5,17 @@
 //    bounded reply cache so retransmitted requests re-send the original
 //    reply instead of re-executing.
 //  * The ACK gate: before ANY positive acknowledgment leaves this node, the
-//    may_ack predicate is consulted. Section 3.1: "we require the server not
-//    to ACK messages if it has already started a counter to expire client
-//    locks". A denied ACK is turned into a NACK (section 3.3).
+//    owner's may_ack predicate is consulted. Section 3.1: "we require the
+//    server not to ACK messages if it has already started a counter to
+//    expire client locks". A denied ACK is turned into a NACK (section 3.3).
 //  * Server-initiated messages (lock demands/grants) with retransmission;
 //    exhausting retries reports a delivery failure, which is what triggers
 //    the passive lease authority.
+//
+// Requests and the ACK gate go to one Owner (server::Server), like the
+// client side's ClientTransport::Owner.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <variant>
 #include <vector>
@@ -29,10 +31,11 @@
 
 namespace stank::protocol {
 
-class ServerTransport {
+class ServerTransport final : private net::Receiver {
  public:
+  class Owner;
   ServerTransport(net::ControlNet& net, sim::NodeClock& clock, NodeId self,
-                  metrics::Counters& counters, TransportConfig cfg = {});
+                  metrics::Counters& counters, Owner& owner, TransportConfig cfg = {});
   ~ServerTransport();
 
   ServerTransport(const ServerTransport&) = delete;
@@ -59,11 +62,20 @@ class ServerTransport {
     std::uint32_t epoch_;
   };
 
-  // Wired by the server before start().
-  std::function<void(NodeId client, std::uint32_t epoch, const RequestBody&, Responder)>
-      on_request;
-  // ACK suppression gate; default permits.
-  std::function<bool(NodeId client)> may_ack;
+  // What the transport asks of the server it serves.
+  class Owner {
+   public:
+    // A request to execute: new, not a retransmission the reply cache
+    // answers. Answer through the Responder exactly once.
+    virtual void handle_request(NodeId client, std::uint32_t epoch, const RequestBody& body,
+                                Responder r) = 0;
+    // The ACK gate: while false, every positive reply to the client leaves
+    // as a NACK.
+    [[nodiscard]] virtual bool may_ack(NodeId client) const = 0;
+
+   protected:
+    ~Owner() = default;
+  };
 
   // Sends a server-initiated message requiring a client transport ACK.
   // done(delivered) fires exactly once; delivered=false after retries are
@@ -125,6 +137,7 @@ class ServerTransport {
   [[nodiscard]] static StoredReply stash(ReplyBody&& body);
   [[nodiscard]] static ReplyBody unstash(const StoredReply& reply);
 
+  void receive(NodeId /*from*/, Bytes& datagram) override { handle_datagram(datagram); }
   void handle_datagram(const Bytes& datagram);
   void handle_request(const Frame& f);
   void respond(NodeId client, MsgId id, std::uint32_t epoch, bool positive, ReplyBody body);
@@ -139,6 +152,7 @@ class ServerTransport {
   sim::NodeClock* clock_;
   NodeId self_;
   metrics::Counters* counters_;
+  Owner* owner_;
   obs::Recorder* rec_{nullptr};
   TransportConfig cfg_;
   bool started_{false};

@@ -20,7 +20,7 @@ Server::Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
       cfg_(std::move(cfg)),
       clock_(engine, local_clock),
       rec_(rec),
-      transport_(net, clock_, cfg_.id, counters_, cfg_.transport) {
+      transport_(net, clock_, cfg_.id, counters_, *this, cfg_.transport) {
   cfg_.lease.validate();
   if (rec_ != nullptr) {
     rec_->bind_engine(engine);
@@ -64,14 +64,6 @@ Server::~Server() {
 void Server::start() {
   STANK_ASSERT(!started_);
   started_ = true;
-  transport_.on_request = [this](NodeId client, std::uint32_t epoch,
-                                 const protocol::RequestBody& body, ServerTransport::Responder r) {
-    handle_request(client, epoch, body, r);
-  };
-  transport_.may_ack = [this](NodeId c) {
-    const Session* s = clients_.find(c);
-    return (s == nullptr || s->state() != Session::State::kBarred) && lease_->may_ack(c);
-  };
   transport_.set_incarnation(incarnation_);
   transport_.start();
 }
@@ -91,6 +83,11 @@ void Server::stop() {
 // ---------------------------------------------------------------------------
 // Request dispatch
 
+bool Server::may_ack(NodeId client) const {
+  const Session* s = clients_.find(client);
+  return (s == nullptr || s->state() != Session::State::kBarred) && lease_->may_ack(client);
+}
+
 void Server::handle_request(NodeId client, std::uint32_t epoch,
                             const protocol::RequestBody& body, ServerTransport::Responder r) {
   if (std::holds_alternative<protocol::RegisterReq>(body)) {
@@ -100,15 +97,14 @@ void Server::handle_request(NodeId client, std::uint32_t epoch,
 
   // "The server can neither acknowledge the message, which would renew the
   // client lease, nor execute a transaction on the client's behalf." (3.3)
-  const Session* session = clients_.find(client);
-  if ((session != nullptr && session->state() == Session::State::kBarred) ||
-      !lease_->may_ack(client)) {
+  if (!may_ack(client)) {
     if (cfg_.nack_suspect) {
       r.nack();
     }
     // else: silent-ignore ablation — the client keeps retrying blindly.
     return;
   }
+  const Session* session = clients_.find(client);
 
   if (session == nullptr || session->epoch() == 0) {
     // No session at all. After a restart that is the normal state for every

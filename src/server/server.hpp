@@ -83,7 +83,7 @@ struct ServerConfig {
   sim::LocalDuration recovery_grace{sim::LocalDuration{0}};
 };
 
-class Server {
+class Server final : private protocol::ServerTransport::Owner {
  public:
   Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
          sim::LocalClock local_clock, ServerConfig cfg, obs::Recorder* rec = nullptr);
@@ -149,9 +149,10 @@ class Server {
     sim::TimerId timer{0};
   };
 
-  // Request dispatch.
+  // Request dispatch (the transport's Owner).
   void handle_request(NodeId client, std::uint32_t epoch, const protocol::RequestBody& body,
-                      protocol::ServerTransport::Responder r);
+                      protocol::ServerTransport::Responder r) override;
+  [[nodiscard]] bool may_ack(NodeId client) const override;
   void handle_register(NodeId client, protocol::ServerTransport::Responder r);
   void handle_reassert(NodeId client, const protocol::ReassertLockReq&,
                        protocol::ServerTransport::Responder r);

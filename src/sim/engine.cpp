@@ -54,6 +54,11 @@ Engine::~Engine() {
   }
 }
 
+void Engine::release_pools() {
+  std::vector<std::unique_ptr<Slot[]>>().swap(chunk_pool());
+  std::vector<std::vector<Entry>>().swap(heap_pool());
+}
+
 std::uint64_t Engine::global_events_executed() {
   return g_events_executed.load(std::memory_order_relaxed);
 }

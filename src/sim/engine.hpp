@@ -90,6 +90,10 @@ class Engine {
   // Accumulated only in ~Engine, so it costs the hot path nothing.
   [[nodiscard]] static std::uint64_t global_events_executed();
 
+  // Frees the slot chunks and heap arrays this thread's engines pooled (see
+  // chunk_pool()), so a measurement starts from an empty cache.
+  static void release_pools();
+
  private:
   struct Entry {
     SimTime at;
@@ -99,12 +103,14 @@ class Engine {
   };
 
   // A registered callback. `gen` changes whenever the slot is vacated, so a
-  // stale TimerId or heap entry can never touch a reused slot.
-  struct Slot {
+  // stale TimerId or heap entry can never touch a reused slot. One slot per
+  // cache line: firing an event touches exactly one line of the pool.
+  struct alignas(64) Slot {
     EventFn fn;
     std::uint32_t gen{1};
     std::uint32_t next_free{kNoSlot};
   };
+  static_assert(sizeof(Slot) == 64);
 
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   // Slots live in fixed-size chunks so their addresses are stable while the

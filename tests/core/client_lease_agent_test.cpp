@@ -16,7 +16,18 @@ LeaseConfig cfg(std::int64_t tau_s = 10) {
   return c;
 }
 
-struct Fixture {
+// The agent with its keep-alive counted instead of sent.
+class CountingAgent final : public ClientLeaseAgent {
+ public:
+  CountingAgent(sim::NodeClock& clock, LeaseConfig c, Owner& owner, int& keepalives)
+      : ClientLeaseAgent(clock, c, owner), keepalives_(&keepalives) {}
+
+ private:
+  void send_keepalive() override { ++*keepalives_; }
+  int* keepalives_;
+};
+
+struct Fixture final : ClientLease::Owner {
   sim::Engine engine;
   sim::NodeClock clock;
   int keepalives{0};
@@ -24,21 +35,17 @@ struct Fixture {
   int flushes{0};
   int expirations{0};
   std::vector<std::pair<LeasePhase, LeasePhase>> transitions;
-  ClientLeaseAgent agent;
+  CountingAgent agent;
 
   explicit Fixture(LeaseConfig c = cfg(), double rate = 1.0)
-      : clock(engine, sim::LocalClock(rate)), agent(clock, c, hooks()) {}
+      : clock(engine, sim::LocalClock(rate)), agent(clock, c, *this, keepalives) {}
 
-  ClientLeaseAgent::Hooks hooks() {
-    ClientLeaseAgent::Hooks h;
-    h.send_keepalive = [this]() { ++keepalives; };
-    h.quiesce = [this]() { ++quiesces; };
-    h.flush = [this]() { ++flushes; };
-    h.expired = [this]() { ++expirations; };
-    h.phase_changed = [this](LeasePhase from, LeasePhase to) {
-      transitions.emplace_back(from, to);
-    };
-    return h;
+  void lease_quiesce() override { ++quiesces; }
+  void lease_flush() override { ++flushes; }
+  void handle_lease_expired() override { ++expirations; }
+  void lease_object_expired(FileId /*file*/) override {}
+  void lease_phase_changed(LeasePhase from, LeasePhase to) override {
+    transitions.emplace_back(from, to);
   }
 
   void run_to(double t_s) { engine.run_until(sim::SimTime{} + sim::seconds_d(t_s)); }

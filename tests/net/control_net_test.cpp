@@ -2,20 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
 #include <vector>
 
 namespace stank::net {
 namespace {
 
+using FnRx = FnReceiver<std::function<void(NodeId, Bytes&)>>;
+
 struct Fixture {
   sim::Engine engine;
   ControlNet net;
   std::vector<std::pair<NodeId, Bytes>> received_at_2;
+  std::deque<FnRx> receivers;  // a deque: attached receivers never move
 
   explicit Fixture(NetConfig cfg = {}) : net(engine, sim::Rng(1), cfg) {
-    net.attach(NodeId{2}, [this](NodeId from, const Bytes& b) {
-      received_at_2.emplace_back(from, b);
-    });
+    attach(NodeId{2}, [this](NodeId from, const Bytes& b) { received_at_2.emplace_back(from, b); });
+  }
+
+  void attach(NodeId node, std::function<void(NodeId, Bytes&)> fn) {
+    net.attach(node, receivers.emplace_back(std::move(fn)));
   }
 };
 
@@ -35,7 +43,7 @@ TEST(ControlNet, QueueBeyondInlineCapacityDrainsInArrivalThenSendOrder) {
   cfg.delivery_bucket = sim::micros(100);
   Fixture f(cfg);
   std::vector<sim::SimTime> delivered_at;
-  f.net.attach(NodeId{2}, [&](NodeId, const Bytes& b) {
+  f.attach(NodeId{2}, [&](NodeId, const Bytes& b) {
     f.received_at_2.emplace_back(NodeId{1}, b);
     delivered_at.push_back(f.engine.now());
   });
@@ -71,7 +79,7 @@ TEST(ControlNet, PartitionDropsSilently) {
 TEST(ControlNet, AsymmetricPartitionOneWayOnly) {
   Fixture f;
   std::vector<Bytes> at_1;
-  f.net.attach(NodeId{1}, [&](NodeId, const Bytes& b) { at_1.push_back(b); });
+  f.attach(NodeId{1}, [&](NodeId, const Bytes& b) { at_1.push_back(b); });
   f.net.reachability().sever(NodeId{1}, NodeId{2});
   f.net.send(NodeId{1}, NodeId{2}, Bytes{1});  // dropped
   f.net.send(NodeId{2}, NodeId{1}, Bytes{2});  // delivered
@@ -114,7 +122,7 @@ TEST(ControlNet, RandomLossRateRoughlyHonored) {
 TEST(ControlNet, JitterVariesLatencyWithinBounds) {
   Fixture f(NetConfig{sim::millis(1), sim::millis(1), 0.0});
   std::vector<std::int64_t> arrivals;
-  f.net.attach(NodeId{2}, [&](NodeId, const Bytes&) { arrivals.push_back(f.engine.now().ns); });
+  f.attach(NodeId{2}, [&](NodeId, const Bytes&) { arrivals.push_back(f.engine.now().ns); });
   for (int i = 0; i < 100; ++i) {
     f.net.send(NodeId{1}, NodeId{2}, Bytes{1});
   }
@@ -161,7 +169,7 @@ TEST(ControlNet, ReorderSpikeViolatesFifo) {
   cfg.reorder_spike = sim::millis(2);
   Fixture f(cfg);
   std::vector<std::uint8_t> order;
-  f.net.attach(NodeId{2}, [&](NodeId, const Bytes& b) { order.push_back(b[0]); });
+  f.attach(NodeId{2}, [&](NodeId, const Bytes& b) { order.push_back(b[0]); });
   const int n = 200;
   for (int i = 0; i < n; ++i) {
     f.net.send(NodeId{1}, NodeId{2}, Bytes{static_cast<std::uint8_t>(i)});
@@ -197,6 +205,36 @@ TEST(ControlNet, GilbertElliottDropsInBursts) {
   EXPECT_GT(per_episode, 2.0);
   EXPECT_EQ(f.net.stats().delivered + f.net.stats().dropped_burst,
             static_cast<std::uint64_t>(n));
+}
+
+// A destination holds a queue only while datagrams are in flight to it:
+// after request/reply rounds between 40 clients and a server, no client
+// keeps an entry. The server, which had many requests in flight at once,
+// keeps its spilled queue so the next burst reuses the buffer.
+TEST(ControlNet, OnlyDestinationsWithTrafficInFlightKeepAQueue) {
+  Fixture f(NetConfig{sim::micros(200), sim::micros(50), 0.0});
+  const NodeId server{1};
+  constexpr std::uint32_t kClients = 40;
+  constexpr int kRounds = 5;
+  int replies = 0;
+  std::size_t most_queues = 0;
+  f.attach(server, [&](NodeId from, const Bytes& b) {
+    most_queues = std::max(most_queues, f.net.dest_queues());
+    f.net.send(server, from, Bytes(b));
+  });
+  for (std::uint32_t i = 0; i < kClients; ++i) {
+    const NodeId client{100 + i};
+    f.attach(client, [&, client](NodeId, const Bytes& b) {
+      ++replies;
+      const auto next = static_cast<std::uint8_t>(b[0] + 1);
+      if (next < kRounds) f.net.send(client, server, Bytes{next});
+    });
+    f.net.send(client, server, Bytes{0});
+  }
+  f.engine.run();
+  EXPECT_EQ(replies, static_cast<int>(kClients) * kRounds);
+  EXPECT_GT(most_queues, 2u);  // replies were in flight to many clients at once
+  EXPECT_EQ(f.net.dest_queues(), 1u);  // the server's
 }
 
 TEST(ControlNet, AdversarialFlagReflectsKnobs) {

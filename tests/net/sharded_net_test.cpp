@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -34,6 +36,7 @@ struct Fixture {
   // receiver shard's clock at each delivery.
   std::vector<std::pair<std::uint32_t, std::uint8_t>> received;
   std::vector<std::int64_t> received_at_ns;
+  std::deque<FnReceiver<std::function<void(NodeId, Bytes&)>>> receivers;  // never move
 
   explicit Fixture(unsigned shards, unsigned threads, NetConfig cfg = quiet_net())
       : engine(make_cfg(shards, threads)), net(engine, sim::Rng(7), cfg) {}
@@ -47,10 +50,14 @@ struct Fixture {
 
   void listen(NodeId node, unsigned shard) {
     net.place(node, shard);
-    net.shard(shard).attach(node, [this, shard](NodeId from, const Bytes& b) {
+    attach(shard, node, [this, shard](NodeId from, const Bytes& b) {
       received.emplace_back(from.value(), b.empty() ? 0 : b[0]);
       received_at_ns.push_back(engine.shard(shard).now().ns);
     });
+  }
+
+  void attach(unsigned shard, NodeId node, std::function<void(NodeId, Bytes&)> fn) {
+    net.shard(shard).attach(node, receivers.emplace_back(std::move(fn)));
   }
 };
 
@@ -88,12 +95,12 @@ TEST(ShardedNet, EngineWindowFollowsTheNetLatency) {
     f.net.shard(0).send(NodeId{1}, NodeId{2}, Bytes{1});
   });
   // Hops alternate shards, so the handlers never run in the same window.
-  f.net.shard(1).attach(NodeId{2}, [&](NodeId, const Bytes& b) {
+  f.attach(1, NodeId{2}, [&](NodeId, const Bytes& b) {
     f.received_at_ns.push_back(f.engine.shard(1).now().ns);
     const std::uint8_t next = b[0] + 1;
     if (next < 6) f.net.shard(1).send(NodeId{2}, NodeId{1}, Bytes{next});
   });
-  f.net.shard(0).attach(NodeId{1}, [&](NodeId, const Bytes& b) {
+  f.attach(0, NodeId{1}, [&](NodeId, const Bytes& b) {
     f.received_at_ns.push_back(f.engine.shard(0).now().ns);
     const std::uint8_t next = b[0] + 1;
     f.net.shard(0).send(NodeId{1}, NodeId{2}, Bytes{next});
@@ -219,7 +226,7 @@ TEST(ShardedNet, ZeroJitterPingPongLandsOnSubWindowEdges) {
     std::vector<std::vector<std::int64_t>> at(3);
     for (std::uint32_t i = 0; i < 3; ++i) {
       f.net.place(NodeId{20 + i}, i);
-      f.net.shard(i).attach(NodeId{20 + i}, [&f, &at, i](NodeId, const Bytes& b) {
+      f.attach(i, NodeId{20 + i}, [&f, &at, i](NodeId, const Bytes& b) {
         at[i].push_back(f.engine.shard(i).now().ns);
         const std::uint8_t hop = b[0] + 1;
         if (hop < 30) f.net.shard(i).send(NodeId{20 + i}, NodeId{20 + (i + 1) % 3}, Bytes{hop});
@@ -259,7 +266,7 @@ TEST(ShardedNet, ReorderSpikesSpanningManySubWindows) {
     Fixture f(4, threads, cfg);
     std::vector<Rx> got;  // receiver lives on shard 0 only
     f.net.place(NodeId{1}, 0);
-    f.net.shard(0).attach(NodeId{1}, [&](NodeId from, const Bytes& b) {
+    f.attach(0, NodeId{1}, [&](NodeId from, const Bytes& b) {
       got.push_back(Rx{f.engine.shard(0).now().ns, from.value(), b[0]});
     });
     // Senders on shards 1..3 each send one datagram every 100us for 6ms;
@@ -314,7 +321,7 @@ TEST(ShardedNet, ReceiveLogsIdenticalAcrossShardAndThreadCounts) {
       for (std::uint32_t i = 0; i < kNodes; ++i) {
         const unsigned sh = i % k;
         f.net.place(NodeId{100 + i}, sh);
-        f.net.shard(sh).attach(NodeId{100 + i}, [&f, &logs, i, sh](NodeId from,
+        f.attach(sh, NodeId{100 + i}, [&f, &logs, i, sh](NodeId from,
                                                                    const Bytes& b) {
           const std::uint8_t hop = b[0];
           logs[i].emplace_back(f.engine.shard(sh).now().ns, (from.value() << 8) | hop);
@@ -383,7 +390,7 @@ TEST(ShardedNet, SingleShardFabricNeedsNoPlacement) {
   // mailboxes — shard(0) is an ordinary ControlNet.
   Fixture f(1, 1);
   std::vector<std::uint8_t> got;
-  f.net.shard(0).attach(NodeId{5}, [&](NodeId, const Bytes& b) { got.push_back(b[0]); });
+  f.attach(0, NodeId{5}, [&](NodeId, const Bytes& b) { got.push_back(b[0]); });
   f.net.shard(0).send(NodeId{4}, NodeId{5}, Bytes{7});
   f.engine.run_until(sim::SimTime{} + sim::millis(1));
   ASSERT_EQ(got.size(), 1u);

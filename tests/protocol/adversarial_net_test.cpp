@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "owners.hpp"
 #include "protocol/client_transport.hpp"
 #include "protocol/codec.hpp"
 #include "protocol/server_transport.hpp"
@@ -37,14 +38,16 @@ struct ClientSide {
   net::ControlNet net;
   sim::NodeClock clock;
   metrics::Counters counters;
+  ClientHooks hooks;
   ClientTransport transport;
+  FnRx server;
 
   ClientSide(unsigned seed)
       : net(engine, sim::Rng(seed), aggressive_net()),
         clock(engine, sim::LocalClock(1.0)),
-        transport(net, clock, NodeId{100}, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(50), 16}) {
-    net.attach(NodeId{1}, [this](NodeId from, const Bytes& dg) {
+        transport(net, clock, NodeId{100}, NodeId{1}, counters, hooks,
+                  TransportConfig{sim::local_millis(50), 16}),
+        server([this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
       if (f->kind != FrameKind::kRequest) return;
@@ -55,7 +58,8 @@ struct ClientSide {
       reply.epoch = f->epoch;
       reply.body = ReplyBody{OkReply{}};
       net.send(NodeId{1}, from, encode(reply));
-    });
+    }) {
+    net.attach(NodeId{1}, server);
     transport.start();
   }
 };
@@ -67,7 +71,7 @@ TEST(AdversarialNet, ClientRequestsCompleteExactlyOnce) {
     int completions = 0;
     int acks = 0;
     std::vector<sim::LocalTime> renew_anchors;
-    f.transport.on_ack = [&](sim::LocalTime t) { renew_anchors.push_back(t); };
+    f.hooks.ack = [&](sim::LocalTime t) { renew_anchors.push_back(t); };
     for (int i = 0; i < kRequests; ++i) {
       f.engine.schedule_after(sim::millis(2 * i), [&]() {
         const sim::LocalTime sent = f.clock.now();
@@ -101,17 +105,19 @@ struct ServerSide {
   net::ControlNet net;
   sim::NodeClock clock;
   metrics::Counters counters;
+  ServerHooks hooks;
   ServerTransport transport;
   int executed{0};
   std::set<std::uint64_t> delivered_push_ids;
   int push_deliveries{0};
+  FnRx client;
 
   ServerSide(unsigned seed)
       : net(engine, sim::Rng(seed), aggressive_net()),
         clock(engine, sim::LocalClock(1.0)),
-        transport(net, clock, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(50), 16}) {
-    net.attach(NodeId{100}, [this](NodeId from, const Bytes& dg) {
+        transport(net, clock, NodeId{1}, counters, hooks,
+                  TransportConfig{sim::local_millis(50), 16}),
+        client([this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
       if (f->kind != FrameKind::kServerMsg) return;
@@ -124,9 +130,10 @@ struct ServerSide {
       ack.msg_id = f->msg_id;
       ack.epoch = f->epoch;
       net.send(NodeId{100}, from, encode(ack));
-    });
-    transport.on_request = [this](NodeId, std::uint32_t, const RequestBody&,
-                                  ServerTransport::Responder r) {
+    }) {
+    net.attach(NodeId{100}, client);
+    hooks.request = [this](NodeId, std::uint32_t, const RequestBody&,
+                           ServerTransport::Responder r) {
       ++executed;
       r.ack(ReplyBody{OkReply{}});
     };

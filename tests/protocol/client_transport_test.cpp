@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "owners.hpp"
 #include "protocol/codec.hpp"
 
 namespace stank::protocol {
@@ -17,17 +18,19 @@ struct Fixture {
   net::ControlNet net;
   sim::NodeClock client_clock;
   metrics::Counters counters;
+  ClientHooks hooks;
   ClientTransport transport;
   std::vector<Frame> server_rx;
   bool auto_ack{false};
   bool auto_nack{false};
+  FnRx server;
 
   Fixture()
       : net(engine, sim::Rng(1), net::NetConfig{sim::micros(100), sim::Duration{0}, 0.0}),
         client_clock(engine, sim::LocalClock(1.0)),
-        transport(net, client_clock, NodeId{100}, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(100), 16}) {
-    net.attach(NodeId{1}, [this](NodeId from, const Bytes& dg) {
+        transport(net, client_clock, NodeId{100}, NodeId{1}, counters, hooks,
+                  TransportConfig{sim::local_millis(100), 16}),
+        server([this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
       server_rx.push_back(*f);
@@ -40,7 +43,8 @@ struct Fixture {
         if (auto_ack) reply.body = ReplyBody{OkReply{}};
         net.send(NodeId{1}, from, encode(reply));
       }
-    });
+    }) {
+    net.attach(NodeId{1}, server);
     transport.start();
   }
 
@@ -60,7 +64,7 @@ TEST(ClientTransport, AckCompletesRequestAndRenews) {
   f.auto_ack = true;
   std::optional<ReplyEvent> got;
   sim::LocalTime renewed_at{-1};
-  f.transport.on_ack = [&](sim::LocalTime t) { renewed_at = t; };
+  f.hooks.ack = [&](sim::LocalTime t) { renewed_at = t; };
   f.transport.send_request(KeepAliveReq{}, [&](const ReplyEvent& ev) { got = ev; });
   f.engine.run();
   ASSERT_TRUE(got.has_value());
@@ -99,7 +103,7 @@ TEST(ClientTransport, NackTriggersHookAndCompletes) {
   Fixture f;
   f.auto_nack = true;
   int nacks = 0;
-  f.transport.on_nack = [&]() { ++nacks; };
+  f.hooks.nack = [&]() { ++nacks; };
   std::optional<ReplyEvent> got;
   f.transport.send_request(KeepAliveReq{}, [&](const ReplyEvent& ev) { got = ev; });
   f.engine.run();
@@ -152,7 +156,7 @@ TEST(ClientTransport, StaleEpochReplyDropped) {
 TEST(ClientTransport, ServerMsgsAckedAndDelivered) {
   Fixture f;
   std::vector<ServerBody> delivered;
-  f.transport.on_server_msg = [&](const ServerBody& b) { delivered.push_back(b); };
+  f.hooks.server_msg = [&](const ServerBody& b) { delivered.push_back(b); };
   f.send_server_msg_frame(ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}}, 7);
   f.engine.run();
   ASSERT_EQ(delivered.size(), 1u);
@@ -166,7 +170,7 @@ TEST(ClientTransport, ServerMsgsAckedAndDelivered) {
 TEST(ClientTransport, DuplicateServerMsgReAckedNotRedelivered) {
   Fixture f;
   int deliveries = 0;
-  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.hooks.server_msg = [&](const ServerBody&) { ++deliveries; };
   f.send_server_msg_frame(ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}}, 7);
   f.send_server_msg_frame(ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}}, 7);
   f.engine.run();
@@ -176,9 +180,9 @@ TEST(ClientTransport, DuplicateServerMsgReAckedNotRedelivered) {
 
 TEST(ClientTransport, RejectedServerMsgGetsNoAck) {
   Fixture f;
-  f.transport.accept_server_msg = [](std::uint32_t) { return false; };
+  f.hooks.accept = [](std::uint32_t) { return false; };
   int deliveries = 0;
-  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.hooks.server_msg = [&](const ServerBody&) { ++deliveries; };
   f.send_server_msg_frame(ServerBody{LockGrant{FileId{1}, LockMode::kShared, 1}}, 9);
   f.engine.run();
   EXPECT_EQ(deliveries, 0);
@@ -276,21 +280,22 @@ TEST(ClientTransport, FirstSendPreservedAcrossRetransmissions) {
   std::optional<ReplyEvent> got;
   f.transport.send_request(KeepAliveReq{}, [&](const ReplyEvent& ev) { got = ev; });
   // Re-attach after 150ms so the second retransmission gets through.
+  FnRx acker([&](NodeId from, const Bytes& dg) {
+    auto fr = decode(dg);
+    ASSERT_TRUE(fr);
+    if (fr->kind == FrameKind::kRequest) {
+      Frame reply;
+      reply.kind = FrameKind::kAck;
+      reply.sender = NodeId{1};
+      reply.msg_id = fr->msg_id;
+      reply.epoch = fr->epoch;
+      reply.body = ReplyBody{OkReply{}};
+      f.net.send(NodeId{1}, from, encode(reply));
+    }
+  });
   f.engine.schedule_after(sim::millis(150), [&]() {
     f.auto_ack = true;
-    f.net.attach(NodeId{1}, [&](NodeId from, const Bytes& dg) {
-      auto fr = decode(dg);
-      ASSERT_TRUE(fr);
-      if (fr->kind == FrameKind::kRequest) {
-        Frame reply;
-        reply.kind = FrameKind::kAck;
-        reply.sender = NodeId{1};
-        reply.msg_id = fr->msg_id;
-        reply.epoch = fr->epoch;
-        reply.body = ReplyBody{OkReply{}};
-        f.net.send(NodeId{1}, from, encode(reply));
-      }
-    });
+    f.net.attach(NodeId{1}, acker);
   });
   f.engine.run();
   ASSERT_TRUE(got.has_value());
@@ -306,7 +311,7 @@ TEST(ClientTransport, FirstSendPreservedAcrossRetransmissions) {
 TEST(ClientTransport, NackForUnknownRequestIgnored) {
   Fixture f;
   int nacks = 0;
-  f.transport.on_nack = [&]() { ++nacks; };
+  f.hooks.nack = [&]() { ++nacks; };
   Frame nack;
   nack.kind = FrameKind::kNack;
   nack.sender = NodeId{1};
@@ -324,7 +329,7 @@ TEST(ClientTransport, StaleEpochNackIgnored) {
   Fixture f;
   f.transport.set_epoch(5);
   int nacks = 0;
-  f.transport.on_nack = [&]() { ++nacks; };
+  f.hooks.nack = [&]() { ++nacks; };
   std::optional<ReplyEvent> got;
   f.transport.send_request(KeepAliveReq{}, [&](const ReplyEvent& ev) { got = ev; });
   f.engine.run_until(sim::SimTime{} + sim::micros(150));
@@ -349,8 +354,8 @@ TEST(ClientTransport, StaleSessionReplyDoesNotRenew) {
   Fixture f;
   int renews = 0;
   int stale = 0;
-  f.transport.on_ack = [&](sim::LocalTime) { ++renews; };
-  f.transport.on_stale_session = [&]() { ++stale; };
+  f.hooks.ack = [&](sim::LocalTime) { ++renews; };
+  f.hooks.stale_session = [&]() { ++stale; };
   std::optional<ReplyEvent> got;
   f.transport.send_request(KeepAliveReq{}, [&](const ReplyEvent& ev) { got = ev; });
   f.engine.run_until(sim::SimTime{} + sim::micros(150));
@@ -377,7 +382,7 @@ TEST(ClientTransport, StaleSessionFromPriorSessionIgnored) {
   Fixture f;
   f.transport.set_epoch(1);  // first registration
   int stale = 0;
-  f.transport.on_stale_session = [&]() { ++stale; };
+  f.hooks.stale_session = [&]() { ++stale; };
   f.transport.send_request(KeepAliveReq{}, [](const ReplyEvent&) {});
   f.engine.run_until(sim::SimTime{} + sim::micros(150));
   ASSERT_EQ(f.server_rx.size(), 1u);
@@ -401,7 +406,7 @@ TEST(ClientTransport, NackFromPriorSessionIgnored) {
   Fixture f;
   f.transport.set_epoch(1);
   int nacks = 0;
-  f.transport.on_nack = [&]() { ++nacks; };
+  f.hooks.nack = [&]() { ++nacks; };
   f.transport.send_request(KeepAliveReq{}, [](const ReplyEvent&) {});
   f.engine.run_until(sim::SimTime{} + sim::micros(150));
   ASSERT_EQ(f.server_rx.size(), 1u);
@@ -423,7 +428,7 @@ TEST(ClientTransport, NackFromPriorSessionIgnored) {
 TEST(ClientTransport, DedupLowWaterSurvivesCacheEviction) {
   Fixture f;
   int deliveries = 0;
-  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.hooks.server_msg = [&](const ServerBody&) { ++deliveries; };
   for (std::uint64_t id = 1; id <= 20; ++id) {
     f.send_server_msg_frame(ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}}, id);
   }
@@ -446,7 +451,7 @@ TEST(ClientTransportDeathTest, ReenteredReceiveAborts) {
   demand.msg_id = MsgId{1};
   demand.body = ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}};
   const Bytes dg = encode(demand);
-  f.transport.on_server_msg = [&](const ServerBody&) { f.transport.inject_datagram(dg); };
+  f.hooks.server_msg = [&](const ServerBody&) { f.transport.inject_datagram(dg); };
   EXPECT_DEATH(f.transport.inject_datagram(dg), "re-entered");
 }
 
@@ -455,7 +460,7 @@ TEST(ClientTransportDeathTest, ReenteredReceiveAborts) {
 TEST(ClientTransport, DedupLowWaterResetsOnNewEpoch) {
   Fixture f;
   int deliveries = 0;
-  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.hooks.server_msg = [&](const ServerBody&) { ++deliveries; };
   for (std::uint64_t id = 1; id <= 20; ++id) {
     f.send_server_msg_frame(ServerBody{LockDemand{FileId{1}, LockMode::kNone, 1}}, id);
   }
@@ -477,7 +482,7 @@ TEST(ClientTransport, ServerMsgFromDeadIncarnationDropped) {
   Fixture f;
   f.transport.set_session(/*epoch=*/1, /*incarnation=*/2);
   int deliveries = 0;
-  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.hooks.server_msg = [&](const ServerBody&) { ++deliveries; };
 
   Frame stale;
   stale.kind = FrameKind::kServerMsg;
@@ -500,7 +505,7 @@ TEST(ClientTransport, ServerMsgFromDeadIncarnationDropped) {
 TEST(ClientTransport, RejectedFramesDroppedAndCounted) {
   Fixture f;
   int deliveries = 0;
-  f.transport.on_server_msg = [&](const ServerBody&) { ++deliveries; };
+  f.hooks.server_msg = [&](const ServerBody&) { ++deliveries; };
   f.net.send(NodeId{1}, NodeId{100}, Bytes{0xde, 0xad, 0xbe, 0xef});  // undecodable
   Frame req;  // decodes, but clients never accept requests
   req.kind = FrameKind::kRequest;

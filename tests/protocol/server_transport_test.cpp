@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "owners.hpp"
 #include "protocol/codec.hpp"
 
 namespace stank::protocol {
@@ -16,18 +17,20 @@ struct Fixture {
   net::ControlNet net;
   sim::NodeClock server_clock;
   metrics::Counters counters;
+  ServerHooks hooks;
   ServerTransport transport;
   std::vector<Frame> client_rx;
   std::vector<Bytes> client_rx_bytes;  // the same datagrams, undecoded
   bool client_auto_acks{true};
   int handler_calls{0};
+  FnRx client;
 
   explicit Fixture(std::size_t reply_cache_size = 8)
       : net(engine, sim::Rng(1), net::NetConfig{sim::micros(100), sim::Duration{0}, 0.0}),
         server_clock(engine, sim::LocalClock(1.0)),
-        transport(net, server_clock, NodeId{1}, counters,
-                  TransportConfig{sim::local_millis(100), reply_cache_size}) {
-    net.attach(NodeId{100}, [this](NodeId from, const Bytes& dg) {
+        transport(net, server_clock, NodeId{1}, counters, hooks,
+                  TransportConfig{sim::local_millis(100), reply_cache_size}),
+        client([this](NodeId from, const Bytes& dg) {
       auto f = decode(dg);
       ASSERT_TRUE(f.has_value());
       client_rx.push_back(*f);
@@ -40,9 +43,10 @@ struct Fixture {
         ack.epoch = f->epoch;
         net.send(NodeId{100}, from, encode(ack));
       }
-    });
-    transport.on_request = [this](NodeId, std::uint32_t, const RequestBody& body,
-                                  ServerTransport::Responder r) {
+    }) {
+    net.attach(NodeId{100}, client);
+    hooks.request = [this](NodeId, std::uint32_t, const RequestBody& body,
+                           ServerTransport::Responder r) {
       ++handler_calls;
       if (std::holds_alternative<KeepAliveReq>(body)) {
         r.ack(ReplyBody{OkReply{}});
@@ -104,7 +108,7 @@ TEST(ServerTransport, NackReply) {
 
 TEST(ServerTransport, MayAckGateConvertsAckToNack) {
   Fixture f;
-  f.transport.may_ack = [](NodeId) { return false; };
+  f.hooks.gate = [](NodeId) { return false; };
   f.client_send(KeepAliveReq{}, 1);
   f.engine.run();
   ASSERT_EQ(f.client_rx.size(), 1u);
@@ -115,7 +119,7 @@ TEST(ServerTransport, MayAckGateConvertsAckToNack) {
 TEST(ServerTransport, CachedAckReplayedAsNackOnceGateCloses) {
   Fixture f;
   bool gate_open = true;
-  f.transport.may_ack = [&](NodeId) { return gate_open; };
+  f.hooks.gate = [&](NodeId) { return gate_open; };
   f.client_send(KeepAliveReq{}, 1);
   f.engine.run();
   ASSERT_EQ(f.client_rx.size(), 1u);
@@ -188,7 +192,7 @@ TEST(ServerTransport, CancelServerMsgsSuppressesCallbacks) {
 TEST(ServerTransport, InFlightRequestNotReExecutedOnRetransmit) {
   Fixture f;
   // A handler that never responds, to keep the request in-flight.
-  f.transport.on_request = [&](NodeId, std::uint32_t, const RequestBody&,
+  f.hooks.request = [&](NodeId, std::uint32_t, const RequestBody&,
                                ServerTransport::Responder) { ++f.handler_calls; };
   f.client_send(KeepAliveReq{}, 5);
   f.client_send(KeepAliveReq{}, 5);
@@ -212,7 +216,7 @@ TEST(ServerTransport, ReplyCacheEvictsOldEntries) {
 
 TEST(ServerTransport, ReplyCacheHoldsTheLastIdsInArrivalOrder) {
   Fixture f;  // cache size 8
-  f.transport.on_request = [&](NodeId, std::uint32_t, const RequestBody&,
+  f.hooks.request = [&](NodeId, std::uint32_t, const RequestBody&,
                                ServerTransport::Responder r) {
     ++f.handler_calls;
     r.ack(ReplyBody{LockReply{true, LockMode::kShared,
@@ -272,8 +276,8 @@ TEST(ServerTransport, ReplayIsByteIdenticalForEveryReplyKind) {
 
   Fixture f;  // cache size 8: every id below stays cached
   bool gate_open = true;
-  f.transport.may_ack = [&](NodeId) { return gate_open; };
-  f.transport.on_request = [&](NodeId, std::uint32_t, const RequestBody&,
+  f.hooks.gate = [&](NodeId) { return gate_open; };
+  f.hooks.request = [&](NodeId, std::uint32_t, const RequestBody&,
                                ServerTransport::Responder r) {
     r.ack(replies[static_cast<std::size_t>(f.handler_calls++)]);
   };
@@ -362,7 +366,7 @@ TEST(ServerTransport, RejectedFramesDroppedAndCounted) {
 
 TEST(ServerTransportDeathTest, DoubleReplyAborts) {
   Fixture f;
-  f.transport.on_request = [](NodeId, std::uint32_t, const RequestBody&,
+  f.hooks.request = [](NodeId, std::uint32_t, const RequestBody&,
                               ServerTransport::Responder r) {
     r.ack(ReplyBody{OkReply{}});
     r.ack(ReplyBody{OkReply{}});

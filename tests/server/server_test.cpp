@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <optional>
 
 #include "protocol/codec.hpp"
@@ -23,6 +25,8 @@ struct Fixture {
   std::uint64_t next_msg{1};
   std::uint32_t epoch{0};
   bool auto_ack_server_msgs{true};
+  // The fake clients' receivers; a deque, so attached ones never move.
+  std::deque<net::FnReceiver<std::function<void(NodeId, Bytes&)>>> clients;
 
   explicit Fixture(ServerConfig cfg = make_cfg()) : net(engine, sim::Rng(1), {}),
                                                     san(engine, sim::Rng(2)) {
@@ -44,7 +48,7 @@ struct Fixture {
   }
 
   void attach_client(NodeId id) {
-    net.attach(id, [this, id](NodeId from, const Bytes& dg) {
+    net.attach(id, clients.emplace_back([this, id](NodeId from, const Bytes& dg) {
       auto f = protocol::decode(dg);
       ASSERT_TRUE(f.has_value());
       rx.push_back(*f);
@@ -56,7 +60,7 @@ struct Fixture {
         ack.epoch = f->epoch;
         net.send(id, from, protocol::encode(ack));
       }
-    });
+    }));
   }
 
   // Sends a request and runs the sim until its reply arrives (or 2s pass).
