@@ -5,8 +5,8 @@
 namespace stank::baselines {
 
 HeartbeatClientScheduler::HeartbeatClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau,
-                                                   double beat_frac, Hooks hooks)
-    : clock_(&clock), tau_(tau), beat_frac_(beat_frac), hooks_(std::move(hooks)) {
+                                                   double beat_frac, Owner& owner)
+    : clock_(&clock), tau_(tau), beat_frac_(beat_frac), owner_(&owner) {
   STANK_ASSERT(beat_frac > 0.0 && beat_frac < 1.0);
 }
 
@@ -28,7 +28,7 @@ void HeartbeatClientScheduler::stop() {
   }
 }
 
-void HeartbeatClientScheduler::on_ack(sim::LocalTime t_send) {
+void HeartbeatClientScheduler::keepalive_acked(sim::LocalTime t_send) {
   if (!running_) return;
   if (t_send > lease_start_) {
     lease_start_ = t_send;
@@ -41,10 +41,10 @@ void HeartbeatClientScheduler::beat() {
   if (now >= lease_start_ + tau_) {
     running_ = false;
     timer_ = 0;
-    if (hooks_.expired) hooks_.expired();
+    owner_->handle_lease_expired();
     return;
   }
-  if (hooks_.send_heartbeat) hooks_.send_heartbeat();
+  owner_->lease_keepalive();
   timer_ = clock_->schedule_after(tau_ * beat_frac_, [this]() {
     timer_ = 0;
     beat();

@@ -63,31 +63,26 @@ class HeartbeatTable : public LeaseTable {
  private:
   // A heartbeat that arrived during the wait proves the client alive.
   void wait_over(NodeId client) override {
-    if (!valid(client, clock_->now())) hooks_.steal_locks(client);
+    if (!valid(client, clock_->now())) owner_->lease_steal(client);
   }
 
   std::unordered_map<NodeId, sim::LocalTime> table_;
 };
 
 // Client-side heartbeat loop with local expiry detection.
-class HeartbeatClientScheduler : public core::ClientLease {
+class HeartbeatClientScheduler final : public core::ClientLease {
  public:
-  struct Hooks {
-    // Send one heartbeat (its ACK should call on_ack with the heartbeat's
-    // first-transmission time).
-    std::function<void()> send_heartbeat;
-    // No ACK within tau: the client must consider its lease lost, discard
-    // its cache and locks.
-    std::function<void()> expired;
-  };
-
+  // Sends each heartbeat through owner.lease_keepalive(); no ACK within tau
+  // calls owner.handle_lease_expired(): the client must consider its lease
+  // lost and discard its cache and locks.
   HeartbeatClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau, double beat_frac,
-                           Hooks hooks);
+                           Owner& owner);
   ~HeartbeatClientScheduler() override;
 
   void start();
   void stop() override;
-  void on_ack(sim::LocalTime t_send);
+  // A heartbeat first sent at t_send was ACKed: the lease now runs from it.
+  void keepalive_acked(sim::LocalTime t_send) override;
 
   // Every registration restarts the heartbeat loop.
   bool on_registered(sim::LocalTime /*t_c1*/) override {
@@ -102,8 +97,6 @@ class HeartbeatClientScheduler : public core::ClientLease {
   }
 
   [[nodiscard]] bool running() const { return running_; }
-  // The owner may rewire a hook after construction, never while one runs.
-  [[nodiscard]] Hooks& hooks() { return hooks_; }
 
  private:
   void beat();
@@ -111,7 +104,7 @@ class HeartbeatClientScheduler : public core::ClientLease {
   sim::NodeClock* clock_;
   sim::LocalDuration tau_;
   double beat_frac_;
-  Hooks hooks_;
+  Owner* owner_;
   bool running_{false};
   sim::LocalTime lease_start_{};
   sim::TimerId timer_{0};

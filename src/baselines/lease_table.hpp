@@ -4,8 +4,6 @@
 // client, who may not re-register while it runs.
 #pragma once
 
-#include <utility>
-
 #include "common/flat_map.hpp"
 #include "core/lease_seam.hpp"
 
@@ -14,8 +12,8 @@ namespace stank::baselines {
 class LeaseTable : public core::ServerLease {
  public:
   LeaseTable(sim::NodeClock& clock, core::LeaseConfig cfg, metrics::Counters& counters,
-             Hooks hooks)
-      : clock_(&clock), cfg_(cfg), counters_(&counters), hooks_(std::move(hooks)) {}
+             Owner& owner)
+      : clock_(&clock), cfg_(cfg), counters_(&counters), owner_(&owner) {}
   ~LeaseTable() override {
     for (auto& [client, timer] : waits_) clock_->cancel(timer);
   }
@@ -49,7 +47,7 @@ class LeaseTable : public core::ServerLease {
   sim::NodeClock* clock_;
   core::LeaseConfig cfg_;
   metrics::Counters* counters_;
-  Hooks hooks_;
+  Owner* owner_;
 
  private:
   FlatMap<NodeId, sim::TimerId> waits_;

@@ -9,7 +9,7 @@ namespace stank::baselines {
 void VLeaseTable::on_delivery_failure(NodeId client) {
   const sim::LocalTime now = clock_->now();
   sim::LocalTime steal_at = now;
-  for (FileId f : hooks_.held_files(client)) {
+  for (FileId f : owner_->lease_held_files(client)) {
     steal_at = std::max(steal_at, steal_time(client, f, now, cfg_.epsilon));
   }
   wait_until(client, steal_at);
@@ -17,18 +17,18 @@ void VLeaseTable::on_delivery_failure(NodeId client) {
 
 void VLeaseTable::wait_over(NodeId client) {
   const sim::LocalTime now = clock_->now();
-  for (FileId f : hooks_.held_files(client)) {
+  for (FileId f : owner_->lease_held_files(client)) {
     if (valid(client, f, now)) {
       on_delivery_failure(client);  // renewed meanwhile: wait out the new expiry
       return;
     }
   }
-  hooks_.steal_locks(client);
+  owner_->lease_steal(client);
 }
 
 VLeaseClientScheduler::VLeaseClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau,
-                                             double renew_frac, Hooks hooks)
-    : clock_(&clock), tau_(tau), renew_frac_(renew_frac), hooks_(std::move(hooks)) {
+                                             double renew_frac, Owner& owner)
+    : clock_(&clock), tau_(tau), renew_frac_(renew_frac), owner_(&owner) {
   STANK_ASSERT(renew_frac > 0.0 && renew_frac < 1.0);
 }
 
@@ -50,7 +50,7 @@ void VLeaseClientScheduler::object_released(FileId object) {
   objects_.erase(it);
 }
 
-void VLeaseClientScheduler::renewed(FileId object, sim::LocalTime t_send) {
+void VLeaseClientScheduler::object_renewed(FileId object, sim::LocalTime t_send) {
   auto it = objects_.find(object);
   if (it == objects_.end()) return;
   if (t_send <= it->second.lease_start) return;
@@ -81,11 +81,11 @@ void VLeaseClientScheduler::tick(FileId object) {
   if (now >= it->second.lease_start + tau_) {
     // Lease lapsed: renewal attempts failed for a full period.
     objects_.erase(it);
-    if (hooks_.object_expired) hooks_.object_expired(object);
+    owner_->lease_object_expired(object);
     return;
   }
   ++renewals_sent_;
-  if (hooks_.send_renew) hooks_.send_renew(object);
+  owner_->lease_renew_object(object);
   // Re-arm a retry at a fraction of the remaining window, floored so retry
   // events cannot pile up geometrically as the expiry approaches.
   Entry& e = objects_.at(object);

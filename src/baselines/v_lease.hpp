@@ -88,19 +88,14 @@ class VLeaseTable : public LeaseTable {
 };
 
 // Client-side renewal scheduler: one renewal stream per held object.
-class VLeaseClientScheduler : public core::ClientLease {
+class VLeaseClientScheduler final : public core::ClientLease {
  public:
-  struct Hooks {
-    // Send one RenewObj message for this object (its ACK should call
-    // renewed()).
-    std::function<void(FileId)> send_renew;
-    // The object's lease lapsed without a successful renewal: the client
-    // must invalidate that object and drop its lock.
-    std::function<void(FileId)> object_expired;
-  };
-
+  // Sends each renewal through owner.lease_renew_object(); an object whose
+  // lease lapsed without a successful renewal goes to
+  // owner.lease_object_expired(): the client must invalidate that object
+  // and drop its lock.
   VLeaseClientScheduler(sim::NodeClock& clock, sim::LocalDuration tau, double renew_frac,
-                        Hooks hooks);
+                        Owner& owner);
   ~VLeaseClientScheduler() override;
 
   // The client obtained (lock on) this object; lease starts now.
@@ -108,7 +103,7 @@ class VLeaseClientScheduler : public core::ClientLease {
   void object_released(FileId object);
   // A renewal ACK arrived for this object; t_send is the renewal's first
   // transmission time.
-  void renewed(FileId object, sim::LocalTime t_send);
+  void object_renewed(FileId object, sim::LocalTime t_send) override;
   void stop() override;
 
   bool on_registered(sim::LocalTime /*t_c1*/) override { return true; }
@@ -123,8 +118,6 @@ class VLeaseClientScheduler : public core::ClientLease {
 
   [[nodiscard]] std::size_t tracked_objects() const { return objects_.size(); }
   [[nodiscard]] std::uint64_t renewals_sent() const { return renewals_sent_; }
-  // The owner may rewire a hook after construction, never while one runs.
-  [[nodiscard]] Hooks& hooks() { return hooks_; }
 
  private:
   struct Entry {
@@ -138,7 +131,7 @@ class VLeaseClientScheduler : public core::ClientLease {
   sim::NodeClock* clock_;
   sim::LocalDuration tau_;
   double renew_frac_;
-  Hooks hooks_;
+  Owner* owner_;
   std::unordered_map<FileId, Entry> objects_;
   std::uint64_t renewals_sent_{0};
 };

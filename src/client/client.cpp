@@ -52,8 +52,7 @@ Client::Client(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
     rec_->bind_engine(engine);
     transport_.set_recorder(rec_);
   }
-  lease_ = core::make_client_lease(cfg_.strategy, transport_, clock_, cfg_.lease, *this, rec_,
-                                   cfg_.id);
+  lease_ = core::make_client_lease(cfg_.strategy, clock_, cfg_.lease, *this, rec_, cfg_.id);
 }
 
 Client::~Client() {
@@ -75,6 +74,24 @@ void Client::on_nack() {
 
 bool Client::accept_server_msg(std::uint32_t epoch) {
   return session_.registered() && epoch == transport_.epoch() && lease_->lease_valid();
+}
+
+void Client::lease_keepalive() {
+  transport_.send_request(
+      protocol::KeepAliveReq{},
+      [this](const protocol::ReplyEvent& ev) {
+        if (ev.outcome == protocol::ReplyOutcome::kAck) lease_->keepalive_acked(ev.first_send);
+      },
+      /*lease_only=*/true);
+}
+
+void Client::lease_renew_object(FileId file) {
+  transport_.send_request(
+      protocol::RenewObjReq{file},
+      [this, file](const protocol::ReplyEvent& ev) {
+        if (ev.outcome == protocol::ReplyOutcome::kAck) lease_->object_renewed(file, ev.first_send);
+      },
+      /*lease_only=*/true);
 }
 
 void Client::lease_quiesce() { session_.admit(false); }

@@ -233,6 +233,9 @@ class Client : private protocol::ClientTransport::Owner, private core::ClientLea
  private:
   // The rest of the transport's and the lease's Owner.
   [[nodiscard]] bool accept_server_msg(std::uint32_t epoch) override;
+  // The lease's lease-only requests; each ACK goes back to the lease.
+  void lease_keepalive() override;
+  void lease_renew_object(FileId file) override;
   void lease_phase_changed(core::LeasePhase from, core::LeasePhase to) override;
   void lease_object_expired(FileId file) override;
 

@@ -230,7 +230,7 @@ void ClientLeaseAgent::keepalive_tick() {
   if (rec_ != nullptr) {
     rec_->record(clock_->engine().now(), self_, obs::EventKind::kKeepaliveSend);
   }
-  send_keepalive();
+  owner_->lease_keepalive();
   keepalive_timer_ = clock_->schedule_after(LeaseConfig::kKeepaliveRetry, [this]() {
     keepalive_timer_ = 0;
     keepalive_tick();

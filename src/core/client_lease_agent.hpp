@@ -16,9 +16,9 @@
 //
 // All times are measured on the client's own clock; the agent never sees
 // global simulation time. The agent reports to its client through a
-// ClientLease::Owner; the keep-alive message is send_keepalive(), which the
-// strategy factory (baselines/lease_factory.cpp) implements over the
-// client's transport, since core does not know the protocol layer.
+// ClientLease::Owner and sends its keep-alive through the same owner
+// (lease_keepalive()); the keep-alive's ACK renews like any other ACK, so
+// keepalive_acked() has nothing left to do.
 #pragma once
 
 #include "core/lease_seam.hpp"
@@ -26,7 +26,7 @@
 namespace stank::core {
 
 // The Storage Tank lease (Figure 4).
-class ClientLeaseAgent : public ClientLease {
+class ClientLeaseAgent final : public ClientLease {
  public:
   ClientLeaseAgent(sim::NodeClock& clock, LeaseConfig cfg, Owner& owner);
   ~ClientLeaseAgent() override;
@@ -94,11 +94,6 @@ class ClientLeaseAgent : public ClientLease {
     }
   }
 
- protected:
-  // Phase 2: send one keep-alive NULL message (repeated every
-  // LeaseConfig::kKeepaliveRetry until the phase ends or an ACK arrives).
-  virtual void send_keepalive() = 0;
-
  private:
   void enter(LeasePhase p);
   // Records the phase transition and closes the residency span of the phase
@@ -106,6 +101,9 @@ class ClientLeaseAgent : public ClientLease {
   void note_phase(LeasePhase old, LeasePhase now);
   void arm_boundary_timer();
   void cancel_timers();
+  // From phase 2: sends one keep-alive NULL message through the owner,
+  // repeated every LeaseConfig::kKeepaliveRetry until the phase ends or an
+  // ACK arrives.
   void keepalive_tick();
   // Local time at which the current lease crosses into the given fraction.
   [[nodiscard]] sim::LocalTime boundary(double frac) const;

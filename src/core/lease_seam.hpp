@@ -2,13 +2,13 @@
 // ServerLease, built from the configured LeaseStrategy by the factories
 // below, and neither asks which strategy it runs. Storage Tank's protocol is
 // ClientLeaseAgent + ServerLeaseAuthority; the V-lease and Frangipani
-// comparisons implement the same interfaces in baselines/. A client lease
-// reports to its client through one ClientLease::Owner, a pointer per
-// client rather than a table of callbacks.
+// comparisons implement the same interfaces in baselines/. Each side's lease
+// reports to, and sends its lease-only messages through, one owner interface
+// (ClientLease::Owner, ServerLease::Owner): a pointer per node rather than a
+// table of callbacks, and no dependency on the protocol layer.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -18,10 +18,6 @@
 #include "metrics/counters.hpp"
 #include "obs/recorder.hpp"
 #include "sim/clock.hpp"
-
-namespace stank::protocol {
-class ClientTransport;
-}
 
 namespace stank::core {
 
@@ -49,9 +45,15 @@ enum class LeasePhase : std::uint8_t {
 class ClientLease {
  public:
   // What a lease may ask of its client (client::Client). Each strategy calls
-  // the methods its protocol has; the lease-only messages it sends itself.
+  // the methods its protocol has.
   class Owner {
    public:
+    // Sends one lease-only keep-alive (the NULL message); its ACK comes back
+    // through keepalive_acked().
+    virtual void lease_keepalive() = 0;
+    // Sends one lease-only renewal of the file's per-object lease; its ACK
+    // comes back through object_renewed().
+    virtual void lease_renew_object(FileId file) = 0;
     // Phase 3 entered: stop admitting new FS requests; drain in-flight ones.
     virtual void lease_quiesce() = 0;
     // Phase 4 entered: write all dirty cache contents to shared storage.
@@ -75,6 +77,10 @@ class ClientLease {
 
   // Any request first sent at t_c1 was ACKed (opportunistic renewal).
   virtual void renew(sim::LocalTime /*t_c1*/) {}
+  // The owner's lease_keepalive() first sent at t_c1 was ACKed.
+  virtual void keepalive_acked(sim::LocalTime /*t_c1*/) {}
+  // The owner's lease_renew_object(file) first sent at t_c1 was ACKed.
+  virtual void object_renewed(FileId /*file*/, sim::LocalTime /*t_c1*/) {}
   // A NACK arrived; false means no ride-down: tear the session down now.
   virtual bool on_nack() { return false; }
   // Server pushes are accepted, and locks reasserted, only while true.
@@ -100,11 +106,17 @@ class ClientLease {
 
 class ServerLease {
  public:
-  struct Hooks {
+  // What a lease may ask of its server (server::Server).
+  class Owner {
+   public:
     // The client's lease is provably over: steal its locks, fence it,
     // redistribute.
-    std::function<void(NodeId)> steal_locks;
-    std::function<std::vector<FileId>(NodeId)> held_files;  // its locked files
+    virtual void lease_steal(NodeId client) = 0;
+    // The files the client holds locks on.
+    [[nodiscard]] virtual std::vector<FileId> lease_held_files(NodeId client) const = 0;
+
+   protected:
+    ~Owner() = default;
   };
 
   ServerLease() = default;
@@ -130,18 +142,16 @@ class ServerLease {
 };
 
 // Defined in baselines/lease_factory.cpp, the one module that knows every
-// strategy. The lease sends its lease-only messages on `transport` and
-// reports to `owner`; both must outlive it. `self` names the node to the
-// recorder, which may be null.
-std::unique_ptr<ClientLease> make_client_lease(LeaseStrategy strategy,
-                                               protocol::ClientTransport& transport,
-                                               sim::NodeClock& clock, const LeaseConfig& cfg,
+// strategy. The lease reports to, and sends through, `owner`, which must
+// outlive it. `self` names the node to the recorder, which may be null.
+std::unique_ptr<ClientLease> make_client_lease(LeaseStrategy strategy, sim::NodeClock& clock,
+                                               const LeaseConfig& cfg,
                                                ClientLease::Owner& owner, obs::Recorder* rec,
                                                NodeId self);
 std::unique_ptr<ServerLease> make_server_lease(LeaseStrategy strategy, sim::NodeClock& clock,
                                                const LeaseConfig& cfg,
                                                metrics::Counters& counters,
-                                               ServerLease::Hooks hooks, obs::Recorder* rec,
+                                               ServerLease::Owner& owner, obs::Recorder* rec,
                                                NodeId self);
 
 }  // namespace stank::core

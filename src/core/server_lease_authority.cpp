@@ -5,8 +5,8 @@
 namespace stank::core {
 
 ServerLeaseAuthority::ServerLeaseAuthority(sim::NodeClock& clock, LeaseConfig cfg,
-                                           metrics::Counters& counters, Hooks hooks)
-    : clock_(&clock), cfg_(cfg), counters_(&counters), hooks_(std::move(hooks)) {
+                                           metrics::Counters& counters, Owner& owner)
+    : clock_(&clock), cfg_(cfg), counters_(&counters), owner_(&owner) {
   cfg_.validate();
 }
 
@@ -52,9 +52,7 @@ void ServerLeaseAuthority::fire(NodeId client) {
     rec_->record(clock_->engine().now(), self_, obs::EventKind::kStandingChange, client.value(),
                  static_cast<std::uint64_t>(ClientStanding::kFailed));
   }
-  if (hooks_.steal_locks) {
-    hooks_.steal_locks(client);
-  }
+  owner_->lease_steal(client);
 }
 
 bool ServerLeaseAuthority::may_ack(NodeId client) const {

@@ -7,7 +7,7 @@
 // Only a delivery error creates state here: the client is marked suspect, a
 // timer of tau(1+eps) — measured on the server's own clock — is started, and
 // from that instant no ACK may reach that client. When the timer fires, the
-// client's lease has provably expired (Theorem 3.1) and the steal hook runs.
+// client's lease has provably expired (Theorem 3.1) and the owner steals.
 // After the steal the client stays in a "failed" state, NACKed on every
 // request except re-registration.
 #pragma once
@@ -24,11 +24,11 @@ enum class ClientStanding : std::uint8_t {
   kFailed,      // locks stolen; awaiting re-registration
 };
 
-// Uses the steal_locks hook only.
-class ServerLeaseAuthority : public ServerLease {
+// Asks its owner for lease_steal() only.
+class ServerLeaseAuthority final : public ServerLease {
  public:
   ServerLeaseAuthority(sim::NodeClock& clock, LeaseConfig cfg, metrics::Counters& counters,
-                       Hooks hooks);
+                       Owner& owner);
   ~ServerLeaseAuthority() override;
 
   // A message requiring a client ACK exhausted its retries. Starts the
@@ -82,7 +82,7 @@ class ServerLeaseAuthority : public ServerLease {
   sim::NodeClock* clock_;
   LeaseConfig cfg_;
   metrics::Counters* counters_;
-  Hooks hooks_;
+  Owner* owner_;
   obs::Recorder* rec_{nullptr};
   NodeId self_{};
   // Empty during normal operation — that emptiness IS the paper's claim,

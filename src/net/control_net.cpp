@@ -49,10 +49,6 @@ std::uint64_t ControlNet::global_datagrams_sent() {
   return g_datagrams_sent.load(std::memory_order_relaxed);
 }
 
-Bytes ControlNet::take_buf() { return stank::take_buf(); }
-
-void ControlNet::recycle_buf(Bytes&& b) { stank::recycle_buf(std::move(b)); }
-
 void ControlNet::bind_shard(ShardedNet* owner, unsigned shard) {
   sharded_ = owner;
   shard_ = shard;
@@ -155,17 +151,23 @@ void ControlNet::enqueue_copy(NodeId from, NodeId to, Bytes datagram) {
       return;
     }
   }
-  DestQueue& q = queues_[to];
-  q.items.push_back(Item{at, next_item_seq_++, from, std::move(datagram)});
-  const std::int64_t slot_ns = bucket_of(at);
-  if (slot_ns < q.armed_ns) arm(q, to, slot_ns);
+  push(to, Item{at, next_item_seq_++, from, std::move(datagram)});
 }
 
 void ControlNet::inject(NodeId from, NodeId to, sim::SimTime at, Bytes datagram) {
   STANK_ASSERT_MSG(at >= engine_->now(), "cross-shard arrival in this shard's past");
+  push(to, Item{at, next_item_seq_++, from, std::move(datagram)});
+}
+
+void ControlNet::push(NodeId to, Item item) {
   DestQueue& q = queues_[to];
-  q.items.push_back(Item{at, next_item_seq_++, from, std::move(datagram)});
-  const std::int64_t slot_ns = bucket_of(at);
+  if (q.items.size() == kInlineItems && q.items.is_inline() && !spare_.is_inline()) {
+    // About to spill: adopt the spare heap buffer instead of allocating one.
+    for (Item& it : q.items) spare_.push_back(std::move(it));
+    q.items = std::move(spare_);
+  }
+  const std::int64_t slot_ns = bucket_of(item.at);
+  q.items.push_back(std::move(item));
   if (slot_ns < q.armed_ns) arm(q, to, slot_ns);
 }
 
@@ -255,9 +257,10 @@ void ControlNet::settle(NodeId to) {
   if (q == nullptr) return;
   if (q->items.empty()) {
     // Nothing queued means nothing armed: the drain disarmed the queue, and
-    // a send to it since would have queued an item. A spilled queue stays,
-    // so its buffer is reused instead of reallocated.
-    if (q->items.is_inline()) queues_.erase(to);
+    // a send to it since would have queued an item. The larger of a spilled
+    // queue's buffer and the spare stays as the spare.
+    if (q->items.capacity() > spare_.capacity()) spare_ = std::move(q->items);
+    queues_.erase(to);
     return;
   }
   std::int64_t min_slot = kNotArmed;

@@ -145,19 +145,11 @@ class ControlNet {
   // Fire-and-forget datagram send; loss is silent, exactly like UDP.
   void send(NodeId from, NodeId to, Bytes datagram);
 
-  // Pooled encode scratch: returns an empty buffer whose capacity was
-  // recycled from a previously delivered datagram, so the steady-state
-  // encode/send/deliver cycle allocates nothing once warm. Thin aliases for
-  // the process-wide thread-local pool in common/byte_pool.hpp (shared with
-  // the disk and cache paths), kept so transport call sites read naturally.
-  [[nodiscard]] static Bytes take_buf();
-  static void recycle_buf(Bytes&& b);
-
   [[nodiscard]] Reachability<NodeId>& reachability() { return reach_; }
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
   // Destinations holding a delivery queue right now: those with datagrams
-  // in flight towards them, plus those whose queue once spilled to the heap.
+  // in flight towards them.
   [[nodiscard]] std::size_t dest_queues() const { return queues_.size(); }
 
   void set_config(NetConfig cfg) { cfg_ = cfg; }
@@ -201,13 +193,14 @@ class ControlNet {
   // Pending deliveries for one destination plus its single armed drain
   // timer. armed_ns is the bucket edge the timer fires at (kNotArmed when
   // no timer is pending); keeping exactly one timer per destination, always
-  // for the earliest bucket, is the whole batching win. A client mostly has
-  // one datagram in flight towards it, so one item lives inline, and the
-  // drain that empties an inline queue erases it: only destinations with
-  // traffic in flight hold an entry. A busier destination (a server) spills
-  // to the heap once and keeps its entry and that buffer, so its steady
-  // state allocates nothing.
-  static constexpr std::size_t kInlineItems = 1;
+  // for the earliest bucket, is the whole batching win. The drain that
+  // empties a queue erases it: only destinations with traffic in flight
+  // hold an entry. A client rarely has more than two datagrams in flight
+  // towards it (a reply and a server push), so two items live inline. A
+  // busier destination (a server) spills to the heap; when its queue
+  // empties, the net keeps that buffer as its one spare and the next queue
+  // to spill adopts it, so the steady state allocates nothing.
+  static constexpr std::size_t kInlineItems = 2;
   struct DestQueue {
     SmallVec<Item, kInlineItems> items;
     sim::TimerId timer{0};
@@ -216,10 +209,12 @@ class ControlNet {
   static constexpr std::int64_t kNotArmed = INT64_MAX;
 
   void enqueue_copy(NodeId from, NodeId to, Bytes datagram);
+  // Queues the item for `to` and arms the queue's drain for its bucket.
+  void push(NodeId to, Item item);
   void deliver(Item& item, NodeId to);
   void drain(NodeId to);
-  // After a drain: erases the queue if it is empty and inline, else re-arms
-  // it for its earliest remaining bucket.
+  // After a drain: erases the queue if it is empty, else re-arms it for its
+  // earliest remaining bucket.
   void settle(NodeId to);
   void arm(DestQueue& q, NodeId to, std::int64_t slot_ns);
   [[nodiscard]] std::int64_t bucket_of(sim::SimTime at) const {
@@ -239,6 +234,9 @@ class ControlNet {
   Reachability<NodeId> reach_;
   FlatMap<NodeId, Receiver*> receivers_;
   FlatMap<NodeId, DestQueue> queues_;
+  // The largest heap buffer of an emptied queue; empty and inline until a
+  // queue first spills.
+  SmallVec<Item, kInlineItems> spare_;
   std::vector<Item> drain_scratch_;  // reused batch buffer, never shrunk
   std::uint64_t next_item_seq_{0};
   NetStats stats_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/byte_pool.hpp"
 
 namespace stank::protocol {
 
@@ -92,7 +93,7 @@ void ClientTransport::transmit(MsgId id) {
     }
   }
   ++p.transmissions;
-  Bytes buf = net::ControlNet::take_buf();
+  Bytes buf = take_buf();
   encode_request_into(self_, id, p.epoch, p.body, buf);
   net_->send(self_, server_, std::move(buf));
   arm_retry(id);
@@ -102,7 +103,7 @@ void ClientTransport::send_frame(NodeId to, const Frame& f) {
   // Encode into a pooled buffer (exact-size reserve into recycled capacity),
   // then move the bytes into the net: zero allocations per datagram once the
   // pool is warm, zero copies.
-  Bytes buf = net::ControlNet::take_buf();
+  Bytes buf = take_buf();
   encode_into(f, buf);
   net_->send(self_, to, std::move(buf));
 }

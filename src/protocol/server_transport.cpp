@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/byte_pool.hpp"
 #include "common/small_vec.hpp"
 
 namespace stank::protocol {
@@ -221,7 +222,7 @@ void ServerTransport::send_frame(NodeId to, const Frame& f) {
   // Encode into a pooled buffer (exact-size reserve into recycled capacity),
   // then move the bytes into the net: zero allocations per datagram once the
   // pool is warm, zero copies.
-  Bytes buf = net::ControlNet::take_buf();
+  Bytes buf = take_buf();
   encode_into(f, buf);
   net_->send(self_, to, std::move(buf));
 }

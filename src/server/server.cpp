@@ -36,17 +36,20 @@ Server::Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& sa
 }
 
 std::unique_ptr<core::ServerLease> Server::make_lease() {
-  core::ServerLease::Hooks hooks;
-  hooks.steal_locks = [this](NodeId c) {
-    if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
-      fence_client(c);
-    } else {
-      do_steal(c);
-    }
-  };
-  hooks.held_files = [this](NodeId c) { return locks_.files_of(c); };
-  return core::make_server_lease(cfg_.strategy, clock_, cfg_.lease, counters_, std::move(hooks),
-                                 rec_, cfg_.id);
+  return core::make_server_lease(cfg_.strategy, clock_, cfg_.lease, counters_, *this, rec_,
+                                 cfg_.id);
+}
+
+void Server::lease_steal(NodeId client) {
+  if (cfg_.recovery == RecoveryMode::kLeaseAndFence) {
+    fence_client(client);
+  } else {
+    do_steal(client);
+  }
+}
+
+std::vector<FileId> Server::lease_held_files(NodeId client) const {
+  return locks_.files_of(client);
 }
 
 const core::ServerLeaseAuthority& Server::authority() const {
@@ -262,62 +265,46 @@ void Server::handle_lock(NodeId client, const protocol::LockReq& req,
 
 void Server::handle_unlock(NodeId client, const protocol::UnlockReq& req,
                            ServerTransport::Responder r) {
-  ++counters_.transactions;
-  const GrantState gs = grant_state(client, req.file);
-  if (req.gen != gs.gen) {
-    // Release of a superseded lock incarnation: a newer grant crossed this
-    // request in flight. Ignore; the client will learn the new state from
-    // the grant.
-    r.ack(protocol::OkReply{});
-    return;
-  }
-  if (req.cookie != gs.cookie) {
-    // Right generation but wrong grant cookie: the sender never received the
-    // grant it claims to renounce (forged or corrupted release). Acting on it
-    // would free a lock whose grant is still in flight to the real holder.
-    r.ack(protocol::OkReply{});
-    return;
-  }
-  update_scratch_.clear();
-  locks_.set_mode(client, req.file, req.downgrade_to, update_scratch_);
-  if (req.downgrade_to == protocol::LockMode::kNone) {
-    lease_->on_release(client, req.file);
-  }
-  apply_update(update_scratch_);
+  release(client, req.file, req.gen, req.cookie, req.downgrade_to, /*complies=*/false);
   r.ack(protocol::OkReply{});
 }
 
 void Server::handle_demand_done(NodeId client, const protocol::DemandDoneReq& req,
                                 ServerTransport::Responder r) {
+  release(client, req.file, req.gen, req.cookie, req.new_mode, /*complies=*/true);
+  r.ack(protocol::OkReply{});
+}
+
+void Server::release(NodeId client, FileId file, std::uint32_t gen, std::uint64_t cookie,
+                     protocol::LockMode mode, bool complies) {
   ++counters_.transactions;
-  const GrantState gs = grant_state(client, req.file);
-  if (req.gen != gs.gen) {
-    // Compliance for a superseded lock incarnation; the state it describes
-    // no longer exists.
-    r.ack(protocol::OkReply{});
-    return;
-  }
-  if (req.cookie != gs.cookie) {
-    // Compliance without the grant cookie: forged (see handle_unlock). The
-    // real holder's compliance, carrying the cookie, will settle the demand;
-    // failing that, the demand timer escalates to suspect -> fence + steal.
-    r.ack(protocol::OkReply{});
-    return;
-  }
+  const GrantState gs = grant_state(client, file);
+  // A wrong generation names a superseded lock incarnation: a newer grant
+  // crossed this request in flight, and the client learns the new state from
+  // it. The right generation with a wrong grant cookie comes from a sender
+  // that never received the grant it names (forged or corrupted): acting on
+  // it would free a lock whose grant is still in flight to the real holder.
+  // For a compliance, the real holder's (carrying the cookie) settles the
+  // demand; failing that, the demand timer escalates to suspect -> fence +
+  // steal.
+  if (gen != gs.gen || cookie != gs.cookie) return;
   update_scratch_.clear();
-  locks_.set_mode(client, req.file, req.new_mode, update_scratch_);
-  if (req.new_mode == protocol::LockMode::kNone) {
-    lease_->on_release(client, req.file);
+  locks_.set_mode(client, file, mode, update_scratch_);
+  if (mode == protocol::LockMode::kNone) {
+    lease_->on_release(client, file);
   }
-  // Stop the compliance clock only once no demand remains outstanding
-  // against this holder (a deeper demand may have been issued meanwhile).
-  if (!locks_.demanded_mode(client, req.file).has_value()) {
-    cancel_demand_timer(client, req.file);
-  } else {
-    arm_demand_timer(client, req.file);
+  if (complies) {
+    // Stop the compliance clock only once no demand remains outstanding
+    // against this holder (a deeper demand may have been issued meanwhile).
+    // Before the update: a grant it delivers to this holder cancels the
+    // timer again.
+    if (!locks_.demanded_mode(client, file).has_value()) {
+      cancel_demand_timer(client, file);
+    } else {
+      arm_demand_timer(client, file);
+    }
   }
   apply_update(update_scratch_);
-  r.ack(protocol::OkReply{});
 }
 
 void Server::handle_setsize(NodeId client, const protocol::SetSizeReq& req,
@@ -427,7 +414,7 @@ struct FanIn {
   std::size_t expected{0};
   std::size_t seen{0};
   Status status{Status::ok()};
-  std::function<void(Status)> done;
+  MoveFn<void(Status)> done;
 
   void complete(Status s) {
     if (!s.is_ok() && status.is_ok()) {

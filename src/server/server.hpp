@@ -83,7 +83,7 @@ struct ServerConfig {
   sim::LocalDuration recovery_grace{sim::LocalDuration{0}};
 };
 
-class Server final : private protocol::ServerTransport::Owner {
+class Server final : private protocol::ServerTransport::Owner, private core::ServerLease::Owner {
  public:
   Server(sim::Engine& engine, net::ControlNet& net, storage::SanFabric& san,
          sim::LocalClock local_clock, ServerConfig cfg, obs::Recorder* rec = nullptr);
@@ -164,6 +164,12 @@ class Server final : private protocol::ServerTransport::Owner {
                      protocol::ServerTransport::Responder r);
   void handle_demand_done(NodeId client, const protocol::DemandDoneReq&,
                           protocol::ServerTransport::Responder r);
+  // What UnlockReq and DemandDoneReq share: unless the release names a
+  // superseded grant or lacks its cookie, sets the client's mode on `file`,
+  // and applies what that frees. A compliance (`complies`) also settles the
+  // holder's demand timer. The caller ACKs with OkReply either way.
+  void release(NodeId client, FileId file, std::uint32_t gen, std::uint64_t cookie,
+               protocol::LockMode mode, bool complies);
   void handle_setsize(NodeId client, const protocol::SetSizeReq&,
                       protocol::ServerTransport::Responder r);
   void handle_read_data(NodeId client, const protocol::ReadDataReq&,
@@ -172,6 +178,10 @@ class Server final : private protocol::ServerTransport::Owner {
                          protocol::ServerTransport::Responder r);
 
   [[nodiscard]] std::unique_ptr<core::ServerLease> make_lease();
+  // The lease's Owner: a proven lease expiry steals (after fencing, under
+  // kLeaseAndFence); held files come from the lock table.
+  void lease_steal(NodeId client) override;
+  [[nodiscard]] std::vector<FileId> lease_held_files(NodeId client) const override;
 
   // Locking plumbing.
   void apply_update(const LockManager::Update& upd);

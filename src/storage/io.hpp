@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/bytes.hpp"
 #include "common/move_fn.hpp"
@@ -60,6 +59,6 @@ struct AdminRequest {
   std::uint64_t new_key{0};
 };
 
-using AdminCallback = std::function<void(Status)>;
+using AdminCallback = MoveFn<void(Status)>;
 
 }  // namespace stank::storage

@@ -115,12 +115,12 @@ void SanFabric::submit_admin(AdminRequest req, AdminCallback cb) {
 
   if (!reach_.can_reach(req.requester, req.disk)) {
     engine_->schedule_after(kErrorTimeout,
-                            [cb = std::move(cb)]() { cb(Status{ErrorCode::kIoError}); });
+                            [cb = std::move(cb)]() mutable { cb(Status{ErrorCode::kIoError}); });
     return;
   }
 
   const sim::Duration delay = service_delay(req.requester);
-  engine_->schedule_after(delay, [this, req, cb = std::move(cb)]() {
+  engine_->schedule_after(delay, [this, req, cb = std::move(cb)]() mutable {
     if (!reach_.can_reach(req.requester, req.disk)) {
       cb(Status{ErrorCode::kIoError});
       return;

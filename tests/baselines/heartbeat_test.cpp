@@ -2,21 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "owners.hpp"
+
 namespace stank::baselines {
 namespace {
 
 const NodeId kC{100};
 
-// The tables' steal timers run on a clock; these tests pass times explicitly.
-struct TableClock {
-  sim::Engine engine;
-  sim::NodeClock clock{engine, sim::LocalClock(1.0)};
-};
-
 TEST(HeartbeatTable, RenewAndValidity) {
   metrics::Counters counters;
   TableClock c;
-  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  HeartbeatTable t(c.clock, {}, counters, c);  // default tau: 10 s
   EXPECT_FALSE(t.valid(kC, sim::LocalTime{0}));
   t.renew(kC, sim::LocalTime{0});
   EXPECT_TRUE(t.valid(kC, sim::LocalTime{9'999'999'999}));
@@ -27,7 +23,7 @@ TEST(HeartbeatTable, RenewAndValidity) {
 TEST(HeartbeatTable, EveryHeartbeatIsServerWork) {
   metrics::Counters counters;
   TableClock c;
-  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  HeartbeatTable t(c.clock, {}, counters, c);  // default tau: 10 s
   for (int i = 0; i < 100; ++i) {
     t.renew(kC, sim::LocalTime{i});
   }
@@ -37,7 +33,7 @@ TEST(HeartbeatTable, EveryHeartbeatIsServerWork) {
 TEST(HeartbeatTable, StateScalesWithClients) {
   metrics::Counters counters;
   TableClock c;
-  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  HeartbeatTable t(c.clock, {}, counters, c);  // default tau: 10 s
   EXPECT_EQ(t.state_bytes(), 0u);
   t.renew(NodeId{100}, sim::LocalTime{0});
   const auto one = t.state_bytes();
@@ -50,7 +46,7 @@ TEST(HeartbeatTable, StateScalesWithClients) {
 TEST(HeartbeatTable, StealTimeFromRecordedExpiry) {
   metrics::Counters counters;
   TableClock c;
-  HeartbeatTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  HeartbeatTable t(c.clock, {}, counters, c);  // default tau: 10 s
   t.renew(kC, sim::LocalTime{0});
   EXPECT_EQ(t.steal_time(kC, sim::LocalTime{4'000'000'000}, 0.0).ns, 10'000'000'000);
   EXPECT_EQ(t.steal_time(NodeId{9}, sim::LocalTime{123}, 0.0).ns, 123);
@@ -59,54 +55,46 @@ TEST(HeartbeatTable, StealTimeFromRecordedExpiry) {
 TEST(HeartbeatScheduler, BeatsUnconditionally) {
   sim::Engine engine;
   sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  int beats = 0;
-  HeartbeatClientScheduler::Hooks h;
-  h.send_heartbeat = [&]() { ++beats; };
-  h.expired = []() { FAIL() << "no expiry expected while ACKed"; };
-  HeartbeatClientScheduler sched(clock, sim::local_seconds(9), 1.0 / 3.0, std::move(h));
+  RecordingOwner owner;
+  HeartbeatClientScheduler sched(clock, sim::local_seconds(9), 1.0 / 3.0, owner);
   sched.start();
   // ACK each beat immediately.
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [&, wpump = std::weak_ptr(pump)]() {
-    sched.on_ack(clock.now());
+    sched.keepalive_acked(clock.now());
     engine.schedule_after(sim::millis(100), [p = wpump.lock()]() { if (p) (*p)(); });
   };
   (*pump)();
   engine.run_until(sim::SimTime{} + sim::seconds(30));
   // One beat every 3s: about 10 over 30s. That is the Frangipani cost: the
   // messages flow even though the client performed zero file operations.
-  EXPECT_GE(beats, 9);
-  EXPECT_LE(beats, 12);
+  EXPECT_EQ(owner.expiries, 0) << "no expiry expected while ACKed";
+  EXPECT_GE(owner.keepalives, 9);
+  EXPECT_LE(owner.keepalives, 12);
 }
 
 TEST(HeartbeatScheduler, ExpiresWithoutAcks) {
   sim::Engine engine;
   sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  bool expired = false;
-  HeartbeatClientScheduler::Hooks h;
-  h.send_heartbeat = []() {};  // black hole
-  h.expired = [&]() { expired = true; };
-  HeartbeatClientScheduler sched(clock, sim::local_seconds(9), 1.0 / 3.0, std::move(h));
+  RecordingOwner owner;  // heartbeats go into a black hole
+  HeartbeatClientScheduler sched(clock, sim::local_seconds(9), 1.0 / 3.0, owner);
   sched.start();
   engine.run_until(sim::SimTime{} + sim::seconds(8));
-  EXPECT_FALSE(expired);
+  EXPECT_EQ(owner.expiries, 0);
   engine.run_until(sim::SimTime{} + sim::seconds(10));
-  EXPECT_TRUE(expired);
+  EXPECT_EQ(owner.expiries, 1);
   EXPECT_FALSE(sched.running());
 }
 
 TEST(HeartbeatScheduler, StopCancelsBeats) {
   sim::Engine engine;
   sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  int beats = 0;
-  HeartbeatClientScheduler::Hooks h;
-  h.send_heartbeat = [&]() { ++beats; };
-  h.expired = []() {};
-  HeartbeatClientScheduler sched(clock, sim::local_seconds(9), 1.0 / 3.0, std::move(h));
+  RecordingOwner owner;
+  HeartbeatClientScheduler sched(clock, sim::local_seconds(9), 1.0 / 3.0, owner);
   sched.start();
   sched.stop();
   engine.run_until(sim::SimTime{} + sim::seconds(30));
-  EXPECT_EQ(beats, 1);  // only the immediate first beat
+  EXPECT_EQ(owner.keepalives, 1);  // only the immediate first beat
 }
 
 }  // namespace

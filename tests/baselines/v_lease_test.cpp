@@ -2,22 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "owners.hpp"
+
 namespace stank::baselines {
 namespace {
 
 const NodeId kC{100};
-
-// The tables' steal timers run on a clock; these tests pass times explicitly.
-struct TableClock {
-  sim::Engine engine;
-  sim::NodeClock clock{engine, sim::LocalClock(1.0)};
-};
 const FileId kF{1}, kG{2};
 
 TEST(VLeaseTable, RenewAndValidity) {
   metrics::Counters counters;
   TableClock c;
-  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  VLeaseTable t(c.clock, {}, counters, c);  // default tau: 10 s
   t.renew(kC, kF, sim::LocalTime{0});
   EXPECT_TRUE(t.valid(kC, kF, sim::LocalTime{9'999'999'999}));
   EXPECT_FALSE(t.valid(kC, kF, sim::LocalTime{10'000'000'000}));
@@ -28,7 +24,7 @@ TEST(VLeaseTable, RenewAndValidity) {
 TEST(VLeaseTable, StateScalesWithObjects) {
   metrics::Counters counters;
   TableClock c;
-  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  VLeaseTable t(c.clock, {}, counters, c);  // default tau: 10 s
   EXPECT_EQ(t.state_bytes(), 0u);
   t.renew(kC, kF, sim::LocalTime{0});
   const auto one = t.state_bytes();
@@ -41,7 +37,7 @@ TEST(VLeaseTable, StateScalesWithObjects) {
 TEST(VLeaseTable, DropAndDropClient) {
   metrics::Counters counters;
   TableClock c;
-  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  VLeaseTable t(c.clock, {}, counters, c);  // default tau: 10 s
   t.renew(kC, kF, sim::LocalTime{0});
   t.renew(kC, kG, sim::LocalTime{0});
   t.renew(NodeId{101}, kF, sim::LocalTime{0});
@@ -55,7 +51,7 @@ TEST(VLeaseTable, DropAndDropClient) {
 TEST(VLeaseTable, StealTimeScalesRemainingByEps) {
   metrics::Counters counters;
   TableClock c;
-  VLeaseTable t(c.clock, {}, counters, {});  // default tau: 10 s
+  VLeaseTable t(c.clock, {}, counters, c);  // default tau: 10 s
   t.renew(kC, kF, sim::LocalTime{0});
   // At t=0 the full lease remains: wait 10 * 1.01.
   EXPECT_EQ(t.steal_time(kC, kF, sim::LocalTime{0}, 0.01).ns, 10'100'000'000);
@@ -66,24 +62,22 @@ TEST(VLeaseTable, StealTimeScalesRemainingByEps) {
 TEST(VLeaseScheduler, RenewsEachObjectIndependently) {
   sim::Engine engine;
   sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  std::vector<FileId> renewed;
-  VLeaseClientScheduler::Hooks h;
-  h.send_renew = [&](FileId f) { renewed.push_back(f); };
-  h.object_expired = [](FileId) { FAIL() << "should not expire while renewing"; };
-  VLeaseClientScheduler sched(clock, sim::local_seconds(10), 0.5, std::move(h));
+  RecordingOwner owner;
+  VLeaseClientScheduler sched(clock, sim::local_seconds(10), 0.5, owner);
   sched.object_acquired(kF);
   sched.object_acquired(kG);
   // Acknowledge every renewal promptly.
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [&, wpump = std::weak_ptr(pump)]() {
-    for (FileId f : renewed) {
-      sched.renewed(f, clock.now());
+    for (FileId f : owner.renewals) {
+      sched.object_renewed(f, clock.now());
     }
-    renewed.clear();
+    owner.renewals.clear();
     engine.schedule_after(sim::millis(100), [p = wpump.lock()]() { if (p) (*p)(); });
   };
   (*pump)();
   engine.run_until(sim::SimTime{} + sim::seconds(30));
+  EXPECT_TRUE(owner.expired.empty()) << "should not expire while renewing";
   EXPECT_EQ(sched.tracked_objects(), 2u);
   // Roughly one renewal per object per 5s (0.5 * tau): ~6 each over 30s.
   EXPECT_GE(sched.renewals_sent(), 8u);
@@ -92,30 +86,24 @@ TEST(VLeaseScheduler, RenewsEachObjectIndependently) {
 TEST(VLeaseScheduler, ExpiresObjectWhenRenewalsUnanswered) {
   sim::Engine engine;
   sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  std::vector<FileId> expired;
-  VLeaseClientScheduler::Hooks h;
-  h.send_renew = [](FileId) {};  // black hole
-  h.object_expired = [&](FileId f) { expired.push_back(f); };
-  VLeaseClientScheduler sched(clock, sim::local_seconds(10), 0.5, std::move(h));
+  RecordingOwner owner;  // renewals go into a black hole
+  VLeaseClientScheduler sched(clock, sim::local_seconds(10), 0.5, owner);
   sched.object_acquired(kF);
   engine.run_until(sim::SimTime{} + sim::seconds(11));
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0], kF);
+  ASSERT_EQ(owner.expired.size(), 1u);
+  EXPECT_EQ(owner.expired[0], kF);
   EXPECT_EQ(sched.tracked_objects(), 0u);
 }
 
 TEST(VLeaseScheduler, ReleaseStopsRenewals) {
   sim::Engine engine;
   sim::NodeClock clock(engine, sim::LocalClock(1.0));
-  int renewals = 0;
-  VLeaseClientScheduler::Hooks h;
-  h.send_renew = [&](FileId) { ++renewals; };
-  h.object_expired = [](FileId) {};
-  VLeaseClientScheduler sched(clock, sim::local_seconds(10), 0.5, std::move(h));
+  RecordingOwner owner;
+  VLeaseClientScheduler sched(clock, sim::local_seconds(10), 0.5, owner);
   sched.object_acquired(kF);
   sched.object_released(kF);
   engine.run_until(sim::SimTime{} + sim::seconds(30));
-  EXPECT_EQ(renewals, 0);
+  EXPECT_TRUE(owner.renewals.empty());
 }
 
 }  // namespace

@@ -16,17 +16,6 @@ LeaseConfig cfg(std::int64_t tau_s = 10) {
   return c;
 }
 
-// The agent with its keep-alive counted instead of sent.
-class CountingAgent final : public ClientLeaseAgent {
- public:
-  CountingAgent(sim::NodeClock& clock, LeaseConfig c, Owner& owner, int& keepalives)
-      : ClientLeaseAgent(clock, c, owner), keepalives_(&keepalives) {}
-
- private:
-  void send_keepalive() override { ++*keepalives_; }
-  int* keepalives_;
-};
-
 struct Fixture final : ClientLease::Owner {
   sim::Engine engine;
   sim::NodeClock clock;
@@ -35,11 +24,14 @@ struct Fixture final : ClientLease::Owner {
   int flushes{0};
   int expirations{0};
   std::vector<std::pair<LeasePhase, LeasePhase>> transitions;
-  CountingAgent agent;
+  ClientLeaseAgent agent;
 
   explicit Fixture(LeaseConfig c = cfg(), double rate = 1.0)
-      : clock(engine, sim::LocalClock(rate)), agent(clock, c, *this, keepalives) {}
+      : clock(engine, sim::LocalClock(rate)), agent(clock, c, *this) {}
 
+  // Keep-alives are counted instead of sent.
+  void lease_keepalive() override { ++keepalives; }
+  void lease_renew_object(FileId /*file*/) override {}
   void lease_quiesce() override { ++quiesces; }
   void lease_flush() override { ++flushes; }
   void handle_lease_expired() override { ++expirations; }

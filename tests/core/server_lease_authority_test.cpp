@@ -14,7 +14,7 @@ LeaseConfig cfg(std::int64_t tau_s = 10, double eps = 0.01) {
   return c;
 }
 
-struct Fixture {
+struct Fixture final : ServerLease::Owner {
   sim::Engine engine;
   sim::NodeClock clock;
   metrics::Counters counters;
@@ -22,12 +22,11 @@ struct Fixture {
   ServerLeaseAuthority authority;
 
   explicit Fixture(LeaseConfig c = cfg(), double rate = 1.0)
-      : clock(engine, sim::LocalClock(rate)), authority(clock, c, counters, hooks()) {}
+      : clock(engine, sim::LocalClock(rate)), authority(clock, c, counters, *this) {}
 
-  ServerLeaseAuthority::Hooks hooks() {
-    ServerLeaseAuthority::Hooks h;
-    h.steal_locks = [this](NodeId n) { stolen.push_back(n); };
-    return h;
+  void lease_steal(NodeId n) override { stolen.push_back(n); }
+  [[nodiscard]] std::vector<FileId> lease_held_files(NodeId /*client*/) const override {
+    return {};
   }
 
   void run_to(double t_s) { engine.run_until(sim::SimTime{} + sim::seconds_d(t_s)); }
