@@ -1,6 +1,6 @@
 // Experiment M2 — simulation-core hot-path benchmarks.
 //
-// Four workloads that dominate every experiment in this repo:
+// Five workloads that dominate every experiment in this repo:
 //  * schedule+fire    — the basic event-loop cycle (message delivery, disk
 //                       service completions).
 //  * cancel churn     — the lease keep-alive pattern: a timer is scheduled,
@@ -12,12 +12,16 @@
 //                       generators).
 //  * datagram path    — codec encode -> ControlNet send -> delivery, the full
 //                       per-message cost of a simulated control-network frame.
+//  * standing far timers — near-term schedule+fire with 100k timers armed
+//                       0.5-4 s out, the swarm's queue shape. Exits 1 when it
+//                       costs more than twice the schedule+fire row.
 //
 // Prints a table and, when $STANK_BENCH_JSON is set, appends one JSON line
 // per metric for bench/run_all to collect into BENCH_core.json.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -118,6 +122,48 @@ Metric bench_self_reschedule() {
   return {"self-reschedule", kTotal, wall};
 }
 
+// The swarm's queue shape: 100k armed timers 0.5-4 s out (retransmit and
+// lease timers) stand behind a stream of near-term events, each firing one
+// 200 us later than it was scheduled and re-arming itself. Simulated time
+// stays below 0.5 s, so no standing timer fires: every op is the near
+// schedule+fire cycle, priced with the far timers in the queue.
+Metric bench_standing_far_timers() {
+  constexpr std::size_t kStanding = 100'000;
+  constexpr int kChains = 1'000;
+  constexpr std::uint64_t kTotal = 2'000'000;
+  sim::Engine e;
+  e.set_event_limit(~0ull);
+  sim::Rng rng(11);
+  std::vector<sim::TimerId> standing;
+  standing.reserve(kStanding);
+  for (std::size_t i = 0; i < kStanding; ++i) {
+    const auto out = sim::Duration{rng.uniform_int(500'000'000, 4'000'000'000)};
+    standing.push_back(
+        e.schedule_after(out, []() { STANK_ASSERT_MSG(false, "standing timer fired"); }));
+  }
+  std::uint64_t fired = 0;
+  struct Chain {
+    sim::Engine* e;
+    std::uint64_t* fired;
+    std::uint64_t budget;
+    void operator()() {
+      ++*fired;
+      if (--budget > 0) {
+        e->schedule_after(sim::micros(200), *this);
+      }
+    }
+  };
+  for (int c = 0; c < kChains; ++c) {
+    e.schedule_at(sim::SimTime{c + 1}, Chain{&e, &fired, kTotal / kChains});
+  }
+  const auto t0 = Clock::now();
+  e.run_until(sim::SimTime{} + sim::millis(450));
+  const double wall = seconds_since(t0);
+  STANK_ASSERT(fired == kTotal);
+  for (sim::TimerId id : standing) e.cancel(id);
+  return {"standing far timers", kTotal, wall};
+}
+
 // Full control-network datagram cost: encode a lock request, send it through
 // ControlNet (latency + jitter sampling), deliver to the peer's handler.
 Metric bench_datagram_path() {
@@ -165,6 +211,7 @@ int main() {
       bench_cancel_churn(),
       bench_self_reschedule(),
       bench_datagram_path(),
+      bench_standing_far_timers(),
   };
 
   Table tbl({"workload", "ops", "wall (s)", "ops/sec", "ns/op"});
@@ -180,5 +227,11 @@ int main() {
       "of protocol traffic one wall-clock second buys; every experiment in this\n"
       "repo (Fig. 2-5, T1-T8) is paid for at these rates. The datagram path adds\n"
       "the codec and network-delivery overhead per control message.\n");
-  return 0;
+
+  // Gate: far timers must not tax near events. A ratio of two rows from one
+  // process holds on a shared runner where absolute ns/op does not.
+  const double ratio = metrics[4].ns_per_op() / metrics[0].ns_per_op();
+  std::printf("\nstanding far timers / schedule+fire = %.2f (gate 2.00) %s\n", ratio,
+              ratio <= 2.0 ? "[ok]" : "[FAIL]");
+  return ratio <= 2.0 ? 0 : 1;
 }

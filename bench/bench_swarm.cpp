@@ -247,6 +247,7 @@ struct ShardedPoint {
   double wire_bytes_per_client;      // control-net bytes sent in the window / N
   double resident_bytes_per_client;  // live-heap high-water the clients add / N
   double reply_cache_bytes_per_client;  // servers' reply caches at the end / N
+  double engine_queue_bytes_per_client;  // every shard's event queue at the end / N
   std::uint64_t ops_ok;
   std::uint64_t ops_failed;
   std::uint64_t digest;
@@ -405,6 +406,11 @@ ShardedPoint run_sharded_swarm(std::uint32_t n, std::uint32_t k, std::uint32_t t
   std::size_t reply_cache_bytes = 0;
   for (const auto& server : servers) reply_cache_bytes += server->reply_cache_bytes();
   p.reply_cache_bytes_per_client = static_cast<double>(reply_cache_bytes) / n;
+  std::size_t queue_bytes = 0;
+  for (unsigned s = 0; s < engine.shard_count(); ++s) {
+    queue_bytes += engine.shard(s).queue_bytes();
+  }
+  p.engine_queue_bytes_per_client = static_cast<double>(queue_bytes) / n;
   p.ops_ok = 0;
   p.ops_failed = 0;
   // The digest folds in every member's op counts in index order plus the
@@ -458,7 +464,8 @@ int main() {
   std::printf("Swarm scaling: one server, N clients of renewal-storm + Zipf lock traffic\n\n");
 
   Table tbl({"N clients", "sim events", "wall (s)", "events/s", "wire B/client",
-             "resident B/client", "reply cache B/client", "ops ok", "ops failed"});
+             "resident B/client", "reply cache B/client", "engine queue B/client", "ops ok",
+             "ops failed"});
   tbl.title("8 s measured window; tau = 2 s; Zipf(0.9) over pool_for(N) files; 5% exclusive");
   for (std::uint32_t n : env_u32_list("STANK_SWARM_NS", {100, 1000, 10000, 50000})) {
     const ShardedPoint p = run_sharded_swarm(n, 1, 1, telemetry);
@@ -471,6 +478,7 @@ int main() {
         .cell(p.wire_bytes_per_client, 0)
         .cell(p.resident_bytes_per_client, 0)
         .cell(p.reply_cache_bytes_per_client, 0)
+        .cell(p.engine_queue_bytes_per_client, 0)
         .cell(p.ops_ok)
         .cell(p.ops_failed);
     char key[48];
@@ -482,6 +490,8 @@ int main() {
     reporter.value(key, p.resident_bytes_per_client);
     std::snprintf(key, sizeof(key), "swarm_n%u_reply_cache_bytes_per_client", p.n);
     reporter.value(key, p.reply_cache_bytes_per_client);
+    std::snprintf(key, sizeof(key), "swarm_n%u_engine_queue_bytes_per_client", p.n);
+    reporter.value(key, p.engine_queue_bytes_per_client);
   }
   tbl.print(std::cout);
 
@@ -493,7 +503,8 @@ int main() {
       "cost scales with N, not N^2. resident B/client is the live-heap high-water the\n"
       "clients add (their own state plus what they grow in servers, net and engine)\n"
       "divided by N. reply cache B/client is the part of it the servers' at-most-once\n"
-      "reply caches report holding at the end of the run.\n\n");
+      "reply caches report holding at the end of the run, engine queue B/client what\n"
+      "the event queues hold (Engine::queue_bytes: heap, far ring and chunks, overflow).\n\n");
 
   const std::uint32_t sharded_n = env_u32("STANK_SWARM_N_SHARDED", 1'000'000);
   const std::uint32_t threads_override = env_u32("STANK_SWARM_THREADS", 0xFFFFFFFFu);
@@ -505,8 +516,8 @@ int main() {
   std::printf("Telemetry: %s (STANK_SWARM_TELEMETRY=0 to disable; must not change digests)\n\n",
               telemetry ? "counters + watchdog armed" : "dark");
   Table stbl({"K", "threads", "sim events", "wall (s)", "events/s", "speedup", "wire B/client",
-              "resident B/client", "reply cache B/client", "ops ok", "ops failed", "imb",
-              "mbox hw", "bar p50us", "bar p99us", "digest"});
+              "resident B/client", "reply cache B/client", "engine queue B/client", "ops ok",
+              "ops failed", "imb", "mbox hw", "bar p50us", "bar p99us", "digest"});
   stbl.title("client i -> server i%K, shard (i+i/K)%K: 1/K co-located, rest cross-shard");
   double base_eps = 0.0;
   int over_bound = 0;
@@ -528,6 +539,7 @@ int main() {
                     .cell(p.wire_bytes_per_client, 0)
                     .cell(p.resident_bytes_per_client, 0)
                     .cell(p.reply_cache_bytes_per_client, 0)
+                    .cell(p.engine_queue_bytes_per_client, 0)
                     .cell(p.ops_ok)
                     .cell(p.ops_failed);
     if (p.telemetry && p.k > 1) {
@@ -551,6 +563,9 @@ int main() {
     std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_reply_cache_bytes_per_client", p.n,
                   p.k);
     reporter.value(key, p.reply_cache_bytes_per_client);
+    std::snprintf(key, sizeof(key), "swarm_sharded_n%u_k%u_engine_queue_bytes_per_client",
+                  p.n, p.k);
+    reporter.value(key, p.engine_queue_bytes_per_client);
     if (p.resident_bytes_per_client > kResidentBytesPerClientBound) ++over_bound;
     if (p.telemetry && p.k > 1) {
       // Shard-utilization columns for BENCH_core.json: per-shard events per

@@ -1,18 +1,34 @@
 // Discrete-event simulation engine.
 //
-// A single binary heap of (global time, sequence) ordered events. All node
-// behaviour — message delivery, disk service, lease timers — runs inside
-// events. Ties are broken by insertion order so runs are fully deterministic.
+// Events run in (global time, sequence) order; ties are broken by insertion
+// order, so runs are fully deterministic. All node behaviour — message
+// delivery, disk service, lease timers — runs inside events.
 //
 // Hot-path design: callbacks live in a generation-checked slot pool and are
 // stored as small-buffer EventFn (no heap allocation for typical closures,
 // no hashing anywhere). A TimerId encodes {slot, generation}, so cancel() is
-// two array accesses. Cancelled heap entries become tombstones that are
-// discarded lazily; when they outnumber the live entries the heap is
-// compacted, which keeps queue memory O(live timers) under the
-// schedule/cancel-heavy lease-renewal workload.
+// two array accesses.
+//
+// The queue has two tiers. Nearly every timer the protocol arms is far in
+// the future and is cancelled before it fires (a 500 ms retransmit timer per
+// request, a lease timer re-armed on every ACK), while the events that do
+// fire are mostly a few hundred microseconds out. So:
+//  * the near tier is a 4-ary heap holding only events in time buckets the
+//    frontier has reached (bucket <= cur_bucket_);
+//  * the far tier is a ring of kRingBuckets coarse buckets, each an unsorted
+//    list of pooled fixed-size chunks that an insert appends to. A bucket
+//    moves into the heap, cancelled entries dropped, only when the heap runs
+//    dry, which is when the heap's earliest entry would reach it. Entries
+//    beyond the ring's horizon wait in a small overflow heap.
+// Every far entry is later than every near entry, so the heap still pops in
+// exact (time, seq) order. Cancelled entries stay where they sit as dead
+// entries; the slot of a pending event records which tier and bucket holds
+// it, so cancel() counts the dead entry there, and a tier or bucket whose
+// dead entries outnumber its live ones is swept on its own. Queue memory is
+// thus O(live timers) with no pass over the whole queue.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -73,14 +89,21 @@ class Engine {
   static constexpr SimTime kNever{INT64_MAX};
 
   // Time of the earliest live pending event, or kNever when the queue is
-  // empty. Non-const: discards dead heap tops on the way, amortized by the
-  // same tombstone accounting step() relies on. The sharded engine uses this
-  // to skip idle windows deterministically.
+  // empty. Non-const: discards dead heap tops and, when the heap runs dry,
+  // moves the next far bucket into it — work step() would do anyway. The
+  // sharded engine uses this to skip idle windows deterministically.
   [[nodiscard]] SimTime next_event_time();
 
-  // Heap entries currently held, live + tombstones. Compaction keeps this
-  // O(live timers); exposed so tests can assert the bound.
-  [[nodiscard]] std::size_t queue_depth() const { return heap_.size(); }
+  // Queue entries currently held in all tiers, live + dead. Sweeping keeps
+  // this O(live timers); exposed so tests can assert the bound.
+  [[nodiscard]] std::size_t queue_depth() const {
+    return heap_.size() + far_entries_ + overflow_.size();
+  }
+
+  // Bytes the queue holds: heap and overflow capacity, the far ring and
+  // every far chunk this engine owns (in buckets or on its free list). The
+  // slot pool is not included.
+  [[nodiscard]] std::size_t queue_bytes() const;
 
   // Safety valve against runaway event loops; default is generous.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
@@ -90,9 +113,18 @@ class Engine {
   // Accumulated only in ~Engine, so it costs the hot path nothing.
   [[nodiscard]] static std::uint64_t global_events_executed();
 
-  // Frees the slot chunks and heap arrays this thread's engines pooled (see
-  // chunk_pool()), so a measurement starts from an empty cache.
+  // Frees the slot chunks, heap arrays, far rings and far chunks this
+  // thread's engines pooled, so a measurement starts from an empty cache.
   static void release_pools();
+
+  // Far-tier geometry (DESIGN §4): 2^23 ns ≈ 8.4 ms buckets, 1,024 of them,
+  // so the ring reaches ≈ 8.6 s ahead — past the default lease's phase-2
+  // (5 s), phase-3 and phase-4 boundaries. Only the server's τ(1+ε) wait
+  // and similar rare timers reach the overflow heap. A bucket's entries
+  // live in 16-entry chunks.
+  static constexpr unsigned kBucketShift = 23;
+  static constexpr std::uint32_t kRingBuckets = 1024;
+  static constexpr std::uint32_t kFarChunkEntries = 16;
 
  private:
   struct Entry {
@@ -103,8 +135,11 @@ class Engine {
   };
 
   // A registered callback. `gen` changes whenever the slot is vacated, so a
-  // stale TimerId or heap entry can never touch a reused slot. One slot per
-  // cache line: firing an event touches exactly one line of the pool.
+  // stale TimerId or queue entry can never touch a reused slot. While the
+  // slot is free, `next_free` links the free list; while it is pending, it
+  // says where the entry sits: kAtNear, kAtOverflow or a ring bucket index.
+  // One slot per cache line: firing an event touches exactly one line of
+  // the pool.
   struct alignas(64) Slot {
     EventFn fn;
     std::uint32_t gen{1};
@@ -113,17 +148,40 @@ class Engine {
   static_assert(sizeof(Slot) == 64);
 
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::uint32_t kAtNear = kNoSlot - 1;
+  static constexpr std::uint32_t kAtOverflow = kNoSlot - 2;
+  static_assert(kRingBuckets % 64 == 0 && (kRingBuckets & (kRingBuckets - 1)) == 0);
   // Slots live in fixed-size chunks so their addresses are stable while the
   // pool grows — step() runs callbacks in place, and a callback scheduling
   // new events must not invalidate the slot it is running from.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  // Far-tier storage. A bucket's chunks are all full except its tail, so
+  // the tail's fill follows from `count`.
+  struct FarChunk {
+    FarChunk* next{nullptr};
+    std::array<Entry, kFarChunkEntries> entries;
+  };
+  struct Bucket {
+    FarChunk* head{nullptr};
+    FarChunk* tail{nullptr};
+    std::uint32_t count{0};  // entries held, live + dead
+    std::uint32_t dead{0};
+  };
+  struct FarRing {
+    std::array<Bucket, kRingBuckets> buckets{};
+    std::array<std::uint64_t, kRingBuckets / 64> occupied{};  // bit set iff count > 0
+  };
+
   static TimerId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<TimerId>(gen) << 32) | slot;
   }
   static std::uint32_t slot_of(TimerId id) { return static_cast<std::uint32_t>(id); }
   static std::uint32_t gen_of(TimerId id) { return static_cast<std::uint32_t>(id >> 32); }
+  static std::uint64_t bucket_of(SimTime t) {
+    return static_cast<std::uint64_t>(t.ns) >> kBucketShift;
+  }
 
   static bool entry_before(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -135,25 +193,51 @@ class Engine {
   }
   [[nodiscard]] bool entry_live(const Entry& e) const { return slot(e.slot).gen == e.gen; }
 
-  // Thread-local recycling of the two bulk allocations — slot chunks and the
-  // heap array — so back-to-back engines (fuzz episodes, bench sweeps) reuse
-  // the previous engine's memory instead of re-growing from empty. Donated
-  // chunks are scrubbed (callbacks destroyed, generations reset) in ~Engine,
-  // off every hot path.
+  // Thread-local recycling of the bulk allocations — slot chunks, heap
+  // arrays, far rings and far chunks — so back-to-back engines (fuzz
+  // episodes, bench sweeps) reuse the previous engine's memory instead of
+  // re-growing from empty. Donated memory is scrubbed (callbacks destroyed,
+  // generations and buckets reset) in ~Engine, off every hot path.
+  struct FarChunkPool {
+    FarChunk* head{nullptr};
+    std::size_t size{0};
+  };
   static std::vector<std::unique_ptr<Slot[]>>& chunk_pool();
   static std::vector<std::vector<Entry>>& heap_pool();
+  static std::vector<std::unique_ptr<FarRing>>& ring_pool();
+  static FarChunkPool& far_chunk_pool();
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void discard_dead_top();  // pops tombstones off the heap top
-  void compact();
 
-  // 4-ary min-heap over heap_: half the depth of a binary heap and each
-  // sibling scan stays within two cache lines, which is what the pop path is
-  // bounded by at queue sizes the sweeps reach.
-  void heap_push(const Entry& e);
-  void heap_pop_top();
-  void heap_sift_down(std::size_t hole, const Entry& e);
+  // Makes heap_.front() the earliest live entry, refilling the heap from
+  // the far tiers as it runs dry. False when nothing is pending.
+  bool settle_top();
+  void discard_dead_top();  // pops dead entries off the heap top
+  bool refill_near();
+  void fire_top();
+
+  void far_push(std::uint64_t bucket, const Entry& e);
+  void ring_append(std::uint32_t b, const Entry& e);
+  template <typename F>
+  void scan_bucket(const Bucket& bk, F&& f);
+  void drain_bucket(std::uint32_t b);
+  // Counts a cancelled entry where it sits, sweeping that tier or bucket
+  // once its dead entries outnumber its live ones.
+  void note_dead(std::uint32_t where);
+  void sweep_bucket(std::uint32_t b);
+  void release_bucket(std::uint32_t b);
+  FarChunk* take_far_chunk();
+
+  // 4-ary min-heaps (the near tier and the overflow): half the depth of a
+  // binary heap and each sibling scan stays within two cache lines, which is
+  // what the pop path is bounded by.
+  static void heap_push(std::vector<Entry>& h, const Entry& e);
+  static void heap_pop_top(std::vector<Entry>& h);
+  static void heap_sift_down(std::vector<Entry>& h, std::size_t hole, const Entry& e);
+  static void heapify(std::vector<Entry>& h);
+  // Drops h's dead entries and restores the heap order.
+  void sweep_heap(std::vector<Entry>& h);
 
   SimTime now_{};
   std::uint64_t next_seq_{0};
@@ -162,11 +246,21 @@ class Engine {
   bool stop_requested_{false};
 
   std::vector<Entry> heap_;
+  std::size_t near_dead_{0};
+  // Every entry in heap_ lies in a bucket <= cur_bucket_; every far entry
+  // lies beyond it, in the ring when less than kRingBuckets ahead.
+  std::uint64_t cur_bucket_{0};
+  std::unique_ptr<FarRing> ring_;
+  std::size_t far_entries_{0};
+  FarChunk* far_free_{nullptr};
+  std::size_t far_chunks_owned_{0};
+  std::vector<Entry> overflow_;
+  std::size_t overflow_dead_{0};
+
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t num_slots_{0};
   std::uint32_t free_head_{kNoSlot};
   std::size_t live_{0};
-  std::size_t tombstones_{0};
 };
 
 }  // namespace stank::sim

@@ -3,8 +3,8 @@
 // drain in (arrival time, source shard, source sequence) order with the
 // destination's own traffic first, and none of it depends on the worker
 // thread count — plus the bookkeeping: aggregated stats, detached-receiver
-// drops, and survival of the engine's tombstone compaction under timer
-// churn while datagrams are in flight.
+// drops, and survival of the engine's queue sweeps under timer churn
+// while datagrams are in flight.
 #include "net/sharded_net.hpp"
 
 #include <gtest/gtest.h>
@@ -194,9 +194,10 @@ TEST(ShardedNet, DrainOrderIdenticalAtEveryThreadCount) {
 
 TEST(ShardedNet, TieBreakSurvivesTombstoneCompaction) {
   // While the five datagrams are in flight, hammer the receiver shard's
-  // event queue with schedule/cancel churn so the heap compacts (tombstones
-  // outnumber live entries) with the delivery timers still pending. The
-  // drain order must be exactly what it was without the churn.
+  // event queue with schedule/cancel churn: 4096 timers land in a far
+  // bucket 10 ms out, and cancelling them all sweeps that bucket while the
+  // delivery timers are still pending in the heap. The drain order must be
+  // exactly what it was without the churn.
   Fixture f(3, 2);
   f.engine.shard(0).schedule_at(sim::SimTime{} + sim::micros(50), [&]() {
     sim::Engine& e = f.engine.shard(0);
