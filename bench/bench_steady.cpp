@@ -1,6 +1,6 @@
 // Zero-allocation steady-state gates.
 //
-// These hot paths must run without touching the global allocator once warm:
+// Three hot paths must run without touching the global allocator once warm:
 //
 //   renewal_tick   — the lease keep-alive cycle (phase-2 keepalive timer,
 //                    KeepAliveReq encode/send, server ACK, opportunistic
@@ -14,9 +14,6 @@
 //                    read-modify-write fills, SAN I/O, the client's op
 //                    records and block cache. Gated at 0.01 allocations per
 //                    op rather than zero.
-//   contended      — bursts of 6 clients on one file's exclusive lock: at
-//                    least 3 waiters queue at the server per burst, past the
-//                    lock record's two inline entries.
 //
 // Each gate warms the system (registration, reply-cache rings, engine slot
 // pools, codec buffer pools, FlatMap high-water capacity), snapshots the
@@ -24,8 +21,6 @@
 // THE BENCH (exit 1) if a single allocation happened. The counts are also
 // reported, so BENCH_core.json records the invariant and bench_diff.py can
 // flag any regression against it.
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -226,72 +221,6 @@ double data_op_allocs_per_op(std::uint64_t min_ops, std::uint64_t* ops_out) {
   return static_cast<double>(delta) / static_cast<double>(*ops_out);
 }
 
-// Contended server: bursts in which every client asks for the same file's
-// exclusive lock at once, holds it 1 ms and releases it. The server grants
-// one request and queues the rest behind it, so the lock record's waiter
-// queue spills past its two inline entries in every burst, and the record
-// is dropped when the burst drains.
-struct BurstCtx {
-  workload::Scenario* sc{nullptr};
-  std::size_t ci{0};
-  std::uint64_t* done{nullptr};
-  std::size_t* queued_max{nullptr};
-};
-
-void burst_release(BurstCtx* c) {
-  c->sc->client(c->ci).release(c->sc->fd(c->ci, 0), protocol::LockMode::kNone,
-                               [c](Status) { ++*c->done; });
-}
-
-void burst_lock(BurstCtx* c) {
-  c->sc->client(c->ci).lock(c->sc->fd(c->ci, 0), protocol::LockMode::kExclusive, [c](Status) {
-    *c->queued_max = std::max(*c->queued_max, c->sc->server().locks().queued_waiters());
-    c->sc->engine().schedule_after(sim::millis(1), [c]() { burst_release(c); });
-  });
-}
-
-// Allocations over `bursts` contended bursts after as many warm-up bursts;
-// `fewest_queued` is the smallest per-burst high water of queued waiters.
-std::uint64_t contended_server_allocs(int bursts, std::size_t* fewest_queued) {
-  workload::ScenarioConfig cfg;
-  cfg.workload.num_clients = 6;
-  cfg.workload.num_files = 1;
-  cfg.workload.file_blocks = 4;
-  cfg.workload.run_seconds = 0.1;
-  workload::Scenario sc(cfg);
-  sc.setup();
-  sc.run_until_s(1.0);
-
-  std::uint64_t done = 0;
-  std::size_t queued_max = 0;
-  std::vector<BurstCtx> ctxs(sc.num_clients());
-  for (std::size_t i = 0; i < ctxs.size(); ++i) ctxs[i] = BurstCtx{&sc, i, &done, &queued_max};
-  double t = 1.0;
-  *fewest_queued = SIZE_MAX;
-  // One burst: every client locks at once; the next starts 0.5 s later,
-  // long after the last release.
-  const auto burst = [&]() {
-    done = 0;
-    queued_max = 0;
-    for (BurstCtx& c : ctxs) burst_lock(&c);
-    t += 0.5;
-    sc.run_until_s(t);
-    if (done != ctxs.size()) return false;
-    *fewest_queued = std::min(*fewest_queued, queued_max);
-    return true;
-  };
-  for (int i = 0; i < bursts; ++i) {
-    if (!burst()) return UINT64_MAX;
-  }
-  const std::uint64_t snap = bench::allocs();
-  if (std::getenv("STANK_STEADY_TRAP") != nullptr) bench::trap_next_alloc(true);
-  for (int i = 0; i < bursts; ++i) {
-    if (!burst()) return UINT64_MAX;
-  }
-  bench::trap_next_alloc(false);
-  return bench::allocs() - snap;
-}
-
 // The telemetry registry's hot path (add_to / gauge_max / record_hist on a
 // frozen obs::Counters) must also be allocation-free: it is called from
 // inside the sharded engine's window loop and ShardedNet::post(), both of
@@ -352,16 +281,6 @@ int main() {
               per_op, static_cast<unsigned long long>(data_ops), data_ok ? "[ok]" : "[FAIL]");
   reporter.alloc("data_op", static_cast<std::uint64_t>(per_op * static_cast<double>(data_ops)));
   if (!data_ok) rc = 1;
-
-  std::size_t fewest_queued = 0;
-  const std::uint64_t contended = contended_server_allocs(200, &fewest_queued);
-  const bool contended_ok = contended == 0 && fewest_queued >= 3;
-  std::printf("  contended    : %llu allocations over 200 bursts of 6 clients on one exclusive "
-              "lock (>= %zu queued waiters each, need 3) %s\n",
-              static_cast<unsigned long long>(contended),
-              fewest_queued == SIZE_MAX ? 0 : fewest_queued, contended_ok ? "[ok]" : "[FAIL]");
-  reporter.alloc("contended_server", contended == UINT64_MAX ? 1 : contended);
-  if (!contended_ok) rc = 1;
 
   const std::uint64_t ctr_allocs = counter_registry_allocs(100'000);
   std::printf("  counter_inc  : %llu allocations over 100000 armed add/gauge/hist "

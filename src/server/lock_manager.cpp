@@ -66,10 +66,6 @@ LockManager::AcquireOutcome LockManager::acquire(NodeId client, FileId file, Loc
     }
   }
   if (!queued) {
-    if (fl.waiters.size() == 2 && fl.waiters.is_inline() && !spare_waiters_.is_inline()) {
-      for (const Waiter& w : fl.waiters) spare_waiters_.push_back(w);
-      fl.waiters = std::move(spare_waiters_);
-    }
     fl.waiters.push_back(Waiter{client, mode});
     index_add_waiting(client, file);
     ++queued_waiters_;
@@ -284,11 +280,8 @@ void LockManager::remove_holder(FileId file, FileLocks& fl, NodeId node) {
 }
 
 void LockManager::gc(FileId file) {
-  FileLocks* fl = files_.find(file);
+  const FileLocks* fl = files_.find(file);
   if (fl != nullptr && fl->holders.empty() && fl->waiters.empty()) {
-    if (fl->waiters.capacity() > spare_waiters_.capacity()) {
-      spare_waiters_ = std::move(fl->waiters);
-    }
     files_.erase(file);
   }
 }

@@ -197,11 +197,6 @@ class LockManager {
   // steal path edits queues without touching the reverse index, so this
   // cannot ride on index_add/remove_waiting).
   std::size_t queued_waiters_{0};
-  // One spilled waiter buffer kept across lock records: a queue about to
-  // spill past its two inline waiters adopts it, and gc() of a record whose
-  // queue spilled hands the larger buffer back, so a contention burst on a
-  // hot file allocates only on its first occurrence.
-  SmallVec<Waiter, 2> spare_waiters_;
   obs::Recorder* rec_{nullptr};
 };
 

@@ -13,12 +13,12 @@ namespace {
 std::atomic<std::uint64_t> g_events_executed{0};
 
 // Bounds on the per-thread storage pools: 256 slot chunks is 64k slots
-// (~4MB), far above any tier-1 scenario's live-timer peak; 2,048 far chunks
+// (~4MB), far above any tier-1 scenario's live-timer peak; 128 far blocks
 // (~800KB) hold 32k far entries. Overflow simply frees.
 constexpr std::size_t kMaxPooledChunks = 256;
 constexpr std::size_t kMaxPooledHeaps = 2;
 constexpr std::size_t kMaxPooledRings = 4;
-constexpr std::size_t kMaxPooledFarChunks = 2048;
+constexpr std::size_t kMaxPooledFarBlocks = 128;
 
 // A tier or bucket is swept once its dead entries outnumber its live ones,
 // or at once when nothing in it is live; below the floor a partly dead one
@@ -26,6 +26,24 @@ constexpr std::size_t kMaxPooledFarChunks = 2048;
 constexpr std::size_t kSweepFloor = 64;
 bool worth_sweeping(std::size_t dead, std::size_t count) {
   return dead == count || (dead * 2 > count && count > kSweepFloor);
+}
+
+// Heap vectors go back to the pool of their own kind, so a near heap never
+// adopts a small overflow buffer and has to grow again.
+template <typename V>
+void adopt_pooled(std::vector<V>& pool, V& v) {
+  if (!pool.empty()) {
+    v = std::move(pool.back());
+    pool.pop_back();
+  }
+}
+
+template <typename V>
+void donate_pooled(std::vector<V>& pool, V& v) {
+  if (pool.size() < kMaxPooledHeaps && v.capacity() > 0) {
+    v.clear();
+    pool.push_back(std::move(v));
+  }
 }
 }  // namespace
 
@@ -39,22 +57,24 @@ std::vector<std::vector<Engine::Entry>>& Engine::heap_pool() {
   return pool;
 }
 
+std::vector<std::vector<Engine::Entry>>& Engine::overflow_pool() {
+  thread_local std::vector<std::vector<Entry>> pool;
+  return pool;
+}
+
 std::vector<std::unique_ptr<Engine::FarRing>>& Engine::ring_pool() {
   thread_local std::vector<std::unique_ptr<FarRing>> pool;
   return pool;
 }
 
-Engine::FarChunkPool& Engine::far_chunk_pool() {
-  thread_local FarChunkPool pool;
+std::vector<std::unique_ptr<Engine::FarChunk[]>>& Engine::far_block_pool() {
+  thread_local std::vector<std::unique_ptr<FarChunk[]>> pool;
   return pool;
 }
 
 Engine::Engine() {
-  auto& hpool = heap_pool();
-  if (!hpool.empty()) {
-    heap_ = std::move(hpool.back());
-    hpool.pop_back();
-  }
+  adopt_pooled(heap_pool(), heap_);
+  adopt_pooled(overflow_pool(), overflow_);
   auto& rpool = ring_pool();
   if (!rpool.empty()) {
     ring_ = std::move(rpool.back());
@@ -81,38 +101,21 @@ Engine::~Engine() {
   }
   auto& rpool = ring_pool();
   if (rpool.size() < kMaxPooledRings) rpool.push_back(std::move(ring_));
-  FarChunkPool& fpool = far_chunk_pool();
-  while (far_free_ != nullptr) {
-    FarChunk* c = far_free_;
-    far_free_ = c->next;
-    if (fpool.size < kMaxPooledFarChunks) {
-      c->next = fpool.head;
-      fpool.head = c;
-      ++fpool.size;
-    } else {
-      delete c;
-    }
+  auto& fpool = far_block_pool();
+  for (auto& block : far_blocks_) {
+    if (fpool.size() >= kMaxPooledFarBlocks) break;
+    fpool.push_back(std::move(block));
   }
-  auto& hpool = heap_pool();
-  for (std::vector<Entry>* h : {&heap_, &overflow_}) {
-    if (hpool.size() < kMaxPooledHeaps && h->capacity() > 0) {
-      h->clear();
-      hpool.push_back(std::move(*h));
-    }
-  }
+  donate_pooled(heap_pool(), heap_);
+  donate_pooled(overflow_pool(), overflow_);
 }
 
 void Engine::release_pools() {
   std::vector<std::unique_ptr<Slot[]>>().swap(chunk_pool());
   std::vector<std::vector<Entry>>().swap(heap_pool());
+  std::vector<std::vector<Entry>>().swap(overflow_pool());
   std::vector<std::unique_ptr<FarRing>>().swap(ring_pool());
-  FarChunkPool& fpool = far_chunk_pool();
-  while (fpool.head != nullptr) {
-    FarChunk* c = fpool.head;
-    fpool.head = c->next;
-    delete c;
-  }
-  fpool.size = 0;
+  std::vector<std::unique_ptr<FarChunk[]>>().swap(far_block_pool());
 }
 
 std::uint64_t Engine::global_events_executed() {
@@ -121,7 +124,7 @@ std::uint64_t Engine::global_events_executed() {
 
 std::size_t Engine::queue_bytes() const {
   return (heap_.capacity() + overflow_.capacity()) * sizeof(Entry) +
-         sizeof(FarRing) + far_chunks_owned_ * sizeof(FarChunk);
+         sizeof(FarRing) + far_blocks_.size() * kFarBlockChunks * sizeof(FarChunk);
 }
 
 std::uint32_t Engine::acquire_slot() {
@@ -211,18 +214,23 @@ void Engine::sweep_heap(std::vector<Entry>& h) {
 // Far tier
 
 Engine::FarChunk* Engine::take_far_chunk() {
-  if (FarChunk* c = far_free_; c != nullptr) {
-    far_free_ = c->next;
-    return c;
+  if (far_free_ == nullptr) {
+    auto& fpool = far_block_pool();
+    if (!fpool.empty()) {
+      far_blocks_.push_back(std::move(fpool.back()));
+      fpool.pop_back();
+    } else {
+      far_blocks_.push_back(std::make_unique<FarChunk[]>(kFarBlockChunks));
+    }
+    FarChunk* block = far_blocks_.back().get();
+    for (std::uint32_t i = 0; i < kFarBlockChunks; ++i) {
+      block[i].next = far_free_;
+      far_free_ = &block[i];
+    }
   }
-  ++far_chunks_owned_;
-  FarChunkPool& fpool = far_chunk_pool();
-  if (FarChunk* c = fpool.head; c != nullptr) {
-    fpool.head = c->next;
-    --fpool.size;
-    return c;
-  }
-  return new FarChunk;
+  FarChunk* c = far_free_;
+  far_free_ = c->next;
+  return c;
 }
 
 void Engine::far_push(std::uint64_t bucket, const Entry& e) {

@@ -99,9 +99,12 @@ class Engine {
   [[nodiscard]] std::size_t queue_depth() const {
     return heap_.size() + far_entries_ + overflow_.size();
   }
+  // The near tier's share of queue_depth(): the entries in the heap, which
+  // holds only the bucket the frontier has reached.
+  [[nodiscard]] std::size_t near_queue_depth() const { return heap_.size(); }
 
   // Bytes the queue holds: heap and overflow capacity, the far ring and
-  // every far chunk this engine owns (in buckets or on its free list). The
+  // every far block this engine owns (chunks in buckets or free). The
   // slot pool is not included.
   [[nodiscard]] std::size_t queue_bytes() const;
 
@@ -113,7 +116,7 @@ class Engine {
   // Accumulated only in ~Engine, so it costs the hot path nothing.
   [[nodiscard]] static std::uint64_t global_events_executed();
 
-  // Frees the slot chunks, heap arrays, far rings and far chunks this
+  // Frees the slot chunks, heap arrays, far rings and far blocks this
   // thread's engines pooled, so a measurement starts from an empty cache.
   static void release_pools();
 
@@ -158,7 +161,11 @@ class Engine {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
   // Far-tier storage. A bucket's chunks are all full except its tail, so
-  // the tail's fill follows from `count`.
+  // the tail's fill follows from `count`. Chunks are carved from blocks of
+  // kFarBlockChunks, which the engine owns and pools whole, so pooled far
+  // storage is a few large blocks, not thousands of small ones scattered
+  // through the allocator's heap.
+  static constexpr std::uint32_t kFarBlockChunks = 16;
   struct FarChunk {
     FarChunk* next{nullptr};
     std::array<Entry, kFarChunkEntries> entries;
@@ -193,19 +200,16 @@ class Engine {
   }
   [[nodiscard]] bool entry_live(const Entry& e) const { return slot(e.slot).gen == e.gen; }
 
-  // Thread-local recycling of the bulk allocations — slot chunks, heap
-  // arrays, far rings and far chunks — so back-to-back engines (fuzz
+  // Thread-local recycling of the bulk allocations — slot chunks, near and
+  // overflow heap arrays, far rings and far blocks — so back-to-back engines (fuzz
   // episodes, bench sweeps) reuse the previous engine's memory instead of
   // re-growing from empty. Donated memory is scrubbed (callbacks destroyed,
   // generations and buckets reset) in ~Engine, off every hot path.
-  struct FarChunkPool {
-    FarChunk* head{nullptr};
-    std::size_t size{0};
-  };
   static std::vector<std::unique_ptr<Slot[]>>& chunk_pool();
   static std::vector<std::vector<Entry>>& heap_pool();
+  static std::vector<std::vector<Entry>>& overflow_pool();
   static std::vector<std::unique_ptr<FarRing>>& ring_pool();
-  static FarChunkPool& far_chunk_pool();
+  static std::vector<std::unique_ptr<FarChunk[]>>& far_block_pool();
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
@@ -253,7 +257,9 @@ class Engine {
   std::unique_ptr<FarRing> ring_;
   std::size_t far_entries_{0};
   FarChunk* far_free_{nullptr};
-  std::size_t far_chunks_owned_{0};
+  // The blocks far chunks are carved from; free chunks are linked through
+  // far_free_.
+  std::vector<std::unique_ptr<FarChunk[]>> far_blocks_;
   std::vector<Entry> overflow_;
   std::size_t overflow_dead_{0};
 

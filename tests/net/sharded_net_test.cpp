@@ -214,6 +214,45 @@ TEST(ShardedNet, TieBreakSurvivesTombstoneCompaction) {
   EXPECT_EQ(f.received, want);
 }
 
+TEST(ShardedNet, TieBreakSurvivesNearHeapSweep) {
+  // The same churn, but 1-400 us out, around the 200 us arrivals: the
+  // timers land in the bucket the frontier has reached, so they sit in the
+  // near heap beside the delivery timer. Every 64th stays armed as a
+  // witness; cancelling the rest rebuilds that heap (dead entries dropped,
+  // order restored) while all five deliveries are queued. At 150 us every
+  // cross-shard datagram has been taken in. The witnesses must still fire
+  // in time order and the deliveries at exactly 200 us.
+  Fixture f(3, 2);
+  std::size_t depth_before = 0;
+  std::size_t depth_after = 0;
+  std::vector<std::int64_t> witness_at;
+  f.engine.shard(0).schedule_at(sim::SimTime{} + sim::micros(150), [&]() {
+    sim::Engine& e = f.engine.shard(0);
+    std::vector<sim::TimerId> doomed;
+    doomed.reserve(4096);
+    for (int i = 0; i < 4096; ++i) {
+      const sim::Duration d = sim::micros(1 + i % 400);
+      if (i % 64 == 0) {
+        e.schedule_after(d, [&]() { witness_at.push_back(e.now().ns); });
+      } else {
+        doomed.push_back(e.schedule_after(d, []() { FAIL(); }));
+      }
+    }
+    depth_before = e.near_queue_depth();
+    for (sim::TimerId id : doomed) e.cancel(id);
+    depth_after = e.near_queue_depth();
+  });
+  run_co_timed(f);
+  EXPECT_GE(depth_before, 4096u);
+  EXPECT_LT(depth_after, 256u);  // swept, not left for the pops to drop
+  EXPECT_EQ(witness_at.size(), 64u);
+  EXPECT_TRUE(std::is_sorted(witness_at.begin(), witness_at.end()));
+  EXPECT_EQ(f.received_at_ns, std::vector<std::int64_t>(5, 200'000));
+  const std::vector<std::pair<std::uint32_t, std::uint8_t>> want = {
+      {11u, 0}, {12u, 0}, {12u, 1}, {13u, 0}, {13u, 1}};
+  EXPECT_EQ(f.received, want);
+}
+
 // Zero jitter, 1 ns buckets and a 200us latency: a three-shard ring started
 // at t=0 lands every hop exactly on a sub-window edge (the sub-window is
 // 100us), the instant the destination takes it in. Each hop must arrive at
